@@ -38,11 +38,6 @@
 #                      overhead gate: time the serial leg with and
 #                      without --trace and fail when tracing costs
 #                      more than PCT percent (default 2).
-#   --trace-overhead-sharded [PCT]
-#                      same gate over a 2-shard supervised run: the
-#                      instrumented leg adds per-shard trace export
-#                      plus the supervisor's stitch, and must still
-#                      cost no more than PCT percent (default 2).
 #   --telemetry-overhead [PCT]
 #                      overhead gate: time the serial leg with and
 #                      without --telemetry and fail when probe
@@ -52,7 +47,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-usage() { sed -n '2,47p' "$0" | sed 's/^# \{0,1\}//'; }
+usage() { sed -n '2,45p' "$0" | sed 's/^# \{0,1\}//'; }
 
 MODE=bench
 BUILD_DIR="${BUILD_DIR:-build}"
@@ -70,11 +65,6 @@ while [[ $# -gt 0 ]]; do
             MODE=check; shift ;;
         --trace-overhead)
             MODE=overhead; shift
-            if [[ "${1:-}" =~ ^[0-9]+([.][0-9]+)?$ ]]; then
-                OVERHEAD_LIMIT_PCT="$1"; shift
-            fi ;;
-        --trace-overhead-sharded)
-            MODE=sharded_overhead; shift
             if [[ "${1:-}" =~ ^[0-9]+([.][0-9]+)?$ ]]; then
                 OVERHEAD_LIMIT_PCT="$1"; shift
             fi ;;
@@ -174,16 +164,11 @@ json_field() { # json_field <file> <key>  -> numeric value
 # asserted, while minima are stable. Tracing and telemetry share the
 # harness; they differ only in the instrumented leg's flags, the
 # artifact sanity check, and the budget.
-if [[ "$MODE" == overhead || "$MODE" == telemetry_overhead ||
-      "$MODE" == sharded_overhead ]]; then
+if [[ "$MODE" == overhead || "$MODE" == telemetry_overhead ]]; then
     BASE_FLAGS=(--jobs 1)
     if [[ "$MODE" == overhead ]]; then
         WHAT=tracing
         LIMIT_PCT="$OVERHEAD_LIMIT_PCT"
-    elif [[ "$MODE" == sharded_overhead ]]; then
-        WHAT="sharded tracing (export + stitch)"
-        LIMIT_PCT="$OVERHEAD_LIMIT_PCT"
-        BASE_FLAGS=(--shards 2 --jobs 1)
     else
         WHAT=telemetry
         LIMIT_PCT="$TELEMETRY_LIMIT_PCT"
@@ -215,10 +200,6 @@ if [[ "$MODE" == overhead || "$MODE" == telemetry_overhead ||
     else
         [[ -s "$WORK/trace1.json" ]] || {
             echo "   FAIL: no trace was written" >&2; exit 1; }
-    fi
-    if [[ "$MODE" == sharded_overhead ]]; then
-        grep -q syncperfStitch "$WORK/trace1.json" || {
-            echo "   FAIL: sharded trace was not stitched" >&2; exit 1; }
     fi
     OVERHEAD_PCT="$(awk -v p="$PLAIN_MIN" -v t="$INSTR_MIN" \
         'BEGIN { printf "%.2f", (p > 0) ? (t - p) / p * 100 : 0 }')"

@@ -339,40 +339,6 @@ def check_lane_grouping(counters):
     return failures
 
 
-def check_shard_partition(snapshot):
-    """Gate the sharded-merge partition rows.
-
-    A merged snapshot (campaign --shards N --metrics) carries a
-    supervisor row plus one row per folded shard (schema in
-    docs/observability.md, "Merged metrics"). The merge only adds:
-    every merged deterministic counter must equal the supervisor's
-    own value plus the shard rows' sum EXACTLY -- any drift means a
-    counter was double-folded, dropped, or invented. Returns a list
-    of failure strings; a snapshot without shard rows (an in-process
-    campaign) passes vacuously.
-    """
-    shards = snapshot.get("shards")
-    if not isinstance(shards, list) or not shards:
-        return []
-    failures = []
-    counters = snapshot.get("counters", {})
-    supervisor = snapshot.get("supervisor", {}).get("counters", {})
-    print(f"check_metrics: shard partition: supervisor + "
-          f"{len(shards)} shard rows")
-    for name, total in counters.items():
-        parts = supervisor.get(name, 0) + sum(
-            row.get("counters", {}).get(name, 0) for row in shards)
-        if parts != total:
-            failures.append(
-                f"{name}: supervisor + shard rows sum to {parts}, "
-                f"merged total is {total}")
-    for row in shards:
-        if not isinstance(row.get("shard"), int) or row["shard"] < 0:
-            failures.append(f"shard row has bad index "
-                            f"{row.get('shard')!r}")
-    return failures
-
-
 def main():
     parser = argparse.ArgumentParser(
         description="Gate a campaign metrics.json snapshot and/or "
@@ -470,10 +436,6 @@ def main():
 
     for failure in check_lane_grouping(counters):
         print(f"check_metrics: lane grouping: {failure}")
-        failed = True
-
-    for failure in check_shard_partition(current):
-        print(f"check_metrics: shard partition: {failure}")
         failed = True
 
     if failed or not telemetry_ok:

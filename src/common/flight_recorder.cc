@@ -300,8 +300,8 @@ renderPostmortem(const std::filesystem::path &ring,
         JsonValue e = JsonValue::object();
         e.set("name", JsonValue(std::string(r.name)));
         e.set("cat", JsonValue(std::string(r.category)));
-        // Microseconds relative to the ring's monotonic anchor, the
-        // same timebase the stitched trace uses.
+        // Microseconds since the ring was opened (its monotonic
+        // anchor).
         e.set("ts_us",
               JsonValue(static_cast<double>(r.start_ns -
                                             h.mono_anchor_ns) /

@@ -8,11 +8,11 @@
  * into a MAP_SHARED file mapping: they cost two relaxed atomic
  * stores plus a bounded memcpy, never allocate, and — because the
  * page cache belongs to the kernel, not the process — survive
- * SIGKILL. When a shard worker dies, the supervisor renders the
- * ring it left behind into postmortem.shard-k.json, so every
- * fault-injector kill and real crash leaves a readable tail of the
- * last events instead of nothing (docs/observability.md, "Crash
- * flight recorder").
+ * SIGKILL. The campaign CLI arms one ring per measuring run and
+ * deletes it on a normal exit; a run that finds a leftover ring
+ * renders it into postmortem.json, so every fault-injector kill and
+ * real crash leaves a readable tail of the last events instead of
+ * nothing (docs/observability.md, "Crash flight recorder").
  *
  * Records carry a doubled sequence stamp (seq_begin/seq_end); a
  * record interrupted mid-write by a crash leaves the stamps unequal
@@ -36,7 +36,7 @@ struct Options
 {
     /** Ring file to create (truncated if present). */
     std::filesystem::path file;
-    /** Process label rendered into the postmortem ("shard-3"). */
+    /** Process label rendered into the postmortem ("campaign"). */
     std::string label;
     /** Per-thread slots; threads beyond this record nothing. */
     int slots = 32;
@@ -48,7 +48,7 @@ struct Options
  * process; a second open() replaces the first. */
 Status open(const Options &options);
 
-/** Unmap the ring (the file stays for the supervisor). Disarms
+/** Unmap the ring (the file stays; the caller deletes it). Disarms
  * record(). */
 void close();
 

@@ -43,13 +43,6 @@ constexpr CounterInfo counter_info[counter_count] = {
     {"pool_busy_nanos", false},
     {"pool_idle_nanos", false},
     {"executor_max_queue_depth", false},
-    {"shards_spawned", false},
-    {"shard_retries", false},
-    {"shard_timeouts", false},
-    {"shards_dead", false},
-    {"shard_reassigned", false},
-    {"shard_max_heartbeat_age_ms", false},
-    {"journal_torn_tails", false},
 };
 
 } // namespace
@@ -73,46 +66,9 @@ Registry::global()
     return instance;
 }
 
-thread_local Registry::ScopedCapture *Registry::t_capture_ = nullptr;
-
-Registry::ScopedCapture::ScopedCapture(Registry &registry)
-    : registry_(registry), prev_(t_capture_)
-{
-    t_capture_ = this;
-}
-
-Registry::ScopedCapture::~ScopedCapture()
-{
-    t_capture_ = prev_;
-}
-
-void
-Registry::ScopedCapture::commit()
-{
-    // Detach first so the folds below reach the registry (or an
-    // enclosing capture) instead of looping back into this one.
-    t_capture_ = prev_;
-    for (std::size_t i = 0; i < counter_count; ++i) {
-        const auto c = static_cast<Counter>(i);
-        if (deltas_[i] != 0)
-            registry_.add(c, deltas_[i]);
-        if (maxes_[i] != 0)
-            registry_.recordMax(c, maxes_[i]);
-        deltas_[i] = 0;
-        maxes_[i] = 0;
-    }
-    t_capture_ = this;
-}
-
 void
 Registry::recordMax(Counter c, long long value)
 {
-    if (ScopedCapture *cap = t_capture_) {
-        auto &seen = cap->maxes_[static_cast<std::size_t>(c)];
-        if (value > seen)
-            seen = value;
-        return;
-    }
     auto &s = slot(c);
     long long seen = s.load(std::memory_order_relaxed);
     while (value > seen &&

@@ -42,9 +42,7 @@ enum class Counter : int
     FaultsInjected,    ///< faults the injector actually delivered
     FaultsSurvived,    ///< poisoned samples absorbed by the retry budget
     CheckpointFlushes, ///< manifest.json rewrites (timing class: the
-                       ///< flush cadence is a supervisor/serial-only
-                       ///< concern, so shard totals never sum to the
-                       ///< serial value)
+                       ///< flush cadence depends on --jobs)
     SimCacheHits,      ///< sim measurements served from the result cache
     SimCacheMisses,    ///< cacheable sim measurements actually simulated
     LoopBatchIters,    ///< timed iterations advanced algebraically
@@ -67,17 +65,6 @@ enum class Counter : int
     PoolIdleNanos,         ///< summed worker time spent waiting for work
     ExecutorMaxQueueDepth, ///< max finished-but-uncommitted jobs (max-gauge)
 
-    // Shard supervisor lifecycle (crash/timing dependent by nature,
-    // so classed with the timing counters even though a clean run
-    // reports stable values). See docs/robustness.md.
-    ShardsSpawned,         ///< worker processes forked (incl. respawns)
-    ShardRetries,          ///< crashed/timed-out shards respawned
-    ShardTimeouts,         ///< shards killed by the heartbeat watchdog
-    ShardsDead,            ///< shards abandoned after max_retries
-    ShardReassigned,       ///< points moved off dead shards to survivors
-    ShardMaxHeartbeatAgeMs, ///< worst heartbeat age observed (max-gauge)
-    JournalTornTails,      ///< truncated journal tail lines skipped on load
-
     kCount
 };
 
@@ -94,48 +81,12 @@ bool counterIsDeterministic(Counter c);
 class Registry
 {
   public:
-    /**
-     * Redirect this thread's counter updates into a local buffer
-     * that is only folded into the registry on commit(); destruction
-     * without commit() drops everything captured.
-     *
-     * Sharded campaigns use this to keep the deterministic-counter
-     * sum contract: work that every shard repeats identically (lane
-     * planning, shared reference walks) runs under a capture, and
-     * only the process that owns the work commits it, so merged
-     * per-shard totals still equal a serial run's exactly.
-     */
-    class ScopedCapture
-    {
-      public:
-        explicit ScopedCapture(Registry &registry);
-        ~ScopedCapture();
-
-        ScopedCapture(const ScopedCapture &) = delete;
-        ScopedCapture &operator=(const ScopedCapture &) = delete;
-
-        /** Fold everything captured so far into the registry. */
-        void commit();
-
-      private:
-        friend class Registry;
-
-        Registry &registry_;
-        ScopedCapture *prev_;
-        long long deltas_[counter_count] = {};
-        long long maxes_[counter_count] = {};
-    };
-
     static Registry &global();
 
     /** Add @p delta to @p c (relaxed; exact under concurrency). */
     void
     add(Counter c, long long delta = 1)
     {
-        if (ScopedCapture *cap = t_capture_) {
-            cap->deltas_[static_cast<std::size_t>(c)] += delta;
-            return;
-        }
         slot(c).fetch_add(delta, std::memory_order_relaxed);
     }
 
@@ -162,8 +113,6 @@ class Registry
     {
         return counters_[static_cast<std::size_t>(c)];
     }
-
-    static thread_local ScopedCapture *t_capture_;
 
     std::atomic<long long> counters_[counter_count] = {};
 };

@@ -18,10 +18,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -60,12 +58,10 @@ struct Session
 {
     std::uint64_t generation = 0;
     std::uint64_t t0_ns = 0;
-    /** CLOCK_REALTIME at start(), for cross-process alignment: two
-     * sessions' monotonic timelines are placed on one axis by the
-     * difference of their realtime anchors (see stitch()). */
+    /** CLOCK_REALTIME at start(): places the session's monotonic
+     * timeline on the wall clock. */
     std::int64_t realtime_anchor_us = 0;
     int pid = 0;
-    std::string process_label;
     std::filesystem::path out_file;
 
     std::mutex registry_mutex;
@@ -158,7 +154,7 @@ recordComplete(std::string_view name, const char *category,
 } // namespace detail
 
 Status
-start(std::filesystem::path out_file, std::string process_label)
+start(std::filesystem::path out_file)
 {
     using namespace detail;
     std::scoped_lock lock(g_session_mutex);
@@ -176,7 +172,6 @@ start(std::filesystem::path out_file, std::string process_label)
             std::chrono::system_clock::now().time_since_epoch())
             .count();
     session->pid = static_cast<int>(::getpid());
-    session->process_label = std::move(process_label);
     session->out_file = std::move(out_file);
     g_active_generation.store(session->generation,
                               std::memory_order_release);
@@ -262,16 +257,6 @@ stop()
     };
 
     JsonValue trace_events = JsonValue::array();
-    if (!session->process_label.empty()) {
-        JsonValue meta = JsonValue::object();
-        meta.set("ph", JsonValue("M"));
-        meta.set("name", JsonValue("process_name"));
-        meta.set("pid", JsonValue(session->pid));
-        JsonValue args = JsonValue::object();
-        args.set("name", JsonValue(session->process_label));
-        meta.set("args", std::move(args));
-        trace_events.push(std::move(meta));
-    }
     for (const auto &[tid, name] : thread_names) {
         JsonValue meta = JsonValue::object();
         meta.set("ph", JsonValue("M"));
@@ -306,131 +291,11 @@ stop()
              JsonValue(static_cast<double>(
                  session->realtime_anchor_us)));
     info.set("pid", JsonValue(session->pid));
-    if (!session->process_label.empty())
-        info.set("label", JsonValue(session->process_label));
     root.set("syncperfSession", std::move(info));
     root.set("traceEvents", std::move(trace_events));
 
     AtomicFile out;
     if (Status s = out.open(session->out_file); !s.isOk())
-        return s;
-    out.stream() << root.dump(1) << "\n";
-    return out.commit();
-}
-
-Status
-stitch(const std::vector<std::filesystem::path> &inputs,
-       const std::filesystem::path &out_file)
-{
-    struct Input
-    {
-        double anchor_us = 0.0; ///< CLOCK_REALTIME at its start()
-        JsonValue events;       ///< the file's traceEvents array
-    };
-    std::vector<Input> parsed;
-    parsed.reserve(inputs.size());
-    double min_anchor = 0.0;
-    bool have_anchor = false;
-    for (const std::filesystem::path &path : inputs) {
-        std::ifstream in(path);
-        if (!in)
-            continue; // a shard that died before flushing its trace
-        std::ostringstream text;
-        text << in.rdbuf();
-        Result<JsonValue> doc = parseJson(text.str());
-        if (!doc.isOk())
-            return Status::error(ErrorCode::ParseError,
-                                 "stitch: {}: {}", path.string(),
-                                 doc.status().message());
-        Input input;
-        if (const JsonValue *info =
-                doc.value().find("syncperfSession"))
-            input.anchor_us = info->numberOr("realtime_anchor_us", 0);
-        if (const JsonValue *ev = doc.value().find("traceEvents");
-            ev != nullptr && ev->isArray())
-            input.events = *ev;
-        else
-            input.events = JsonValue::array();
-        if (input.anchor_us > 0 &&
-            (!have_anchor || input.anchor_us < min_anchor)) {
-            min_anchor = input.anchor_us;
-            have_anchor = true;
-        }
-        parsed.push_back(std::move(input));
-    }
-    if (parsed.empty())
-        return Status::error(ErrorCode::InvalidArgument,
-                             "stitch: none of the {} inputs exist",
-                             inputs.size());
-
-    struct Stitched
-    {
-        double ts;
-        double dur;
-        int pid;
-        int tid;
-        JsonValue event;
-    };
-    JsonValue metadata = JsonValue::array();
-    std::vector<Stitched> complete;
-    for (const Input &input : parsed) {
-        // Shift this process's monotonic timeline onto the shared
-        // axis: its zero happened (anchor - min_anchor) µs after the
-        // earliest process's zero.
-        const double offset_us =
-            input.anchor_us > 0 ? input.anchor_us - min_anchor : 0.0;
-        for (const JsonValue &raw : input.events.asArray()) {
-            if (!raw.isObject())
-                continue;
-            const std::string ph = raw.stringOr("ph", "");
-            if (ph == "M") {
-                metadata.push(raw);
-                continue;
-            }
-            if (ph != "X")
-                continue;
-            JsonValue e = raw;
-            const double ts = raw.numberOr("ts", 0) + offset_us;
-            e.set("ts", JsonValue(ts));
-            complete.push_back(
-                {ts, raw.numberOr("dur", 0),
-                 static_cast<int>(raw.numberOr("pid", 0)),
-                 static_cast<int>(raw.numberOr("tid", 0)),
-                 std::move(e)});
-        }
-    }
-    // Same deterministic order as a single-process export: time,
-    // longest-first, then process, thread, name.
-    std::stable_sort(
-        complete.begin(), complete.end(),
-        [](const Stitched &a, const Stitched &b) {
-            if (a.ts != b.ts)
-                return a.ts < b.ts;
-            if (a.dur != b.dur)
-                return a.dur > b.dur;
-            if (a.pid != b.pid)
-                return a.pid < b.pid;
-            if (a.tid != b.tid)
-                return a.tid < b.tid;
-            return a.event.stringOr("name", "") <
-                   b.event.stringOr("name", "");
-        });
-
-    JsonValue trace_events = std::move(metadata);
-    for (Stitched &s : complete)
-        trace_events.push(std::move(s.event));
-
-    JsonValue root = JsonValue::object();
-    root.set("displayTimeUnit", JsonValue("ms"));
-    JsonValue info = JsonValue::object();
-    info.set("inputs",
-             JsonValue(static_cast<int>(parsed.size())));
-    info.set("base_realtime_us", JsonValue(min_anchor));
-    root.set("syncperfStitch", std::move(info));
-    root.set("traceEvents", std::move(trace_events));
-
-    AtomicFile out;
-    if (Status s = out.open(out_file); !s.isOk())
         return s;
     out.stream() << root.dump(1) << "\n";
     return out.commit();

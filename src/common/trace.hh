@@ -31,7 +31,6 @@
 #include <filesystem>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/flight_recorder.hh"
 #include "common/status.hh"
@@ -84,13 +83,8 @@ spanArmed()
 /**
  * Begin recording; events will be exported to @p out_file by stop().
  * Fails when a session is already active.
- *
- * @param process_label Optional process track name ("shard-2"). When
- *     non-empty the export adds a process_name metadata event, and
- *     stitch() uses it to label the per-shard pid track.
  */
-Status start(std::filesystem::path out_file,
-             std::string process_label = "");
+Status start(std::filesystem::path out_file);
 
 /**
  * Stop recording, sort all buffered events deterministically
@@ -102,20 +96,6 @@ Status stop();
 
 /** True between a successful start() and the matching stop(). */
 bool active();
-
-/**
- * Merge several exported trace files into one Perfetto-loadable
- * timeline at @p out_file (which may itself be one of the inputs).
- *
- * Each input keeps its own pid track; its event timestamps are
- * shifted by the difference between its recorded CLOCK_REALTIME
- * anchor and the earliest anchor across all inputs, aligning the
- * per-process CLOCK_MONOTONIC timelines onto one axis. Inputs that
- * do not exist are skipped (a shard that died before flushing);
- * inputs that fail to parse are an error.
- */
-Status stitch(const std::vector<std::filesystem::path> &inputs,
-              const std::filesystem::path &out_file);
 
 /**
  * Name the calling thread in the exported trace (a thread_name

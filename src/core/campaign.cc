@@ -21,7 +21,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_set>
 #include <utility>
 
 #include "common/atomic_file.hh"
@@ -34,7 +33,6 @@
 #include "core/machine_pool.hh"
 #include "core/manifest.hh"
 #include "core/metrics.hh"
-#include "core/shard.hh"
 #include "core/sweep.hh"
 #include "core/telemetry.hh"
 #include "sim/fault_injector.hh"
@@ -116,16 +114,10 @@ class CampaignRunner
     CampaignRunner(const fs::path &dir, const std::string &system,
                    const CampaignOptions &options,
                    CampaignResult &result)
-        : dir_(dir), system_(system), options_(options),
-          result_(result),
-          shard_worker_(options.shard_count > 1),
+        : dir_(dir), options_(options), result_(result),
           manifest_(dir / "manifest.json")
     {
-        // A shard worker must not clean up: another worker's
-        // in-flight .tmp looks exactly like a stray. The supervisor
-        // sweeps once before spawning anyone.
-        if (!shard_worker_)
-            removeStrayTemps();
+        removeStrayTemps();
         if (options.resume) {
             auto loaded = Manifest::load(dir / "manifest.json");
             if (loaded.isOk()) {
@@ -134,11 +126,6 @@ class CampaignRunner
                 warn("{}; restarting the journal",
                      loaded.status().message());
             }
-            // A worker's resume view is the merged commit log:
-            // manifest.json plus every shard's journal, its own
-            // included (its previous incarnation's commits).
-            if (shard_worker_)
-                absorbShardJournals();
         }
         manifest_.setSystem(system);
     }
@@ -154,30 +141,9 @@ class CampaignRunner
     runAll(const std::vector<std::string> &header,
            std::vector<Experiment> experiments)
     {
-        // A shard worker keeps only the ordinals it owns plus the
-        // extras reassigned onto it; ordinals index the *full*
-        // enumeration, so every process agrees on who owns what.
-        const ShardSpec shard{options_.shard_index,
-                              options_.shard_count};
-        std::unordered_set<std::string> extras;
-        if (shard_worker_) {
-            const std::string prefix = system_ + "/";
-            for (const std::string &key : options_.shard_extra) {
-                if (key.rfind(prefix, 0) == 0)
-                    extras.insert(key.substr(prefix.size()));
-            }
-            if (options_.heartbeat)
-                options_.heartbeat("enter " + system_);
-        }
-
         std::vector<Experiment> pending;
         pending.reserve(experiments.size());
-        for (std::size_t ordinal = 0; ordinal < experiments.size();
-             ++ordinal) {
-            Experiment &exp = experiments[ordinal];
-            if (shard_worker_ && !shardOwnsOrdinal(shard, ordinal) &&
-                extras.count(exp.file) == 0)
-                continue; // another shard's point
+        for (Experiment &exp : experiments) {
             if (options_.resume &&
                 manifest_.isComplete(exp.file, exp.hash)) {
                 ++result_.experiments_skipped;
@@ -194,6 +160,8 @@ class CampaignRunner
             options_.checkpoint_every > 0
                 ? options_.checkpoint_every
                 : (jobs > 1 ? parallel_checkpoint_batch : 1);
+        if (!pending.empty() && options_.heartbeat)
+            options_.heartbeat("measure " + dir_.filename().string());
 
         std::vector<OrderedExecutor::Job> fanout;
         fanout.reserve(pending.size());
@@ -248,7 +216,6 @@ class CampaignRunner
             if (status.isOk()) {
                 entry.complete = true;
                 entry.error.clear();
-                journalAppend(entry);
                 manifest_.recordComplete(std::move(entry));
                 result_.files_written.push_back(path.string());
                 ++result_.experiments_run;
@@ -260,12 +227,6 @@ class CampaignRunner
             } else {
                 warn("experiment {} failed: {}", exp.file,
                      status.toString());
-                ManifestEntry failed;
-                failed.key = exp.file;
-                failed.config_hash = exp.hash;
-                failed.complete = false;
-                failed.error = status.toString();
-                journalAppend(failed);
                 manifest_.recordFailure(exp.file, exp.hash,
                                         status.toString());
                 result_.failures.push_back(
@@ -298,47 +259,6 @@ class CampaignRunner
     }
 
     /**
-     * A shard worker's durable record is its own append-only
-     * journal, written at every commit: no batching, no rewriting,
-     * no contention with sibling workers (each appends to its own
-     * file). manifest.json stays untouched until the supervisor
-     * merges the journals after all workers finish.
-     */
-    void
-    journalAppend(const ManifestEntry &entry)
-    {
-        if (!shard_worker_)
-            return;
-        std::error_code ec;
-        fs::create_directories(dir_, ec);
-        const fs::path file =
-            dir_ / shardJournalName(options_.shard_index);
-        if (Status s = Manifest::appendJournalRecord(file, entry);
-            !s.isOk())
-            warn("cannot journal {}: {}", entry.key, s.toString());
-    }
-
-    /** Fold every shard's commit log into the resume view. */
-    void
-    absorbShardJournals()
-    {
-        std::error_code ec;
-        if (!fs::is_directory(dir_, ec))
-            return;
-        for (const auto &e : fs::directory_iterator(dir_, ec)) {
-            const std::string name = e.path().filename().string();
-            if (name.rfind("manifest.shard-", 0) != 0 ||
-                e.path().extension() != ".jsonl")
-                continue;
-            auto entries = Manifest::loadJournal(e.path());
-            if (!entries.isOk())
-                continue;
-            for (ManifestEntry &entry : entries.value())
-                manifest_.absorb(std::move(entry));
-        }
-    }
-
-    /**
      * Debounced journal persistence: a full manifest rewrite per
      * experiment is O(points^2) over a campaign, so commits are
      * batched (checkpoint_every_) and losing a batch only costs
@@ -347,8 +267,6 @@ class CampaignRunner
     void
     checkpoint(bool force)
     {
-        if (shard_worker_)
-            return; // every journal append is already durable
         ++unsaved_commits_;
         if (force || unsaved_commits_ >= checkpoint_every_)
             flushCheckpoint();
@@ -358,7 +276,7 @@ class CampaignRunner
     void
     flushCheckpoint()
     {
-        if (shard_worker_ || unsaved_commits_ == 0)
+        if (unsaved_commits_ == 0)
             return;
         if (Status s = manifest_.save(); !s.isOk())
             warn("cannot checkpoint manifest: {}", s.toString());
@@ -380,10 +298,8 @@ class CampaignRunner
     }
 
     const fs::path dir_;
-    const std::string system_;
     const CampaignOptions &options_;
     CampaignResult &result_;
-    const bool shard_worker_;
     Manifest manifest_;
     int checkpoint_every_ = 1;
     int unsaved_commits_ = 0;
@@ -443,7 +359,7 @@ pointDigest(const ConfigHasher &base, const std::string &file,
 // first member emit the executor schedules (later members block on
 // the mutex and read their slot), which keeps the per-point
 // fan-out/commit structure -- and therefore byte-identity at every
-// jobs x shards combination -- exactly as it is without lanes.
+// jobs count -- exactly as it is without lanes.
 
 /** True when lane grouping may run at all under this configuration:
  * the agreement test needs the machine-pool decode path, and
@@ -456,43 +372,6 @@ laneGroupingAllowed(const CampaignOptions &options,
     return options.lanes > 0 && protocol.machine_pool &&
            MachinePool::global().enabled() &&
            sim::FaultInjector::active() == nullptr;
-}
-
-/**
- * Which enumerated points this process will actually emit: its
- * shard's ordinals plus any points reassigned onto it
- * (--shard-extra). Lane groups and the planner use this to attribute
- * counters for work that every process repeats identically (lane
- * keys, shared reference walks) to exactly one process, which is
- * what keeps merged per-shard deterministic counters equal to a
- * serial run's (docs/observability.md, "Sharded counter
- * attribution").
- */
-struct LaneOwnership
-{
-    ShardSpec shard;
-    std::unordered_set<std::string> extras;
-
-    bool
-    owns(std::size_t ordinal, const std::string &file) const
-    {
-        return shardOwnsOrdinal(shard, ordinal) ||
-               extras.count(file) > 0;
-    }
-};
-
-LaneOwnership
-makeLaneOwnership(const CampaignOptions &options,
-                  const std::string &system)
-{
-    LaneOwnership own;
-    own.shard = {options.shard_index, options.shard_count};
-    const std::string prefix = system + "/";
-    for (const std::string &key : options.shard_extra) {
-        if (key.rfind(prefix, 0) == 0)
-            own.extras.insert(key.substr(prefix.size()));
-    }
-    return own;
 }
 
 /** One lane's share of a group run. */
@@ -520,11 +399,9 @@ class OmpLaneGroup
                  const MeasurementConfig &protocol,
                  const std::vector<int> &threads,
                  std::vector<OmpExperiment> exps,
-                 std::shared_ptr<std::atomic<long long>> peels,
-                 std::vector<bool> owned, bool commit_ref)
+                 std::shared_ptr<std::atomic<long long>> peels)
         : cfg_(cfg), protocol_(protocol), threads_(threads),
-          exps_(std::move(exps)), peels_(std::move(peels)),
-          owned_(std::move(owned)), commit_ref_(commit_ref)
+          exps_(std::move(exps)), peels_(std::move(peels))
     {
     }
 
@@ -554,44 +431,26 @@ class OmpLaneGroup
             // Re-check agreement at this team size before the
             // reference measures it: a lane that stops matching is
             // peeled to its own solo target, seeded exactly where a
-            // never-grouped run of its point would be. The shared
-            // reference walk repeats in every shard that holds a
-            // member of this group, so its registry counters are
-            // captured and committed only by the process that owns
-            // the group's head lane.
+            // never-grouped run of its point would be.
             if (!ref_failed) {
                 std::vector<std::size_t> fresh_peels;
                 std::vector<std::uint64_t> fresh_seeds;
-                Measurement m;
-                TelemetrySample sample;
-                {
-                    metrics::Registry::ScopedCapture cap(
-                        metrics::Registry::global());
-                    const std::uint64_t want =
-                        ref.laneKey(exps_[0], n);
-                    for (std::size_t i = 1; i < k; ++i) {
-                        if (!peeled[i] &&
-                            ref.laneKey(exps_[i], n) != want) {
-                            peeled[i] = true;
-                            fresh_peels.push_back(i);
-                            fresh_seeds.push_back(ref.seedCursor());
-                        }
+                const std::uint64_t want = ref.laneKey(exps_[0], n);
+                for (std::size_t i = 1; i < k; ++i) {
+                    if (!peeled[i] && ref.laneKey(exps_[i], n) != want) {
+                        peeled[i] = true;
+                        fresh_peels.push_back(i);
+                        fresh_seeds.push_back(ref.seedCursor());
                     }
-                    m = ref.measure(exps_[0], n);
-                    if (protocol_.telemetry)
-                        sample = ref.takeTelemetry();
-                    if (commit_ref_)
-                        cap.commit();
                 }
+                const Measurement m = ref.measure(exps_[0], n);
+                TelemetrySample sample;
+                if (protocol_.telemetry)
+                    sample = ref.takeTelemetry();
                 for (std::size_t p = 0; p < fresh_peels.size();
                      ++p) {
                     const std::size_t i = fresh_peels[p];
                     peels_->fetch_add(1, std::memory_order_relaxed);
-                    if (!owned_[i])
-                        continue;
-                    // An unowned peeled lane gets no solo target:
-                    // its owning process builds the identical one
-                    // and emits the point.
                     metrics::add(metrics::Counter::LanePeels);
                     solo[i] = std::make_unique<CpuSimTarget>(
                         cfg_, protocol_, fresh_seeds[p]);
@@ -646,8 +505,6 @@ class OmpLaneGroup
     const std::vector<int> &threads_;
     const std::vector<OmpExperiment> exps_;
     const std::shared_ptr<std::atomic<long long>> peels_;
-    const std::vector<bool> owned_;
-    const bool commit_ref_;
 
     std::mutex mu_;
     bool ran_ = false;
@@ -663,12 +520,10 @@ class CudaLaneGroup
                   const std::vector<int> &block_counts,
                   const std::vector<int> &thread_counts,
                   std::vector<CudaExperiment> exps,
-                  std::shared_ptr<std::atomic<long long>> peels,
-                  std::vector<bool> owned, bool commit_ref)
+                  std::shared_ptr<std::atomic<long long>> peels)
         : cfg_(cfg), protocol_(protocol), block_counts_(block_counts),
           thread_counts_(thread_counts), exps_(std::move(exps)),
-          peels_(std::move(peels)), owned_(std::move(owned)),
-          commit_ref_(commit_ref)
+          peels_(std::move(peels))
     {
     }
 
@@ -694,27 +549,16 @@ class CudaLaneGroup
         std::vector<bool> peeled(k, false);
         // Kernel decoding is launch-geometry independent, so one
         // agreement check covers the whole sweep; a lane that fails
-        // it peels before any seed is consumed. Like the OpenMP
-        // group, the shared walk's counters are committed only by
-        // the process owning the head lane, and solo targets are
-        // built only for owned peeled lanes.
-        {
-            metrics::Registry::ScopedCapture cap(
-                metrics::Registry::global());
-            const std::uint64_t want = ref.laneKey(exps_[0]);
-            for (std::size_t i = 1; i < k; ++i) {
-                if (ref.laneKey(exps_[i]) != want)
-                    peeled[i] = true;
-            }
-            if (commit_ref_)
-                cap.commit();
+        // it peels before any seed is consumed.
+        const std::uint64_t want = ref.laneKey(exps_[0]);
+        for (std::size_t i = 1; i < k; ++i) {
+            if (ref.laneKey(exps_[i]) != want)
+                peeled[i] = true;
         }
         for (std::size_t i = 1; i < k; ++i) {
             if (!peeled[i])
                 continue;
             peels_->fetch_add(1, std::memory_order_relaxed);
-            if (!owned_[i])
-                continue;
             metrics::add(metrics::Counter::LanePeels);
             solo[i] = std::make_unique<GpuSimTarget>(cfg_, protocol_);
         }
@@ -722,17 +566,11 @@ class CudaLaneGroup
         for (int blocks : block_counts_) {
             for (int n : thread_counts_) {
                 if (!ref_failed) {
-                    Measurement m;
+                    const Measurement m =
+                        ref.measure(exps_[0], {blocks, n});
                     TelemetrySample sample;
-                    {
-                        metrics::Registry::ScopedCapture cap(
-                            metrics::Registry::global());
-                        m = ref.measure(exps_[0], {blocks, n});
-                        if (protocol_.telemetry)
-                            sample = ref.takeTelemetry();
-                        if (commit_ref_)
-                            cap.commit();
-                    }
+                    if (protocol_.telemetry)
+                        sample = ref.takeTelemetry();
                     if (!m.valid) {
                         ref_failed = true;
                         for (std::size_t i = 0; i < k; ++i) {
@@ -787,51 +625,27 @@ class CudaLaneGroup
     const std::vector<int> &thread_counts_;
     const std::vector<CudaExperiment> exps_;
     const std::shared_ptr<std::atomic<long long>> peels_;
-    const std::vector<bool> owned_;
-    const bool commit_ref_;
 
     std::mutex mu_;
     bool ran_ = false;
     std::vector<LaneProduct> products_;
 };
 
-/**
- * Fold a planned grouping into the counters and the result. The
- * in-memory result keeps the full-plan numbers; the registry
- * counters only take the points and groups this process owns, so
- * per-shard counter rows partition the campaign totals exactly.
- */
+/** Fold a planned grouping into the counters and the result. */
 void
 recordLanePlan(const std::vector<LaneGroup> &groups,
-               const std::vector<CampaignRunner::Experiment>
-                   &experiments,
-               const LaneOwnership &own, CampaignResult &result)
+               std::size_t n_points, CampaignResult &result)
 {
-    const std::size_t n_points = experiments.size();
     result.lanes.points = static_cast<long long>(n_points);
     result.lanes.groups = static_cast<long long>(groups.size());
-
-    long long owned_points = 0;
-    for (std::size_t ordinal = 0; ordinal < n_points; ++ordinal) {
-        if (own.owns(ordinal, experiments[ordinal].file))
-            ++owned_points;
-    }
-    metrics::add(metrics::Counter::LanePoints, owned_points);
-
-    long long owned_groups = 0;
     for (const LaneGroup &g : groups) {
-        const std::size_t head = g.ordinals.front();
-        const bool head_owned =
-            own.owns(head, experiments[head].file);
-        if (head_owned)
-            ++owned_groups;
-        if (g.ordinals.size() == 1) {
+        if (g.ordinals.size() == 1)
             ++result.lanes.singletons;
-            if (head_owned)
-                metrics::add(metrics::Counter::LaneSingletonPoints);
-        }
     }
-    metrics::add(metrics::Counter::LaneGroups, owned_groups);
+    metrics::add(metrics::Counter::LanePoints, result.lanes.points);
+    metrics::add(metrics::Counter::LaneGroups, result.lanes.groups);
+    metrics::add(metrics::Counter::LaneSingletonPoints,
+                 result.lanes.singletons);
 }
 
 } // namespace
@@ -984,40 +798,23 @@ runOmpCampaign(const cpusim::CpuConfig &cfg,
     // Width-1 groups keep the untouched solo emit path.
     auto peels = std::make_shared<std::atomic<long long>>(0);
     if (laneGroupingAllowed(options, protocol)) {
-        const LaneOwnership own = makeLaneOwnership(options, system);
-        std::vector<LaneGroup> groups;
-        {
-            // Every shard re-plans the identical grouping; only
-            // shard 0 commits the planner's decode counters.
-            metrics::Registry::ScopedCapture cap(
-                metrics::Registry::global());
-            CpuSimTarget planner_target(cfg, protocol);
-            std::vector<std::uint64_t> keys;
-            keys.reserve(exp_cfgs.size());
-            for (const OmpExperiment &e : exp_cfgs)
-                keys.push_back(
-                    planner_target.laneKey(e, threads.back()));
-            groups = planLaneGroups(keys, options.lanes);
-            if (options.shard_count <= 1 || options.shard_index == 0)
-                cap.commit();
-        }
-        recordLanePlan(groups, experiments, own, result);
+        CpuSimTarget planner_target(cfg, protocol);
+        std::vector<std::uint64_t> keys;
+        keys.reserve(exp_cfgs.size());
+        for (const OmpExperiment &e : exp_cfgs)
+            keys.push_back(planner_target.laneKey(e, threads.back()));
+        const std::vector<LaneGroup> groups =
+            planLaneGroups(keys, options.lanes);
+        recordLanePlan(groups, experiments.size(), result);
         for (const LaneGroup &g : groups) {
             if (g.ordinals.size() < 2)
                 continue;
             std::vector<OmpExperiment> members;
             members.reserve(g.ordinals.size());
-            std::vector<bool> owned;
-            owned.reserve(g.ordinals.size());
-            for (std::size_t ordinal : g.ordinals) {
+            for (std::size_t ordinal : g.ordinals)
                 members.push_back(exp_cfgs[ordinal]);
-                owned.push_back(own.owns(
-                    ordinal, experiments[ordinal].file));
-            }
-            const bool commit_ref = owned.front();
             auto group = std::make_shared<OmpLaneGroup>(
-                cfg, protocol, threads, std::move(members), peels,
-                std::move(owned), commit_ref);
+                cfg, protocol, threads, std::move(members), peels);
             for (std::size_t lane = 0; lane < g.ordinals.size();
                  ++lane) {
                 CampaignRunner::Experiment &exp =
@@ -1214,40 +1011,24 @@ runCudaCampaign(const gpusim::GpuConfig &cfg,
     // blocks x threads point of an experiment.
     auto peels = std::make_shared<std::atomic<long long>>(0);
     if (laneGroupingAllowed(options, protocol)) {
-        const LaneOwnership own = makeLaneOwnership(options, system);
-        std::vector<LaneGroup> groups;
-        {
-            // Identical re-plan in every shard; only shard 0
-            // commits the planner's decode counters.
-            metrics::Registry::ScopedCapture cap(
-                metrics::Registry::global());
-            GpuSimTarget planner_target(cfg, protocol);
-            std::vector<std::uint64_t> keys;
-            keys.reserve(exp_cfgs.size());
-            for (const CudaExperiment &e : exp_cfgs)
-                keys.push_back(planner_target.laneKey(e));
-            groups = planLaneGroups(keys, options.lanes);
-            if (options.shard_count <= 1 || options.shard_index == 0)
-                cap.commit();
-        }
-        recordLanePlan(groups, experiments, own, result);
+        GpuSimTarget planner_target(cfg, protocol);
+        std::vector<std::uint64_t> keys;
+        keys.reserve(exp_cfgs.size());
+        for (const CudaExperiment &e : exp_cfgs)
+            keys.push_back(planner_target.laneKey(e));
+        const std::vector<LaneGroup> groups =
+            planLaneGroups(keys, options.lanes);
+        recordLanePlan(groups, experiments.size(), result);
         for (const LaneGroup &g : groups) {
             if (g.ordinals.size() < 2)
                 continue;
             std::vector<CudaExperiment> members;
             members.reserve(g.ordinals.size());
-            std::vector<bool> owned;
-            owned.reserve(g.ordinals.size());
-            for (std::size_t ordinal : g.ordinals) {
+            for (std::size_t ordinal : g.ordinals)
                 members.push_back(exp_cfgs[ordinal]);
-                owned.push_back(own.owns(
-                    ordinal, experiments[ordinal].file));
-            }
-            const bool commit_ref = owned.front();
             auto group = std::make_shared<CudaLaneGroup>(
                 cfg, protocol, block_counts, thread_counts,
-                std::move(members), peels, std::move(owned),
-                commit_ref);
+                std::move(members), peels);
             for (std::size_t lane = 0; lane < g.ordinals.size();
                  ++lane) {
                 CampaignRunner::Experiment &exp =

@@ -74,30 +74,10 @@ struct CampaignOptions
      */
     int checkpoint_every = 0;
 
-    // ------------------------------------------------ sharding
-    //
-    // A sharded campaign (docs/robustness.md, "Sharded campaigns")
-    // splits the enumerated points over worker processes. A worker
-    // (shard_count > 1) runs only the points whose enumeration
-    // ordinal it owns (ordinal % shard_count == shard_index) plus
-    // any reassigned extras, journals each commit to its own
-    // append-only manifest.shard-<k>.jsonl instead of rewriting
-    // manifest.json, resumes against manifest.json plus *all* shard
-    // journals, and leaves stray-temp cleanup to the supervisor
-    // (another worker's in-flight temp must not be "cleaned up").
-
-    /** This process's shard; shard_count <= 1 means unsharded. */
-    int shard_index = 0;
-    int shard_count = 1;
-
-    /**
-     * Point keys ("<system-slug>/<file.csv>") reassigned onto this
-     * shard from a dead one, run in addition to the owned ordinals.
-     */
-    std::vector<std::string> shard_extra;
-
-    /** Called after every ordered commit with a progress note; the
-     * shard worker wires this to its heartbeat file. May be null. */
+    /** Called with a progress note on the calling thread: before a
+     * system's first measurement and after every ordered commit.
+     * The CLI arms its crash flight recorder on the first call and
+     * feeds the live status file from every call. May be null. */
     std::function<void(const std::string &)> heartbeat;
 
     /**
@@ -110,7 +90,7 @@ struct CampaignOptions
 
     /** Enumerate the sweep into CampaignResult::points and return
      * without measuring anything or touching the filesystem (the
-     * shard supervisor computes assignments this way). */
+     * CLI sizes its status total this way). */
     bool enumerate_only = false;
 
     /**
@@ -165,9 +145,7 @@ struct CampaignResult
     /** Experiments recorded as failed and passed over. */
     std::vector<ExperimentFailure> failures;
 
-    /** The full enumeration in deterministic point order -- always
-     * the whole sweep, even when this process ran only a shard
-     * slice of it. */
+    /** The full enumeration in deterministic point order. */
     std::vector<CampaignPoint> points;
 
     /**

@@ -12,8 +12,6 @@
 
 #include "common/atomic_file.hh"
 #include "common/json.hh"
-#include "common/logging.hh"
-#include "common/metrics.hh"
 
 namespace syncperf::core
 {
@@ -41,7 +39,7 @@ hashFromHex(const std::string &text)
     return std::strtoull(text.c_str(), nullptr, 16);
 }
 
-/** Shared record shape of manifest.json entries and journal lines. */
+/** One manifest.json entry. */
 JsonValue
 entryToJson(const ManifestEntry &entry)
 {
@@ -217,76 +215,6 @@ Manifest::recordFailure(std::string_view key, std::uint64_t hash,
     } else {
         entries_.push_back(std::move(entry));
     }
-}
-
-void
-Manifest::absorb(ManifestEntry entry)
-{
-    std::scoped_lock lock(mutex_);
-    if (ManifestEntry *existing = findEntry(entry.key)) {
-        if (existing->complete && !entry.complete)
-            return; // completed work outranks a stale failure
-        *existing = std::move(entry);
-    } else {
-        entries_.push_back(std::move(entry));
-    }
-}
-
-std::string
-Manifest::journalLine(const ManifestEntry &entry)
-{
-    return entryToJson(entry).dump(0);
-}
-
-Status
-Manifest::appendJournalRecord(const fs::path &file,
-                              const ManifestEntry &entry)
-{
-    std::ofstream out(file, std::ios::app);
-    if (!out) {
-        return Status::error(ErrorCode::IoError,
-                             "cannot append to journal {}",
-                             file.string());
-    }
-    out << journalLine(entry) << "\n";
-    out.flush();
-    if (!out) {
-        return Status::error(ErrorCode::IoError,
-                             "short write appending to journal {}",
-                             file.string());
-    }
-    return Status::ok();
-}
-
-Result<std::vector<ManifestEntry>>
-Manifest::loadJournal(const fs::path &file)
-{
-    std::vector<ManifestEntry> entries;
-    std::ifstream in(file);
-    if (!in)
-        return entries; // no journal: empty commit log
-
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        auto doc = parseJson(line);
-        ManifestEntry entry;
-        if (!doc.isOk() || !entryFromJson(doc.value(), entry)) {
-            // A crash mid-append tears exactly the final line; skip
-            // it (and any other unreadable record) rather than
-            // discarding the good prefix of the commit log.
-            warn("journal {}: skipping torn/unreadable record at "
-                 "line {}",
-                 file.string(), line_no);
-            metrics::add(metrics::Counter::JournalTornTails);
-            continue;
-        }
-        entries.push_back(std::move(entry));
-    }
-    return entries;
 }
 
 Status

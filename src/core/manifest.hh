@@ -67,16 +67,6 @@ struct ManifestEntry
  * through its ordered commit step, which is what keeps the entry
  * order -- and therefore the saved file -- byte-identical across
  * worker counts; the lock is the safety net, not the design.
- *
- * Two on-disk shapes share the ManifestEntry record:
- *  - manifest.json: the whole journal, rewritten atomically
- *    (save()/load()). Never torn, by construction.
- *  - manifest.shard-<k>.jsonl: an append-only commit log, one JSON
- *    record per line, written by shard worker processes
- *    (appendJournalRecord()/loadJournal()). A crash mid-append can
- *    leave a torn final line; loadJournal() tolerates it, skipping
- *    the tail with a warning and a journal_torn_tails count instead
- *    of failing the resume.
  */
 class Manifest
 {
@@ -103,37 +93,8 @@ class Manifest
     void recordFailure(std::string_view key, std::uint64_t hash,
                        std::string_view error);
 
-    /**
-     * Merge one entry from another journal: a completed entry
-     * replaces anything, a failed entry never displaces a completed
-     * one (the work is done; a stale failure must not force a redo).
-     */
-    void absorb(ManifestEntry entry);
-
     /** Atomically rewrite the journal file. */
     Status save() const;
-
-    /** One entry as a single-line JSON journal record (no newline). */
-    static std::string journalLine(const ManifestEntry &entry);
-
-    /**
-     * Append @p entry to the JSONL commit log @p file (created on
-     * first use) and flush. Appends from different shard processes
-     * go to different files, so there is no cross-process contention.
-     */
-    static Status appendJournalRecord(const std::filesystem::path &file,
-                                      const ManifestEntry &entry);
-
-    /**
-     * Read a JSONL commit log. A missing file is an empty log. An
-     * unparsable final line is a torn tail from a crash mid-append:
-     * it is skipped with a warning and a
-     * metrics::Counter::JournalTornTails increment. Unparsable
-     * earlier lines are skipped the same way (corruption never takes
-     * down a resume), each with its own warning.
-     */
-    static Result<std::vector<ManifestEntry>>
-    loadJournal(const std::filesystem::path &file);
 
     /** System name recorded in the journal header. */
     void setSystem(std::string_view name) { system_ = name; }

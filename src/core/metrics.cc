@@ -5,10 +5,6 @@
 
 #include "metrics.hh"
 
-#include <cmath>
-#include <fstream>
-#include <sstream>
-
 #include "common/atomic_file.hh"
 #include "common/fmt.hh"
 #include "common/json.hh"
@@ -37,28 +33,20 @@ CampaignMetrics::global()
 }
 
 void
-CampaignMetrics::foldWorkersLocked(
-    const std::vector<ThreadPool::WorkerStats> &stats)
-{
-    if (workers_.size() < stats.size())
-        workers_.resize(stats.size());
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-        workers_[i].tasks_run += stats[i].tasks_run;
-        workers_[i].tasks_stolen += stats[i].tasks_stolen;
-        workers_[i].busy_nanos += stats[i].busy_nanos;
-        workers_[i].idle_nanos += stats[i].idle_nanos;
-    }
-}
-
-void
 CampaignMetrics::foldPool(
     const std::vector<ThreadPool::WorkerStats> &stats)
 {
     long long run = 0, stolen = 0, busy = 0, idle = 0;
     {
         std::scoped_lock lock(mutex_);
-        foldWorkersLocked(stats);
-        for (const auto &w : stats) {
+        if (workers_.size() < stats.size())
+            workers_.resize(stats.size());
+        for (std::size_t i = 0; i < stats.size(); ++i) {
+            const auto &w = stats[i];
+            workers_[i].tasks_run += w.tasks_run;
+            workers_[i].tasks_stolen += w.tasks_stolen;
+            workers_[i].busy_nanos += w.busy_nanos;
+            workers_[i].idle_nanos += w.idle_nanos;
             run += w.tasks_run;
             stolen += w.tasks_stolen;
             busy += w.busy_nanos;
@@ -71,113 +59,12 @@ CampaignMetrics::foldPool(
     metrics::add(metrics::Counter::PoolIdleNanos, idle);
 }
 
-Status
-CampaignMetrics::foldShardSnapshot(int shard,
-                                   const std::filesystem::path &file)
-{
-    using metrics::Counter;
-
-    std::ifstream in(file);
-    if (!in)
-        return Status::error(ErrorCode::IoError,
-                             "metrics merge: cannot read {}",
-                             file.string());
-    std::ostringstream text;
-    text << in.rdbuf();
-    Result<JsonValue> doc = parseJson(text.str());
-    if (!doc.isOk())
-        return Status::error(ErrorCode::ParseError,
-                             "metrics merge: {}: {}", file.string(),
-                             doc.status().message());
-    const JsonValue *counters = doc.value().find("counters");
-    const JsonValue *timing = doc.value().find("timing");
-    if (counters == nullptr || timing == nullptr)
-        return Status::error(ErrorCode::ParseError,
-                             "metrics merge: {} has no counters/"
-                             "timing sections",
-                             file.string());
-
-    {
-        // The supervisor's own deterministic counters (salvaged
-        // points, mainly) become their own partition row the first
-        // time a shard is folded in.
-        std::scoped_lock lock(mutex_);
-        if (supervisor_counters_.empty()) {
-            supervisor_counters_.resize(metrics::counter_count, 0);
-            for (std::size_t i = 0; i < metrics::counter_count; ++i)
-                supervisor_counters_[i] =
-                    metrics::value(static_cast<Counter>(i));
-        }
-    }
-
-    ShardRow row;
-    row.shard = shard;
-    row.counters.resize(metrics::counter_count, 0);
-    for (std::size_t i = 0; i < metrics::counter_count; ++i) {
-        const auto c = static_cast<Counter>(i);
-        const std::string name(metrics::counterName(c));
-        long long v = 0;
-        if (metrics::counterIsDeterministic(c)) {
-            v = std::llround(counters->numberOr(name, 0));
-            metrics::add(c, v);
-        } else if (c == Counter::PoolBusyNanos) {
-            v = std::llround(timing->numberOr("pool_busy_s", 0) *
-                             1e9);
-            metrics::add(c, v);
-        } else if (c == Counter::PoolIdleNanos) {
-            v = std::llround(timing->numberOr("pool_idle_s", 0) *
-                             1e9);
-            metrics::add(c, v);
-        } else if (c == Counter::ExecutorMaxQueueDepth ||
-                   c == Counter::ShardMaxHeartbeatAgeMs) {
-            v = std::llround(timing->numberOr(name, 0));
-            metrics::recordMax(c, v);
-        } else {
-            v = std::llround(timing->numberOr(name, 0));
-            metrics::add(c, v);
-        }
-        row.counters[i] = v;
-    }
-
-    if (const JsonValue *workers = doc.value().find("workers");
-        workers != nullptr && workers->isArray()) {
-        for (const JsonValue &w : workers->asArray()) {
-            ThreadPool::WorkerStats stats;
-            stats.tasks_run =
-                std::llround(w.numberOr("tasks_run", 0));
-            stats.tasks_stolen =
-                std::llround(w.numberOr("tasks_stolen", 0));
-            stats.busy_nanos =
-                std::llround(w.numberOr("busy_s", 0) * 1e9);
-            stats.idle_nanos =
-                std::llround(w.numberOr("idle_s", 0) * 1e9);
-            row.workers.push_back(stats);
-        }
-    }
-
-    std::scoped_lock lock(mutex_);
-    // The shard's pool totals were already added through the timing
-    // counters above; the per-worker rows fold without re-counting.
-    foldWorkersLocked(row.workers);
-    shard_rows_.push_back(std::move(row));
-    return Status::ok();
-}
-
-bool
-CampaignMetrics::merged() const
-{
-    std::scoped_lock lock(mutex_);
-    return !shard_rows_.empty();
-}
-
 void
 CampaignMetrics::reset()
 {
     metrics::Registry::global().reset();
     std::scoped_lock lock(mutex_);
     workers_.clear();
-    shard_rows_.clear();
-    supervisor_counters_.clear();
 }
 
 double
@@ -253,79 +140,6 @@ CampaignMetrics::snapshotJson() const
     root.set("counters", std::move(counters));
     root.set("timing", std::move(timing));
     root.set("workers", std::move(workers));
-
-    {
-        std::scoped_lock lock(mutex_);
-        if (!shard_rows_.empty()) {
-            // Partition rows: supervisor + shards sum to the merged
-            // deterministic totals exactly (check_metrics.py gates
-            // this).
-            JsonValue sup_counters = JsonValue::object();
-            for (int i = 0; i < static_cast<int>(Counter::kCount);
-                 ++i) {
-                const auto c = static_cast<Counter>(i);
-                if (!metrics::counterIsDeterministic(c))
-                    continue;
-                const long long v =
-                    static_cast<std::size_t>(i) <
-                            supervisor_counters_.size()
-                        ? supervisor_counters_[i]
-                        : 0;
-                sup_counters.set(metrics::counterName(c),
-                                 JsonValue(static_cast<double>(v)));
-            }
-            JsonValue supervisor = JsonValue::object();
-            supervisor.set("counters", std::move(sup_counters));
-            root.set("supervisor", std::move(supervisor));
-
-            JsonValue shards = JsonValue::array();
-            for (const ShardRow &row : shard_rows_) {
-                JsonValue entry = JsonValue::object();
-                entry.set("shard", JsonValue(row.shard));
-                JsonValue det = JsonValue::object();
-                for (int i = 0;
-                     i < static_cast<int>(Counter::kCount); ++i) {
-                    const auto c = static_cast<Counter>(i);
-                    if (!metrics::counterIsDeterministic(c))
-                        continue;
-                    det.set(metrics::counterName(c),
-                            JsonValue(static_cast<double>(
-                                row.counters[i])));
-                }
-                entry.set("counters", std::move(det));
-                entry.set(
-                    "pool_busy_s",
-                    JsonValue(seconds(row.counters[static_cast<int>(
-                        Counter::PoolBusyNanos)])));
-                entry.set(
-                    "pool_idle_s",
-                    JsonValue(seconds(row.counters[static_cast<int>(
-                        Counter::PoolIdleNanos)])));
-                JsonValue shard_workers = JsonValue::array();
-                for (std::size_t i = 0; i < row.workers.size();
-                     ++i) {
-                    const auto &w = row.workers[i];
-                    JsonValue we = JsonValue::object();
-                    we.set("worker",
-                           JsonValue(static_cast<int>(i)));
-                    we.set("tasks_run",
-                           JsonValue(
-                               static_cast<double>(w.tasks_run)));
-                    we.set("tasks_stolen",
-                           JsonValue(static_cast<double>(
-                               w.tasks_stolen)));
-                    we.set("busy_s",
-                           JsonValue(seconds(w.busy_nanos)));
-                    we.set("idle_s",
-                           JsonValue(seconds(w.idle_nanos)));
-                    shard_workers.push(std::move(we));
-                }
-                entry.set("workers", std::move(shard_workers));
-                shards.push(std::move(entry));
-            }
-            root.set("shards", std::move(shards));
-        }
-    }
     return root.dump(2) + "\n";
 }
 

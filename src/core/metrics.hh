@@ -49,27 +49,6 @@ class CampaignMetrics
      */
     void foldPool(const std::vector<ThreadPool::WorkerStats> &stats);
 
-    /**
-     * Fold one shard worker's metrics snapshot file (the
-     * metrics.shard-k.json it flushed before exiting) into this
-     * process's registry and aggregates, and remember the per-shard
-     * values for the snapshot's "shards" section.
-     *
-     * Merge rules follow the counter classes: deterministic counters
-     * and summable timing counters add; the max-gauges
-     * (executor_max_queue_depth, shard_max_heartbeat_age_ms) merge
-     * as max; derived rates are recomputed from the merged totals.
-     * The first fold records the supervisor's own deterministic
-     * counter values as a separate partition row, so per-shard rows
-     * plus the supervisor row always sum to the merged totals
-     * exactly (gated by check_metrics.py).
-     */
-    Status foldShardSnapshot(int shard,
-                             const std::filesystem::path &file);
-
-    /** True once at least one shard snapshot has been folded. */
-    bool merged() const;
-
     /** Zero the counter registry and the per-worker aggregates. */
     void reset();
 
@@ -98,25 +77,8 @@ class CampaignMetrics
   private:
     CampaignMetrics() = default;
 
-    /** One merged shard snapshot, kept for the "shards" section. */
-    struct ShardRow
-    {
-        int shard = 0;
-        /** Raw counter values, indexed by metrics::Counter. */
-        std::vector<long long> counters;
-        std::vector<ThreadPool::WorkerStats> workers;
-    };
-
-    /** Element-wise worker fold; caller holds mutex_. */
-    void foldWorkersLocked(
-        const std::vector<ThreadPool::WorkerStats> &stats);
-
     mutable std::mutex mutex_; ///< guards the aggregates below
     std::vector<ThreadPool::WorkerStats> workers_;
-    std::vector<ShardRow> shard_rows_;
-    /** Deterministic counters this process accrued before the first
-     * shard fold (its own partition row; e.g. salvage work). */
-    std::vector<long long> supervisor_counters_;
 };
 
 } // namespace syncperf::core

@@ -122,18 +122,6 @@ RunStatus::toJson() const
     pool.set("idle_s", JsonValue(pool_idle_s));
     pool.set("idle_fraction", JsonValue(poolIdleFraction()));
     root.set("pool", std::move(pool));
-
-    JsonValue shard_entries = JsonValue::array();
-    for (const RunStatusShard &s : shards) {
-        JsonValue entry = JsonValue::object();
-        entry.set("shard", JsonValue(s.shard));
-        entry.set("heartbeat_age_s", JsonValue(s.heartbeat_age_s));
-        entry.set("respawns", JsonValue(s.respawns));
-        entry.set("running", JsonValue(s.running));
-        entry.set("dead", JsonValue(s.dead));
-        shard_entries.push(std::move(entry));
-    }
-    root.set("shards", std::move(shard_entries));
     return root.dump(2) + "\n";
 }
 
@@ -145,13 +133,6 @@ RunStatus::progressLine() const
     line += format(", {:.1f} exp/s", experiments_per_s);
     if (eta_s >= 0)
         line += format(", eta {:.0f}s", eta_s);
-    if (!shards.empty()) {
-        int alive = 0;
-        for (const RunStatusShard &s : shards)
-            alive += s.dead ? 0 : 1;
-        line += format(", shards {}/{} alive", alive,
-                       static_cast<int>(shards.size()));
-    }
     if (state != "running")
         line += format(" ({})", state);
     return line;
@@ -204,7 +185,7 @@ RunStatusReporter::write(RunStatus &status)
             : -1.0;
 
     AtomicFile out;
-    if (Status s = out.open(file_); s.isOk()) {
+    if (!file_.empty() && out.open(file_).isOk()) {
         out.stream() << status.toJson();
         (void)out.commit();
     }

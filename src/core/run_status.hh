@@ -6,10 +6,10 @@
  *
  * The schema is versioned ("syncperf-status-v1") because this file
  * is the future syncperfd daemon's /status endpoint body
- * (ROADMAP.md): points done/total, experiments/s, ETA, per-shard
- * heartbeat age and respawn counts, and the engagement ratios of
- * every fast path (sim cache, machine pool, lane grouping, loop
- * batching). See docs/observability.md, "Live run status".
+ * (ROADMAP.md): points done/total, experiments/s, ETA, and the
+ * engagement ratios of every fast path (sim cache, machine pool,
+ * lane grouping, loop batching). See docs/observability.md, "Live
+ * run status".
  */
 
 #ifndef SYNCPERF_CORE_RUN_STATUS_HH
@@ -18,23 +18,11 @@
 #include <chrono>
 #include <filesystem>
 #include <string>
-#include <vector>
 
 #include "common/status.hh"
 
 namespace syncperf::core
 {
-
-/** One shard worker's liveness as seen by the supervisor. */
-struct RunStatusShard
-{
-    int shard = 0;
-    double heartbeat_age_s = 0.0;
-    /** Spawns beyond the first (the respawn count). */
-    int respawns = 0;
-    bool running = false;
-    bool dead = false;
-};
 
 /** Everything status.json carries; fill and hand to a reporter. */
 struct RunStatus
@@ -50,11 +38,7 @@ struct RunStatus
     double experiments_per_s = 0.0;
     double eta_s = -1.0; ///< -1 when no rate yet
 
-    std::vector<RunStatusShard> shards;
-
-    // Raw engagement inputs, summed over every participating
-    // process (from the registry in-process; from the per-shard
-    // metrics snapshots in a supervisor).
+    // Raw engagement inputs, from the counter registry.
     long long sim_cache_hits = 0;
     long long sim_cache_misses = 0;
     long long pool_clones = 0;
@@ -92,12 +76,13 @@ struct RunStatus
  * file only when the debounce interval elapsed) and force() once at
  * the end with the final state.
  *
- * Not thread-safe: call from one thread (the ordered-commit thread
- * or the supervisor poll loop).
+ * Not thread-safe: call from one thread (the ordered-commit
+ * thread).
  */
 class RunStatusReporter
 {
   public:
+    /** An empty @p file writes no status.json (--progress alone). */
     RunStatusReporter(std::filesystem::path file, double interval_s,
                       bool progress);
 

@@ -51,9 +51,9 @@ FaultInjector::onWriteOp(const std::filesystem::path &path,
     if (kill_after_csv_commits_ >= 0 && op == "commit" &&
         path.extension() == ".csv" &&
         csv_commit_count_.fetch_add(1) >= kill_after_csv_commits_) {
-        // Die the way a crashed shard dies: abruptly, with the CSV
-        // already renamed into place but its journal append still
-        // pending. SIGKILL cannot be caught, so no cleanup runs.
+        // Die the way a crashed campaign dies: abruptly, before the
+        // CSV's temp file is renamed into place. SIGKILL cannot be
+        // caught, so no cleanup runs.
         injected_count_.fetch_add(1);
         metrics::add(metrics::Counter::FaultsInjected);
         ::kill(::getpid(), SIGKILL);
@@ -61,23 +61,17 @@ FaultInjector::onWriteOp(const std::filesystem::path &path,
     return Status::ok();
 }
 
-bool
-FaultInjector::killShardSpecFromEnv(KillShardSpec &spec)
+int
+FaultInjector::killAfterFromEnv()
 {
-    const char *env = std::getenv("SYNCPERF_FAULT_KILL_SHARD");
+    const char *env = std::getenv("SYNCPERF_FAULT_KILL_AFTER");
     if (env == nullptr || *env == '\0')
-        return false;
+        return -1;
     char *end = nullptr;
-    const long shard = std::strtol(env, &end, 10);
-    if (end == env || *end != ':' || shard < 0)
-        return false;
-    const char *commits_text = end + 1;
-    const long commits = std::strtol(commits_text, &end, 10);
-    if (end == commits_text || *end != '\0' || commits < 0)
-        return false;
-    spec.shard = static_cast<int>(shard);
-    spec.commits = static_cast<int>(commits);
-    return true;
+    const long commits = std::strtol(env, &end, 10);
+    if (end == env || *end != '\0' || commits < 0)
+        return -1;
+    return static_cast<int>(commits);
 }
 
 FaultInjector *

@@ -83,9 +83,9 @@ class FaultInjector
      * Process-level fault: allow exactly @p n CSV commits, then
      * SIGKILL this process as its (n+1)-th CSV commit begins -- the
      * .tmp holds complete content but the rename has not happened,
-     * and earlier commits may still be missing their journal append.
-     * n = 0 dies on the very first commit. Used by the shard
-     * kill-resume tests; negative disables (the default).
+     * and earlier commits may still be missing from manifest.json.
+     * n = 0 dies on the very first commit. Used by the kill-resume
+     * tests; negative disables (the default).
      */
     void killAfterCsvCommits(int n) { kill_after_csv_commits_ = n; }
 
@@ -130,22 +130,14 @@ class FaultInjector
 
     // -------------------------------------------- process-level mode
 
-    /** SYNCPERF_FAULT_KILL_SHARD="<shard>:<commits>" parsed. */
-    struct KillShardSpec
-    {
-        int shard = -1;   ///< worker shard index the fault targets
-        int commits = 0;  ///< CSV commits allowed before SIGKILL
-    };
-
     /**
-     * Parse the SYNCPERF_FAULT_KILL_SHARD environment variable
-     * ("<shard-index>:<allowed-csv-commits>", e.g. "1:2" or "0:0").
-     * Consulted only by shard *worker* processes -- the supervisor
-     * and plain campaigns never arm it -- so exporting it kills
-     * exactly the targeted shard, deterministically, on every
-     * (re)spawn. Returns false when unset or malformed.
+     * Parse the SYNCPERF_FAULT_KILL_AFTER environment variable: the
+     * number of CSV commits the campaign CLI allows before it
+     * SIGKILLs itself (killAfterCsvCommits). Returns -1 when unset
+     * or malformed, so exporting it is the only way to arm the
+     * fault.
      */
-    static bool killShardSpecFromEnv(KillShardSpec &spec);
+    static int killAfterFromEnv();
 
     // ---------------------------------------------------- lifecycle
 

@@ -112,59 +112,6 @@ TEST_F(MetricsRegistryTest, NamesAreUniqueNonEmptySnakeCase)
     }
 }
 
-TEST_F(MetricsRegistryTest, ScopedCaptureCommitsOnlyOnRequest)
-{
-    {
-        Registry::ScopedCapture cap(Registry::global());
-        add(Counter::PointsCommitted, 3);
-        add(Counter::ProtocolRetries, 2);
-        // Captured, not yet folded into the registry.
-        EXPECT_EQ(value(Counter::PointsCommitted), 0);
-        cap.commit();
-    }
-    EXPECT_EQ(value(Counter::PointsCommitted), 3);
-    EXPECT_EQ(value(Counter::ProtocolRetries), 2);
-}
-
-TEST_F(MetricsRegistryTest, ScopedCaptureDiscardsWithoutCommit)
-{
-    add(Counter::PointsCommitted, 1);
-    {
-        Registry::ScopedCapture cap(Registry::global());
-        add(Counter::PointsCommitted, 100);
-        add(Counter::NoiseRetries, 7);
-    }
-    EXPECT_EQ(value(Counter::PointsCommitted), 1);
-    EXPECT_EQ(value(Counter::NoiseRetries), 0);
-}
-
-TEST_F(MetricsRegistryTest, ScopedCaptureIsPerThread)
-{
-    // A capture only redirects its own thread; another thread's adds
-    // land in the registry immediately.
-    Registry::ScopedCapture cap(Registry::global());
-    add(Counter::PointsCommitted, 5);
-    std::thread other([] { add(Counter::PointsCommitted, 11); });
-    other.join();
-    EXPECT_EQ(value(Counter::PointsCommitted), 11);
-}
-
-TEST_F(MetricsRegistryTest, ScopedCapturesNest)
-{
-    Registry::ScopedCapture outer(Registry::global());
-    add(Counter::PointsCommitted, 1);
-    {
-        Registry::ScopedCapture inner(Registry::global());
-        add(Counter::PointsCommitted, 10);
-        // The inner capture dies uncommitted: its 10 is dropped and
-        // the outer capture resumes intact.
-    }
-    add(Counter::PointsCommitted, 2);
-    EXPECT_EQ(value(Counter::PointsCommitted), 0);
-    outer.commit();
-    EXPECT_EQ(value(Counter::PointsCommitted), 3);
-}
-
 TEST_F(MetricsRegistryTest, DeterminismClassificationIsStable)
 {
     // The determinism contract metrics.json and the jobs-equality
@@ -177,9 +124,8 @@ TEST_F(MetricsRegistryTest, DeterminismClassificationIsStable)
     EXPECT_TRUE(counterIsDeterministic(Counter::FaultsInjected));
     EXPECT_TRUE(counterIsDeterministic(Counter::FaultsSurvived));
 
-    // Checkpoint cadence is a per-process concern: shard workers
-    // each flush their own manifests, so merged totals can never sum
-    // to the serial value and the counter lives in the timing class.
+    // Checkpoint cadence depends on --jobs (every commit serial,
+    // batched in parallel), so the counter lives in the timing class.
     EXPECT_FALSE(counterIsDeterministic(Counter::CheckpointFlushes));
     EXPECT_FALSE(counterIsDeterministic(Counter::PoolTasksRun));
     EXPECT_FALSE(counterIsDeterministic(Counter::PoolTasksStolen));

@@ -280,121 +280,6 @@ TEST_F(TraceTest, SessionRootRecordsRealtimeAnchor)
     EXPECT_GT(session->numberOr("realtime_anchor_us", 0.0), 0.0);
     EXPECT_EQ(session->numberOr("pid", -1.0),
               static_cast<double>(::getpid()));
-    // No label was given: neither a session label nor a
-    // process_name metadata event.
-    EXPECT_EQ(session->find("label"), nullptr);
-    for (const auto &e : root.find("traceEvents")->asArray())
-        EXPECT_NE(e.stringOr("name", ""), "process_name");
-}
-
-TEST_F(TraceTest, ProcessLabelAddsProcessNameMetadata)
-{
-    ASSERT_TRUE(start(out_, "shard-7").isOk());
-    { Span span("labelled", "test"); }
-    ASSERT_TRUE(stop().isOk());
-
-    const auto root = exported();
-    EXPECT_EQ(root.find("syncperfSession")->stringOr("label", ""),
-              "shard-7");
-    bool named = false;
-    for (const auto &e : root.find("traceEvents")->asArray()) {
-        if (e.stringOr("ph", "") == "M" &&
-            e.stringOr("name", "") == "process_name") {
-            const auto *args = e.find("args");
-            ASSERT_NE(args, nullptr);
-            EXPECT_EQ(args->stringOr("name", ""), "shard-7");
-            named = true;
-        }
-    }
-    EXPECT_TRUE(named);
-}
-
-TEST_F(TraceTest, StitchAlignsLaterInputsOntoTheSharedAxis)
-{
-    const fs::path second = out_.string() + ".second";
-    const fs::path stitched = out_.string() + ".stitched";
-
-    ASSERT_TRUE(start(out_, "early").isOk());
-    { Span span("early-span", "test"); }
-    ASSERT_TRUE(stop().isOk());
-
-    // A later session: its CLOCK_REALTIME anchor is strictly after
-    // the first session's, which is exactly what stitch aligns on.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ASSERT_TRUE(start(second, "late").isOk());
-    { Span span("late-span", "test"); }
-    ASSERT_TRUE(stop().isOk());
-
-    const auto early_root = exported();
-    const double early_anchor =
-        early_root.find("syncperfSession")
-            ->numberOr("realtime_anchor_us", 0.0);
-
-    ASSERT_TRUE(stitch({out_, second}, stitched).isOk());
-    const auto parsed = parseJson(readFile(stitched));
-    ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
-    const auto &root = parsed.value();
-
-    const auto *info = root.find("syncperfStitch");
-    ASSERT_NE(info, nullptr);
-    EXPECT_EQ(info->numberOr("inputs", 0.0), 2.0);
-    // The earliest input's anchor becomes the shared time base.
-    EXPECT_EQ(info->numberOr("base_realtime_us", 0.0), early_anchor);
-
-    double early_ts = -1.0;
-    double late_ts = -1.0;
-    for (const auto &e : completeEvents(root)) {
-        if (e.stringOr("name", "") == "early-span")
-            early_ts = e.numberOr("ts", -1.0);
-        if (e.stringOr("name", "") == "late-span")
-            late_ts = e.numberOr("ts", -1.0);
-        EXPECT_GE(e.numberOr("ts", -1.0), 0.0);
-    }
-    ASSERT_GE(early_ts, 0.0);
-    ASSERT_GE(late_ts, 0.0);
-    // The 5ms-later session's span lands at least 5ms down the
-    // shared axis (ts are microseconds).
-    EXPECT_GE(late_ts, early_ts + 5000.0);
-
-    // Both process_name tracks survive the merge.
-    std::set<std::string> labels;
-    for (const auto &e : root.find("traceEvents")->asArray()) {
-        if (e.stringOr("ph", "") == "M" &&
-            e.stringOr("name", "") == "process_name")
-            labels.insert(e.find("args")->stringOr("name", ""));
-    }
-    EXPECT_EQ(labels,
-              (std::set<std::string>{"early", "late"}));
-
-    fs::remove(second);
-    fs::remove(stitched);
-}
-
-TEST_F(TraceTest, StitchSkipsMissingInputsButNotGarbage)
-{
-    const fs::path stitched = out_.string() + ".stitched";
-
-    ASSERT_TRUE(start(out_, "survivor").isOk());
-    { Span span("survivor-span", "test"); }
-    ASSERT_TRUE(stop().isOk());
-
-    // A shard that died before flushing simply has no file: skipped.
-    const fs::path missing = out_.string() + ".never-written";
-    ASSERT_TRUE(stitch({missing, out_}, stitched).isOk());
-    const auto parsed = parseJson(readFile(stitched));
-    ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
-    EXPECT_EQ(parsed.value().find("syncperfStitch")->numberOr(
-                  "inputs", 0.0),
-              1.0);
-
-    // All inputs missing is an error, as is unparseable JSON.
-    EXPECT_FALSE(stitch({missing}, stitched).isOk());
-    const fs::path garbage = out_.string() + ".garbage";
-    std::ofstream(garbage) << "not json{";
-    EXPECT_FALSE(stitch({garbage}, stitched).isOk());
-
-    fs::remove(garbage);
-    fs::remove(stitched);
 }
 
 } // namespace

@@ -180,8 +180,8 @@ TEST_F(CampaignParallelTest, LoopBatchingIsByteIdenticalAcrossJobCounts)
 {
     // The steady-state loop batcher must be invisible in every
     // artifact: default vs --no-loop-batch trees are byte-identical,
-    // serial and parallel alike, telemetry included (the full matrix
-    // with sharding lives in scripts/test_loop_batch_campaign.sh).
+    // serial and parallel alike, telemetry included (the CLI matrix
+    // lives in scripts/test_loop_batch_campaign.sh).
     auto batched = tinyProtocol();
     batched.telemetry = true;
     auto stepped = batched;

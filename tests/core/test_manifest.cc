@@ -7,12 +7,10 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include <unistd.h>
 
-#include "common/metrics.hh"
 #include "core/manifest.hh"
 
 namespace syncperf::core
@@ -153,165 +151,6 @@ TEST_F(ManifestTest, SaveIsAtomic)
     const auto loaded = Manifest::load(file_);
     ASSERT_TRUE(loaded.isOk());
     EXPECT_EQ(loaded.value().completeCount(), 1);
-}
-
-// ------------------------------------------------- shard journals
-
-ManifestEntry
-completeEntry(const std::string &key, std::uint64_t hash)
-{
-    ManifestEntry e;
-    e.key = key;
-    e.config_hash = hash;
-    e.complete = true;
-    e.protocol_retries = 2;
-    e.max_cov = 0.5;
-    return e;
-}
-
-ManifestEntry
-failedEntry(const std::string &key, std::uint64_t hash,
-            const std::string &error)
-{
-    ManifestEntry e;
-    e.key = key;
-    e.config_hash = hash;
-    e.complete = false;
-    e.error = error;
-    return e;
-}
-
-TEST_F(ManifestTest, JournalRoundTripsEntries)
-{
-    const fs::path journal = dir_ / "manifest.shard-0.jsonl";
-    ASSERT_TRUE(Manifest::appendJournalRecord(
-                    journal, completeEntry("a.csv", 0x1111))
-                    .isOk());
-    ASSERT_TRUE(Manifest::appendJournalRecord(
-                    journal, failedEntry("b.csv", 0x2222, "boom"))
-                    .isOk());
-
-    const auto loaded = Manifest::loadJournal(journal);
-    ASSERT_TRUE(loaded.isOk());
-    const auto &entries = loaded.value();
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].key, "a.csv");
-    EXPECT_TRUE(entries[0].complete);
-    EXPECT_EQ(entries[0].config_hash, 0x1111u);
-    EXPECT_EQ(entries[0].protocol_retries, 2);
-    EXPECT_DOUBLE_EQ(entries[0].max_cov, 0.5);
-    EXPECT_EQ(entries[1].key, "b.csv");
-    EXPECT_FALSE(entries[1].complete);
-    EXPECT_EQ(entries[1].error, "boom");
-}
-
-TEST_F(ManifestTest, MissingJournalIsEmpty)
-{
-    const auto loaded =
-        Manifest::loadJournal(dir_ / "manifest.shard-9.jsonl");
-    ASSERT_TRUE(loaded.isOk());
-    EXPECT_TRUE(loaded.value().empty());
-}
-
-/**
- * The crash model for an append-only journal: the final line may be
- * torn at ANY byte offset (a kill mid-append). Whatever the cut,
- * loading must keep every fully written record, skip the torn tail,
- * and count it -- never error out and never invent an entry.
- */
-TEST_F(ManifestTest, JournalTornTailAtEveryByteOffset)
-{
-    const fs::path journal = dir_ / "manifest.shard-0.jsonl";
-    ASSERT_TRUE(Manifest::appendJournalRecord(
-                    journal, completeEntry("a.csv", 1))
-                    .isOk());
-    ASSERT_TRUE(Manifest::appendJournalRecord(
-                    journal, failedEntry("b.csv", 2, "err"))
-                    .isOk());
-    const std::string prefix = [&] {
-        std::ifstream in(journal, std::ios::binary);
-        std::ostringstream text;
-        text << in.rdbuf();
-        return text.str();
-    }();
-    const std::string last_line =
-        Manifest::journalLine(completeEntry("c.csv", 3)) + "\n";
-
-    for (std::size_t cut = 0; cut <= last_line.size(); ++cut) {
-        std::ofstream out(journal,
-                          std::ios::binary | std::ios::trunc);
-        out << prefix << last_line.substr(0, cut);
-        out.close();
-
-        const long long torn_before =
-            metrics::value(metrics::Counter::JournalTornTails);
-        const auto loaded = Manifest::loadJournal(journal);
-        ASSERT_TRUE(loaded.isOk()) << "cut at byte " << cut;
-        const auto &entries = loaded.value();
-        // The record itself ends one byte before the newline: a cut
-        // at exactly last_line.size() - 1 keeps the full JSON (the
-        // missing trailing newline is harmless), so the third entry
-        // survives from there on.
-        if (cut >= last_line.size() - 1) {
-            ASSERT_EQ(entries.size(), 3u) << "cut at byte " << cut;
-            EXPECT_EQ(entries[2].key, "c.csv");
-            EXPECT_TRUE(entries[2].complete);
-        } else {
-            ASSERT_EQ(entries.size(), 2u) << "cut at byte " << cut;
-            if (cut > 0) {
-                // A non-empty torn tail is noticed and counted.
-                EXPECT_GT(
-                    metrics::value(
-                        metrics::Counter::JournalTornTails),
-                    torn_before)
-                    << "cut at byte " << cut;
-            }
-        }
-        EXPECT_EQ(entries[0].key, "a.csv");
-        EXPECT_EQ(entries[1].key, "b.csv");
-        EXPECT_EQ(entries[1].error, "err");
-    }
-}
-
-TEST_F(ManifestTest, JournalSkipsCorruptMiddleLines)
-{
-    const fs::path journal = dir_ / "manifest.shard-0.jsonl";
-    std::ofstream out(journal);
-    out << Manifest::journalLine(completeEntry("a.csv", 1)) << "\n";
-    out << "{\"not\": \"a record\"}\n";
-    out << "garbage that is not json\n";
-    out << Manifest::journalLine(completeEntry("b.csv", 2)) << "\n";
-    out.close();
-
-    const auto loaded = Manifest::loadJournal(journal);
-    ASSERT_TRUE(loaded.isOk());
-    ASSERT_EQ(loaded.value().size(), 2u);
-    EXPECT_EQ(loaded.value()[0].key, "a.csv");
-    EXPECT_EQ(loaded.value()[1].key, "b.csv");
-}
-
-TEST_F(ManifestTest, AbsorbPrefersCompletedWork)
-{
-    Manifest m(file_);
-    m.absorb(completeEntry("x.csv", 7));
-    // A stale failure must not displace completed work...
-    m.absorb(failedEntry("x.csv", 7, "late failure"));
-    ASSERT_EQ(m.entries().size(), 1u);
-    EXPECT_TRUE(m.isComplete("x.csv", 7));
-
-    // ...but a completion replaces a failure,
-    Manifest m2(file_);
-    m2.absorb(failedEntry("y.csv", 8, "first try"));
-    m2.absorb(completeEntry("y.csv", 8));
-    ASSERT_EQ(m2.entries().size(), 1u);
-    EXPECT_TRUE(m2.isComplete("y.csv", 8));
-
-    // ...and a newer completion replaces an older one.
-    ManifestEntry rerun = completeEntry("y.csv", 9);
-    m2.absorb(rerun);
-    ASSERT_EQ(m2.entries().size(), 1u);
-    EXPECT_FALSE(m2.isComplete("y.csv", 8));
-    EXPECT_TRUE(m2.isComplete("y.csv", 9));
 }
 
 } // namespace

@@ -118,12 +118,6 @@ TEST_F(RunStatusTest, ToJsonCarriesTheVersionedSchema)
     st.elapsed_s = 2.0;
     st.experiments_per_s = 5.0;
     st.eta_s = 6.0;
-    RunStatusShard shard;
-    shard.shard = 1;
-    shard.heartbeat_age_s = 0.25;
-    shard.respawns = 2;
-    shard.running = true;
-    st.shards.push_back(shard);
 
     const auto parsed = parseJson(st.toJson());
     ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
@@ -143,20 +137,6 @@ TEST_F(RunStatusTest, ToJsonCarriesTheVersionedSchema)
 
     ASSERT_NE(root.find("engagement"), nullptr);
     ASSERT_NE(root.find("pool"), nullptr);
-
-    const auto *shards = root.find("shards");
-    ASSERT_NE(shards, nullptr);
-    ASSERT_TRUE(shards->isArray());
-    ASSERT_EQ(shards->asArray().size(), 1u);
-    const auto &row = shards->asArray()[0];
-    EXPECT_EQ(row.numberOr("shard", -1.0), 1.0);
-    EXPECT_EQ(row.numberOr("respawns", -1.0), 2.0);
-    const auto *running = row.find("running");
-    ASSERT_NE(running, nullptr);
-    EXPECT_TRUE(running->isBool() && running->asBool());
-    const auto *is_dead = row.find("dead");
-    ASSERT_NE(is_dead, nullptr);
-    EXPECT_TRUE(is_dead->isBool() && !is_dead->asBool());
 }
 
 TEST_F(RunStatusTest, ProgressLineSummarizesTheRun)
@@ -166,21 +146,11 @@ TEST_F(RunStatusTest, ProgressLineSummarizesTheRun)
     st.points_total = 12;
     st.experiments_per_s = 1.5;
     st.eta_s = 6.0;
-    RunStatusShard dead;
-    dead.shard = 0;
-    dead.dead = true;
-    st.shards.push_back(dead);
-    RunStatusShard alive;
-    alive.shard = 1;
-    alive.running = true;
-    st.shards.push_back(alive);
 
     const auto line = st.progressLine();
     EXPECT_NE(line.find("3/12 points"), std::string::npos) << line;
     EXPECT_NE(line.find("1.5 exp/s"), std::string::npos) << line;
     EXPECT_NE(line.find("eta 6s"), std::string::npos) << line;
-    EXPECT_NE(line.find("shards 1/2 alive"), std::string::npos)
-        << line;
 
     st.state = "degraded";
     EXPECT_NE(st.progressLine().find("(degraded)"),
@@ -206,6 +176,21 @@ TEST_F(RunStatusTest, ReporterWritesValidJsonAndFillsRates)
     const auto *points = root.find("points");
     ASSERT_NE(points, nullptr);
     EXPECT_EQ(points->numberOr("done", -1.0), 5.0);
+}
+
+TEST_F(RunStatusTest, ReporterWithoutFileOnlyFillsRates)
+{
+    // --progress without --status: the rates are filled for the
+    // one-liner, but no status.json is written anywhere.
+    RunStatusReporter reporter("", 60.0, false);
+    RunStatus st;
+    st.points_done = 5;
+    st.points_total = 10;
+    reporter.force(st);
+
+    EXPECT_GT(st.experiments_per_s, 0.0);
+    EXPECT_FALSE(reporter.due());
+    EXPECT_FALSE(fs::exists(file_));
 }
 
 TEST_F(RunStatusTest, ReporterDebouncesTicksButNotForce)

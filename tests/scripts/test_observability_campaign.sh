@@ -1,21 +1,22 @@
 #!/usr/bin/env bash
-# End-to-end checks for campaign-wide observability
-# (docs/observability.md, "Sharded campaigns"):
+# End-to-end checks for campaign observability
+# (docs/observability.md):
 #
-#   1. metrics merging: the merged metrics.json of --shards {1,2,4}
-#      carries deterministic counters identical to the serial run's,
-#      and the supervisor + per-shard partition rows survive the
-#      check_metrics.py shard-partition gate;
-#   2. trace stitching: a sharded run's trace.json is loadable JSON
-#      with one pid track per shard plus the supervisor, and the
-#      clock-aligned timestamps are non-negative and per-pid
-#      monotonic;
-#   3. live status: status.json parses as syncperf-status-v1 at every
+#   1. metrics: the deterministic counters of a --jobs 2 run's
+#      metrics.json equal the serial run's, and the snapshot passes
+#      check_metrics.py; its trace.json is loadable JSON with one
+#      experiment span per CSV and non-negative timestamps;
+#   2. live status: status.json parses as syncperf-status-v1 at every
 #      mid-run poll (atomic rewrites -- a reader can never observe a
 #      torn file) and finishes with done == total;
-#   4. crash observability: a kill-injected run still stitches a
-#      loadable trace, renders a non-empty postmortem from the dead
-#      shard's flight ring, and reports a degraded final status.
+#   3. crash observability: a run SIGKILLed by the fault injector
+#      (SYNCPERF_FAULT_KILL_AFTER) leaves its flight ring behind; the
+#      --resume run renders it into a non-empty postmortem.json,
+#      removes the ring on its own clean exit, and completes the tree
+#      byte-identical to the serial run;
+#   4. clean interruption: SIGTERM checkpoints and exits 143 without
+#      leaving a flight ring or a postmortem, and --resume finishes
+#      the tree byte-identical to an uninterrupted run.
 #
 # Usage: test_observability_campaign.sh <path-to-campaign-binary>
 set -u
@@ -45,8 +46,10 @@ dump_log() {
     tail -n 30 "$WORK/$1" >&2 || true
 }
 
+# A resumed run keeps the postmortem of the run it resumed; every
+# other file must match the serial tree.
 same_tree() {
-    diff -r --exclude=.shards "$1" "$2" >"$WORK/diff.txt" 2>&1
+    diff -r --exclude=postmortem.json "$1" "$2" >"$WORK/diff.txt" 2>&1
 }
 
 # Every counter in either snapshot's "counters" section (the
@@ -64,34 +67,7 @@ if diff:
 ' "$1" "$2"
 }
 
-# A stitched trace must carry expected_inputs pid tracks (one per
-# shard plus the supervisor) and clock-aligned, per-pid monotonic,
-# non-negative timestamps.
-check_stitched_trace() { # <file> <expected_inputs>
-    $PY -c '
-import json, sys
-t = json.load(open(sys.argv[1]))
-want = int(sys.argv[2])
-assert t["syncperfStitch"]["inputs"] == want, t["syncperfStitch"]
-names = {e["args"]["name"] for e in t["traceEvents"]
-         if e.get("name") == "process_name"}
-shards = {n for n in names if n.startswith("shard-")}
-assert len(shards) == want - 1, names
-assert "supervisor" in names, names
-last = {}
-for e in t["traceEvents"]:
-    if e.get("ph") != "X":
-        continue
-    assert e["ts"] >= 0, ("negative aligned timestamp", e)
-    pid = e["pid"]
-    assert e["ts"] >= last.get(pid, -1.0), \
-        ("per-pid timestamps regressed", e)
-    last[pid] = e["ts"]
-print("   %d tracks, %d pids monotonic" % (len(names), len(last)))
-' "$1" "$2"
-}
-
-# ------------------------------------------- 1. metrics merge matrix
+# ------------------------------------------------------ 1. metrics
 
 echo "== serial reference: --jobs 1 --metrics"
 if ! run serial.log omp --only threadripper --out "$WORK/serial" \
@@ -100,42 +76,42 @@ if ! run serial.log omp --only threadripper --out "$WORK/serial" \
     fail "serial campaign exited non-zero"
 fi
 
-for shards in 1 2 4; do
-    leg="s$shards"
-    echo "== merge: --shards $shards --jobs 2 --metrics"
-    if ! run "$leg.log" omp --only threadripper --out "$WORK/$leg" \
-            --shards "$shards" --jobs 2 \
-            --metrics "$WORK/metrics-$leg.json" \
-            --trace "$WORK/trace-$leg.json"; then
-        dump_log "$leg.log"
-        fail "--shards $shards exited non-zero"
-        continue
-    fi
-    if ! same_tree "$WORK/serial" "$WORK/$leg"; then
+echo "== parallel: --jobs 2 --metrics --trace"
+if ! run j2.log omp --only threadripper --out "$WORK/j2" --jobs 2 \
+        --metrics "$WORK/metrics-j2.json" --trace "$WORK/trace.json"; then
+    dump_log j2.log
+    fail "--jobs 2 campaign exited non-zero"
+else
+    if ! same_tree "$WORK/serial" "$WORK/j2"; then
         cat "$WORK/diff.txt" >&2
-        fail "--shards $shards tree differs from serial"
+        fail "--jobs 2 tree differs from serial"
     fi
     if ! same_counters "$WORK/metrics-serial.json" \
-            "$WORK/metrics-$leg.json"; then
-        fail "--shards $shards merged counters differ from serial"
+            "$WORK/metrics-j2.json"; then
+        fail "--jobs 2 counters differ from serial"
     fi
-    if [ "$shards" -gt 1 ]; then
-        if ! $PY "$SCRIPTS_DIR/check_metrics.py" \
-                "$WORK/metrics-$leg.json"; then
-            fail "--shards $shards snapshot failed check_metrics.py"
-        fi
-        if ! check_stitched_trace "$WORK/trace-$leg.json" \
-                "$((shards + 1))"; then
-            fail "--shards $shards stitched trace invalid"
-        fi
+    if ! $PY "$SCRIPTS_DIR/check_metrics.py" "$WORK/metrics-j2.json"; then
+        fail "--jobs 2 snapshot failed check_metrics.py"
     fi
-done
+    csvs=$(find "$WORK/j2" -name '*.csv' | wc -l)
+    if ! $PY -c '
+import json, sys
+t = json.load(open(sys.argv[1]))
+spans = [e for e in t["traceEvents"] if e.get("ph") == "X"]
+experiments = [e for e in spans if e.get("cat") == "experiment"]
+assert len(experiments) == int(sys.argv[2]), (len(experiments), sys.argv[2])
+assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in spans)
+print("   %d spans, %d experiments" % (len(spans), len(experiments)))
+' "$WORK/trace.json" "$csvs"; then
+        fail "--jobs 2 trace invalid"
+    fi
+fi
 
 # --------------------------------------- 2. live status, polled hot
 
-echo "== status: polled while a 2-shard campaign runs"
+echo "== status: polled while a --jobs 2 campaign runs"
 "$CAMPAIGN" omp --only threadripper --out "$WORK/live" \
-    --shards 2 --jobs 2 --status "$WORK/status.json" \
+    --jobs 2 --status "$WORK/status.json" \
     --status-interval 0.05 --progress \
     >"$WORK/live.log" 2>&1 &
 pid=$!
@@ -171,7 +147,6 @@ assert d["state"] == "finished", d["state"]
 assert d["points"]["done"] == d["points"]["total"], d["points"]
 for key, value in d["engagement"].items():
     assert 0.0 <= value <= 1.0, (key, value)
-assert len(d["shards"]) == 2, d["shards"]
 ' "$WORK/status.json"; then
     fail "final status.json invalid"
 fi
@@ -180,46 +155,81 @@ grep -q "^\[status\]" "$WORK/live.log" ||
 
 # ----------------------------- 3. kill-injected crash observability
 
-echo "== crash: shard 1 SIGKILLed every life, postmortem rendered"
-if ! SYNCPERF_FAULT_KILL_SHARD="1:2" \
-        run kill.log omp --only threadripper --out "$WORK/kill" \
-        --shards 2 --jobs 2 --shard-max-retries 1 \
-        --shard-backoff-ms 50 --trace "$WORK/trace-kill.json" \
-        --status "$WORK/status-kill.json"; then
+echo "== crash: SIGKILLed after 5 commits, then --resume"
+SYNCPERF_FAULT_KILL_AFTER=5 run kill.log omp --only threadripper \
+    --out "$WORK/kill" --jobs 2
+rc=$?
+if [ "$rc" -ne 137 ]; then
     dump_log kill.log
-    fail "kill-injected campaign exited non-zero"
+    fail "kill-injected campaign exited $rc, want 137 (SIGKILL)"
+fi
+[ -f "$WORK/kill/.flight.ring" ] ||
+    fail "the killed run left no flight ring"
+if ! run resume.log omp --only threadripper --out "$WORK/kill" \
+        --jobs 2 --resume --status "$WORK/status-kill.json"; then
+    dump_log resume.log
+    fail "--resume after the kill exited non-zero"
 else
     if ! same_tree "$WORK/serial" "$WORK/kill"; then
         cat "$WORK/diff.txt" >&2
-        fail "kill-injected tree differs from serial"
+        fail "resumed tree differs from serial"
     fi
-    # The dead shard never flushed a trace; the stitch must still
-    # produce loadable JSON from what survived.
-    if ! $PY -c 'import json, sys; json.load(open(sys.argv[1]))' \
-            "$WORK/trace-kill.json"; then
-        fail "kill-injected stitched trace unloadable"
-    fi
-    pm=$(ls "$WORK/kill/.shards"/postmortem.shard-*.json 2>/dev/null |
-         head -n 1)
-    if [ -z "$pm" ]; then
-        fail "no postmortem rendered for the killed shard"
-    elif ! $PY -c '
+    [ ! -e "$WORK/kill/.flight.ring" ] ||
+        fail "the clean --resume run left its flight ring behind"
+    if ! $PY -c '
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["schema"] == "syncperf-postmortem-v1", d.get("schema")
 assert d["events"], "postmortem has no events"
 print("   postmortem: %s, %d events" % (d["label"], len(d["events"])))
-' "$pm"; then
-        fail "postmortem unreadable or empty"
+' "$WORK/kill/postmortem.json"; then
+        fail "postmortem.json missing, unreadable or empty"
     fi
     if ! $PY -c '
 import json, sys
 d = json.load(open(sys.argv[1]))
-assert d["state"] == "degraded", d["state"]
-assert any(s["dead"] for s in d["shards"]), d["shards"]
+assert d["state"] == "finished", d["state"]
+assert d["points"]["done"] == d["points"]["total"], d["points"]
 ' "$WORK/status-kill.json"; then
-        fail "final status does not record the degraded shard"
+        fail "final status of the resumed run invalid"
     fi
+fi
+
+# ------------------------------------------ 4. SIGTERM then --resume
+
+echo "== interrupt: SIGTERM mid-campaign, then --resume"
+if ! run full.log omp --out "$WORK/full" --jobs 1; then
+    dump_log full.log
+    fail "full serial campaign exited non-zero"
+fi
+
+"$CAMPAIGN" omp --out "$WORK/int" --jobs 1 \
+    >"$WORK/int.log" 2>&1 &
+pid=$!
+sleep 0.2
+kill -TERM "$pid" 2>/dev/null
+wait "$pid"
+status=$?
+if [ "$status" -eq 143 ]; then
+    # Interrupted as intended: a clean exit, so no ring is left for a
+    # postmortem, and the resume must finish the job.
+    [ ! -e "$WORK/int/.flight.ring" ] ||
+        fail "the SIGTERMed run left its flight ring behind"
+    if ! run resume-int.log omp --out "$WORK/int" --jobs 1 --resume; then
+        dump_log resume-int.log
+        fail "--resume after SIGTERM exited non-zero"
+    fi
+    grep -Eq "[1-9][0-9]* skipped" "$WORK/resume-int.log" ||
+        fail "--resume did not skip any journaled experiments"
+    [ ! -e "$WORK/int/postmortem.json" ] ||
+        fail "--resume after a clean interrupt rendered a postmortem"
+elif [ "$status" -ne 0 ]; then
+    dump_log int.log
+    fail "SIGTERMed campaign exited $status (want 143, or 0 if it won the race)"
+fi
+if ! diff -r "$WORK/full" "$WORK/int" >"$WORK/diff.txt" 2>&1; then
+    cat "$WORK/diff.txt" >&2
+    fail "resumed tree differs from the uninterrupted run"
 fi
 
 # -------------------------------------------------------------------

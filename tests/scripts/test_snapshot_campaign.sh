@@ -6,7 +6,7 @@
 #   1. byte-identity: the results tree is identical with the pool on
 #      (the default), with --no-machine-pool, and with --snapshot-dir
 #      (both a cold first pass and a warm second pass), at every
-#      --jobs x --shards combination tried;
+#      --jobs count tried;
 #   2. counter determinism: the deterministic counter section of
 #      metrics.json -- which includes pool_clones, pool_cold_builds,
 #      snapshot_loads, and snapshot_rejects -- is identical between
@@ -40,7 +40,7 @@ dump_log() {
 }
 
 same_tree() {
-    diff -r --exclude=.shards "$1" "$2" >"$WORK/diff.txt" 2>&1
+    diff -r "$1" "$2" >"$WORK/diff.txt" 2>&1
 }
 
 counter() {
@@ -89,7 +89,7 @@ for jobs in 1 2; do
     fi
 done
 
-echo "== matrix: pool on, --jobs 2 and --shards 2 --jobs 2"
+echo "== matrix: pool on, --jobs 2"
 if ! run pool_j2.log omp --only threadripper --out "$WORK/pool_j2" \
         --jobs 2 --metrics "$WORK/pool_j2_metrics.json"; then
     dump_log pool_j2.log
@@ -105,14 +105,6 @@ else
     same_pool_counters "$WORK/base_metrics.json" \
         "$WORK/pool_j2_metrics.json" ||
         fail "pool counters differ between --jobs 1 and 2"
-fi
-if ! run pool_s2.log omp --only threadripper --out "$WORK/pool_s2" \
-        --shards 2 --jobs 2; then
-    dump_log pool_s2.log
-    fail "pooled --shards 2 --jobs 2 exited non-zero"
-elif ! same_tree "$WORK/base" "$WORK/pool_s2"; then
-    cat "$WORK/diff.txt" >&2
-    fail "pooled --shards 2 --jobs 2 tree differs from baseline"
 fi
 
 # ------------------------------------- 2. snapshot write, then load
@@ -155,17 +147,6 @@ else
     echo "   snapshot_loads=$loads snapshot_rejects=$rejects"
     [ "$loads" -ge 1 ] || fail "warm pass loaded no snapshots"
     [ "$rejects" -eq 0 ] || fail "warm pass rejected valid snapshots"
-fi
-
-echo "== snapshot: warm pass under sharding (--shards 2 --jobs 2)"
-if ! run snap_shard.log omp --only threadripper \
-        --out "$WORK/snap_shard" --shards 2 --jobs 2 \
-        --snapshot-dir "$SNAP"; then
-    dump_log snap_shard.log
-    fail "sharded --snapshot-dir pass exited non-zero"
-elif ! same_tree "$WORK/base" "$WORK/snap_shard"; then
-    cat "$WORK/diff.txt" >&2
-    fail "sharded --snapshot-dir tree differs from baseline"
 fi
 
 # -------------------------------------- 3. corrupt snapshots reject

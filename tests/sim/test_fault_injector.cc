@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 
@@ -207,6 +208,21 @@ TEST(FaultInjector, GpuTargetHonorsPoisoning)
     core::GpuSimTarget target(gpusim::GpuConfig::rtx4090(), protocol);
     const auto m = target.measure(exp, {1, 32});
     EXPECT_FALSE(m.valid);
+}
+
+TEST(FaultInjector, KillAfterIsReadFromTheEnvironment)
+{
+    ::unsetenv("SYNCPERF_FAULT_KILL_AFTER");
+    EXPECT_EQ(FaultInjector::killAfterFromEnv(), -1);
+    ::setenv("SYNCPERF_FAULT_KILL_AFTER", "3", 1);
+    EXPECT_EQ(FaultInjector::killAfterFromEnv(), 3);
+    ::setenv("SYNCPERF_FAULT_KILL_AFTER", "0", 1);
+    EXPECT_EQ(FaultInjector::killAfterFromEnv(), 0);
+    for (const char *bad : {"", "-1", "2x", "x", "1:2"}) {
+        ::setenv("SYNCPERF_FAULT_KILL_AFTER", bad, 1);
+        EXPECT_EQ(FaultInjector::killAfterFromEnv(), -1) << bad;
+    }
+    ::unsetenv("SYNCPERF_FAULT_KILL_AFTER");
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "threadlib/locks.hh"
@@ -31,6 +32,14 @@ struct LockCase
     const char *name;
     Factory factory;
 };
+
+// Print a case by its name so the test listing (and the names ctest
+// registers) does not embed the factory's run-time address.
+void
+PrintTo(const LockCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class LockTest : public ::testing::TestWithParam<LockCase>
 {
