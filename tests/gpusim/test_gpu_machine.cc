@@ -434,5 +434,99 @@ TEST(GpuMachineImage, CloneFromDoesNotChangeResults)
               fresh.run(k, {4, 128}, 2).thread_cycles);
 }
 
+/**
+ * Pinned per-thread atomic timings (Fig. 10's atomicAdd and Fig. 12's
+ * value-returning atomicCAS). Each golden folds, with FNV-1a, the
+ * per-thread cycles and kernel runtime of eight runs: element size
+ * {4, 8} x base {sector-aligned, unaligned} x launch {one block with
+ * a partial last warp, a three-wave grid}. Every run is also checked
+ * to be identical with loop batching off. The values were recorded
+ * from the straightforward per-lane grouping handler; any rewrite of
+ * the handler must reproduce them exactly.
+ */
+constexpr int golden_units[] = {1, 7, 16, 40, 48};
+constexpr int golden_strides[] = {0, 1, 3, 8, 32, 33};
+
+// [op: add, cas][units][stride]
+constexpr std::uint64_t per_thread_golden[2][5][6] = {
+    {{0xf1e2a1643459035d, 0xf1e2a1643459035d, 0xf1e2a1643459035d,
+      0xf1e2a1643459035d, 0xf1e2a1643459035d, 0xf1e2a1643459035d},
+     {0xf1e2a1643459035d, 0xfbeef91087fd69af, 0x77ca13e138fc1e63,
+      0xf546a780d6049af1, 0xf546a780d6049af1, 0x3f0d7be91a4423f},
+     {0xf1e2a1643459035d, 0x308221ca4a2f482d, 0xa188acad44337515,
+      0x4ecd3811fdb0eef9, 0x4a6d5bd24dd7d589, 0x950869d1662e1797},
+     {0xf1e2a1643459035d, 0xe19f89304569cb8d, 0x4570a456c3b84bb5,
+      0xafc12498c874e82d, 0xd8a7448b6d14d269, 0xd498ebed15b69201},
+     {0xf1e2a1643459035d, 0xe6cee6d6163aab8d, 0x647dae78cd97478d,
+      0x4267df8165a3ca5, 0x3e0bbc1d5f186bd, 0xe420108a92815a7d}},
+    {{0x9cef89aad9e9c939, 0x9cef89aad9e9c939, 0x9cef89aad9e9c939,
+      0x9cef89aad9e9c939, 0x9cef89aad9e9c939, 0x9cef89aad9e9c939},
+     {0x9cef89aad9e9c939, 0xdf0980414bda3f5d, 0x915f06cc96c87f9,
+      0x87f6ea8756c3b921, 0x87f6ea8756c3b921, 0x5269409d3c7c5e29},
+     {0x9cef89aad9e9c939, 0xf55710883aec840e, 0x6e749c0312916c91,
+      0x6af3ba4124269659, 0x23278737b9c4d219, 0xb3c8dc02576a08c5},
+     {0x9cef89aad9e9c939, 0xc2d7ec261dc8f176, 0xa7b2cf28abaaba3,
+      0x2306de2185050e91, 0x2c14530224ae9c15, 0xf108af28cf321d4c},
+     {0x9cef89aad9e9c939, 0xc1e9ebd0c5702f09, 0x8180e092f39ad977,
+      0x229e01ec1482ace5, 0x5b9dd643d4d042ad, 0xd02c5ab2f18cf9f8}},
+};
+
+TEST(GpuMachine, PerThreadAtomicTimingsArePinned)
+{
+    const auto fold = [](std::uint64_t h, std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+        return h;
+    };
+    std::uint64_t windows = 0;
+    for (int o = 0; o < 2; ++o) {
+        const AtomicOp aop = o == 0 ? AtomicOp::Add : AtomicOp::Cas;
+        for (int u = 0; u < 5; ++u) {
+            GpuConfig cfg = testGpu();
+            cfg.l2_atomic_units = golden_units[u];
+            // Two SMs holding two 256-thread blocks each: ten blocks
+            // run in three waves.
+            cfg.sm_count = 2;
+            cfg.max_threads_per_sm = 512;
+            // A short fire-and-forget window, so atomicAdd's
+            // completion depends on the unit queues and not only on
+            // the LSU posting time.
+            cfg.ff_window = 32;
+            for (int s = 0; s < 6; ++s) {
+                std::uint64_t h = 0xcbf29ce484222325ULL;
+                for (DataType t : {DataType::Int32, DataType::Float64}) {
+                    for (std::uint64_t base : {0x100000ULL, 0x100018ULL}) {
+                        const GpuKernel k = bodyKernel(
+                            {GpuOp::globalAtomic(aop, AddressMode::PerThread,
+                                                 base, t, golden_strides[s])},
+                            24);
+                        for (LaunchConfig launch :
+                             {LaunchConfig{1, 48}, LaunchConfig{10, 256}}) {
+                            GpuMachine batched(cfg);
+                            GpuMachine stepped(cfg);
+                            stepped.setLoopBatch(false);
+                            const auto r = batched.run(k, launch, 2);
+                            windows += batched.loopBatch().windows;
+                            ASSERT_EQ(r.thread_cycles,
+                                      stepped.run(k, launch, 2).thread_cycles);
+                            for (auto c : r.thread_cycles)
+                                h = fold(h, c);
+                            h = fold(h, r.total_cycles);
+                        }
+                    }
+                }
+                EXPECT_EQ(h, per_thread_golden[o][u][s])
+                    << (o == 0 ? "add" : "cas") << " units "
+                    << golden_units[u] << " stride " << golden_strides[s]
+                    << ": 0x" << std::hex << h;
+            }
+        }
+    }
+    // The batched leg must actually have batched somewhere.
+    EXPECT_GT(windows, 0u);
+}
+
 } // namespace
 } // namespace syncperf::gpusim
