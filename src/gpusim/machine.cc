@@ -31,14 +31,15 @@ smLineKey(int sm, std::uint64_t line)
 /** 32-byte sector granularity used by the L2 atomic path. */
 constexpr std::uint64_t sector_shift = 5;
 
-/** Upper bound on lanes per warp for stack-local sector grouping. */
-constexpr int max_lanes = 64;
-
 } // namespace
 
 GpuMachine::GpuMachine(GpuConfig cfg, std::uint64_t seed)
     : cfg_(std::move(cfg)), rng_(seed, rng_stream)
 {
+    if (cfg_.l2_atomic_units < 1) {
+        fatal("GPU config '{}': l2_atomic_units must be at least 1 "
+              "(got {})", cfg_.name, cfg_.l2_atomic_units);
+    }
 }
 
 void
@@ -377,40 +378,39 @@ GpuMachine::execAtomicPerThread(int warp_id, const DecodedGpuOp &op,
         post_start + static_cast<Tick>(active) * cfg_.lsu_ii;
     lsu = post_done;
 
-    // Group the lanes' sectors. A warp has at most warp_size lanes,
-    // so a stack-local array replaces the per-call hash map; the
-    // per-unit reservation below is order-independent (each unit's
-    // final time telescopes to max(post_done, start) + sum(counts)),
-    // so first-touch order gives identical results.
-    SYNCPERF_ASSERT(active <= max_lanes);
-    std::uint64_t line_key[max_lanes];
-    int line_count[max_lanes];
-    int nlines = 0;
-    for (int lane = 0; lane < active; ++lane) {
-        const std::uint64_t line =
-            resolveAddr(warp, op, lane) >> sector_shift;
-        int i = 0;
-        while (i < nlines && line_key[i] != line)
-            ++i;
-        if (i == nlines) {
-            line_key[i] = line;
-            line_count[i] = 0;
-            ++nlines;
-        }
-        ++line_count[i];
-    }
-
+    // Lanes step by a fixed stride, so equal sectors form adjacent
+    // runs and the unit index follows the sector delta. Reserving
+    // runs in lane order is exact even if two share a unit: a unit's
+    // final time telescopes to max(post_done, start) + sum(counts).
+    const auto units = static_cast<std::uint64_t>(cfg_.l2_atomic_units);
+    const std::uint64_t step = op.stride * op.esize;
+    std::uint64_t addr = resolveAddr(warp, op, 0);
+    std::uint64_t line = addr >> sector_shift;
+    std::uint64_t unit_idx = line % units;
     Tick last_svc = post_done;
-    for (int i = 0; i < nlines; ++i) {
-        Tick &unit =
-            unit_free_[line_key[i] % static_cast<std::uint64_t>(
-                                         cfg_.l2_atomic_units)];
-        const Tick svc_start = std::max(post_done, unit);
-        const Tick svc_done =
-            svc_start + static_cast<Tick>(line_count[i]) * op.unit_ii;
-        unit = svc_done;
-        last_svc = std::max(last_svc, svc_done);
+    const auto reserve = [&](int count) {
+        Tick &u = unit_free_[unit_idx];
+        u = std::max(post_done, u) + static_cast<Tick>(count) * op.unit_ii;
+        last_svc = std::max(last_svc, u);
+    };
+    int run = 1;
+    for (int lane = 1; lane < active; ++lane) {
+        addr += step;
+        const std::uint64_t next = addr >> sector_shift;
+        if (next != line) {
+            reserve(run);
+            run = 0;
+            // Divide only when the sector jumps a unit count or wraps.
+            unit_idx = next > line && next - line < units
+                           ? unit_idx + (next - line)
+                           : next % units;
+            if (unit_idx >= units)
+                unit_idx -= units;
+            line = next;
+        }
+        ++run;
     }
+    reserve(run);
 
     if (op.value_returning) {
         finishOp(warp_id, last_svc + cfg_.atomic_rt);

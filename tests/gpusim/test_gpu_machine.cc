@@ -337,6 +337,19 @@ TEST(GpuMachine, InvalidLaunchPanics)
                  LogDeathException);
 }
 
+TEST(GpuMachine, NoAtomicUnitsIsFatal)
+{
+    ScopedLogCapture capture;
+    for (int units : {0, -1}) {
+        GpuConfig cfg = testGpu();
+        cfg.l2_atomic_units = units;
+        EXPECT_THROW(GpuMachine machine(cfg), LogDeathException);
+        ASSERT_FALSE(capture.messages().empty());
+        EXPECT_NE(capture.messages().back().second.find("l2_atomic_units"),
+                  std::string::npos);
+    }
+}
+
 /** A kernel touching several decode paths: a same-address atomic, a
  * barrier, a shuffle, and a device fence. */
 GpuKernel
@@ -440,9 +453,9 @@ TEST(GpuMachineImage, CloneFromDoesNotChangeResults)
  * per-thread cycles and kernel runtime of eight runs: element size
  * {4, 8} x base {sector-aligned, unaligned} x launch {one block with
  * a partial last warp, a three-wave grid}. Every run is also checked
- * to be identical with loop batching off. The values were recorded
- * from the straightforward per-lane grouping handler; any rewrite of
- * the handler must reproduce them exactly.
+ * to be identical with loop batching off. A rewrite of the handler
+ * must reproduce the goldens exactly; only a deliberate model change
+ * re-records them.
  */
 constexpr int golden_units[] = {1, 7, 16, 40, 48};
 constexpr int golden_strides[] = {0, 1, 3, 8, 32, 33};

@@ -1,26 +1,29 @@
 #!/usr/bin/env bash
-# Byte-identity gate for the default campaign: rerun the quick
-# all-systems campaign (`campaign --jobs 2`) and check every CSV it
-# writes against the SHA-256 digests pinned in
-# tests/digests/quick_all.sha256 (sha256sum format, paths relative to
-# the --out directory). The run must also write no CSV the digest
-# file does not name. A model change that moves a figure re-blesses
-# the file on purpose, with a note in EXPERIMENTS.md:
+# Byte-identity gate for a campaign tree: rerun a campaign
+# (`campaign [ARGS...] --jobs 2`) and check every CSV it writes
+# against the SHA-256 digests pinned in a digest file (sha256sum
+# format, paths relative to the --out directory). The run must also
+# write no CSV the digest file does not name. Without ARGS this is the
+# quick all-systems campaign, pinned in tests/digests/quick_all.sha256;
+# `cuda --thorough` is pinned in tests/digests/cuda_thorough.sha256.
+# A model change that moves a figure re-blesses the file on purpose,
+# with a note in EXPERIMENTS.md:
 #
-#   campaign --jobs 2 --out DIR &&
+#   campaign [ARGS...] --jobs 2 --out DIR &&
 #   (cd DIR && find . -name '*.csv' | sed 's|^\./||' | LC_ALL=C sort |
-#    xargs sha256sum) > tests/digests/quick_all.sha256
+#    xargs sha256sum) > tests/digests/<name>.sha256
 #
-# Usage: test_quick_tree_digest.sh <campaign-binary> <digest-file>
+# Usage: test_quick_tree_digest.sh <campaign-binary> <digest-file> [ARGS...]
 set -u
 
-CAMPAIGN=${1:?usage: $0 <campaign-binary> <digest-file>}
-DIGESTS=$(cd "$(dirname "${2:?usage: $0 <campaign-binary> <digest-file>}")" &&
-          pwd)/$(basename "$2")
+USAGE="usage: $0 <campaign-binary> <digest-file> [campaign-args...]"
+CAMPAIGN=${1:?$USAGE}
+DIGESTS=$(cd "$(dirname "${2:?$USAGE}")" && pwd)/$(basename "$2")
+shift 2
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/syncperf_digest_XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 
-if ! "$CAMPAIGN" --jobs 2 --out "$WORK/tree" >"$WORK/run.log" 2>&1; then
+if ! "$CAMPAIGN" "$@" --jobs 2 --out "$WORK/tree" >"$WORK/run.log" 2>&1; then
     tail -n 30 "$WORK/run.log" >&2
     echo "FAIL: campaign exited non-zero" >&2
     exit 1
