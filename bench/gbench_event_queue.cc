@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "sim/event_queue.hh"
 
@@ -111,7 +112,7 @@ finish(benchmark::State &state, std::uint64_t events,
 
 /**
  * Batch schedule-then-drain, the machines' launch pattern: after one
- * warm-up drain has grown the heap/slot/free-list storage to the
+ * warm-up drain has grown the bucket/slot/free-list storage to the
  * peak in-flight size, every later cycle must reuse it.
  */
 void
@@ -198,6 +199,145 @@ BM_SelfRescheduleSteadyState(benchmark::State &state)
     finish(state, events, allocs);
 }
 BENCHMARK(BM_SelfRescheduleSteadyState);
+
+/**
+ * Tick gaps with the mix a thorough RTX 2070 Super CUDA sweep
+ * schedules (8.6 M events): 6% land on the current tick, 54% are
+ * below 512 cycles, 21% are 8,192 cycles or more (capped here at
+ * 2^21). Within a class the gap is log-uniform, drawn from a fixed
+ * splitmix64 stream so every run replays the same traffic.
+ */
+std::vector<Tick>
+holdDeltas(std::size_t n)
+{
+    std::uint64_t x = 0x5eed;
+    const auto next = [&x] {
+        std::uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    };
+    // Log-uniform in [2^lo, 2^hi): a uniform octave, then a uniform
+    // offset inside it.
+    const auto octaves = [&next](unsigned lo, unsigned hi) {
+        const unsigned e = lo + static_cast<unsigned>(next() % (hi - lo));
+        return (Tick{1} << e) + next() % (Tick{1} << e);
+    };
+    std::vector<Tick> out(n);
+    for (Tick &d : out) {
+        const std::uint64_t pct = next() % 100;
+        if (pct < 6)
+            d = 0;
+        else if (pct < 54)
+            d = octaves(0, 9);
+        else if (pct < 79)
+            d = octaves(9, 13);
+        else
+            d = octaves(13, 21);
+    }
+    return out;
+}
+
+/**
+ * Hold model on the simulators' traffic: ~1,000 actors, one event
+ * pending each, every callback rescheduling its actor (as its own
+ * priority, like a warp) after the next gap of holdDeltas(). The
+ * pending set stays near 1,000 until the shared budget runs out and
+ * the queue drains, so a cycle times the pop/insert pair at the
+ * machines' queue depth. Every cycle replays the same gaps.
+ */
+class HoldModel
+{
+  public:
+    static constexpr int actors = 1000;
+
+    void
+    cycle(EventQueue &eq)
+    {
+        cursor_ = 0;
+        remaining_ = 64 * actors;
+        for (int a = 0; a < actors; ++a)
+            eq.scheduleIn(gap(), Hold{&eq, this, a}, a);
+        eq.run();
+    }
+
+  private:
+    static constexpr std::size_t gap_mask = (1 << 16) - 1;
+
+    struct Hold
+    {
+        EventQueue *eq;
+        HoldModel *model;
+        int actor;
+
+        void
+        operator()() const
+        {
+            if (model->remaining_ == 0)
+                return;
+            --model->remaining_;
+            eq->scheduleIn(model->gap(), *this, actor);
+        }
+    };
+
+    Tick
+    gap()
+    {
+        static const std::vector<Tick> deltas = holdDeltas(gap_mask + 1);
+        return deltas[cursor_++ & gap_mask];
+    }
+
+    std::size_t cursor_ = 0;
+    std::uint64_t remaining_ = 0;
+};
+
+/** The hold model on one reused queue: the warm-up cycle reaches
+ * every buffer's high-water mark, so later cycles must not
+ * allocate. */
+void
+BM_HoldModel(benchmark::State &state)
+{
+    HoldModel model;
+    EventQueue eq;
+    model.cycle(eq); // warm-up
+
+    const std::uint64_t before = allocCount();
+    const std::uint64_t executed_before = eq.executed();
+    for (auto _ : state)
+        model.cycle(eq);
+    const std::uint64_t events = eq.executed() - executed_before;
+    const std::uint64_t allocs = allocCount() - before;
+
+    finish(state, events, allocs);
+}
+BENCHMARK(BM_HoldModel);
+
+/**
+ * The machine pool's clone path: a fresh queue reserve()d to a warm
+ * template's slot capacity must run its very first hold-model cycle
+ * without allocating.
+ */
+void
+BM_HoldModelReservedFirstRun(benchmark::State &state)
+{
+    HoldModel model;
+    EventQueue warm;
+    model.cycle(warm);
+
+    std::uint64_t allocs = 0;
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        EventQueue eq;
+        eq.reserve(warm.slotCapacity());
+        const std::uint64_t before = allocCount();
+        model.cycle(eq);
+        allocs += allocCount() - before;
+        events += eq.executed();
+    }
+
+    finish(state, events, allocs);
+}
+BENCHMARK(BM_HoldModelReservedFirstRun);
 
 /**
  * Contrast case: captures larger than EventCallback::inline_size buy

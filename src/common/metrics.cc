@@ -38,6 +38,7 @@ constexpr CounterInfo counter_info[counter_count] = {
     {"lane_points", true},
     {"lane_peels", true},
     {"lane_singleton_points", true},
+    {"sim_events", true},
     {"pool_tasks_run", false},
     {"pool_tasks_stolen", false},
     {"pool_busy_nanos", false},

@@ -56,6 +56,7 @@ enum class Counter : int
     LanePoints,        ///< sweep points routed through the lane planner
     LanePeels,         ///< lanes peeled to single-lane execution
     LaneSingletonPoints, ///< planned points left in width-1 groups
+    SimEvents,         ///< events the cpusim/gpusim event queues executed
 
     // Timing: scheduling/wall-clock dependent, never compared
     // across job counts.

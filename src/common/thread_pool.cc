@@ -72,7 +72,17 @@ ThreadPool::workerStats() const
 {
     std::vector<WorkerStats> out;
     out.reserve(counters_.size());
+    const long long now = nowNanos();
     for (const auto &c : counters_) {
+        // Close a waiting worker's open interval at now and reopen it
+        // there; a worker that woke first already took the interval.
+        long long since = c->idle_since.load(std::memory_order_relaxed);
+        while (since != 0 && since < now &&
+               !c->idle_since.compare_exchange_weak(
+                   since, now, std::memory_order_relaxed)) {
+        }
+        if (since != 0 && since < now)
+            c->idle_nanos.fetch_add(now - since, std::memory_order_relaxed);
         out.push_back(
             {c->tasks_run.load(std::memory_order_relaxed),
              c->tasks_stolen.load(std::memory_order_relaxed),
@@ -187,11 +197,15 @@ ThreadPool::workerLoop(int index)
         std::unique_lock lock(state_mutex_);
         if (queued_ == 0 && stopping_)
             return;
-        const long long t0 = nowNanos();
+        stats.idle_since.store(nowNanos(), std::memory_order_relaxed);
         work_available_.wait(
             lock, [this] { return queued_ > 0 || stopping_; });
-        stats.idle_nanos.fetch_add(nowNanos() - t0,
-                                   std::memory_order_relaxed);
+        const long long t1 = nowNanos();
+        const long long since =
+            stats.idle_since.exchange(0, std::memory_order_relaxed);
+        if (since < t1)
+            stats.idle_nanos.fetch_add(t1 - since,
+                                       std::memory_order_relaxed);
         if (queued_ == 0 && stopping_)
             return;
     }

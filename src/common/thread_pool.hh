@@ -81,7 +81,10 @@ class ThreadPool
     /**
      * Snapshot of every worker's counters, indexed by worker. Safe
      * to call at any time (counters are atomics); call after
-     * waitIdle() for totals that cover all submitted work.
+     * waitIdle() for totals that cover all submitted work. A worker
+     * waiting for work at the snapshot has its open idle interval
+     * counted up to now, so the idle tail after the last task is
+     * not lost while the worker keeps waiting.
      */
     std::vector<WorkerStats> workerStats() const;
 
@@ -110,6 +113,10 @@ class ThreadPool
         std::atomic<long long> tasks_stolen{0};
         std::atomic<long long> busy_nanos{0};
         std::atomic<long long> idle_nanos{0};
+        /** Start of the worker's open idle interval, 0 when busy.
+         * The worker and workerStats() each take the interval with
+         * an atomic swap, so every idle nanosecond counts once. */
+        std::atomic<long long> idle_since{0};
     };
 
     void workerLoop(int index);

@@ -273,7 +273,11 @@ CpuSimTarget::runOnce(const std::vector<cpusim::CpuProgram> &programs,
         }
         machine.reseed(seed);
         machine.setLoopBatch(mcfg_.loop_batch);
+        const std::uint64_t events = machine.eventQueue().executed();
         const auto result = machine.run(programs, mcfg_.n_warmup, dkey);
+        metrics::add(metrics::Counter::SimEvents,
+                     static_cast<long long>(
+                         machine.eventQueue().executed() - events));
         lb_.merge(machine.loopBatch());
         metrics::add(metrics::Counter::LoopBatchIters,
                      static_cast<long long>(

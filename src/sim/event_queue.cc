@@ -20,7 +20,7 @@ EventQueue::schedule(Tick when, EventCallback cb, int priority)
         static_cast<std::uint64_t>(priority + priority_bias) <
             (priority_bias << 1),
         "event priority out of the packed 24-bit range");
-    SYNCPERF_ASSERT(when < (Tick{1} << (64 - when_shift)),
+    SYNCPERF_ASSERT(when < tick_limit,
                     "tick out of the packed 40-bit range");
 
     std::uint32_t slot_idx;
@@ -31,6 +31,10 @@ EventQueue::schedule(Tick when, EventCallback cb, int priority)
         slot_idx = free_.back();
         free_.pop_back();
     }
+    // Records grow with the highest slot in use, inside the capacity
+    // reserve() set aside, so untouched reserve costs no memory.
+    if (slot_idx >= nodes_.size())
+        nodes_.resize(slot_idx + 1);
     Slot &slot = slots_[slot_idx];
     slot.action = std::move(cb);
     slot.state = SlotState::Pending;
@@ -38,10 +42,9 @@ EventQueue::schedule(Tick when, EventCallback cb, int priority)
     const std::uint64_t prio_key =
         (static_cast<std::uint64_t>(priority) + priority_bias) &
         ((priority_bias << 1) - 1);
-    heap_.push_back(
-        Entry{when << when_shift | prio_key,
-              static_cast<std::uint64_t>(next_seq_++) << 32 | slot_idx});
-    siftUp(heap_.size() - 1);
+    nodes_[slot_idx] = Node{when << when_shift | prio_key, next_seq_++,
+                            no_slot};
+    place(slot_idx);
     ++live_;
     if (live_ > max_pending_)
         max_pending_ = live_;
@@ -51,9 +54,10 @@ EventQueue::schedule(Tick when, EventCallback cb, int priority)
 bool
 EventQueue::deschedule(EventId id)
 {
-    // Cancelled entries stay in the heap (their slot is a tombstone
-    // reclaimed when the record pops); executed, already-cancelled,
-    // and pre-reset handles fail the generation check.
+    // Cancelled records stay in their bucket (their slot is a
+    // tombstone reclaimed when the record pops); executed,
+    // already-cancelled, and pre-reset handles fail the generation
+    // check.
     const std::uint32_t slot_idx = static_cast<std::uint32_t>(id);
     const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
     if (slot_idx >= slots_.size())
@@ -67,87 +71,93 @@ EventQueue::deschedule(EventId id)
     return true;
 }
 
-void
-EventQueue::siftUp(std::size_t i)
+inline void
+EventQueue::place(std::uint32_t slot)
 {
-    const Entry e = heap_[i];
-    while (i > 0) {
-        const std::size_t parent = (i - 1) >> 2;
-        if (!before(e, heap_[parent]))
-            break;
-        heap_[i] = heap_[parent];
-        i = parent;
+    Node &node = nodes_[slot];
+    const auto b =
+        static_cast<unsigned>(std::bit_width(node.when() ^ last_));
+    if (b == 0) {
+        // Due now: keep current_ sorted. A lower priority than the
+        // running event's still runs next.
+        current_.insert(std::upper_bound(current_.begin(), current_.end(),
+                                         slot, laterFirst()),
+                        slot);
+        return;
     }
-    heap_[i] = e;
+    // Branch-free push: an empty bucket holds the no_slot head and the
+    // all-ones key, which chain and min() absorb.
+    Bucket &bucket = buckets_[b];
+    node.next = bucket.head;
+    bucket.head = slot;
+    bucket.min_key = std::min(bucket.min_key, node.key);
+    mask_ |= std::uint64_t{1} << b;
 }
 
 void
-EventQueue::siftDown(std::size_t i)
+EventQueue::advance()
 {
-    const Entry e = heap_[i];
-    const std::size_t n = heap_.size();
-    for (;;) {
-        const std::size_t first = (i << 2) + 1;
-        if (first >= n)
-            break;
-        std::size_t best = first;
-        const std::size_t end = first + 4 < n ? first + 4 : n;
-        for (std::size_t c = first + 1; c < end; ++c) {
-            if (before(heap_[c], heap_[best]))
-                best = c;
-        }
-        if (!before(heap_[best], e))
-            break;
-        heap_[i] = heap_[best];
-        i = best;
+    Bucket &bucket = buckets_[std::countr_zero(mask_)];
+    mask_ &= mask_ - 1;
+    // Every record of the bucket agrees with the new base above the
+    // bucket's bit, so each one lands in a lower bucket (or
+    // current_), and this one is empty again before the walk refills
+    // anything.
+    last_ = bucket.min_key >> when_shift;
+    std::uint32_t s = bucket.head;
+    bucket = Bucket{};
+    while (s != no_slot) {
+        const std::uint32_t next = nodes_[s].next;
+        if (nodes_[s].when() == last_)
+            current_.push_back(s); // sorted once, below
+        else
+            place(s);
+        s = next;
     }
-    heap_[i] = e;
-}
-
-EventQueue::Entry
-EventQueue::popTop()
-{
-    const Entry top = heap_[0];
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-        heap_[0] = last;
-        siftDown(0);
-    }
-    return top;
+    if (current_.size() > 1)
+        std::sort(current_.begin(), current_.end(), laterFirst());
 }
 
 void
 EventQueue::executeOne()
 {
-    const Entry entry = popTop();
-    Slot &slot = slots_[entry.slot()];
+    if (current_.empty())
+        advance();
+    const std::uint32_t idx = current_.back();
+    current_.pop_back();
+    Slot &slot = slots_[idx];
     if (slot.state != SlotState::Pending) {
-        freeSlot(entry.slot()); // cancelled tombstone, action gone
+        freeSlot(idx); // cancelled tombstone, action gone
         return;
     }
     --live_;
-    now_ = entry.when();
+    now_ = last_;
     ++executed_;
     // Move out and free before invoking: the callback may schedule
     // new events, reusing this very slot or reallocating slots_.
     EventCallback action = std::move(slot.action);
-    freeSlot(entry.slot());
+    freeSlot(idx);
     action();
 }
 
 Tick
 EventQueue::run()
 {
-    while (!heap_.empty())
+    while (!drained())
         executeOne();
+    // Trailing tombstones may have carried last_ past the final
+    // event; nothing is held, so rebase on now_ and keep every
+    // schedule() at or after now_ valid.
+    last_ = now_;
     return now_;
 }
 
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    while (!heap_.empty() && heap_[0].when() <= limit)
+    // Peek, never advance, before deciding: a refill past limit would
+    // move last_ beyond ticks that later schedule() calls may use.
+    while (!drained() && peekTick() <= limit)
         executeOne();
     if (now_ < limit)
         now_ = limit;
@@ -159,35 +169,43 @@ EventQueue::earliestPending() const
 {
     if (live_ == 0)
         return no_tick;
-    if (slots_[heap_[0].slot()].state == SlotState::Pending)
-        return heap_[0].when();
-    Tick best = no_tick;
-    for (const Entry &e : heap_) {
-        if (slots_[e.slot()].state == SlotState::Pending &&
-            e.when() < best) {
-            best = e.when();
-        }
+    for (std::uint32_t s : current_) {
+        if (slots_[s].state == SlotState::Pending)
+            return last_;
     }
-    return best;
+    for (std::uint64_t m = mask_; m != 0; m &= m - 1) {
+        Tick best = no_tick;
+        for (std::uint32_t s = buckets_[std::countr_zero(m)].head;
+             s != no_slot; s = nodes_[s].next) {
+            if (slots_[s].state == SlotState::Pending &&
+                nodes_[s].when() < best) {
+                best = nodes_[s].when();
+            }
+        }
+        if (best != no_tick)
+            return best;
+    }
+    return no_tick;
 }
 
 void
 EventQueue::earliestPendingPerPriority(std::vector<Tick> &out) const
 {
     std::fill(out.begin(), out.end(), no_tick);
-    for (const Entry &e : heap_) {
-        if (slots_[e.slot()].state != SlotState::Pending)
-            continue;
+    forEachHeld([&](std::uint32_t s) {
+        if (slots_[s].state != SlotState::Pending)
+            return;
+        const Node &n = nodes_[s];
         const std::int64_t prio =
-            static_cast<std::int64_t>(e.hi &
+            static_cast<std::int64_t>(n.key &
                                       ((priority_bias << 1) - 1)) -
             static_cast<std::int64_t>(priority_bias);
         if (prio < 0 || prio >= static_cast<std::int64_t>(out.size()))
-            continue;
+            return;
         Tick &best = out[static_cast<std::size_t>(prio)];
-        if (e.when() < best)
-            best = e.when();
-    }
+        if (n.when() < best)
+            best = n.when();
+    });
 }
 
 Tick
@@ -197,14 +215,15 @@ EventQueue::nextForeignTick(int priority) const
         (static_cast<std::uint64_t>(priority) + priority_bias) &
         ((priority_bias << 1) - 1);
     Tick best = horizon_pin_;
-    for (const Entry &e : heap_) {
-        if (slots_[e.slot()].state != SlotState::Pending)
-            continue; // tombstone: a cancelled event lands nowhere
-        if ((e.hi & ((priority_bias << 1) - 1)) == prio_key)
-            continue;
-        if (e.when() < best)
-            best = e.when();
-    }
+    forEachHeld([&](std::uint32_t s) {
+        if (slots_[s].state != SlotState::Pending)
+            return; // tombstone: a cancelled event lands nowhere
+        const Node &n = nodes_[s];
+        if ((n.key & ((priority_bias << 1) - 1)) == prio_key)
+            return;
+        if (n.when() < best)
+            best = n.when();
+    });
     return best;
 }
 
@@ -212,40 +231,65 @@ void
 EventQueue::encodePending(Tick base, std::vector<std::uint64_t> &out) const
 {
     order_scratch_.clear();
-    for (const Entry &e : heap_) {
-        if (slots_[e.slot()].state == SlotState::Pending)
-            order_scratch_.push_back(e);
-    }
-    // Execution order, not heap order: the heap layout depends on
+    forEachHeld([&](std::uint32_t s) {
+        if (slots_[s].state == SlotState::Pending)
+            order_scratch_.push_back(nodes_[s]);
+    });
+    // Execution order, not bucket order: the bucket layout depends on
     // insertion history, which two equivalent states need not share.
     std::sort(order_scratch_.begin(), order_scratch_.end(), before);
     out.push_back(order_scratch_.size());
-    for (const Entry &e : order_scratch_) {
+    for (const Node &n : order_scratch_) {
         // The offset is signed-in-two's-complement: pending events
         // may precede the caller's base tick.
-        out.push_back(static_cast<std::uint64_t>(e.when() - base));
-        out.push_back(e.hi & ((priority_bias << 1) - 1));
+        out.push_back(static_cast<std::uint64_t>(n.when() - base));
+        out.push_back(n.key & ((priority_bias << 1) - 1));
     }
 }
 
 void
 EventQueue::shiftPending(Tick delta)
 {
-    for (Entry &e : heap_) {
-        e.hi += delta << when_shift;
-        SYNCPERF_ASSERT(e.when() < (Tick{1} << (64 - when_shift)),
+    if (delta == 0)
+        return;
+    SYNCPERF_ASSERT(delta < tick_limit,
+                    "shift out of the packed 40-bit range");
+    const auto shift = [&](std::uint32_t s) {
+        Node &n = nodes_[s];
+        SYNCPERF_ASSERT(n.when() < tick_limit - delta,
                         "shifted tick out of the packed 40-bit range");
+        n.key += delta << when_shift;
+        place(s);
+    };
+    // Re-bucket against the unchanged last_: bucket indices depend on
+    // absolute ticks. Every shifted tick is past last_, so nothing
+    // re-enters current_ while it is walked.
+    const std::array<Bucket, bucket_count> lists = buckets_;
+    const std::uint64_t held = mask_;
+    buckets_.fill(Bucket{});
+    mask_ = 0;
+    for (std::uint32_t s : current_)
+        shift(s);
+    current_.clear();
+    for (std::uint64_t m = held; m != 0; m &= m - 1) {
+        std::uint32_t s = lists[std::countr_zero(m)].head;
+        while (s != no_slot) {
+            const std::uint32_t next = nodes_[s].next;
+            shift(s);
+            s = next;
+        }
     }
 }
 
 void
 EventQueue::reserve(std::size_t events)
 {
-    heap_.reserve(events);
+    current_.reserve(events);
     if (slots_.size() >= events)
         return;
     const auto old = static_cast<std::uint32_t>(slots_.size());
     slots_.resize(events);
+    nodes_.reserve(events);
     // New slots are free; descending order so the lowest fresh index
     // is handed out first (matching reset()'s warm-fill convention).
     // Slot indices never influence execution order, so this cannot
@@ -259,7 +303,10 @@ EventQueue::reserve(std::size_t events)
 void
 EventQueue::reset()
 {
-    heap_.clear();
+    current_.clear();
+    buckets_.fill(Bucket{});
+    mask_ = 0;
+    last_ = 0;
     free_.clear();
     // Every slot is reclaimed and its generation bumped, so handles
     // from before the reset are dead. Descending order so the next

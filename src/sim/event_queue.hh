@@ -12,16 +12,25 @@
  * oversized captures), so the table stays as small as the peak
  * number of in-flight events rather than growing with every event
  * ever scheduled; cancellation is a lazy tombstone in the slot
- * rather than a hash set; and the 4-ary heap holds plain
- * {tick, key, slot} records so sift operations shuffle small PODs
- * instead of relocating callbacks. Steady-state schedule()/run()
- * cycles on a reused queue perform zero heap allocations per event.
+ * rather than a hash set. Steady-state schedule()/run() cycles on a
+ * reused queue perform zero heap allocations per event.
+ *
+ * Ordering is a radix heap on the 40-bit tick (Ahuja, Mehlhorn,
+ * Orlin & Tarjan, 1990): simulated time never runs backwards, so an
+ * event lands in the bucket named by the highest bit in which its
+ * tick differs from the last popped one. Insert is one list push
+ * (a sorted insert into the short current-tick array for a same-tick
+ * event); a pop that runs out of current-tick events takes the
+ * lowest non-empty bucket, whose minimum it already knows, and
+ * redistributes it downward in one walk. The bucket
+ * lists are threaded through a per-slot side array, so the queue's
+ * memory is bounded by the slot table whatever the tick spread.
  *
  * Handles are generation-tagged slot references: executing,
  * cancelling, or reset() bumps the slot's generation, which
  * invalidates every outstanding handle to it. Execution order is
  * the total order (tick, priority, schedule call order) -- unique
- * per event -- so it is independent of the heap's arity and of slot
+ * per event -- so it is independent of bucket layout and of slot
  * reuse, and results stay reproducible bit-for-bit.
  */
 
@@ -29,6 +38,8 @@
 #define SYNCPERF_SIM_EVENT_QUEUE_HH
 
 #include <cstddef>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <new>
 #include <type_traits>
@@ -158,7 +169,8 @@ class EventCallback
 };
 
 /**
- * Min-heap event queue with stable same-tick ordering.
+ * Monotone event queue (a radix heap on the tick) with stable
+ * same-tick ordering.
  *
  * Not thread safe: each simulated machine owns one queue and runs it
  * from a single host thread.
@@ -229,9 +241,9 @@ class EventQueue
 
     /**
      * Tick of the earliest pending (non-cancelled) event, or no_tick
-     * when the queue is empty. O(1): the heap root is the earliest
-     * live event unless it is a tombstone, in which case a linear
-     * scan resolves it (tombstones are rare by construction).
+     * when the queue is empty. Scans the current tick's events, then
+     * the lowest bucket holding a live event: every tick in a lower
+     * bucket precedes every tick in a higher one.
      */
     Tick earliestPending() const;
 
@@ -262,7 +274,7 @@ class EventQueue
      * event in execution order. Cancelled tombstones are skipped.
      * Two queues with equal encodings against their respective bases
      * execute the same event pattern at the same offsets, whatever
-     * their internal heap layout or schedule-sequence numbers.
+     * their internal bucket layout or schedule-sequence numbers.
      */
     void encodePending(Tick base, std::vector<std::uint64_t> &out) const;
 
@@ -271,7 +283,8 @@ class EventQueue
      * included; they are inert either way). Relative order is
      * untouched -- the packed key makes this a monotone transform --
      * so this is how the loop batcher advances a whole steady-state
-     * window in O(pending) without re-heapifying.
+     * window in O(pending). Bucket indices depend on absolute ticks,
+     * so every event is re-bucketed.
      */
     void shiftPending(Tick delta);
 
@@ -307,10 +320,11 @@ class EventQueue
 
     /**
      * Pre-size the queue for @p events concurrently pending events:
-     * the heap's capacity and the slot table both grow to at least
-     * that many entries, so a machine cloned from a warmed template
-     * never pays the incremental grow-as-you-go allocations of its
-     * first run. Execution order is (tick, priority, schedule order)
+     * the slot table grows to at least that many entries, and the
+     * ordering records and the current-tick array get the capacity
+     * for as many, so a machine cloned from a warmed template never
+     * pays the incremental grow-as-you-go allocations of its first
+     * run. Execution order is (tick, priority, schedule order)
      * -- independent of slot indices -- so pre-populating the free
      * list cannot change any simulation result. Never shrinks.
      */
@@ -325,7 +339,7 @@ class EventQueue
     enum class SlotState : unsigned char
     {
         Pending,
-        Cancelled, ///< tombstone: freed when its heap record pops
+        Cancelled, ///< tombstone: freed when its record pops
     };
 
     /** Priority bias: int priorities in [-2^23, 2^23) map onto the
@@ -339,42 +353,55 @@ class EventQueue
      * time at GPU clocks -- orders of magnitude beyond any run). */
     static constexpr unsigned when_shift = 24;
 
-    /**
-     * Ordering record kept in the heap: 16 packed bytes, so sift
-     * operations move two words per level and never touch the
-     * callbacks.
-     *
-     * hi = tick : 40 | biased priority : 24 -- one compare orders by
-     * (tick, priority). lo = schedule seq : 32 | slot index : 32 --
-     * the seq breaks remaining ties by schedule call order, compared
-     * circularly (see before()), so the 32-bit counter never wraps
-     * incorrectly while fewer than 2^31 events coexist.
-     */
-    struct Entry
-    {
-        std::uint64_t hi;
-        std::uint64_t lo;
+    /** First tick past the packed 40-bit range. */
+    static constexpr Tick tick_limit = Tick{1} << (64 - when_shift);
 
-        Tick when() const { return hi >> when_shift; }
-        std::uint32_t slot() const
-        {
-            return static_cast<std::uint32_t>(lo);
-        }
+    /** Radix buckets: index 0 is the current tick (current_), and
+     * bucket b in [1, 40] holds ticks whose highest bit differing
+     * from last_ is bit b - 1. */
+    static constexpr unsigned bucket_count = 65 - when_shift;
+
+    /** End of a bucket list. */
+    static constexpr std::uint32_t no_slot = ~std::uint32_t{0};
+
+    /**
+     * Ordering record of one slot, kept beside the slot table so
+     * bucket walks touch 16 bytes per event and never the callbacks.
+     *
+     * key = tick : 40 | biased priority : 24 -- one compare orders by
+     * (tick, priority). seq breaks remaining ties by schedule call
+     * order, compared circularly (see before()), so the 32-bit
+     * counter never wraps incorrectly while fewer than 2^31 events
+     * coexist. next links the slot into its bucket's list.
+     */
+    struct Node
+    {
+        std::uint64_t key;
+        std::uint32_t seq;
+        std::uint32_t next;
+
+        Tick when() const { return key >> when_shift; }
     };
 
     /** True when @p a executes before @p b: the total order
      * (tick, priority, schedule order), unique per event. */
     static bool
-    before(const Entry &a, const Entry &b)
+    before(const Node &a, const Node &b)
     {
-        if (a.hi != b.hi)
-            return a.hi < b.hi;
+        if (a.key != b.key)
+            return a.key < b.key;
         // Circular 32-bit comparison of the schedule seqs: exact as
         // long as coexisting events span < 2^31 schedule calls.
-        return static_cast<std::int32_t>(
-                   static_cast<std::uint32_t>(a.lo >> 32) -
-                   static_cast<std::uint32_t>(b.lo >> 32)) < 0;
+        return static_cast<std::int32_t>(a.seq - b.seq) < 0;
     }
+
+    /** One radix bucket; the defaults are the empty state. */
+    struct Bucket
+    {
+        /** Smallest key held, tombstones included: the refill base. */
+        std::uint64_t min_key = ~std::uint64_t{0};
+        std::uint32_t head = no_slot; ///< first slot of the list
+    };
 
     /** Callback plus handle-validation state for one slot. */
     struct Slot
@@ -384,14 +411,52 @@ class EventQueue
         SlotState state = SlotState::Pending;
     };
 
-    /** Restore heap order for a new element at index @p i. */
-    void siftUp(std::size_t i);
+    /** Sort order of current_: slots that run later come first, so
+     * the back runs next. */
+    auto
+    laterFirst() const
+    {
+        return [this](std::uint32_t a, std::uint32_t b) {
+            return before(nodes_[b], nodes_[a]);
+        };
+    }
 
-    /** Restore heap order downward from index @p i. */
-    void siftDown(std::size_t i);
+    /** File @p slot under the bucket of its tick relative to last_
+     * (requires its tick >= last_). */
+    void place(std::uint32_t slot);
 
-    /** Pop the earliest ordering record off the heap. */
-    Entry popTop();
+    /** Refill the empty current_ from the lowest non-empty bucket,
+     * advancing last_ to that bucket's earliest tick. */
+    void advance();
+
+    /** Earliest tick held, tombstones included, without moving
+     * last_. Requires a non-empty queue. */
+    Tick
+    peekTick() const
+    {
+        return current_.empty()
+                   ? buckets_[std::countr_zero(mask_)].min_key >> when_shift
+                   : last_;
+    }
+
+    /** True when no record (live or tombstone) is held. */
+    bool drained() const { return current_.empty() && mask_ == 0; }
+
+    /** Call @p fn(slot) for every held record, tombstones included,
+     * in no particular order. */
+    template <typename Fn>
+    void
+    forEachHeld(Fn &&fn) const
+    {
+        for (std::uint32_t s : current_)
+            fn(s);
+        for (std::uint64_t m = mask_; m != 0; m &= m - 1) {
+            for (std::uint32_t s = buckets_[std::countr_zero(m)].head;
+                 s != no_slot; s = nodes_[s].next) {
+                fn(s);
+            }
+        }
+    }
 
     /** Return @p slot to the free list and kill its handles. */
     void
@@ -403,17 +468,25 @@ class EventQueue
 
     void executeOne();
 
-    std::vector<Entry> heap_; ///< 4-ary min-heap ordered by before()
     std::vector<Slot> slots_;
+    std::vector<Node> nodes_;         ///< ordering records, by slot
     std::vector<std::uint32_t> free_; ///< reusable slot indices
-    std::uint32_t next_seq_ = 0;      ///< schedule-order tie-break
+    /** Bucket 0: the slots due at tick last_, sorted by (priority,
+     * schedule order) from the back, which runs next. */
+    std::vector<std::uint32_t> current_;
+    std::array<Bucket, bucket_count> buckets_{}; ///< [0] unused
+    std::uint64_t mask_ = 0; ///< bit b set iff bucket b is non-empty
+    /** Tick of the last refill: every held record is at or after
+     * it, and it never exceeds now_ while a callback can run. */
+    Tick last_ = 0;
+    std::uint32_t next_seq_ = 0; ///< schedule-order tie-break
     Tick now_ = 0;
     std::size_t live_ = 0;
     std::size_t max_pending_ = 0;
     std::uint64_t executed_ = 0;
     Tick horizon_pin_ = no_tick;
     /** Reused sort buffer of encodePending(). */
-    mutable std::vector<Entry> order_scratch_;
+    mutable std::vector<Node> order_scratch_;
 };
 
 } // namespace syncperf::sim

@@ -123,6 +123,7 @@ TEST_F(MetricsRegistryTest, DeterminismClassificationIsStable)
     EXPECT_TRUE(counterIsDeterministic(Counter::NoiseRetries));
     EXPECT_TRUE(counterIsDeterministic(Counter::FaultsInjected));
     EXPECT_TRUE(counterIsDeterministic(Counter::FaultsSurvived));
+    EXPECT_TRUE(counterIsDeterministic(Counter::SimEvents));
 
     // Checkpoint cadence depends on --jobs (every commit serial,
     // batched in parallel), so the counter lives in the timing class.

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -99,6 +102,41 @@ TEST(ThreadPool, DestructorDrainsQueuedWork)
         // No waitIdle: the destructor must finish the backlog.
     }
     EXPECT_EQ(ran.load(), 100);
+}
+
+TEST(ThreadPool, IdleTailIsCountedWhileWorkersStillWait)
+{
+    // One long and one short task on two workers: whichever worker
+    // gets the short one then waits out the long one's tail. That
+    // wait is still open when workerStats() runs after waitIdle(),
+    // and must be counted up to the snapshot.
+    using namespace std::chrono;
+    constexpr auto long_task = milliseconds(200);
+    const auto t0 = steady_clock::now();
+    ThreadPool pool(2);
+    // Both workers are running before the timed pair is submitted.
+    std::latch started(2);
+    for (int i = 0; i < 2; ++i)
+        pool.submit([&] { started.arrive_and_wait(); });
+    pool.waitIdle();
+    pool.submit([&] { std::this_thread::sleep_for(long_task); });
+    pool.submit([] {});
+    pool.waitIdle();
+    const auto stats = pool.workerStats();
+    const auto wall = steady_clock::now() - t0;
+
+    long long idle = 0;
+    long long tasks = 0;
+    for (const auto &w : stats) {
+        idle += w.idle_nanos;
+        tasks += w.tasks_run;
+    }
+    EXPECT_EQ(tasks, 4);
+    // The gap between the two tasks is the long task's length less a
+    // no-op; allow a quarter for the short worker's start-up.
+    EXPECT_GE(idle, duration_cast<nanoseconds>(long_task).count() * 3 / 4);
+    // Two workers cannot be idle longer than both of them existed.
+    EXPECT_LE(idle, 2 * duration_cast<nanoseconds>(wall).count());
 }
 
 TEST(ThreadPool, HardwareConcurrencyIsPositive)

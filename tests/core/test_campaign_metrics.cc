@@ -110,10 +110,36 @@ TEST_F(CampaignMetricsTest,
     const auto parallel_counters = deterministicCounters();
 
     EXPECT_GT(serial_counters.at("points_committed"), 0);
+    // Simulated work is part of the contract: the same events run
+    // whatever the worker count.
+    EXPECT_GT(serial_counters.at("sim_events"), 0);
     // checkpoint_flushes is a timing-class counter (its cadence
     // depends on --jobs), so assert it directly instead of through
     // the deterministic map.
     EXPECT_GT(metrics::value(metrics::Counter::CheckpointFlushes), 0);
+    EXPECT_EQ(serial_counters, parallel_counters);
+}
+
+TEST_F(CampaignMetricsTest, GpuSimEventsMatchAcrossJobCounts)
+{
+    auto gpu = gpusim::GpuConfig::rtx4090();
+    gpu.sm_count = 4; // keep the sweep cheap
+    auto protocol = MeasurementConfig::simGpuDefaults();
+    protocol.runs = 1;
+    protocol.attempts = 1;
+    protocol.n_iter = 5;
+    protocol.n_unroll = 2;
+
+    ASSERT_TRUE(
+        runCudaCampaign(gpu, protocol, options("gpu_serial", 1)).ok());
+    const auto serial_counters = deterministicCounters();
+
+    CampaignMetrics::global().reset();
+    ASSERT_TRUE(
+        runCudaCampaign(gpu, protocol, options("gpu_parallel", 4)).ok());
+    const auto parallel_counters = deterministicCounters();
+
+    EXPECT_GT(serial_counters.at("sim_events"), 0);
     EXPECT_EQ(serial_counters, parallel_counters);
 }
 

@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "sim/event_queue.hh"
 
 namespace syncperf::sim
@@ -396,6 +401,307 @@ TEST(EventQueue, ManyEventsStressOrdering)
     eq.run();
     EXPECT_TRUE(monotonic);
     EXPECT_EQ(eq.executed(), 1000u);
+}
+
+// ------------------------------------------------------------------
+// Differential check: seeded random operation streams against a
+// reference ordered multiset keyed (tick, priority, schedule order).
+// ------------------------------------------------------------------
+
+/**
+ * Drives one EventQueue and a reference model through the same
+ * random operations, and after every step -- each executed callback
+ * and each operation between runs -- compares the execution order,
+ * pending count and every pending-set query. Callbacks schedule at
+ * the current tick above and below their own priority, cancel, and
+ * shift the pending set, the way the machines and the loop batcher
+ * do.
+ */
+class QueueDifferential
+{
+  public:
+    explicit QueueDifferential(std::uint64_t seed) : rng_(seed, seed) {}
+
+    void
+    runStream(int ops)
+    {
+        for (int op = 0; op < ops && !::testing::Test::HasFailure();
+             ++op) {
+            const std::uint32_t pick = rng_.below(100);
+            if (pick < 40) {
+                scheduleAt(eq_.now() + delta(), priority());
+            } else if (pick < 50) {
+                cancelSome();
+            } else if (pick < 60) {
+                shift();
+            } else if (pick < 75) {
+                runUntilThenFill();
+            } else if (pick < 85) {
+                budget_ = rng_.below(200);
+                eq_.run();
+                EXPECT_TRUE(ref_.empty());
+                // Handles of executed events are dead.
+                if (!issued_.empty()) {
+                    EXPECT_FALSE(eq_.deschedule(issued_.back()));
+                }
+            } else if (pick < 90) {
+                pin();
+            } else if (pick < 95) {
+                resetOrReserve();
+            } else {
+                for (int i = 0; i < 32; ++i)
+                    scheduleAt(eq_.now() + delta(), priority());
+            }
+            check();
+        }
+        budget_ = 0;
+        eq_.run();
+        EXPECT_TRUE(ref_.empty());
+        check();
+    }
+
+  private:
+    /** (tick, priority, schedule order); the order is also the
+     * event's id. */
+    using Key = std::tuple<Tick, int, std::uint64_t>;
+
+    static constexpr int prio_window = 8;
+    static constexpr Tick tick_limit = Tick{1} << 40;
+
+    std::uint64_t
+    wide(unsigned bits)
+    {
+        const std::uint64_t v =
+            static_cast<std::uint64_t>(rng_()) << 32 | rng_();
+        return bits >= 64 ? v : v & ((std::uint64_t{1} << bits) - 1);
+    }
+
+    /** Gap mix: same tick, short, long, and rare huge jumps up to
+     * 2^39, kept inside the packed 40-bit tick range. */
+    Tick
+    delta()
+    {
+        const std::uint32_t pick = rng_.below(100);
+        Tick d;
+        if (pick < 15)
+            d = 0;
+        else if (pick < 60)
+            d = wide(4);
+        else if (pick < 85)
+            d = wide(12);
+        else if (pick < 97)
+            d = wide(21);
+        else
+            d = wide(39);
+        return maxTick() + d < tick_limit / 2 ? d : wide(4);
+    }
+
+    int
+    priority()
+    {
+        return static_cast<int>(rng_.below(prio_window + 4)) - 2;
+    }
+
+    Tick
+    maxTick() const
+    {
+        return ref_.empty() ? eq_.now() : std::get<0>(*ref_.rbegin());
+    }
+
+    void
+    scheduleAt(Tick when, int prio)
+    {
+        const std::uint64_t id = next_id_++;
+        const Key key{when, prio, id};
+        const EventId handle =
+            eq_.schedule(when, [this, id] { fire(id); }, prio);
+        ref_.insert(key);
+        by_id_[id] = {key, handle};
+        issued_.push_back(handle);
+    }
+
+    /** One executed callback: it must be the reference's first
+     * event, at the reference's tick; then it may act. */
+    void
+    fire(std::uint64_t id)
+    {
+        ASSERT_FALSE(ref_.empty());
+        const Key first = *ref_.begin();
+        ASSERT_EQ(std::get<2>(first), id) << "out of order";
+        EXPECT_EQ(eq_.now(), std::get<0>(first));
+        ref_.erase(ref_.begin());
+        by_id_.erase(id);
+        const int own = std::get<1>(first);
+        check();
+        if (budget_ == 0)
+            return;
+        --budget_;
+        const std::uint32_t acts = rng_.below(3);
+        for (std::uint32_t i = 0; i < acts; ++i) {
+            const std::uint32_t pick = rng_.below(100);
+            if (pick < 25) {
+                // Same tick, below the running event's priority: it
+                // still runs next, ahead of already-queued peers.
+                scheduleAt(eq_.now(), own - 1 - static_cast<int>(
+                                                     rng_.below(2)));
+            } else if (pick < 40) {
+                scheduleAt(eq_.now(), own + static_cast<int>(
+                                                rng_.below(3)));
+            } else if (pick < 80) {
+                scheduleAt(eq_.now() + delta(), priority());
+            } else if (pick < 90) {
+                cancelSome();
+            } else {
+                shift();
+            }
+            check();
+        }
+    }
+
+    /** Cancel a random issued handle; only pending ones succeed. */
+    void
+    cancelSome()
+    {
+        if (issued_.empty())
+            return;
+        const EventId handle = issued_[rng_.below(
+            static_cast<std::uint32_t>(issued_.size()))];
+        const auto live = std::find_if(
+            by_id_.begin(), by_id_.end(),
+            [handle](const auto &kv) { return kv.second.second == handle; });
+        const bool expect = live != by_id_.end();
+        EXPECT_EQ(eq_.deschedule(handle), expect);
+        if (expect) {
+            ref_.erase(live->second.first);
+            by_id_.erase(live);
+        }
+    }
+
+    void
+    shift()
+    {
+        Tick d = rng_.below(4) == 0 ? wide(30) : wide(10);
+        if (maxTick() + d >= tick_limit / 2)
+            d = 1;
+        eq_.shiftPending(d);
+        std::set<Key> shifted;
+        for (auto &[id, entry] : by_id_) {
+            std::get<0>(entry.first) += d;
+            shifted.insert(entry.first);
+        }
+        ref_ = std::move(shifted);
+    }
+
+    /** runUntil(limit), then schedule into [limit, next pending):
+     * the queue must not have advanced its base past limit. */
+    void
+    runUntilThenFill()
+    {
+        const Tick limit = eq_.now() + wide(rng_.below(2) ? 6 : 14);
+        budget_ = rng_.below(100);
+        eq_.runUntil(limit);
+        EXPECT_EQ(eq_.now(), limit);
+        if (!ref_.empty()) {
+            EXPECT_GT(std::get<0>(*ref_.begin()), limit);
+        }
+        check();
+        const Tick next =
+            ref_.empty() ? limit + 64 : std::get<0>(*ref_.begin());
+        const std::uint32_t n = rng_.below(4);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            scheduleAt(limit + rng_.below(static_cast<std::uint32_t>(
+                                   std::min<Tick>(next - limit, 1 << 20))),
+                       priority());
+        }
+    }
+
+    void
+    pin()
+    {
+        if (rng_.below(2) == 0) {
+            pin_ = eq_.now() + wide(12);
+            eq_.pinHorizon(pin_);
+        } else {
+            pin_ = EventQueue::no_tick;
+            eq_.clearHorizonPin();
+        }
+    }
+
+    void
+    resetOrReserve()
+    {
+        if (rng_.below(2) == 0)
+            eq_.reserve(rng_.below(512));
+        eq_.reset();
+        ref_.clear();
+        by_id_.clear();
+        pin_ = EventQueue::no_tick;
+        // Every pre-reset handle is dead.
+        for (std::size_t i = 0; i < issued_.size(); i += 7)
+            EXPECT_FALSE(eq_.deschedule(issued_[i]));
+        issued_.clear();
+        EXPECT_EQ(eq_.now(), 0u);
+    }
+
+    /** Compare every pending-set query with the reference. */
+    void
+    check()
+    {
+        ASSERT_EQ(eq_.pending(), ref_.size());
+        EXPECT_EQ(eq_.empty(), ref_.empty());
+        EXPECT_EQ(eq_.earliestPending(),
+                  ref_.empty() ? EventQueue::no_tick
+                               : std::get<0>(*ref_.begin()));
+
+        std::vector<Tick> floors(prio_window);
+        eq_.earliestPendingPerPriority(floors);
+        std::vector<Tick> want(prio_window, EventQueue::no_tick);
+        for (const Key &k : ref_) {
+            const int p = std::get<1>(k);
+            if (p >= 0 && p < prio_window)
+                want[static_cast<std::size_t>(p)] = std::min(
+                    want[static_cast<std::size_t>(p)], std::get<0>(k));
+        }
+        EXPECT_EQ(floors, want);
+
+        const int own = priority();
+        Tick foreign = pin_;
+        for (const Key &k : ref_) {
+            if (std::get<1>(k) != own)
+                foreign = std::min(foreign, std::get<0>(k));
+        }
+        EXPECT_EQ(eq_.nextForeignTick(own), foreign);
+
+        const Tick base = eq_.now();
+        std::vector<std::uint64_t> enc;
+        eq_.encodePending(base, enc);
+        std::vector<std::uint64_t> ref_enc{ref_.size()};
+        for (const Key &k : ref_) {
+            ref_enc.push_back(std::get<0>(k) - base);
+            ref_enc.push_back(static_cast<std::uint64_t>(
+                std::get<1>(k) + (1 << 23)));
+        }
+        EXPECT_EQ(enc, ref_enc);
+    }
+
+    EventQueue eq_;
+    Pcg32 rng_;
+    std::set<Key> ref_;
+    std::map<std::uint64_t, std::pair<Key, EventId>> by_id_;
+    std::vector<EventId> issued_;
+    std::uint64_t next_id_ = 0;
+    std::uint32_t budget_ = 0; ///< callbacks that may still act
+    Tick pin_ = EventQueue::no_tick;
+};
+
+TEST(EventQueueDifferential, MatchesOrderedMultisetReference)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(seed);
+        QueueDifferential(seed).runStream(400);
+        if (::testing::Test::HasFailure())
+            break;
+    }
 }
 
 } // namespace
