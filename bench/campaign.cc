@@ -23,9 +23,10 @@
  */
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <map>
@@ -38,7 +39,6 @@
 #include "common/metrics.hh"
 #include "common/trace.hh"
 #include "core/campaign.hh"
-#include "core/machine_pool.hh"
 #include "core/metrics.hh"
 #include "core/run_status.hh"
 #include "core/telemetry.hh"
@@ -140,6 +140,25 @@ systemSelected(const std::vector<std::string> &only,
     return false;
 }
 
+/** Parse all of @p text as a base-10 int (an optional '-', then
+ * digits only); false on anything else or on overflow. */
+bool
+parseInt(std::string_view text, int &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc{} && ptr == end;
+}
+
+/** Parse all of @p text as a finite decimal number. */
+bool
+parseFinite(std::string_view text, double &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc{} && ptr == end && std::isfinite(out);
+}
+
 /** One command-line flag; value flags consume the next argument. */
 struct Flag
 {
@@ -160,10 +179,8 @@ constexpr Flag flags[] = {
     {"--cov-gate", true},
     {"--no-sim-cache", false},
     {"--no-loop-batch", false},
-    {"--no-machine-pool", false},
     {"--lanes", true},
     {"--no-lanes", false},
-    {"--snapshot-dir", true},
     {"--telemetry", false},
     {"--explain", false},
     {"--explain-only", false},
@@ -272,8 +289,6 @@ main(int argc, char **argv)
     std::string status_file;
     double status_interval = 1.0;
     bool progress = false;
-    std::string snapshot_dir;
-    bool machine_pool_on = true;
     std::vector<std::string> only;
     MeasurementConfig omp_protocol = MeasurementConfig::simDefaults();
     MeasurementConfig cuda_protocol = MeasurementConfig::simGpuDefaults();
@@ -297,6 +312,11 @@ main(int argc, char **argv)
         }
         const std::string_view name = flag->name;
         const char *value = flag->takes_value ? argv[++i] : nullptr;
+        const auto bad_value = [&](const char *wants) {
+            std::fprintf(stderr, "%s: %s wants %s, not '%s'\n", argv[0],
+                         flag->name.data(), wants, value);
+            return 2;
+        };
         if (name == "--out") {
             options.output_dir = value;
         } else if (name == "--thorough") {
@@ -304,14 +324,11 @@ main(int argc, char **argv)
         } else if (name == "--resume") {
             options.resume = true;
         } else if (name == "--jobs") {
-            options.jobs = std::atoi(value);
-            if (options.jobs < 1) {
-                std::fprintf(stderr, "%s: --jobs wants a count >= 1\n",
-                             argv[0]);
-                return 2;
-            }
+            if (!parseInt(value, options.jobs) || options.jobs < 1)
+                return bad_value("a count >= 1");
         } else if (name == "--checkpoint-every") {
-            options.checkpoint_every = std::atoi(value);
+            if (!parseInt(value, options.checkpoint_every))
+                return bad_value("an integer count (0 = auto)");
         } else if (name == "--only") {
             only = parseOnly(value);
         } else if (name == "--trace") {
@@ -323,18 +340,16 @@ main(int argc, char **argv)
         } else if (name == "--status") {
             status_file = value;
         } else if (name == "--status-interval") {
-            status_interval = std::atof(value);
-            if (status_interval <= 0) {
-                std::fprintf(stderr,
-                             "%s: --status-interval wants seconds "
-                             "> 0\n",
-                             argv[0]);
-                return 2;
+            if (!parseFinite(value, status_interval) ||
+                status_interval <= 0) {
+                return bad_value("seconds > 0");
             }
         } else if (name == "--progress") {
             progress = true;
         } else if (name == "--cov-gate") {
-            const double gate = std::atof(value);
+            double gate = 0.0;
+            if (!parseFinite(value, gate))
+                return bad_value("a finite number");
             omp_protocol.cov_gate = gate;
             cuda_protocol.cov_gate = gate;
         } else if (name == "--no-sim-cache") {
@@ -343,23 +358,13 @@ main(int argc, char **argv)
         } else if (name == "--no-loop-batch") {
             omp_protocol.loop_batch = false;
             cuda_protocol.loop_batch = false;
-        } else if (name == "--no-machine-pool") {
-            machine_pool_on = false;
-            omp_protocol.machine_pool = false;
-            cuda_protocol.machine_pool = false;
         } else if (name == "--lanes") {
-            options.lanes = std::atoi(value);
-            if (options.lanes < 1) {
-                std::fprintf(stderr,
-                             "%s: --lanes wants a width >= 1 (use "
-                             "--no-lanes to disable grouping)\n",
-                             argv[0]);
-                return 2;
+            if (!parseInt(value, options.lanes) || options.lanes < 1) {
+                return bad_value(
+                    "a width >= 1 (use --no-lanes to disable grouping)");
             }
         } else if (name == "--no-lanes") {
             options.lanes = 0;
-        } else if (name == "--snapshot-dir") {
-            snapshot_dir = value;
         } else if (name == "--telemetry") {
             omp_protocol.telemetry = true;
             cuda_protocol.telemetry = true;
@@ -381,8 +386,7 @@ main(int argc, char **argv)
                 "[--checkpoint-every N] "
                 "[--only NAME[,NAME...]] "
                 "[--no-sim-cache] [--no-loop-batch] "
-                "[--no-machine-pool] [--lanes N] [--no-lanes] "
-                "[--snapshot-dir DIR] "
+                "[--lanes N] [--no-lanes] "
                 "[--telemetry] [--explain] "
                 "[--explain-only] [--trace FILE] [--metrics FILE] "
                 "[--metrics-summary] [--status FILE] "
@@ -401,13 +405,6 @@ main(int argc, char **argv)
                 "byte-identical either way; this only\n"
                 "             trades speed for nothing -- see "
                 "docs/performance.md, \"Loop batching\").\n"
-                "  --no-machine-pool  construct a cold simulator "
-                "machine per experiment and re-decode\n"
-                "             every launch instead of leasing warmed "
-                "machines with decoded images\n"
-                "             (output is byte-identical either way; "
-                "see docs/performance.md,\n"
-                "             \"Warm-start machine pool\").\n"
                 "  --lanes N  lane groups span at most N sweep points "
                 "whose programs decode to\n"
                 "             identical images; a group simulates its "
@@ -420,13 +417,6 @@ main(int argc, char **argv)
                 "every point on its own\n"
                 "             simulator (the reference leg; output is "
                 "byte-identical either way).\n"
-                "  --snapshot-dir DIR  persist decoded program images "
-                "to DIR and load past\n"
-                "             decoding on later runs (shared across "
-                "processes; corrupt or\n"
-                "             stale files are rejected and rebuilt; "
-                "output is byte-identical\n"
-                "             either way).\n"
                 "  --only     run only systems whose sanitized name "
                 "contains a given fragment.\n"
                 "  --trace FILE     record spans, write Chrome trace "
@@ -501,9 +491,6 @@ main(int argc, char **argv)
     // One fresh window per invocation: counters cover this campaign
     // only, so two snapshots of the same configuration are diffable.
     core::CampaignMetrics::global().reset();
-
-    core::MachinePool::global().configure(
-        {machine_pool_on, snapshot_dir});
 
     // The systems this invocation covers, in canonical order.
     std::vector<cpusim::CpuConfig> cpus;

@@ -313,33 +313,6 @@ BM_HoldModel(benchmark::State &state)
 BENCHMARK(BM_HoldModel);
 
 /**
- * The machine pool's clone path: a fresh queue reserve()d to a warm
- * template's slot capacity must run its very first hold-model cycle
- * without allocating.
- */
-void
-BM_HoldModelReservedFirstRun(benchmark::State &state)
-{
-    HoldModel model;
-    EventQueue warm;
-    model.cycle(warm);
-
-    std::uint64_t allocs = 0;
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        EventQueue eq;
-        eq.reserve(warm.slotCapacity());
-        const std::uint64_t before = allocCount();
-        model.cycle(eq);
-        allocs += allocCount() - before;
-        events += eq.executed();
-    }
-
-    finish(state, events, allocs);
-}
-BENCHMARK(BM_HoldModelReservedFirstRun);
-
-/**
  * Contrast case: captures larger than EventCallback::inline_size buy
  * one boxed allocation per event by design. No zero-alloc assertion
  * -- the counter documents the cost of outgrowing the small buffer.

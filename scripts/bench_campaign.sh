@@ -5,20 +5,16 @@
 # one GPU, so both machine families of the paper's Table I weigh in)
 # with every layer on -- THE warm baseline, reused as the fast side
 # of every ratio -- then once per disabled layer: --jobs N
-# (parallel), --no-loop-batch (single-stepped simulators), --no-lanes
-# (ungrouped sweep points), --no-machine-pool (cold machines), and a
-# --snapshot-dir pair whose timed second pass warm-starts from
-# on-disk decoded-program images. Every timed leg is best-of-3: the
+# (parallel), --no-loop-batch (single-stepped simulators), and
+# --no-lanes (ungrouped sweep points). Every timed leg is best-of-3: the
 # ratio floors below assert on quotients of sub-second walls, where a
 # single scheduler hiccup is bigger than the margin being asserted,
 # while minima are stable. All single-run result trees -- every
 # repetition of every leg -- must be byte-identical to the warm
 # baseline's. Writes BENCH_campaign.json at the repo root with
-# wall-clock times, ratio speedups, and experiments/sec for each leg,
-# plus machinepool-bench.json with the warm-start numbers on their
-# own (uploaded by CI as an artifact). Compare the JSON across
-# commits to catch scheduler, per-experiment, loop-batcher, lane, or
-# pool regressions.
+# wall-clock times, ratio speedups, and experiments/sec for each leg.
+# Compare the JSON across commits to catch scheduler, per-experiment,
+# loop-batcher, or lane regressions.
 #
 # Usage: scripts/bench_campaign.sh [options] [JOBS]
 #   JOBS  worker count for the parallel leg (default: nproc; clamped
@@ -32,7 +28,7 @@
 #                      when wall-clock or experiments/sec regresses
 #                      >15% against the committed BENCH_campaign.json
 #                      (which is left untouched), or a ratio floor
-#                      (loop batching, lanes, warm start) is missed.
+#                      (loop batching, lanes) is missed.
 #                      Used by CI; see docs/performance.md.
 #   --trace-overhead [PCT]
 #                      overhead gate: time the serial leg with and
@@ -248,52 +244,9 @@ echo "== bench: ungrouped leg (--no-lanes --jobs 1) =="
 NOLANES_S="$(run_best3 nolanes --no-lanes --jobs 1)"
 echo "   best of 3: ${NOLANES_S}s"
 
-# Lane grouping requires the machine pool, so --no-machine-pool
-# implies ungrouped execution; the explicit --no-lanes keeps the flag
-# story honest, and the pool's own win is this leg over the nolanes
-# leg (both ungrouped, differing only in the pool).
-echo "== bench: cold-machine leg (--no-machine-pool --no-lanes --jobs 1) =="
-NOPOOL_S="$(run_best3 nopool --no-machine-pool --no-lanes --jobs 1)"
-echo "   best of 3: ${NOPOOL_S}s"
-
-# The snapshot pair runs 3-run experiments (--cov-gate with a gate
-# that can never trip) with the launch memoizer off, so each decoded
-# image is actually re-launched: the first pass decodes every launch
-# and writes the images, the timed second pass decodes nothing
-# (images load from disk) and replays pool clones. Identical flags,
-# so the two trees must match each other (they differ from the
-# single-run serial tree by design), and their ratio is the
-# warm-start win -- no separate cold baseline leg needed.
-COV_FLAGS=(--cov-gate 1000000 --no-sim-cache --jobs 1)
-
-# Each repetition gets a fresh snapshot directory so every cold-write
-# pass really decodes and writes (reusing one directory would turn
-# reps 2-3 of the "cold" leg into warm starts).
-echo "== bench: snapshot warm-start pair (--snapshot-dir, 3-run) =="
-SNAPWRITE_S=""
-SNAPSHOT_S=""
-for i in 1 2 3; do
-    SNAP_DIR="$WORK/snapimages.r$i"
-    WDIR="$WORK/snapwrite"
-    SDIR="$WORK/snapshot"
-    if [[ "$i" -gt 1 ]]; then
-        WDIR="$WDIR.r$i"
-        SDIR="$SDIR.r$i"
-    fi
-    W="$(run_leg "$WDIR" "${COV_FLAGS[@]}" --snapshot-dir "$SNAP_DIR")"
-    S="$(run_leg "$SDIR" "${COV_FLAGS[@]}" --snapshot-dir "$SNAP_DIR")"
-    echo "   run $i: cold-write ${W}s, warm ${S}s"
-    SNAPWRITE_S="$(awk -v a="${SNAPWRITE_S:-$W}" -v b="$W" \
-        'BEGIN { print (b < a) ? b : a }')"
-    SNAPSHOT_S="$(awk -v a="${SNAPSHOT_S:-$S}" -v b="$S" \
-        'BEGIN { print (b < a) ? b : a }')"
-done
-SNAPSHOT_FILES="$(find "$WORK/snapimages.r1" -name '*.snap' 2>/dev/null | wc -l)"
-echo "   best of 3: cold-write ${SNAPWRITE_S}s, warm ${SNAPSHOT_S}s (${SNAPSHOT_FILES} images)"
-
 # Untimed status-surface leg: the engine's own final status.json
 # carries its experiments/sec and the layer engagement ratios
-# (sim-cache hit rate, pool warm-clone rate, lane grouping, loop-batch
+# (sim-cache hit rate, image reuse rate, lane grouping, loop-batch
 # window coverage). Recording them into the baseline JSON makes
 # engagement drift -- a layer silently disengaging -- show up in
 # review even when wall time hides it. Untimed because the leg exists
@@ -308,7 +261,7 @@ STATUS_POOL_WARM="$(json_field "$WORK/status.json" pool_warm_ratio)"
 STATUS_LANES="$(json_field "$WORK/status.json" lane_grouped_ratio)"
 STATUS_BATCH="$(json_field "$WORK/status.json" loop_batch_window_ratio)"
 echo "   ${STATUS_EPS:-0} exp/s; engagement: sim-cache" \
-     "${STATUS_SIM_CACHE:-0}, pool ${STATUS_POOL_WARM:-0}," \
+     "${STATUS_SIM_CACHE:-0}, images ${STATUS_POOL_WARM:-0}," \
      "lanes ${STATUS_LANES:-0}, loop-batch ${STATUS_BATCH:-0}"
 
 # Every repetition of every leg must match the warm baseline tree --
@@ -317,20 +270,11 @@ echo "   ${STATUS_EPS:-0} exp/s; engagement: sim-cache" \
 echo "== bench: byte-identity check =="
 IDENTICAL=true
 for d in "$WORK"/serial.r* "$WORK"/parallel* "$WORK"/nobatch* \
-         "$WORK"/nolanes* "$WORK"/nopool* "$WORK"/statusleg; do
+         "$WORK"/nolanes* "$WORK"/statusleg; do
     [[ -d "$d" ]] || continue
     if ! diff -r "$WORK/serial" "$d" >/dev/null; then
         IDENTICAL=false
         echo "   OUTPUT DIFFERS between the warm baseline and $(basename "$d")" >&2
-    fi
-done
-# The snapshot trees are 3-run (--cov-gate) so they differ from the
-# single-run serial tree by design; they must all match each other.
-for d in "$WORK"/snapwrite.r* "$WORK"/snapshot*; do
-    [[ -d "$d" ]] || continue
-    if ! diff -r "$WORK/snapwrite" "$d" >/dev/null; then
-        IDENTICAL=false
-        echo "   OUTPUT DIFFERS between snapshot legs: snapwrite vs $(basename "$d")" >&2
     fi
 done
 [[ "$IDENTICAL" == true ]] && echo "   byte-identical (all legs, all reps)"
@@ -364,12 +308,6 @@ BATCH_SPEEDUP="$(awk -v n="$NOBATCH_S" -v s="$SERIAL_S" \
     'BEGIN { printf "%.2f", (s > 0) ? n / s : 0 }')"
 LANE_SPEEDUP="$(awk -v n="$NOLANES_S" -v s="$SERIAL_S" \
     'BEGIN { printf "%.2f", (s > 0) ? n / s : 0 }')"
-# Pool win over the nolanes leg, not the baseline: lanes need the
-# pool, so cold-vs-baseline would double-count the lane win.
-POOL_SPEEDUP="$(awk -v n="$NOPOOL_S" -v s="$NOLANES_S" \
-    'BEGIN { printf "%.2f", (s > 0) ? n / s : 0 }')"
-WARM_SPEEDUP="$(awk -v n="$SNAPWRITE_S" -v s="$SNAPSHOT_S" \
-    'BEGIN { printf "%.2f", (s > 0) ? n / s : 0 }')"
 
 cat > "$OUT_JSON" <<EOF
 {
@@ -384,14 +322,9 @@ cat > "$OUT_JSON" <<EOF
   "parallel_wall_s": $PARALLEL_S,
   "nobatch_wall_s": $NOBATCH_S,
   "nolanes_wall_s": $NOLANES_S,
-  "nopool_wall_s": $NOPOOL_S,
-  "snapwrite_wall_s": $SNAPWRITE_S,
-  "snapshot_wall_s": $SNAPSHOT_S,
   "speedup": $SPEEDUP,
   "loop_batch_speedup": $BATCH_SPEEDUP,
   "lane_speedup": $LANE_SPEEDUP,
-  "machine_pool_speedup": $POOL_SPEEDUP,
-  "warm_start_speedup": $WARM_SPEEDUP,
   "serial_experiments_per_s": $SERIAL_EPS,
   "parallel_experiments_per_s": $PARALLEL_EPS,
   "nobatch_experiments_per_s": $NOBATCH_EPS,
@@ -405,26 +338,7 @@ cat > "$OUT_JSON" <<EOF
 }
 EOF
 
-# Pool-focused side artifact for CI upload: the warm-start story in
-# one small file, independent of the regression baseline.
-cat > machinepool-bench.json <<EOF
-{
-  "benchmark": "machine_pool_warm_start",
-  "systems": "$ONLY",
-  "experiments": $EXPERIMENTS,
-  "host_cores": $HOST_CORES,
-  "snapshot_files": $SNAPSHOT_FILES,
-  "nopool_wall_s": $NOPOOL_S,
-  "nolanes_wall_s": $NOLANES_S,
-  "snapwrite_wall_s": $SNAPWRITE_S,
-  "snapshot_wall_s": $SNAPSHOT_S,
-  "machine_pool_speedup": $POOL_SPEEDUP,
-  "warm_start_speedup": $WARM_SPEEDUP,
-  "byte_identical": $IDENTICAL
-}
-EOF
-
-echo "== bench: wrote $OUT_JSON and machinepool-bench.json =="
+echo "== bench: wrote $OUT_JSON =="
 cat "$OUT_JSON"
 [[ "$IDENTICAL" == true ]]
 
@@ -432,7 +346,7 @@ if [[ "$MODE" == check ]]; then
     echo "== bench: regression gate vs $BASELINE_JSON (limit ${CHECK_LIMIT_PCT}%) =="
     FAILED=0
     for key in serial_wall_s parallel_wall_s nobatch_wall_s \
-               nolanes_wall_s nopool_wall_s snapshot_wall_s; do
+               nolanes_wall_s; do
         base="$(json_field "$BASELINE_JSON" "$key")"
         cur="$(json_field "$OUT_JSON" "$key")"
         if [[ -z "$base" || -z "$cur" ]]; then
@@ -487,20 +401,6 @@ if [[ "$MODE" == check ]]; then
     echo "   lane_speedup: ${cur:-missing}x (floor 1.3x)"
     awk -v c="${cur:-0}" 'BEGIN { exit !(c >= 1.3) }' || {
         echo "   FAIL: lane grouping speedup ${cur:-0}x below the 1.3x floor" >&2
-        FAILED=1
-    }
-    # Same same-invocation-ratio reasoning for the warm-start pool.
-    # Decoding is a small slice of this workload (simulation wall
-    # time scales with iterations, decode does not), so the floor
-    # does not assert a large win; it asserts the snapshot path is
-    # never materially SLOWER than cold machines, which is exactly
-    # how a slow-path regression (per-launch disk reads, a
-    # reject-and-rebuild loop, checksum work on the hot path) would
-    # present.
-    cur="$(json_field "$OUT_JSON" warm_start_speedup)"
-    echo "   warm_start_speedup: ${cur:-missing}x (floor 0.95x)"
-    awk -v c="${cur:-0}" 'BEGIN { exit !(c >= 0.95) }' || {
-        echo "   FAIL: warm-start speedup ${cur:-0}x below the 0.95x floor" >&2
         FAILED=1
     }
     if [[ "$FAILED" -ne 0 ]]; then

@@ -32,8 +32,6 @@ constexpr CounterInfo counter_info[counter_count] = {
     {"loop_batch_fallbacks", true},
     {"pool_clones", true},
     {"pool_cold_builds", true},
-    {"snapshot_loads", true},
-    {"snapshot_rejects", true},
     {"lane_groups", true},
     {"lane_points", true},
     {"lane_peels", true},

@@ -48,10 +48,8 @@ enum class Counter : int
     LoopBatchIters,    ///< timed iterations advanced algebraically
     LoopBatchWindows,  ///< steady-state windows the batchers applied
     LoopBatchFallbacks,///< boundary checks that fell back to stepping
-    PoolClones,        ///< launches that reused an installed decoded image
-    PoolColdBuilds,    ///< decoded images built by a full decode
-    SnapshotLoads,     ///< decoded images installed from a disk snapshot
-    SnapshotRejects,   ///< snapshot files rejected by validation
+    PoolClones,        ///< launches that reused the target's decoded image
+    PoolColdBuilds,    ///< decoded images built by a decode
     LaneGroups,        ///< lane groups the campaign planner formed
     LanePoints,        ///< sweep points routed through the lane planner
     LanePeels,         ///< lanes peeled to single-lane execution

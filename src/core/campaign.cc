@@ -30,7 +30,6 @@
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "core/executor.hh"
-#include "core/machine_pool.hh"
 #include "core/manifest.hh"
 #include "core/metrics.hh"
 #include "core/sweep.hh"
@@ -362,16 +361,12 @@ pointDigest(const ConfigHasher &base, const std::string &file,
 // jobs count -- exactly as it is without lanes.
 
 /** True when lane grouping may run at all under this configuration:
- * the agreement test needs the machine-pool decode path, and
  * ordinal-order fault injection is the one per-launch rng the
  * grouped walk cannot replicate per lane. */
 bool
-laneGroupingAllowed(const CampaignOptions &options,
-                    const MeasurementConfig &protocol)
+laneGroupingAllowed(const CampaignOptions &options)
 {
-    return options.lanes > 0 && protocol.machine_pool &&
-           MachinePool::global().enabled() &&
-           sim::FaultInjector::active() == nullptr;
+    return options.lanes > 0 && sim::FaultInjector::active() == nullptr;
 }
 
 /** One lane's share of a group run. */
@@ -673,10 +668,6 @@ runOmpCampaign(const cpusim::CpuConfig &cfg,
                const CampaignOptions &options)
 {
     CampaignResult result;
-    // Start from a cold pool so back-to-back campaigns in one
-    // process see the same machine/claim state a fresh process would
-    // (the warm-start counters stay run-invariant).
-    MachinePool::global().reset();
     const std::string system = sanitizeName(cfg.name);
     trace::Span system_span("omp:" + system, "system");
     const fs::path dir = fs::path(options.output_dir) / system;
@@ -797,7 +788,7 @@ runOmpCampaign(const cpusim::CpuConfig &cfg,
     // rebind multi-lane group members to the shared group run.
     // Width-1 groups keep the untouched solo emit path.
     auto peels = std::make_shared<std::atomic<long long>>(0);
-    if (laneGroupingAllowed(options, protocol)) {
+    if (laneGroupingAllowed(options)) {
         CpuSimTarget planner_target(cfg, protocol);
         std::vector<std::uint64_t> keys;
         keys.reserve(exp_cfgs.size());
@@ -875,7 +866,6 @@ runCudaCampaign(const gpusim::GpuConfig &cfg,
                 const CampaignOptions &options)
 {
     CampaignResult result;
-    MachinePool::global().reset();
     const std::string system = sanitizeName(cfg.name);
     trace::Span system_span("cuda:" + system, "system");
     const fs::path dir = fs::path(options.output_dir) / system;
@@ -1010,7 +1000,7 @@ runCudaCampaign(const gpusim::GpuConfig &cfg,
     // launch-geometry independent, so one key covers every
     // blocks x threads point of an experiment.
     auto peels = std::make_shared<std::atomic<long long>>(0);
-    if (laneGroupingAllowed(options, protocol)) {
+    if (laneGroupingAllowed(options)) {
         GpuSimTarget planner_target(cfg, protocol);
         std::vector<std::uint64_t> keys;
         keys.reserve(exp_cfgs.size());

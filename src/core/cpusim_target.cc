@@ -154,12 +154,25 @@ CpuSimTarget::buildPrograms(const OmpExperiment &exp, int n_threads,
 cpusim::CpuMachine &
 CpuSimTarget::machineFor(Affinity affinity)
 {
-    if (!lease_ || machine_affinity_ != affinity) {
-        lease_ = MachinePool::global().acquireCpu(cfg_, affinity,
-                                                  mcfg_.machine_pool);
+    // A machine serves one placement; a new one starts without
+    // images, so what a machine holds depends only on the launches
+    // of this target (the pool_* counters' --jobs invariance).
+    if (!machine_ || machine_affinity_ != affinity) {
+        machine_ = std::make_unique<cpusim::CpuMachine>(cfg_, affinity);
         machine_affinity_ = affinity;
     }
-    return *lease_;
+    return *machine_;
+}
+
+bool
+CpuSimTarget::ensureImage(std::uint64_t dkey,
+                          const std::vector<cpusim::CpuProgram> &programs)
+{
+    if (machine_->hasImage(dkey))
+        return true;
+    machine_->buildImage(dkey, programs);
+    metrics::add(metrics::Counter::PoolColdBuilds);
+    return false;
 }
 
 std::uint64_t
@@ -183,11 +196,9 @@ CpuSimTarget::cacheKey(const std::vector<cpusim::CpuProgram> &programs,
 }
 
 std::uint64_t
-CpuSimTarget::imageKey(
-    const std::vector<cpusim::CpuProgram> &programs) const
+CpuSimTarget::imageKey(const std::vector<cpusim::CpuProgram> &programs)
 {
     ConfigHasher h;
-    h.add(MachinePool::hashCpuConfig(cfg_));
     h.add(static_cast<std::uint64_t>(programs.size()));
     for (const auto &prog : programs) {
         h.add(static_cast<std::uint64_t>(prog.body.size()));
@@ -205,18 +216,13 @@ CpuSimTarget::imageKey(
 std::uint64_t
 CpuSimTarget::laneKey(const OmpExperiment &exp, int n_threads)
 {
-    SYNCPERF_ASSERT(mcfg_.machine_pool,
-                    "lane keys require the machine-pool decode path");
     const auto pair =
         buildPrograms(exp, n_threads, mcfg_.opsPerMeasurement());
     cpusim::CpuMachine &machine = machineFor(exp.affinity);
     const auto fingerprint =
         [&](const std::vector<cpusim::CpuProgram> &programs) {
             const std::uint64_t dkey = imageKey(programs);
-            if (!machine.hasImage(dkey)) {
-                MachinePool::global().materializeCpu(machine, dkey,
-                                                     programs);
-            }
+            ensureImage(dkey, programs);
             return machine.imageFingerprint(dkey);
         };
     ConfigHasher h;
@@ -257,20 +263,13 @@ CpuSimTarget::runOnce(const std::vector<cpusim::CpuProgram> &programs,
     }
     if (!hit) {
         cpusim::CpuMachine &machine = machineFor(affinity);
-        // Warm-start fast path: decode each distinct program pair
-        // once per experiment into an image, then replay it (a pool
-        // clone) for every later launch. The image restores exactly
-        // what the decode would rebuild, so results are identical.
-        std::uint64_t dkey = 0;
-        if (mcfg_.machine_pool && MachinePool::global().enabled()) {
-            dkey = imageKey(programs);
-            if (machine.hasImage(dkey)) {
-                metrics::add(metrics::Counter::PoolClones);
-            } else {
-                MachinePool::global().materializeCpu(machine, dkey,
-                                                     programs);
-            }
-        }
+        // Decode each distinct program set once per machine into an
+        // image, then replay it for every later launch. The image
+        // holds exactly what the decode would rebuild, so results are
+        // identical.
+        const std::uint64_t dkey = imageKey(programs);
+        if (ensureImage(dkey, programs))
+            metrics::add(metrics::Counter::PoolClones);
         machine.reseed(seed);
         machine.setLoopBatch(mcfg_.loop_batch);
         const std::uint64_t events = machine.eventQueue().executed();

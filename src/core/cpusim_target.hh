@@ -9,11 +9,11 @@
 #define SYNCPERF_CORE_CPUSIM_TARGET_HH
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/machine_pool.hh"
 #include "core/measure_config.hh"
 #include "core/primitives.hh"
 #include "core/protocol.hh"
@@ -36,9 +36,9 @@ struct OmpProgramPair
  * Holds the machine configuration, a seed counter that gives every
  * simulated launch an independent deterministic jitter stream (so
  * the protocol's runs/attempts see run-to-run variation exactly
- * where the model has jitter), a reused machine instance (warm event
- * queue and decode buffers across the thousands of launches a sweep
- * performs), and a result cache keyed by the simulated input.
+ * where the model has jitter), its own machine instance (warm event
+ * queue and decoded program images across the thousands of launches
+ * a sweep performs), and a result cache keyed by the simulated input.
  *
  * The cache only ever serves jitter-free configurations
  * (cfg.jitter_frac == 0), where a launch's outcome is a pure
@@ -77,9 +77,8 @@ class CpuSimTarget
      * baseline/test program pair. Points with equal keys at every
      * swept team size perform bit-identical measurement walks (the
      * campaign's lane-lockstep agreement test). As a side effect the
-     * pair's images are materialized on the leased machine, so the
-     * decode doubles as the warm-start path measure() replays.
-     * Requires the machine-pool path (mcfg.machine_pool).
+     * pair's images are built on the target's machine, so the decode
+     * doubles as the image measure() replays.
      */
     std::uint64_t laneKey(const OmpExperiment &exp, int n_threads);
 
@@ -113,20 +112,29 @@ class CpuSimTarget
     void runOnce(const std::vector<cpusim::CpuProgram> &p,
                  Affinity affinity, std::vector<double> &out);
 
-    /** The leased machine, re-leased when the affinity changes. */
+    /** The target's machine, rebuilt when the affinity changes. */
     cpusim::CpuMachine &machineFor(Affinity affinity);
+
+    /**
+     * Make sure the current machine holds the image of @p p under
+     * @p dkey, decoding it (counted in pool_cold_builds) when absent.
+     * Returns true when the image was already there.
+     */
+    bool ensureImage(std::uint64_t dkey,
+                     const std::vector<cpusim::CpuProgram> &p);
 
     /** Digest of everything a jitter-free launch's outcome depends on. */
     std::uint64_t cacheKey(const std::vector<cpusim::CpuProgram> &p,
                            Affinity affinity) const;
 
     /**
-     * Digest of everything the decoded form of @p p depends on (the
-     * machine config and the program bodies; never warmup, placement,
-     * or iteration counts). Non-zero by construction -- key 0 is the
-     * machines' "decode normally" sentinel.
+     * Digest of everything the decoded form of @p p depends on
+     * within the target's machine: the program bodies, never warmup,
+     * placement, or iteration counts. Non-zero by construction --
+     * key 0 is the machines' "decode normally" sentinel.
      */
-    std::uint64_t imageKey(const std::vector<cpusim::CpuProgram> &p) const;
+    static std::uint64_t
+    imageKey(const std::vector<cpusim::CpuProgram> &p);
 
     /** Pure simulator output (pre fault injection) of one launch. */
     struct CacheEntry
@@ -139,7 +147,7 @@ class CpuSimTarget
     MeasurementConfig mcfg_;
     std::uint64_t next_seed_;
 
-    MachinePool::CpuLease lease_;
+    std::unique_ptr<cpusim::CpuMachine> machine_;
     Affinity machine_affinity_ = Affinity::Spread;
 
     std::unordered_map<std::uint64_t, CacheEntry> cache_;

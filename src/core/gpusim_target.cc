@@ -153,7 +153,7 @@ hashOps(ConfigHasher &h, const std::vector<GpuOp> &ops)
 GpuSimTarget::GpuSimTarget(gpusim::GpuConfig cfg, MeasurementConfig mcfg,
                            std::uint64_t seed)
     : cfg_(std::move(cfg)), mcfg_(mcfg), next_seed_(seed),
-      lease_(MachinePool::global().acquireGpu(cfg_, mcfg.machine_pool))
+      machine_(std::make_unique<gpusim::GpuMachine>(cfg_))
 {
 }
 
@@ -190,10 +190,9 @@ GpuSimTarget::cacheKey(const gpusim::GpuKernel &kernel,
 }
 
 std::uint64_t
-GpuSimTarget::imageKey(const gpusim::GpuKernel &kernel) const
+GpuSimTarget::imageKey(const gpusim::GpuKernel &kernel)
 {
     ConfigHasher h;
-    h.add(MachinePool::hashGpuConfig(cfg_));
     hashOps(h, kernel.prologue);
     hashOps(h, kernel.body);
     hashOps(h, kernel.epilogue);
@@ -201,19 +200,25 @@ GpuSimTarget::imageKey(const gpusim::GpuKernel &kernel) const
     return digest == 0 ? 1 : digest;
 }
 
+bool
+GpuSimTarget::ensureImage(std::uint64_t dkey,
+                          const gpusim::GpuKernel &kernel)
+{
+    if (machine_->hasImage(dkey))
+        return true;
+    machine_->buildImage(dkey, kernel);
+    metrics::add(metrics::Counter::PoolColdBuilds);
+    return false;
+}
+
 std::uint64_t
 GpuSimTarget::laneKey(const CudaExperiment &exp)
 {
-    SYNCPERF_ASSERT(mcfg_.machine_pool,
-                    "lane keys require the machine-pool decode path");
     const auto pair = buildKernels(exp, mcfg_.opsPerMeasurement());
     const auto fingerprint = [&](const gpusim::GpuKernel &kernel) {
         const std::uint64_t dkey = imageKey(kernel);
-        if (!lease_->hasImage(dkey)) {
-            MachinePool::global().materializeGpu(*lease_, dkey,
-                                                 kernel);
-        }
-        return lease_->imageFingerprint(dkey);
+        ensureImage(dkey, kernel);
+        return machine_->imageFingerprint(dkey);
     };
     ConfigHasher h;
     h.add(fingerprint(pair.baseline)).add(fingerprint(pair.test));
@@ -253,21 +258,14 @@ GpuSimTarget::runOnce(const gpusim::GpuKernel &kernel,
         }
     }
     if (!hit) {
-        gpusim::GpuMachine &machine = *lease_;
-        // Warm-start fast path: decode each distinct kernel once per
-        // experiment into an image, then replay it (a pool clone)
-        // for every later launch -- including every launch-geometry
-        // point, since decoding is geometry-independent.
-        std::uint64_t dkey = 0;
-        if (mcfg_.machine_pool && MachinePool::global().enabled()) {
-            dkey = imageKey(kernel);
-            if (machine.hasImage(dkey)) {
-                metrics::add(metrics::Counter::PoolClones);
-            } else {
-                MachinePool::global().materializeGpu(machine, dkey,
-                                                     kernel);
-            }
-        }
+        gpusim::GpuMachine &machine = *machine_;
+        // Decode each distinct kernel once per machine into an image,
+        // then replay it for every later launch -- including every
+        // launch-geometry point, since decoding is
+        // geometry-independent.
+        const std::uint64_t dkey = imageKey(kernel);
+        if (ensureImage(dkey, kernel))
+            metrics::add(metrics::Counter::PoolClones);
         machine.reseed(seed);
         machine.setLoopBatch(mcfg_.loop_batch);
         const std::uint64_t events = machine.eventQueue().executed();

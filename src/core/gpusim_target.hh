@@ -9,11 +9,11 @@
 #define SYNCPERF_CORE_GPUSIM_TARGET_HH
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/machine_pool.hh"
 #include "core/measure_config.hh"
 #include "core/primitives.hh"
 #include "core/protocol.hh"
@@ -33,8 +33,9 @@ struct CudaKernelPair
 /**
  * Measurement target backed by gpusim.
  *
- * Reuses one machine instance across launches (warm event-queue and
- * decode buffers) and memoizes results keyed by the simulated input.
+ * Owns one machine instance reused across launches (warm event queue
+ * and decoded kernel images) and memoizes results keyed by the
+ * simulated input.
  * Only kernels without a system-scope fence are cached: every other
  * op sequence is deterministic per (kernel, launch, warmup), so a
  * hit is bit-identical to re-simulating, while __threadfence_system
@@ -71,9 +72,8 @@ class GpuSimTarget
      * launch-geometry independent, so equal keys mean bit-identical
      * measurement walks at every swept geometry (the campaign's
      * lane-lockstep agreement test). As a side effect the pair's
-     * images are materialized on the leased machine, so the decode
-     * doubles as the warm-start path measure() replays. Requires the
-     * machine-pool path (mcfg.machine_pool).
+     * images are built on the target's machine, so the decode doubles
+     * as the image measure() replays.
      */
     std::uint64_t laneKey(const CudaExperiment &exp);
 
@@ -116,11 +116,18 @@ class GpuSimTarget
 
     /**
      * Digest of everything the decoded form of @p kernel depends on
-     * (the device config and the op sequences; never warmup, launch
-     * geometry, or body_iters). Non-zero by construction -- key 0 is
-     * the machine's "decode normally" sentinel.
+     * within the target's machine: the op sequences, never warmup,
+     * launch geometry, or body_iters. Non-zero by construction -- key
+     * 0 is the machine's "decode normally" sentinel.
      */
-    std::uint64_t imageKey(const gpusim::GpuKernel &kernel) const;
+    static std::uint64_t imageKey(const gpusim::GpuKernel &kernel);
+
+    /**
+     * Make sure the machine holds the image of @p kernel under
+     * @p dkey, decoding it (counted in pool_cold_builds) when absent.
+     * Returns true when the image was already there.
+     */
+    bool ensureImage(std::uint64_t dkey, const gpusim::GpuKernel &kernel);
 
     /** Pure simulator output (pre fault injection) of one launch. */
     struct CacheEntry
@@ -133,7 +140,7 @@ class GpuSimTarget
     MeasurementConfig mcfg_;
     std::uint64_t next_seed_;
 
-    MachinePool::GpuLease lease_;
+    std::unique_ptr<gpusim::GpuMachine> machine_;
 
     std::unordered_map<std::uint64_t, CacheEntry> cache_;
 

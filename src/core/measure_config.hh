@@ -61,18 +61,6 @@ struct MeasurementConfig
     bool telemetry = false;
 
     /**
-     * Lease warmed machine instances from core::MachinePool and skip
-     * re-decoding programs/kernels through its per-experiment decoded
-     * images (docs/performance.md, "Warm-start machine pool"). The
-     * fast path replays byte-for-byte what a cold decode would build,
-     * so this knob cannot change any output and is -- like sim_cache
-     * -- left out of the campaign's config hash. Disable to force
-     * cold construction and decoding every time (--no-machine-pool;
-     * used by the identity tests).
-     */
-    bool machine_pool = true;
-
-    /**
      * Let the simulators advance proven-periodic steady-state loop
      * windows algebraically (docs/performance.md, "Loop batching").
      * Results are bit-identical either way -- the detector only

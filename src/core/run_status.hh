@@ -7,7 +7,7 @@
  * The schema is versioned ("syncperf-status-v1") because this file
  * is the future syncperfd daemon's /status endpoint body
  * (ROADMAP.md): points done/total, experiments/s, ETA, and the
- * engagement ratios of every fast path (sim cache, machine pool,
+ * engagement ratios of every fast path (sim cache, decoded images,
  * lane grouping, loop batching). See docs/observability.md, "Live
  * run status".
  */

@@ -11,8 +11,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "common/metrics.hh"
-#include "sim/snapshot.hh"
 
 namespace syncperf::cpusim
 {
@@ -764,7 +762,7 @@ CpuMachine::run(const std::vector<CpuProgram> &programs,
         const auto it = images_.find(decode_key);
         SYNCPERF_ASSERT(it != images_.end(),
                         "run() with an unmaterialized decode key");
-        image = it->second.get();
+        image = &it->second;
         SYNCPERF_ASSERT(static_cast<int>(image->code.size()) == n,
                         "decoded image team size mismatch");
     }
@@ -852,8 +850,6 @@ CpuMachine::run(const std::vector<CpuProgram> &programs,
 const CpuMachine::OpHandler *
 CpuMachine::handlerTable(std::size_t &count)
 {
-    // Serialized images index into this table; entries are
-    // append-only so older snapshots keep loading.
     static constexpr OpHandler table[] = {
         &CpuMachine::execLoad,        // 0
         &CpuMachine::execStore,       // 1
@@ -896,9 +892,9 @@ CpuMachine::decodeImageInto(const std::vector<CpuProgram> &programs,
 std::uint64_t
 CpuMachine::fingerprintOf(const DecodedImage &img)
 {
-    // FNV-1a over exactly the words encodeImage() serializes: two
-    // program sets share a fingerprint iff their decoded forms --
-    // what run() actually executes -- are identical.
+    // FNV-1a over every decoded word: two program sets share a
+    // fingerprint iff their decoded forms -- what run() actually
+    // executes -- are identical.
     std::uint64_t h = 0xcbf29ce484222325ULL;
     const auto fold = [&h](std::uint64_t w) {
         h = (h ^ w) * 0x100000001b3ULL;
@@ -915,7 +911,7 @@ CpuMachine::fingerprintOf(const DecodedImage &img)
             while (id < n_handlers && table[id] != op.handler)
                 ++id;
             SYNCPERF_ASSERT(id < n_handlers,
-                            "decoded handler missing from the rebind "
+                            "decoded handler missing from the handler "
                             "table");
             fold(id);
             fold(static_cast<std::uint64_t>(op.line + 1));
@@ -931,215 +927,9 @@ CpuMachine::buildImage(std::uint64_t key,
                        const std::vector<CpuProgram> &programs)
 {
     SYNCPERF_ASSERT(key != 0, "key 0 means undecoded");
-    auto img = std::make_shared<DecodedImage>();
-    img->key = key;
-    decodeImageInto(programs, *img);
+    DecodedImage img;
+    decodeImageInto(programs, img);
     images_[key] = std::move(img);
-}
-
-std::uint64_t
-CpuMachine::laneFingerprint(const CpuLaneSpec &lane)
-{
-    if (lane.decode_key != 0) {
-        const auto it = images_.find(lane.decode_key);
-        SYNCPERF_ASSERT(it != images_.end(),
-                        "lane with an unmaterialized decode key");
-        return it->second->fingerprint;
-    }
-    DecodedImage scratch;
-    decodeImageInto(*lane.programs, scratch);
-    return scratch.fingerprint;
-}
-
-std::vector<CpuLaneOutcome>
-CpuMachine::runLanes(const std::vector<CpuLaneSpec> &lanes,
-                     int warmup_iterations)
-{
-    SYNCPERF_ASSERT(!lanes.empty());
-    std::vector<CpuLaneOutcome> out(lanes.size());
-    std::vector<std::uint64_t> fp(lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        SYNCPERF_ASSERT(lanes[i].programs != nullptr);
-        fp[i] = laneFingerprint(lanes[i]);
-    }
-
-    // The reference walk: simulated exactly once, its per-lane SoA
-    // outputs (cycle stamps, stat set, loop counters) shared by
-    // every lane proven to be in lockstep with it.
-    const CpuLaneSpec &ref = lanes[0];
-    reseed(ref.seed);
-    out[0].result = run(*ref.programs, warmup_iterations,
-                        ref.decode_key);
-    out[0].stats = stats_;
-    out[0].loop_batch = lb_;
-    out[0].in_step = true;
-
-    const auto same_schedule = [&](const std::vector<CpuProgram> &a) {
-        const std::vector<CpuProgram> &b = *ref.programs;
-        if (a.size() != b.size())
-            return false;
-        for (std::size_t t = 0; t < a.size(); ++t) {
-            if (a[t].iterations != b[t].iterations)
-                return false;
-        }
-        return true;
-    };
-
-    for (std::size_t i = 1; i < lanes.size(); ++i) {
-        // Agreement test: equal decoded image, equal rng seed, equal
-        // iteration schedule => provably the exact event walk the
-        // reference performed, so sharing its outputs is an identity.
-        if (fp[i] == fp[0] && lanes[i].seed == ref.seed &&
-            same_schedule(*lanes[i].programs)) {
-            out[i].result = out[0].result;
-            out[i].stats = out[0].stats;
-            out[i].loop_batch = out[0].loop_batch;
-            out[i].in_step = true;
-            continue;
-        }
-        // Divergence: peel the lane into a single-lane run.
-        metrics::add(metrics::Counter::LanePeels);
-        reseed(lanes[i].seed);
-        out[i].result = run(*lanes[i].programs, warmup_iterations,
-                            lanes[i].decode_key);
-        out[i].stats = stats_;
-        out[i].loop_batch = lb_;
-        out[i].in_step = false;
-    }
-    return out;
-}
-
-void
-CpuMachine::encodeImage(std::uint64_t key,
-                        std::vector<std::uint64_t> &out) const
-{
-    const auto it = images_.find(key);
-    SYNCPERF_ASSERT(it != images_.end(), "encodeImage: unknown key");
-    const DecodedImage &img = *it->second;
-    std::size_t n_handlers = 0;
-    const OpHandler *table = handlerTable(n_handlers);
-
-    out.clear();
-    out.push_back(img.code.size());
-    out.push_back(static_cast<std::uint64_t>(img.n_lines));
-    out.push_back(static_cast<std::uint64_t>(img.n_locks));
-    for (const auto &code : img.code) {
-        out.push_back(code.size());
-        for (const DecodedOp &op : code) {
-            std::size_t id = 0;
-            while (id < n_handlers && table[id] != op.handler)
-                ++id;
-            SYNCPERF_ASSERT(id < n_handlers,
-                            "decoded handler missing from the rebind "
-                            "table");
-            out.push_back(id);
-            // Interned indices shift by one so -1 (none) encodes as
-            // an unsigned 0.
-            out.push_back(static_cast<std::uint64_t>(op.line + 1));
-            out.push_back(static_cast<std::uint64_t>(op.lock + 1));
-            out.push_back(static_cast<std::uint64_t>(op.alu_cost));
-        }
-    }
-}
-
-Status
-CpuMachine::installImage(std::uint64_t key,
-                         const std::vector<std::uint64_t> &words)
-{
-    // Every field is bounds-checked before the image becomes
-    // reachable: a semantically invalid payload (version skew, a
-    // key collision across format generations) is a clean error,
-    // never an out-of-range handler or line index at run time.
-    constexpr std::uint64_t max_count = std::uint64_t{1} << 20;
-    constexpr std::uint64_t max_cost = std::uint64_t{1} << 32;
-    const auto invalid = [key](std::string_view why) {
-        return Status::error(ErrorCode::ParseError,
-                             "cpu image {}: {}", key, why);
-    };
-    if (key == 0)
-        return invalid("key 0 is reserved");
-    std::size_t n_handlers = 0;
-    const OpHandler *table = handlerTable(n_handlers);
-
-    sim::SnapshotCursor cur(words);
-    std::uint64_t n_threads = 0;
-    std::uint64_t n_lines = 0;
-    std::uint64_t n_locks = 0;
-    cur.u64(n_threads);
-    cur.u64(n_lines);
-    cur.u64(n_locks);
-    if (cur.overran() || n_threads < 1 || n_threads > max_count ||
-        n_lines > max_count || n_locks > max_count) {
-        return invalid("bad header");
-    }
-
-    auto img = std::make_shared<DecodedImage>();
-    img->key = key;
-    img->n_lines = static_cast<int>(n_lines);
-    img->n_locks = static_cast<int>(n_locks);
-    img->code.resize(static_cast<std::size_t>(n_threads));
-    for (auto &code : img->code) {
-        std::uint64_t n_ops = 0;
-        if (!cur.u64(n_ops) || n_ops < 1 || n_ops > max_count)
-            return invalid("bad op count");
-        code.reserve(static_cast<std::size_t>(n_ops));
-        for (std::uint64_t i = 0; i < n_ops; ++i) {
-            std::uint64_t id = 0;
-            std::uint64_t line_raw = 0;
-            std::uint64_t lock_raw = 0;
-            std::uint64_t cost = 0;
-            cur.u64(id);
-            cur.u64(line_raw);
-            cur.u64(lock_raw);
-            cur.u64(cost);
-            if (cur.overran() || id >= n_handlers ||
-                line_raw > n_lines || lock_raw > n_locks ||
-                cost > max_cost) {
-                return invalid("bad op record");
-            }
-            // Handlers that index the line/lock tables must carry an
-            // interned index; the others must not (mirror of what
-            // decodeOp() produces).
-            const bool needs_line = id <= 3 || id == 6;
-            const bool needs_lock = id == 6 || id == 7;
-            if (needs_line != (line_raw != 0) ||
-                needs_lock != (lock_raw != 0)) {
-                return invalid("operand/handler mismatch");
-            }
-            DecodedOp op;
-            op.handler = table[id];
-            op.line = static_cast<int>(line_raw) - 1;
-            op.lock = static_cast<int>(lock_raw) - 1;
-            op.alu_cost = static_cast<Tick>(cost);
-            code.push_back(op);
-        }
-    }
-    if (!cur.done())
-        return invalid("trailing payload words");
-    // Recomputed from the decoded content (never trusted from disk),
-    // so an installed image fingerprints identically to the
-    // buildImage() product it serialized.
-    img->fingerprint = fingerprintOf(*img);
-    images_[key] = std::move(img);
-    return Status::ok();
-}
-
-void
-CpuMachine::cloneFrom(const CpuMachine &tmpl)
-{
-    eq_.reserve(tmpl.eq_.slotCapacity());
-    threads_.reserve(tmpl.threads_.capacity());
-    places_.reserve(tmpl.places_.capacity());
-    core_free_.reserve(tmpl.core_free_.capacity());
-    decoded_.reserve(tmpl.decoded_.capacity());
-    lines_.reserve(tmpl.lines_.capacity());
-    locks_.reserve(tmpl.locks_.capacity());
-    warm_left_.reserve(tmpl.warm_left_.capacity());
-    barrier_waiters_.reserve(tmpl.barrier_waiters_.capacity());
-    align_waiters_.reserve(tmpl.align_waiters_.capacity());
-    lb_prev_fp_.reserve(tmpl.lb_prev_fp_.capacity());
-    lb_fp_.reserve(tmpl.lb_fp_.capacity());
-    lb_prev_iters_.reserve(tmpl.lb_prev_iters_.capacity());
 }
 
 } // namespace syncperf::cpusim

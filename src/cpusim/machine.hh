@@ -27,10 +27,8 @@
  * switch interpreter, so results stay bit-for-bit reproducible.
  *
  * Decoded programs can further be captured as immutable
- * DecodedImages keyed by the caller's config hash: run() with a key
- * skips decode and interning entirely, and images serialize to the
- * sim/snapshot on-disk format so other processes load past decoding
- * (core/machine_pool orchestrates both).
+ * DecodedImages keyed by the caller's program digest: run() with a
+ * key skips decode and interning entirely.
  */
 
 #ifndef SYNCPERF_CPUSIM_MACHINE_HH
@@ -38,13 +36,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/dtype.hh"
 #include "common/rng.hh"
-#include "common/status.hh"
 #include "cpusim/affinity.hh"
 #include "cpusim/cpu_config.hh"
 #include "cpusim/program.hh"
@@ -63,32 +59,6 @@ struct CpuRunResult
 
     /** Tick at which the last thread finished. */
     sim::Tick total_cycles = 0;
-};
-
-/**
- * One lane of a multi-lane lockstep run (CpuMachine::runLanes).
- * Lane 0 is the reference: every other lane either proves it would
- * perform the exact walk the reference performs (identical decoded
- * image, seed, and iteration schedule) and shares that single walk,
- * or is peeled into its own single-lane run.
- */
-struct CpuLaneSpec
-{
-    const std::vector<CpuProgram> *programs = nullptr;
-    std::uint64_t seed = 1;       ///< reseed() value for this lane
-    std::uint64_t decode_key = 0; ///< cached-image key (0 = decode)
-};
-
-/** Per-lane outcome of CpuMachine::runLanes(). */
-struct CpuLaneOutcome
-{
-    CpuRunResult result;
-    sim::StatSet stats;
-    sim::LoopBatchCounters loop_batch;
-    /** True when this lane shared the reference lane's walk (its
-     * result/stats are copies of that walk's SoA slot); false when
-     * it was peeled and simulated on its own. */
-    bool in_step = false;
 };
 
 /**
@@ -121,14 +91,12 @@ class CpuMachine
     /**
      * Immutable decoded form of one program set: the dense
      * handler+operand arrays plus the interned line/lock universe
-     * they index. Built once per decode key by buildImage(), shared
-     * by reference across launches (and serializable to
-     * sim/snapshot images via encodeImage()/installImage()), so a
-     * warm machine re-runs a known program set without re-decoding.
+     * they index. Built once per decode key by buildImage() and
+     * replayed by every later launch, so the machine re-runs a known
+     * program set without re-decoding.
      */
     struct DecodedImage
     {
-        std::uint64_t key = 0;
         int n_lines = 0;    ///< interned cache-line universe size
         int n_locks = 0;    ///< interned lock universe size
         std::vector<std::vector<DecodedOp>> code; ///< one per thread
@@ -139,7 +107,7 @@ class CpuMachine
          * nothing it does not, so raw addresses or data types that
          * decode to the same image share a fingerprint). Equal
          * fingerprints mean equal walks for equal (seed, iterations,
-         * warmup): the lane-lockstep agreement test.
+         * warmup): the lane planner's agreement test.
          */
         std::uint64_t fingerprint = 0;
     };
@@ -157,30 +125,15 @@ class CpuMachine
      *                          alignment barrier.
      * @param decode_key 0 decodes @p programs from scratch (the cold
      *                   path); a nonzero key reuses the cached image
-     *                   built by buildImage()/installImage() under
-     *                   that key, skipping decode and interning. The
-     *                   caller guarantees the image was built from an
-     *                   identical (config, programs) pair; results
-     *                   are bit-identical to the cold path.
+     *                   built by buildImage() under that key,
+     *                   skipping decode and interning. The caller
+     *                   guarantees the image was built from identical
+     *                   programs; results are bit-identical to the
+     *                   cold path.
      */
     CpuRunResult run(const std::vector<CpuProgram> &programs,
                      int warmup_iterations = 2,
                      std::uint64_t decode_key = 0);
-
-    /**
-     * Execute @p lanes in lockstep. Lane 0 is the reference and is
-     * always simulated; every later lane whose decoded-image
-     * fingerprint, seed, and iteration schedule match the
-     * reference's shares the reference walk -- its outcome slot (the
-     * per-lane SoA state: cycle stamps, stat set, loop counters) is
-     * filled from that single dispatch walk without re-simulating.
-     * A lane that disagrees on any of the three is peeled into an
-     * ordinary single-lane run (counted in lane_peels). Every lane's
-     * outcome is bit-identical to running it alone.
-     */
-    std::vector<CpuLaneOutcome>
-    runLanes(const std::vector<CpuLaneSpec> &lanes,
-             int warmup_iterations = 2);
 
     /** True when an image is cached under @p key. */
     bool hasImage(std::uint64_t key) const
@@ -193,36 +146,12 @@ class CpuMachine
     imageFingerprint(std::uint64_t key) const
     {
         const auto it = images_.find(key);
-        return it == images_.end() ? 0 : it->second->fingerprint;
+        return it == images_.end() ? 0 : it->second.fingerprint;
     }
 
     /** Decode @p programs and cache the image under @p key (!= 0). */
     void buildImage(std::uint64_t key,
                     const std::vector<CpuProgram> &programs);
-
-    /**
-     * Validate a deserialized snapshot payload (handler ids, interned
-     * index bounds, operand ranges) and cache it under @p key.
-     * Malformed payloads leave the machine untouched.
-     */
-    Status installImage(std::uint64_t key,
-                        const std::vector<std::uint64_t> &words);
-
-    /** Serialize the image cached under @p key into snapshot words. */
-    void encodeImage(std::uint64_t key,
-                     std::vector<std::uint64_t> &out) const;
-
-    /** Drop every cached image (machine-pool lease hygiene). */
-    void clearImages() { images_.clear(); }
-
-    /**
-     * Adopt @p tmpl's warmed capacity -- the sized event-queue slot
-     * table and container reserves -- without copying any dynamic
-     * state, so a freshly constructed machine skips the incremental
-     * allocations of its first run. O(dirty bytes): nothing decoded
-     * or simulated is transferred, and results are unaffected.
-     */
-    void cloneFrom(const CpuMachine &tmpl);
 
     /**
      * Restart the jitter stream as if the machine had been freshly
@@ -314,14 +243,11 @@ class CpuMachine
     void decodeImageInto(const std::vector<CpuProgram> &programs,
                          DecodedImage &img);
 
-    /** Digest over the decoded arrays (the serialization words). */
+    /** Digest over the decoded arrays (handler ids and operands). */
     static std::uint64_t fingerprintOf(const DecodedImage &img);
 
-    /** Fingerprint of one lane's decoded form (cached or fresh). */
-    std::uint64_t laneFingerprint(const CpuLaneSpec &lane);
-
-    /** Stable handler order for serialized images (append-only: the
-     * on-disk snapshot format indexes into this table). */
+    /** Every op handler: fingerprints fold a handler's index in
+     * this table, since member pointers have no integer value. */
     using OpHandler = void (CpuMachine::*)(int, const DecodedOp &,
                                            Tick);
     static const OpHandler *handlerTable(std::size_t &count);
@@ -397,10 +323,8 @@ class CpuMachine
     std::unordered_map<int, int> lock_index_;
     Tick coherence_point_free_ = 0;
 
-    /** Decoded images by key; shared so clones stay O(dirty bytes). */
-    std::unordered_map<std::uint64_t,
-                       std::shared_ptr<const DecodedImage>>
-        images_;
+    /** Decoded images by key (node-based: run() holds a pointer). */
+    std::unordered_map<std::uint64_t, DecodedImage> images_;
 
     std::vector<int> warm_left_;
 

@@ -10,8 +10,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "common/metrics.hh"
-#include "sim/snapshot.hh"
 
 namespace syncperf::gpusim
 {
@@ -1179,7 +1177,7 @@ GpuMachine::run(const GpuKernel &kernel, LaunchConfig launch,
         const auto it = images_.find(decode_key);
         SYNCPERF_ASSERT(it != images_.end(),
                         "run() with an unmaterialized decode key");
-        image = it->second.get();
+        image = &it->second;
     }
 
     kernel_ = &kernel;
@@ -1288,8 +1286,6 @@ GpuMachine::run(const GpuKernel &kernel, LaunchConfig launch,
 const GpuMachine::OpHandler *
 GpuMachine::handlerTable(std::size_t &count)
 {
-    // Serialized images index into this table; entries are
-    // append-only so older snapshots keep loading.
     static constexpr OpHandler table[] = {
         &GpuMachine::execAlu,           // 0
         &GpuMachine::execDivergentAlu,  // 1
@@ -1326,9 +1322,9 @@ GpuMachine::decodeImageInto(const GpuKernel &kernel,
 std::uint64_t
 GpuMachine::fingerprintOf(const DecodedImage &img)
 {
-    // FNV-1a over exactly the words encodeImage() serializes: two
-    // kernels share a fingerprint iff their decoded forms -- what
-    // run() actually executes -- are identical.
+    // FNV-1a over every decoded word: two kernels share a
+    // fingerprint iff their decoded forms -- what run() actually
+    // executes -- are identical.
     std::uint64_t h = 0xcbf29ce484222325ULL;
     const auto fold = [&h](std::uint64_t w) {
         h = (h ^ w) * 0x100000001b3ULL;
@@ -1342,7 +1338,7 @@ GpuMachine::fingerprintOf(const DecodedImage &img)
             while (id < n_handlers && table[id] != op.handler)
                 ++id;
             SYNCPERF_ASSERT(id < n_handlers,
-                            "decoded handler missing from the rebind "
+                            "decoded handler missing from the handler "
                             "table");
             fold(id);
             fold(static_cast<std::uint64_t>(op.repeat));
@@ -1370,211 +1366,9 @@ void
 GpuMachine::buildImage(std::uint64_t key, const GpuKernel &kernel)
 {
     SYNCPERF_ASSERT(key != 0, "key 0 means undecoded");
-    auto img = std::make_shared<DecodedImage>();
-    img->key = key;
-    decodeImageInto(kernel, *img);
+    DecodedImage img;
+    decodeImageInto(kernel, img);
     images_[key] = std::move(img);
-}
-
-std::uint64_t
-GpuMachine::laneFingerprint(const GpuLaneSpec &lane) const
-{
-    if (lane.decode_key != 0) {
-        const auto it = images_.find(lane.decode_key);
-        SYNCPERF_ASSERT(it != images_.end(),
-                        "lane with an unmaterialized decode key");
-        return it->second->fingerprint;
-    }
-    DecodedImage scratch;
-    decodeImageInto(*lane.kernel, scratch);
-    return scratch.fingerprint;
-}
-
-std::vector<GpuLaneOutcome>
-GpuMachine::runLanes(const std::vector<GpuLaneSpec> &lanes,
-                     LaunchConfig launch, int warmup_iterations)
-{
-    SYNCPERF_ASSERT(!lanes.empty());
-    std::vector<GpuLaneOutcome> out(lanes.size());
-    std::vector<std::uint64_t> fp(lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        SYNCPERF_ASSERT(lanes[i].kernel != nullptr);
-        fp[i] = laneFingerprint(lanes[i]);
-    }
-
-    // The reference walk: simulated exactly once, its per-lane SoA
-    // outputs (cycle stamps, stat set, loop counters) shared by
-    // every lane proven to be in lockstep with it.
-    const GpuLaneSpec &ref = lanes[0];
-    reseed(ref.seed);
-    out[0].result = run(*ref.kernel, launch, warmup_iterations,
-                        ref.decode_key);
-    out[0].stats = stats_;
-    out[0].loop_batch = lb_;
-    out[0].in_step = true;
-
-    for (std::size_t i = 1; i < lanes.size(); ++i) {
-        // Agreement test: equal decoded image, equal rng seed, equal
-        // timed iteration count => provably the exact event walk the
-        // reference performed, so sharing its outputs is an identity.
-        if (fp[i] == fp[0] && lanes[i].seed == ref.seed &&
-            lanes[i].kernel->body_iters == ref.kernel->body_iters) {
-            out[i].result = out[0].result;
-            out[i].stats = out[0].stats;
-            out[i].loop_batch = out[0].loop_batch;
-            out[i].in_step = true;
-            continue;
-        }
-        // Divergence: peel the lane into a single-lane launch.
-        metrics::add(metrics::Counter::LanePeels);
-        reseed(lanes[i].seed);
-        out[i].result = run(*lanes[i].kernel, launch,
-                            warmup_iterations, lanes[i].decode_key);
-        out[i].stats = stats_;
-        out[i].loop_batch = lb_;
-        out[i].in_step = false;
-    }
-    return out;
-}
-
-void
-GpuMachine::encodeImage(std::uint64_t key,
-                        std::vector<std::uint64_t> &out) const
-{
-    const auto it = images_.find(key);
-    SYNCPERF_ASSERT(it != images_.end(), "encodeImage: unknown key");
-    const DecodedImage &img = *it->second;
-    std::size_t n_handlers = 0;
-    const OpHandler *table = handlerTable(n_handlers);
-
-    out.clear();
-    const auto encode_seq = [&](const std::vector<DecodedGpuOp> &code) {
-        out.push_back(code.size());
-        for (const DecodedGpuOp &op : code) {
-            std::size_t id = 0;
-            while (id < n_handlers && table[id] != op.handler)
-                ++id;
-            SYNCPERF_ASSERT(id < n_handlers,
-                            "decoded handler missing from the rebind "
-                            "table");
-            out.push_back(id);
-            out.push_back(static_cast<std::uint64_t>(op.repeat));
-            out.push_back(static_cast<std::uint64_t>(op.uops));
-            out.push_back(static_cast<std::uint64_t>(op.stride));
-            out.push_back(static_cast<std::uint64_t>(op.pred));
-            out.push_back(static_cast<std::uint64_t>(op.amode));
-            out.push_back(op.aggregated ? 1 : 0);
-            out.push_back(op.value_returning ? 1 : 0);
-            out.push_back(op.base_addr);
-            out.push_back(op.esize);
-            out.push_back(op.lat);
-            out.push_back(op.addr_ii);
-            out.push_back(op.unit_ii);
-            out.push_back(op.gate_delay);
-        }
-    };
-    encode_seq(img.prologue);
-    encode_seq(img.body);
-    encode_seq(img.epilogue);
-}
-
-Status
-GpuMachine::installImage(std::uint64_t key,
-                         const std::vector<std::uint64_t> &words)
-{
-    // Every field is bounds-checked before the image becomes
-    // reachable: a semantically invalid payload (version skew, a
-    // key collision across format generations) is a clean error,
-    // never an out-of-range handler or enum value at run time.
-    constexpr std::uint64_t max_count = std::uint64_t{1} << 20;
-    constexpr std::uint64_t max_tick = std::uint64_t{1} << 32;
-    const auto invalid = [key](std::string_view why) {
-        return Status::error(ErrorCode::ParseError,
-                             "gpu image {}: {}", key, why);
-    };
-    if (key == 0)
-        return invalid("key 0 is reserved");
-    std::size_t n_handlers = 0;
-    const OpHandler *table = handlerTable(n_handlers);
-
-    sim::SnapshotCursor cur(words);
-    auto img = std::make_shared<DecodedImage>();
-    img->key = key;
-    std::vector<DecodedGpuOp> *const sequences[3] = {
-        &img->prologue, &img->body, &img->epilogue};
-    for (auto *seq : sequences) {
-        std::uint64_t n_ops = 0;
-        if (!cur.u64(n_ops) || n_ops > max_count)
-            return invalid("bad op count");
-        seq->reserve(static_cast<std::size_t>(n_ops));
-        for (std::uint64_t i = 0; i < n_ops; ++i) {
-            std::uint64_t w[14];
-            for (std::uint64_t &word : w)
-                cur.u64(word);
-            if (cur.overran() || w[0] >= n_handlers ||
-                w[1] < 1 || w[1] > max_count ||      // repeat
-                w[2] < 1 || w[2] > max_count ||      // uops
-                w[3] > max_count ||                  // stride
-                w[4] > 2 || w[5] > 2 ||              // pred, amode
-                w[6] > 1 || w[7] > 1 ||              // bool flags
-                w[9] < 1 || w[9] > max_count ||      // esize
-                w[10] > max_tick || w[11] > max_tick ||
-                w[12] > max_tick || w[13] > max_tick) {
-                return invalid("bad op record");
-            }
-            DecodedGpuOp op;
-            op.handler = table[w[0]];
-            op.repeat = static_cast<int>(w[1]);
-            op.uops = static_cast<int>(w[2]);
-            op.stride = static_cast<int>(w[3]);
-            op.pred = static_cast<Predicate>(w[4]);
-            op.amode = static_cast<AddressMode>(w[5]);
-            op.aggregated = w[6] != 0;
-            op.value_returning = w[7] != 0;
-            op.base_addr = w[8];
-            op.esize = w[9];
-            op.lat = static_cast<Tick>(w[10]);
-            op.addr_ii = static_cast<Tick>(w[11]);
-            op.unit_ii = static_cast<Tick>(w[12]);
-            op.gate_delay = static_cast<Tick>(w[13]);
-            seq->push_back(op);
-        }
-    }
-    if (!cur.done())
-        return invalid("trailing payload words");
-    // Recomputed from the decoded content (never trusted from disk),
-    // so an installed image fingerprints identically to the
-    // buildImage() product it serialized.
-    img->fingerprint = fingerprintOf(*img);
-    images_[key] = std::move(img);
-    return Status::ok();
-}
-
-void
-GpuMachine::cloneFrom(const GpuMachine &tmpl)
-{
-    eq_.reserve(tmpl.eq_.slotCapacity());
-    dec_prologue_.reserve(tmpl.dec_prologue_.capacity());
-    dec_body_.reserve(tmpl.dec_body_.capacity());
-    dec_epilogue_.reserve(tmpl.dec_epilogue_.capacity());
-    warps_.reserve(tmpl.warps_.capacity());
-    blocks_.reserve(tmpl.blocks_.capacity());
-    sm_free_threads_.reserve(tmpl.sm_free_threads_.capacity());
-    sm_blocks_.reserve(tmpl.sm_blocks_.capacity());
-    sm_next_sched_.reserve(tmpl.sm_next_sched_.capacity());
-    sched_free_.reserve(tmpl.sched_free_.capacity());
-    lsu_free_.reserve(tmpl.lsu_free_.capacity());
-    smem_free_.reserve(tmpl.smem_free_.capacity());
-    reduce_free_.reserve(tmpl.reduce_free_.capacity());
-    unit_free_.reserve(tmpl.unit_free_.capacity());
-    line_free_.reserve(tmpl.line_free_.size());
-    sm_line_gate_.reserve(tmpl.sm_line_gate_.size());
-    grid_waiters_.reserve(tmpl.grid_waiters_.capacity());
-    lb_fp_.reserve(tmpl.lb_fp_.capacity());
-    for (std::size_t i = 0; i < lb_ring_.size(); ++i) {
-        lb_ring_[i].fp.reserve(tmpl.lb_ring_[i].fp.capacity());
-        lb_ring_[i].iters.reserve(tmpl.lb_ring_[i].iters.capacity());
-    }
 }
 
 } // namespace syncperf::gpusim

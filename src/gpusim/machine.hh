@@ -30,11 +30,9 @@
  * reproducible.
  *
  * Decoded kernels can further be captured as immutable
- * DecodedImages keyed by the caller's config hash: run() with a key
+ * DecodedImages keyed by the caller's kernel digest: run() with a key
  * restores the three sequences by POD assignment instead of
- * re-decoding, and images serialize to the sim/snapshot on-disk
- * format so other processes load past decoding (core/machine_pool
- * orchestrates both).
+ * re-decoding.
  */
 
 #ifndef SYNCPERF_GPUSIM_MACHINE_HH
@@ -43,12 +41,10 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/status.hh"
 #include "gpusim/gpu_config.hh"
 #include "gpusim/kernel.hh"
 #include "sim/event_queue.hh"
@@ -69,32 +65,6 @@ struct GpuRunResult
 
     /** Tick at which the last block finished (kernel runtime). */
     sim::Tick total_cycles = 0;
-};
-
-/**
- * One lane of a multi-lane lockstep launch (GpuMachine::runLanes).
- * Lane 0 is the reference: every other lane either proves it would
- * perform the exact walk the reference performs (identical decoded
- * image, seed, geometry, and iteration count) and shares that single
- * walk, or is peeled into its own single-lane launch.
- */
-struct GpuLaneSpec
-{
-    const GpuKernel *kernel = nullptr;
-    std::uint64_t seed = 1;       ///< reseed() value for this lane
-    std::uint64_t decode_key = 0; ///< cached-image key (0 = decode)
-};
-
-/** Per-lane outcome of GpuMachine::runLanes(). */
-struct GpuLaneOutcome
-{
-    GpuRunResult result;
-    sim::StatSet stats;
-    sim::LoopBatchCounters loop_batch;
-    /** True when this lane shared the reference lane's walk (its
-     * result/stats are copies of that walk's SoA slot); false when
-     * it was peeled and simulated on its own. */
-    bool in_step = false;
 };
 
 /**
@@ -135,13 +105,11 @@ class GpuMachine
 
     /**
      * An immutable decoded kernel, captured once and replayed by any
-     * number of launches (and, via encodeImage/installImage, by any
-     * number of processes). The key is whatever digest the caller
-     * used to derive it -- the machine only stores and compares it.
+     * number of launches. Its key is whatever digest the caller used
+     * to derive it -- the machine only stores and compares it.
      */
     struct DecodedImage
     {
-        std::uint64_t key = 0;
         std::vector<DecodedGpuOp> prologue;
         std::vector<DecodedGpuOp> body;
         std::vector<DecodedGpuOp> epilogue;
@@ -152,7 +120,7 @@ class GpuMachine
          * does not, so kernels whose raw data types decode to the
          * same costs share a fingerprint). Equal fingerprints mean
          * equal walks for equal (seed, geometry, body_iters,
-         * warmup): the lane-lockstep agreement test.
+         * warmup): the lane planner's agreement test.
          */
         std::uint64_t fingerprint = 0;
     };
@@ -180,21 +148,6 @@ class GpuMachine
                      int warmup_iterations = 2,
                      std::uint64_t decode_key = 0);
 
-    /**
-     * Launch @p lanes in lockstep with geometry @p launch. Lane 0 is
-     * the reference and is always simulated; every later lane whose
-     * decoded-image fingerprint, seed, and body_iters match the
-     * reference's shares the reference walk -- its outcome slot (the
-     * per-lane SoA state: cycle stamps, stat set, loop counters) is
-     * filled from that single dispatch walk without re-simulating.
-     * A lane that disagrees is peeled into an ordinary single-lane
-     * launch (counted in lane_peels). Every lane's outcome is
-     * bit-identical to launching it alone.
-     */
-    std::vector<GpuLaneOutcome>
-    runLanes(const std::vector<GpuLaneSpec> &lanes, LaunchConfig launch,
-             int warmup_iterations = 2);
-
     /** Whether a decoded image for @p key is installed. */
     bool hasImage(std::uint64_t key) const
     {
@@ -206,7 +159,7 @@ class GpuMachine
     imageFingerprint(std::uint64_t key) const
     {
         const auto it = images_.find(key);
-        return it == images_.end() ? 0 : it->second->fingerprint;
+        return it == images_.end() ? 0 : it->second.fingerprint;
     }
 
     /**
@@ -214,32 +167,6 @@ class GpuMachine
      * the result as the image for @p key (key must be non-zero).
      */
     void buildImage(std::uint64_t key, const GpuKernel &kernel);
-
-    /**
-     * Install an image for @p key from its serialized form (the
-     * payload produced by encodeImage). Every field is
-     * bounds-checked against this machine's handler table before
-     * anything is installed; a malformed payload leaves the machine
-     * untouched and returns ParseError.
-     */
-    Status installImage(std::uint64_t key,
-                        const std::vector<std::uint64_t> &words);
-
-    /** Serialize the image for @p key (must exist) into @p out. */
-    void encodeImage(std::uint64_t key,
-                     std::vector<std::uint64_t> &out) const;
-
-    /** Drop every installed image (pool lease hygiene). */
-    void clearImages() { images_.clear(); }
-
-    /**
-     * Adopt the warm capacity of @p tmpl: every internal container
-     * reserves to the template's high-water size, so the first run()
-     * skips the growth reallocations a cold machine pays. No dynamic
-     * state is copied -- run() fully re-initializes, and the clone's
-     * results are bit-identical to a freshly constructed machine's.
-     */
-    void cloneFrom(const GpuMachine &tmpl);
 
     /**
      * Restart the jitter stream as if the machine had been freshly
@@ -351,17 +278,11 @@ class GpuMachine
     /** Decode @p kernel into @p img (exactly as a key-0 run would). */
     void decodeImageInto(const GpuKernel &kernel, DecodedImage &img) const;
 
-    /** Digest over the decoded sequences (the serialization words). */
+    /** Digest over the decoded sequences (handler ids and operands). */
     static std::uint64_t fingerprintOf(const DecodedImage &img);
 
-    /** Fingerprint of one lane's decoded form (cached or fresh). */
-    std::uint64_t laneFingerprint(const GpuLaneSpec &lane) const;
-
-    /**
-     * The stable handler-id table for image serialization: index i
-     * is the wire id of handler table[i]. Append-only -- reordering
-     * or removing entries breaks every snapshot on disk.
-     */
+    /** Every op handler: fingerprints fold a handler's index in
+     * this table, since member pointers have no integer value. */
     using OpHandler = void (GpuMachine::*)(int, const DecodedGpuOp &,
                                            Tick);
     static const OpHandler *handlerTable(std::size_t &count);
@@ -456,9 +377,9 @@ class GpuMachine
     std::unordered_map<std::uint64_t, GateSlots> sm_line_gate_;
     Tick mem_bw_free_ = 0;
 
-    /** Installed decoded images, keyed by the caller's digest. */
-    std::unordered_map<std::uint64_t, std::shared_ptr<const DecodedImage>>
-        images_;
+    /** Decoded images by the caller's digest (node-based: run()
+     * holds a pointer). */
+    std::unordered_map<std::uint64_t, DecodedImage> images_;
 
     // Grid-wide barrier rendezvous (cooperative launch).
     int grid_arrivals_ = 0;

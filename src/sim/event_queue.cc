@@ -27,14 +27,11 @@ EventQueue::schedule(Tick when, EventCallback cb, int priority)
     if (free_.empty()) {
         slot_idx = static_cast<std::uint32_t>(slots_.size());
         slots_.emplace_back();
+        nodes_.emplace_back();
     } else {
         slot_idx = free_.back();
         free_.pop_back();
     }
-    // Records grow with the highest slot in use, inside the capacity
-    // reserve() set aside, so untouched reserve costs no memory.
-    if (slot_idx >= nodes_.size())
-        nodes_.resize(slot_idx + 1);
     Slot &slot = slots_[slot_idx];
     slot.action = std::move(cb);
     slot.state = SlotState::Pending;
@@ -278,25 +275,6 @@ EventQueue::shiftPending(Tick delta)
             shift(s);
             s = next;
         }
-    }
-}
-
-void
-EventQueue::reserve(std::size_t events)
-{
-    current_.reserve(events);
-    if (slots_.size() >= events)
-        return;
-    const auto old = static_cast<std::uint32_t>(slots_.size());
-    slots_.resize(events);
-    nodes_.reserve(events);
-    // New slots are free; descending order so the lowest fresh index
-    // is handed out first (matching reset()'s warm-fill convention).
-    // Slot indices never influence execution order, so this cannot
-    // perturb results.
-    for (std::uint32_t i = static_cast<std::uint32_t>(events);
-         i-- > old;) {
-        free_.push_back(i);
     }
 }
 

@@ -318,22 +318,6 @@ class EventQueue
      */
     std::size_t idWindow() const { return slots_.size() - free_.size(); }
 
-    /**
-     * Pre-size the queue for @p events concurrently pending events:
-     * the slot table grows to at least that many entries, and the
-     * ordering records and the current-tick array get the capacity
-     * for as many, so a machine cloned from a warmed template never
-     * pays the incremental grow-as-you-go allocations of its first
-     * run. Execution order is (tick, priority, schedule order)
-     * -- independent of slot indices -- so pre-populating the free
-     * list cannot change any simulation result. Never shrinks.
-     */
-    void reserve(std::size_t events);
-
-    /** Allocated slot-table size (the warm capacity reserve() and
-     * reset() preserve); the clone path copies this from a template. */
-    std::size_t slotCapacity() const { return slots_.size(); }
-
   private:
     /** Lifecycle of an allocated slot. */
     enum class SlotState : unsigned char

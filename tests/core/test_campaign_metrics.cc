@@ -45,6 +45,20 @@ deterministicCounters()
     return out;
 }
 
+/**
+ * The image and lane counters must be non-zero, or their equality
+ * across job counts proves nothing. Each target owns its machine and
+ * starts without images, so which images get built and reused
+ * depends only on the experiment, never on the schedule.
+ */
+void
+expectReuseEngaged(const std::map<std::string, long long> &counters)
+{
+    EXPECT_GT(counters.at("pool_clones"), 0);
+    EXPECT_GT(counters.at("pool_cold_builds"), 0);
+    EXPECT_GT(counters.at("lane_points"), 0);
+}
+
 class CampaignMetricsTest : public ::testing::Test
 {
   protected:
@@ -113,6 +127,7 @@ TEST_F(CampaignMetricsTest,
     // Simulated work is part of the contract: the same events run
     // whatever the worker count.
     EXPECT_GT(serial_counters.at("sim_events"), 0);
+    expectReuseEngaged(serial_counters);
     // checkpoint_flushes is a timing-class counter (its cadence
     // depends on --jobs), so assert it directly instead of through
     // the deterministic map.
@@ -140,6 +155,7 @@ TEST_F(CampaignMetricsTest, GpuSimEventsMatchAcrossJobCounts)
     const auto parallel_counters = deterministicCounters();
 
     EXPECT_GT(serial_counters.at("sim_events"), 0);
+    expectReuseEngaged(serial_counters);
     EXPECT_EQ(serial_counters, parallel_counters);
 }
 

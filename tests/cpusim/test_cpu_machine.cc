@@ -419,79 +419,47 @@ TEST(CpuMachineImage, BuiltImageRunMatchesColdRun)
     EXPECT_EQ(warm.run(programs, 2, 42).thread_cycles, want);
 }
 
-TEST(CpuMachineImage, EncodeInstallRoundTripMatchesColdRun)
+/** @p n_threads copies of a one-op program. */
+std::vector<CpuProgram>
+oneOpPrograms(CpuOpKind kind, DataType dtype, int n_threads)
 {
-    const auto programs = imageTestPrograms();
-    CpuMachine writer(testConfig(), Affinity::System, 9);
-    writer.buildImage(7, programs);
-    std::vector<std::uint64_t> words;
-    writer.encodeImage(7, words);
-    ASSERT_FALSE(words.empty());
-
-    CpuMachine reader(testConfig(), Affinity::System, 9);
-    ASSERT_TRUE(reader.installImage(7, words).isOk());
-    ASSERT_TRUE(reader.hasImage(7));
-
-    CpuMachine cold(testConfig(), Affinity::System, 9);
-    EXPECT_EQ(reader.run(programs, 2, 7).thread_cycles,
-              cold.run(programs, 2).thread_cycles);
+    CpuOp o;
+    o.kind = kind;
+    o.addr = 0x1000;
+    o.dtype = dtype;
+    CpuProgram p;
+    p.body = {o};
+    p.iterations = 50;
+    return std::vector<CpuProgram>(static_cast<std::size_t>(n_threads),
+                                   p);
 }
 
-TEST(CpuMachineImage, InstallRejectsMalformedPayloads)
+TEST(CpuMachineImage, DtypeMergedProgramsShareAFingerprint)
 {
-    const auto programs = imageTestPrograms();
-    CpuMachine writer(testConfig(), Affinity::System);
-    writer.buildImage(7, programs);
-    std::vector<std::uint64_t> good;
-    writer.encodeImage(7, good);
+    // The decode collapse the lane planner exploits: int and
+    // unsigned-long-long atomic updates decode to the same handler
+    // stream, so their images fingerprint equal and their runs are
+    // the same walk.
+    const auto a = oneOpPrograms(CpuOpKind::AtomicRmw, DataType::Int32, 4);
+    const auto b =
+        oneOpPrograms(CpuOpKind::AtomicRmw, DataType::UInt64, 4);
+    const auto c = oneOpPrograms(CpuOpKind::Load, DataType::Int32, 4);
+    CpuMachine machine(testConfig(), Affinity::Close);
+    machine.buildImage(1, a);
+    machine.buildImage(2, b);
+    machine.buildImage(3, c);
+    EXPECT_NE(machine.imageFingerprint(1), 0u);
+    EXPECT_EQ(machine.imageFingerprint(1), machine.imageFingerprint(2));
+    EXPECT_NE(machine.imageFingerprint(1), machine.imageFingerprint(3));
 
-    CpuMachine reader(testConfig(), Affinity::System);
-    // Truncations at every word boundary.
-    for (std::size_t len = 0; len < good.size(); ++len) {
-        std::vector<std::uint64_t> bad(good.begin(),
-                                       good.begin() +
-                                           static_cast<long>(len));
-        EXPECT_FALSE(reader.installImage(8, bad).isOk())
-            << "truncation to " << len << " words was accepted";
-        EXPECT_FALSE(reader.hasImage(8));
-    }
-    // A wild handler id (payload layout: n_threads, n_lines,
-    // n_locks, n_ops, then the first op's handler id at word 4).
-    std::vector<std::uint64_t> bad = good;
-    bad[4] = 0xffff;
-    EXPECT_FALSE(reader.installImage(8, bad).isOk());
-    // An absurd count.
-    bad = good;
-    bad[0] = std::uint64_t{1} << 40; // n_threads
-    EXPECT_FALSE(reader.installImage(8, bad).isOk());
-    EXPECT_FALSE(reader.hasImage(8));
-    // The pristine payload still installs after all the rejects.
-    EXPECT_TRUE(reader.installImage(8, good).isOk());
-    EXPECT_TRUE(reader.hasImage(8));
-}
-
-TEST(CpuMachineImage, ClearImagesDropsEverything)
-{
-    const auto programs = imageTestPrograms();
-    CpuMachine machine(testConfig(), Affinity::System);
-    machine.buildImage(1, programs);
-    machine.buildImage(2, programs);
-    machine.clearImages();
-    EXPECT_FALSE(machine.hasImage(1));
-    EXPECT_FALSE(machine.hasImage(2));
-}
-
-TEST(CpuMachineImage, CloneFromDoesNotChangeResults)
-{
-    const auto programs = imageTestPrograms();
-    CpuMachine tmpl(testConfig(), Affinity::System, 3);
-    tmpl.run(programs, 2);
-
-    CpuMachine cloned(testConfig(), Affinity::System, 3);
-    cloned.cloneFrom(tmpl);
-    CpuMachine fresh(testConfig(), Affinity::System, 3);
-    EXPECT_EQ(cloned.run(programs, 2).thread_cycles,
-              fresh.run(programs, 2).thread_cycles);
+    machine.reseed(5);
+    const auto run_a = machine.run(a, 2, 1);
+    const auto stats_a = machine.stats().all();
+    machine.reseed(5);
+    const auto run_b = machine.run(b, 2, 2);
+    EXPECT_EQ(run_b.total_cycles, run_a.total_cycles);
+    EXPECT_EQ(run_b.thread_cycles, run_a.thread_cycles);
+    EXPECT_EQ(machine.stats().all(), stats_a);
 }
 
 } // namespace

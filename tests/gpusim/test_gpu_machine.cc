@@ -382,69 +382,29 @@ TEST(GpuMachineImage, BuiltImageRunMatchesColdRun)
               cold2.run(k, {2, 64}, 2).thread_cycles.size());
 }
 
-TEST(GpuMachineImage, EncodeInstallRoundTripMatchesColdRun)
+TEST(GpuMachineImage, DtypeMergedShflKernelsShareAFingerprint)
 {
-    const GpuKernel k = imageTestKernel();
-    GpuMachine writer(testGpu(), 9);
-    writer.buildImage(7, k);
-    std::vector<std::uint64_t> words;
-    writer.encodeImage(7, words);
-    ASSERT_FALSE(words.empty());
+    // shfl decodes identically for same-width element types, the GPU
+    // half of the lane planner's decode collapse.
+    const GpuKernel a = bodyKernel({GpuOp::shfl(DataType::Int32)});
+    const GpuKernel b = bodyKernel({GpuOp::shfl(DataType::Float32)});
+    const GpuKernel c = bodyKernel({GpuOp::vote()});
+    GpuMachine machine(testGpu());
+    machine.buildImage(1, a);
+    machine.buildImage(2, b);
+    machine.buildImage(3, c);
+    EXPECT_NE(machine.imageFingerprint(1), 0u);
+    EXPECT_EQ(machine.imageFingerprint(1), machine.imageFingerprint(2));
+    EXPECT_NE(machine.imageFingerprint(1), machine.imageFingerprint(3));
 
-    GpuMachine reader(testGpu(), 9);
-    ASSERT_TRUE(reader.installImage(7, words).isOk());
-    ASSERT_TRUE(reader.hasImage(7));
-
-    GpuMachine cold(testGpu(), 9);
-    EXPECT_EQ(reader.run(k, {4, 128}, 2, 7).thread_cycles,
-              cold.run(k, {4, 128}, 2).thread_cycles);
-}
-
-TEST(GpuMachineImage, InstallRejectsMalformedPayloads)
-{
-    GpuMachine writer(testGpu());
-    writer.buildImage(7, imageTestKernel());
-    std::vector<std::uint64_t> good;
-    writer.encodeImage(7, good);
-
-    GpuMachine reader(testGpu());
-    // Truncations at every word boundary.
-    for (std::size_t len = 0; len < good.size(); ++len) {
-        std::vector<std::uint64_t> bad(good.begin(),
-                                       good.begin() +
-                                           static_cast<long>(len));
-        EXPECT_FALSE(reader.installImage(8, bad).isOk())
-            << "truncation to " << len << " words was accepted";
-        EXPECT_FALSE(reader.hasImage(8));
-    }
-    // A wild handler id (the empty prologue contributes one count
-    // word, so the first body op's handler id is word 2).
-    std::vector<std::uint64_t> bad = good;
-    bad[2] = 0xffff;
-    EXPECT_FALSE(reader.installImage(8, bad).isOk());
-    // A zero repeat count.
-    bad = good;
-    bad[3] = 0;
-    EXPECT_FALSE(reader.installImage(8, bad).isOk());
-    // Key 0 is the "decode normally" sentinel and never installable.
-    EXPECT_FALSE(reader.installImage(0, good).isOk());
-    EXPECT_FALSE(reader.hasImage(8));
-    // The pristine payload still installs after all the rejects.
-    EXPECT_TRUE(reader.installImage(8, good).isOk());
-    EXPECT_TRUE(reader.hasImage(8));
-}
-
-TEST(GpuMachineImage, CloneFromDoesNotChangeResults)
-{
-    const GpuKernel k = imageTestKernel();
-    GpuMachine tmpl(testGpu(), 3);
-    tmpl.run(k, {4, 128}, 2);
-
-    GpuMachine cloned(testGpu(), 3);
-    cloned.cloneFrom(tmpl);
-    GpuMachine fresh(testGpu(), 3);
-    EXPECT_EQ(cloned.run(k, {4, 128}, 2).thread_cycles,
-              fresh.run(k, {4, 128}, 2).thread_cycles);
+    machine.reseed(5);
+    const auto run_a = machine.run(a, {2, 64}, 2, 1);
+    const auto stats_a = machine.stats().all();
+    machine.reseed(5);
+    const auto run_b = machine.run(b, {2, 64}, 2, 2);
+    EXPECT_EQ(run_b.total_cycles, run_a.total_cycles);
+    EXPECT_EQ(run_b.thread_cycles, run_a.thread_cycles);
+    EXPECT_EQ(machine.stats().all(), stats_a);
 }
 
 /**

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Argument-handling checks for the campaign CLI: every value flag
-# given without its value exits 2 with "<flag> requires a value", and
-# an unknown argument -- with or without a value after it -- exits 2
-# with "unknown argument '<arg>' (try --help)" before anything runs.
+# given without its value exits 2 with "<flag> requires a value", a
+# numeric flag whose value is not wholly a number in range exits 2
+# with "<flag> wants ...", and an unknown argument -- with or without
+# a value after it -- exits 2 with "unknown argument '<arg>' (try
+# --help)" before anything runs.
 #
 # Usage: test_campaign_cli.sh <path-to-campaign-binary>
 set -u
@@ -31,10 +33,28 @@ expect() {
 }
 
 for flag in --out --jobs --checkpoint-every --only --cov-gate --lanes \
-            --snapshot-dir --trace --metrics --status \
-            --status-interval; do
+            --trace --metrics --status --status-interval; do
     expect 2 "$flag requires a value" "$flag"
 done
+
+# Numeric values are parsed whole: trailing junk, non-numbers,
+# overflow, non-finite numbers and out-of-range values are rejected.
+for args in "--jobs 2x" "--jobs 0" "--jobs -1" "--lanes 99999999999" \
+            "--jobs 1.5" "--checkpoint-every zz" "--checkpoint-every 4k" \
+            "--cov-gate abc" "--cov-gate 0.1x" "--cov-gate inf" \
+            "--cov-gate nan" "--lanes 3q" "--lanes 0" \
+            "--status-interval 1s" "--status-interval 0" \
+            "--status-interval inf"; do
+    # shellcheck disable=SC2086
+    set -- $args
+    expect 2 "$1 wants" --out "$WORK/tree" "$@" --only rtx_2070
+done
+expect 2 "--jobs wants" --out "$WORK/tree" --jobs "" --only rtx_2070
+[ ! -e "$WORK/tree" ] || fail "a rejected numeric value created --out"
+
+# In-range values parse (--help then exits before running anything).
+expect 0 "" --jobs 2 --checkpoint-every 0 --cov-gate 1000000 \
+    --lanes 3 --status-interval 0.5 --help
 
 # Retired and misspelled flags alike are unknown; a value after one
 # must not be swallowed as that flag's argument.

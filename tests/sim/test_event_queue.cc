@@ -447,7 +447,7 @@ class QueueDifferential
             } else if (pick < 90) {
                 pin();
             } else if (pick < 95) {
-                resetOrReserve();
+                reset();
             } else {
                 for (int i = 0; i < 32; ++i)
                     scheduleAt(eq_.now() + delta(), priority());
@@ -628,10 +628,8 @@ class QueueDifferential
     }
 
     void
-    resetOrReserve()
+    reset()
     {
-        if (rng_.below(2) == 0)
-            eq_.reserve(rng_.below(512));
         eq_.reset();
         ref_.clear();
         by_id_.clear();
