@@ -13,6 +13,15 @@
 #   (cd DIR && find . -name '*.csv' | sed 's|^\./||' | LC_ALL=C sort |
 #    xargs sha256sum) > tests/digests/<name>.sha256
 #
+# The run's simulator work counts are pinned as well, in
+# <name>.counters next to the digest file: one `<counter> <value>`
+# line per metrics.json counter (loop-batch iterations, windows and
+# fallbacks, executed events). They are deterministic at every
+# --jobs value, so a change to the loop batcher or the event loop that
+# keeps the bytes but does different work fails here. Re-bless with
+# the values of the same run's metrics.json, and say why in
+# CHANGES.md.
+#
 # Usage: test_quick_tree_digest.sh <campaign-binary> <digest-file> [ARGS...]
 set -u
 
@@ -20,10 +29,12 @@ USAGE="usage: $0 <campaign-binary> <digest-file> [campaign-args...]"
 CAMPAIGN=${1:?$USAGE}
 DIGESTS=$(cd "$(dirname "${2:?$USAGE}")" && pwd)/$(basename "$2")
 shift 2
+COUNTERS=${DIGESTS%.sha256}.counters
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/syncperf_digest_XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 
-if ! "$CAMPAIGN" "$@" --jobs 2 --out "$WORK/tree" >"$WORK/run.log" 2>&1; then
+if ! "$CAMPAIGN" "$@" --jobs 2 --out "$WORK/tree" \
+    --metrics "$WORK/metrics.json" >"$WORK/run.log" 2>&1; then
     tail -n 30 "$WORK/run.log" >&2
     echo "FAIL: campaign exited non-zero" >&2
     exit 1
@@ -41,3 +52,16 @@ if [ "$have" -ne "$want" ]; then
     exit 1
 fi
 echo "all $want CSVs match $DIGESTS"
+
+status=0
+while read -r name pinned; do
+    [ -n "$name" ] || continue
+    got=$(grep -o "\"$name\": [0-9]*" "$WORK/metrics.json" |
+          grep -o '[0-9]*$')
+    if [ "$got" != "$pinned" ]; then
+        echo "FAIL: $name is ${got:-missing}, $COUNTERS pins $pinned" >&2
+        status=1
+    fi
+done <"$COUNTERS"
+[ "$status" -eq 0 ] || exit 1
+echo "all work counts match $COUNTERS"
