@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <bit>
 #include <iterator>
-#include <limits>
 
 #include "common/logging.hh"
 
@@ -235,8 +234,7 @@ CpuMachine::finishOp(int tid, Tick done)
 
     // Timed boundary: the batcher may jump whole steady-state
     // periods here, shifting this thread's continuation with them.
-    if (loop_batch_)
-        done += maybeBatch(tid, done);
+    done += batcher_.boundary(*this, tid, done);
 
     if (--ctx.iters_left > 0) {
         eq_.schedule(done, [this, tid] { step(tid); }, tid);
@@ -244,13 +242,7 @@ CpuMachine::finishOp(int tid, Tick done)
     }
     ctx.done = true;
     ctx.end_tick = done;
-    if (tid == lb_trigger_) {
-        // Let a remaining thread drive any tail batching. The
-        // backoff state deliberately survives the handoff: the
-        // machine's regime did not change with the trigger.
-        lb_trigger_ = -1;
-        lb_armed_ = false;
-    }
+    batcher_.retire(tid);
 }
 
 void
@@ -336,128 +328,6 @@ CpuMachine::shiftTimes(Tick delta)
     // align_last_ is final once the team is timed (and a trigger
     // exists only then); start/end ticks are frozen outputs shared
     // with the unbatched run; the rng did not advance.
-}
-
-Tick
-CpuMachine::maybeBatch(int tid, Tick done)
-{
-    if (!threads_[tid].timed)
-        return 0;
-    // A thread this close to its loop exit can never complete the
-    // arm-then-match sequence with k >= 1 (margin 2), so encoding at
-    // its boundaries is pure overhead: its tail single-steps, and
-    // the trigger role stays -- or becomes -- vacant for a thread
-    // with room to batch.
-    if (threads_[tid].iters_left < 4) {
-        if (tid == lb_trigger_) {
-            lb_trigger_ = -1;
-            lb_armed_ = false;
-        }
-        return 0;
-    }
-    if (lb_trigger_ < 0)
-        lb_trigger_ = tid;
-    if (tid != lb_trigger_)
-        return 0;
-
-    // Backoff: a boundary whose last attempt fell back rarely
-    // matches the very next one, and every attempt costs a whole-
-    // machine encode. Exponentially spaced retries keep hopeless
-    // (contended) regimes near single-step speed; a skipped boundary
-    // only forgoes a jump, so results are unchanged.
-    if (lb_skip_ > 0) {
-        --lb_skip_;
-        return 0;
-    }
-
-    // Randomness consumed since the last boundary means the period
-    // cannot be replayed; skip the full encode until it settles.
-    if (lb_armed_ && rng_.state() != lb_prev_rng_) {
-        ++lb_.fallbacks;
-        lb_prev_rng_ = rng_.state();
-        lb_armed_ = false;
-        lb_skip_ = lb_penalty_;
-        lb_penalty_ = std::min<long>(lb_penalty_ * 2, 256);
-        return 0;
-    }
-
-    encodeState(done, lb_fp_);
-    const int n = static_cast<int>(threads_.size());
-    if (!lb_armed_ || lb_fp_ != lb_prev_fp_) {
-        if (lb_armed_) {
-            ++lb_.fallbacks;
-            lb_skip_ = lb_penalty_;
-            lb_penalty_ = std::min<long>(lb_penalty_ * 2, 256);
-        }
-        lb_prev_fp_.swap(lb_fp_);
-        lb_prev_boundary_ = done;
-        lb_prev_rng_ = rng_.state();
-        lb_prev_iters_.resize(n);
-        for (int i = 0; i < n; ++i)
-            lb_prev_iters_[i] = threads_[i].iters_left;
-        stats_.snapshot(lb_prev_stats_);
-        lb_armed_ = true;
-        return 0;
-    }
-
-    // Equal fingerprints: the machine's dynamics are periodic with
-    // period delta. K whole periods can be applied algebraically.
-    // Every actor must keep at least one whole post-jump iteration
-    // to execute for real: iters_left still counts the just-finished
-    // iteration, so a margin of 2 leaves the loop exit -- and the
-    // run's final event times -- to ordinary single-stepping.
-    const Tick delta = done - lb_prev_boundary_;
-    SYNCPERF_ASSERT(delta > 0, "duplicate trigger boundary tick");
-    long k = std::numeric_limits<long>::max();
-    std::uint64_t per_period = 0;
-    for (int i = 0; i < n; ++i) {
-        const long d = lb_prev_iters_[i] - threads_[i].iters_left;
-        if (d <= 0)
-            continue;
-        per_period += static_cast<std::uint64_t>(d);
-        k = std::min(k, (threads_[i].iters_left - 2) / d);
-    }
-    if (k == std::numeric_limits<long>::max())
-        k = 0;
-    // A horizon pin is an opaque foreign event: never jump past it.
-    if (eq_.horizonPin() != sim::EventQueue::no_tick) {
-        const Tick pin = eq_.horizonPin();
-        k = pin > done
-            ? std::min(k, static_cast<long>((pin - done) / delta))
-            : 0;
-    }
-    if (k < 1) {
-        ++lb_.fallbacks;
-        lb_skip_ = lb_penalty_;
-        lb_penalty_ = std::min<long>(lb_penalty_ * 2, 256);
-        // Re-anchor so a later boundary measures a fresh period.
-        lb_prev_boundary_ = done;
-        for (int i = 0; i < n; ++i)
-            lb_prev_iters_[i] = threads_[i].iters_left;
-        stats_.snapshot(lb_prev_stats_);
-        return 0;
-    }
-
-    const Tick shift = delta * static_cast<Tick>(k);
-    eq_.shiftPending(shift);
-    shiftTimes(shift);
-    for (int i = 0; i < n; ++i) {
-        const long d = lb_prev_iters_[i] - threads_[i].iters_left;
-        threads_[i].iters_left -= static_cast<long>(k) * d;
-    }
-    stats_.applyPeriods(lb_prev_stats_, static_cast<std::uint64_t>(k));
-    lb_.batched_iters += static_cast<std::uint64_t>(k) * per_period;
-    ++lb_.windows;
-    lb_penalty_ = 1; // a jump proves the steady state: retry eagerly
-
-    // The post-jump boundary has the same fingerprint by
-    // construction; re-anchor the snapshot so the next boundary can
-    // batch again without re-proving periodicity from scratch.
-    lb_prev_boundary_ = done + shift;
-    for (int i = 0; i < n; ++i)
-        lb_prev_iters_[i] = threads_[i].iters_left;
-    stats_.snapshot(lb_prev_stats_);
-    return shift;
 }
 
 void
@@ -796,15 +666,10 @@ CpuMachine::run(const std::vector<CpuProgram> &programs,
     barrier_first_arrival_ = 0;
     barrier_last_arrival_ = 0;
     barrier_waiters_.clear();
-    lb_trigger_ = -1;
-    lb_armed_ = false;
-    lb_skip_ = 0;
-    lb_penalty_ = 1;
-    if (lb_pin_ != sim::EventQueue::no_tick)
-        eq_.pinHorizon(lb_pin_); // reset() above cleared any pin
-    lb_ = sim::LoopBatchCounters{};
+    std::uint64_t total_iters = 0;
     for (const auto &p : programs)
-        lb_.total_iters += static_cast<std::uint64_t>(p.iterations);
+        total_iters += static_cast<std::uint64_t>(p.iterations);
+    batcher_.beginRun(eq_, stats_, total_iters);
 
     // Decode once per program: dense handler+operand arrays with all
     // config-dependent costs and container lookups hoisted out of

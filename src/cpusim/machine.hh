@@ -174,10 +174,11 @@ class CpuMachine
      * skips re-deriving state the detector has proven periodic
      * (docs/performance.md, "Loop batching").
      */
-    void setLoopBatch(bool on) { loop_batch_ = on; }
+    void setLoopBatch(bool on) { batcher_.setEnabled(on); }
 
     /** Loop-batching activity of the most recent run. */
-    const sim::LoopBatchCounters &loopBatch() const { return lb_; }
+    const sim::LoopBatchCounters &
+    loopBatch() const { return batcher_.counters(); }
 
     /**
      * Pin the loop-batching horizon at @p when for every subsequent
@@ -186,12 +187,14 @@ class CpuMachine
      * sim::EventQueue::no_tick, the default, unpins). Results stay
      * bit-identical -- the pin only shrinks what may be batched.
      */
-    void setBatchHorizonPin(Tick when) { lb_pin_ = when; }
+    void setBatchHorizonPin(Tick when) { batcher_.setPin(when); }
 
     /** The machine's event queue (test hook for horizon pinning). */
     sim::EventQueue &eventQueue() { return eq_; }
 
   private:
+    friend class sim::LoopBatcher;
+
     /** Coherence state of one cache line. */
     struct Line
     {
@@ -283,7 +286,8 @@ class CpuMachine
     Tick acquireExclusive(Line &line, const HwPlace &place, Tick start,
                           Tick alu_cost, bool ordering_point);
 
-    // --- Steady-state loop batching (docs/performance.md) ---
+    // --- Loop-batching hooks (sim::LoopBatcher; the actors are the
+    // software threads) ---
 
     /**
      * Encode the complete dynamic machine state relative to the
@@ -295,17 +299,12 @@ class CpuMachine
      */
     void encodeState(Tick base, std::vector<std::uint64_t> &out) const;
 
-    /**
-     * Called at every timed body-iteration boundary of thread
-     * @p tid, before its iteration counter is decremented. When the
-     * boundary fingerprint matches the previous one, jump K whole
-     * periods algebraically and return the tick shift (0 when the
-     * check fell back to single-stepping).
-     */
-    Tick maybeBatch(int tid, Tick done);
-
     /** Add @p delta to every live absolute-time register. */
     void shiftTimes(Tick delta);
+
+    int actorCount() const { return static_cast<int>(threads_.size()); }
+    long &itersLeft(int tid) { return threads_[tid].iters_left; }
+    std::uint64_t rngState() const { return rng_.state(); }
 
     CpuConfig cfg_;
     Affinity affinity_;
@@ -339,23 +338,9 @@ class CpuMachine
     Tick align_last_ = 0;
     std::vector<int> align_waiters_;
 
-    // Steady-state loop batching. The first thread to complete a
-    // timed body iteration becomes the trigger; its boundaries drive
-    // the periodicity check.
-    bool loop_batch_ = true;
-    /** Sticky horizon pin re-applied to the queue by every run(). */
-    Tick lb_pin_ = sim::EventQueue::no_tick;
-    int lb_trigger_ = -1;
-    bool lb_armed_ = false;        ///< lb_prev_* describe a boundary
-    long lb_skip_ = 0;             ///< boundaries left before retrying
-    long lb_penalty_ = 1;          ///< next backoff length (doubles)
-    Tick lb_prev_boundary_ = 0;
-    std::uint64_t lb_prev_rng_ = 0;
-    std::vector<std::uint64_t> lb_prev_fp_;
-    std::vector<std::uint64_t> lb_fp_;  ///< scratch for the current fp
-    std::vector<long> lb_prev_iters_;
-    sim::StatSnapshot lb_prev_stats_;
-    sim::LoopBatchCounters lb_;
+    /** Steady-state loop batching; the first thread to complete a
+     * timed body iteration becomes its trigger. */
+    sim::LoopBatcher batcher_;
 };
 
 } // namespace syncperf::cpusim

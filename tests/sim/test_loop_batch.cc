@@ -1,10 +1,13 @@
 /**
  * @file
- * Identity tests for steady-state loop batching: for every workload
- * class the simulators model, a batched run must produce cycle
- * counts bit-identical to single-stepping, the batcher must engage
- * on uncontended steady states, fall back around contention, and
- * respect a pinned horizon (docs/performance.md, "Loop batching").
+ * Tests for steady-state loop batching (docs/performance.md, "Loop
+ * batching"). The shared sim::LoopBatcher is first driven alone by a
+ * scripted host -- anchor matching, the randomness early-out, the
+ * backoff, the horizon clamp and the trigger hand-off. Then, for
+ * every workload class the simulators model, a batched run must
+ * produce cycle counts bit-identical to single-stepping, the batcher
+ * must engage on uncontended steady states, fall back around
+ * contention, and respect a pinned horizon.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +23,202 @@ namespace syncperf
 {
 namespace
 {
+
+// ---------------------------------------------------- LoopBatcher
+
+/** A host whose fingerprints are scripted by the test. */
+struct FakeHost
+{
+    std::vector<long> iters;
+    std::uint64_t rng = 1;
+    std::uint64_t fp = 0;                ///< what the next encode reports
+    mutable std::vector<sim::Tick> encodes;  ///< base of every encode
+    sim::Tick shifted = 0;
+
+    void
+    encodeState(sim::Tick base, std::vector<std::uint64_t> &out) const
+    {
+        encodes.push_back(base);
+        out.assign(1, fp);
+    }
+    void shiftTimes(sim::Tick delta) { shifted += delta; }
+    int actorCount() const { return static_cast<int>(iters.size()); }
+    long &itersLeft(int actor) { return iters[actor]; }
+    std::uint64_t rngState() const { return rng; }
+};
+
+/** A batcher bound to a fresh queue and stat set, plus its host. */
+struct Rig
+{
+    sim::EventQueue eq;
+    sim::StatSet stats;
+    sim::LoopBatcher lb;
+    FakeHost host;
+
+    explicit Rig(std::vector<long> iters)
+    {
+        host.iters = std::move(iters);
+        lb.beginRun(eq, stats, 0);
+    }
+
+    /** One timed boundary of @p actor, then the machine's decrement. */
+    sim::Tick
+    cross(int actor, sim::Tick done)
+    {
+        const sim::Tick shift = lb.boundary(host, actor, done);
+        --host.iters[actor];
+        return shift;
+    }
+};
+
+TEST(LoopBatcher, PeriodThreeRotationMatchesTheAnchorThreeBoundariesBack)
+{
+    // The trigger (actor 0) rotates through fingerprints A, B, C with
+    // 10 ticks per boundary; actor 1 runs two iterations per trigger
+    // iteration. Round 2 is skipped by the backoff after B's
+    // fallback, so round 3 is the first to see A again, and it must
+    // close the cycle against round 0, not the newest anchor (B).
+    Rig r({1000, 5000});
+    const std::uint64_t pattern[] = {0xA, 0xB, 0xC};
+    sim::Tick shift = 0;
+    for (int round = 0; round < 4; ++round) {
+        r.host.fp = pattern[round % 3];
+        r.stats.inc(sim::Probe::CpuL1Hit);
+        shift = r.cross(0, 10 * (round + 1));
+        if (round < 3) {
+            EXPECT_EQ(shift, 0u);
+            EXPECT_EQ(r.cross(1, 10 * (round + 1)), 0u);
+            EXPECT_EQ(r.cross(1, 10 * (round + 1)), 0u);
+        }
+    }
+    EXPECT_EQ(r.host.encodes, (std::vector<sim::Tick>{10, 20, 40}));
+
+    // Δ = 40 - 10 and d = (3, 6), both from round 0's anchor; actor 0
+    // limits k to (997 - 2) / 3 = 331.
+    EXPECT_EQ(shift, 30u * 331u);
+    EXPECT_EQ(r.host.shifted, shift);
+    EXPECT_EQ(r.host.iters[0], 997 - 331 * 3 - 1);
+    EXPECT_EQ(r.host.iters[1], 4994 - 331 * 6);
+    const sim::LoopBatchCounters &c = r.lb.counters();
+    EXPECT_EQ(c.windows, 1u);
+    EXPECT_EQ(c.fallbacks, 1u);
+    EXPECT_EQ(c.batched_iters, 331u * 9u);
+    // The stats recorded since the anchor (3 increments) replay k times.
+    EXPECT_EQ(r.stats.get(sim::Probe::CpuL1Hit), 4u + 331u * 3u);
+}
+
+TEST(LoopBatcher, RngChangeDropsEveryAnchorWithoutEncoding)
+{
+    Rig r({1000});
+    r.host.fp = 0xA;
+    r.cross(0, 10);    // encode, anchor A
+    r.host.fp = 0xB;
+    r.cross(0, 20);    // encode, fall back (skip 1)
+    r.cross(0, 30);    // skipped
+    r.host.rng = 2;
+    r.cross(0, 40);    // randomness consumed: no encode
+    EXPECT_EQ(r.host.encodes.size(), 2u);
+    EXPECT_EQ(r.lb.counters().fallbacks, 2u);
+
+    r.cross(0, 50);    // backoff (skip 2)
+    r.cross(0, 60);
+    r.host.fp = 0xA;
+    r.cross(0, 70);    // A again, but round 0's anchor is gone
+    EXPECT_EQ(r.host.encodes.size(), 3u);
+    EXPECT_EQ(r.lb.counters().windows, 0u);
+    EXPECT_EQ(r.lb.counters().fallbacks, 2u); // an empty ring misses freely
+}
+
+TEST(LoopBatcher, BackoffDoublesToTheCapAndResetsAfterAJump)
+{
+    Rig r({1000000});
+    sim::Tick now = 0;
+    std::uint64_t next_fp = 100;
+    std::vector<int> gaps;
+    // Every boundary reports a fresh fingerprint until @p n encodes
+    // are seen (or a gap outgrows the cap); gaps collects the
+    // boundaries from one encode to the next.
+    const auto runUntil = [&](std::size_t n) {
+        int since = 0;
+        while (r.host.encodes.size() < n && since <= 257) {
+            const std::size_t seen = r.host.encodes.size();
+            now += 10;
+            r.host.fp = next_fp++;
+            now += r.cross(0, now);
+            ++since;
+            if (r.host.encodes.size() != seen) {
+                gaps.push_back(since);
+                since = 0;
+            }
+        }
+    };
+    now += 10;
+    r.host.fp = next_fp++;
+    r.cross(0, now);
+    runUntil(13);
+    EXPECT_EQ(gaps, (std::vector<int>{1, 2, 3, 5, 9, 17, 33, 65, 129, 257,
+                                      257, 257}));
+
+    // Repeat the newest anchor's fingerprint; the pin keeps the jump
+    // to one period (Δ = 257 boundaries).
+    const std::size_t before = r.host.encodes.size();
+    r.host.fp = next_fp - 1;
+    for (int i = 0; i < 257 && r.host.encodes.size() == before; ++i) {
+        now += 10;
+        r.eq.pinHorizon(now + 2571);
+        now += r.cross(0, now);
+    }
+    r.eq.clearHorizonPin();
+    EXPECT_EQ(r.lb.counters().windows, 1u);
+    EXPECT_EQ(r.host.shifted, 2570u);
+
+    gaps.clear();
+    runUntil(before + 5);
+    EXPECT_EQ(gaps, (std::vector<int>{1, 2, 3, 5}));
+}
+
+TEST(LoopBatcher, PinCapsTheJumpAndAShortWindowReanchors)
+{
+    Rig r({1000});
+    r.host.fp = 7; // a period of one boundary
+    EXPECT_EQ(r.cross(0, 10), 0u);
+
+    // The pin leaves room for five periods of 10 ticks.
+    r.eq.pinHorizon(70);
+    EXPECT_EQ(r.cross(0, 20), 50u);
+    EXPECT_EQ(r.host.iters[0], 999 - 5 - 1);
+    EXPECT_EQ(r.lb.counters().batched_iters, 5u);
+
+    // Past the pin k < 1: fall back and anchor this boundary instead.
+    EXPECT_EQ(r.cross(0, 80), 0u);
+    EXPECT_EQ(r.lb.counters().fallbacks, 1u);
+    r.cross(0, 90); // backoff
+
+    // Unpinned, the match is against the tick-80 anchor: Δ = 20 and
+    // d = 2 (the post-jump anchor at 70 would give 30 and 3).
+    r.eq.clearHorizonPin();
+    EXPECT_EQ(r.host.iters[0], 991);
+    EXPECT_EQ(r.cross(0, 100), 20u * ((991 - 2) / 2));
+    EXPECT_EQ(r.lb.counters().windows, 2u);
+}
+
+TEST(LoopBatcher, ActorNearItsLoopExitVacatesTheTrigger)
+{
+    Rig r({5, 100});
+    std::uint64_t next_fp = 1;
+    for (int round = 0; round < 5; ++round) {
+        r.host.fp = next_fp++;
+        r.cross(0, 10 * round + 1);
+        r.host.fp = next_fp++;
+        r.cross(1, 10 * round + 2);
+    }
+    // Actor 0 triggers with 5 and 4 iterations left, vacates at 3;
+    // actor 1 takes over, honors the backoff that survived the
+    // hand-off (round 2), and starts with an empty ring (round 3
+    // records no fallback).
+    EXPECT_EQ(r.host.encodes, (std::vector<sim::Tick>{1, 11, 32, 42}));
+    EXPECT_EQ(r.lb.counters().fallbacks, 2u);
+}
 
 // ------------------------------------------------------------- CPU
 
