@@ -5,7 +5,8 @@
 # format, paths relative to the --out directory). The run must also
 # write no CSV the digest file does not name. Without ARGS this is the
 # quick all-systems campaign, pinned in tests/digests/quick_all.sha256;
-# `cuda --thorough` is pinned in tests/digests/cuda_thorough.sha256.
+# `cuda --thorough` is pinned in tests/digests/cuda_thorough.sha256 and
+# `omp --thorough` in tests/digests/omp_thorough.sha256.
 # A model change that moves a figure re-blesses the file on purpose,
 # with a note in EXPERIMENTS.md:
 #
