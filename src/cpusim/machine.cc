@@ -245,89 +245,49 @@ CpuMachine::finishOp(int tid, Tick done)
     batcher_.retire(tid);
 }
 
+template <class Self, class V>
 void
-CpuMachine::encodeState(Tick base, std::vector<std::uint64_t> &out) const
+CpuMachine::visitState(Self &self, V &v)
 {
-    // Liveness floor: a max-register at or below both the boundary
-    // and every pending event can never win another max() against a
-    // future time, so it is canonicalized to one dead value; anything
-    // above the floor is encoded as its exact offset from the
-    // boundary. Live past registers (they feed min()s or wait-time
-    // stats) always keep their exact offset.
-    Tick floor = eq_.earliestPending();
-    if (base < floor)
-        floor = base;
-    const auto off = [base](Tick v) {
-        return static_cast<std::uint64_t>(v - base);
-    };
-    constexpr std::uint64_t dead = std::uint64_t{1} << 63;
-    const auto maxreg = [&](Tick v) {
-        return v > floor ? off(v) : dead;
-    };
-
-    out.clear();
-    out.push_back(rng_.state());
-    for (const ThreadCtx &t : threads_) {
-        out.push_back(static_cast<std::uint64_t>(t.pc) << 4 |
-                      static_cast<std::uint64_t>(t.timed) << 3 |
-                      static_cast<std::uint64_t>(t.done) << 2 |
-                      static_cast<std::uint64_t>(t.resume) << 1 |
-                      static_cast<std::uint64_t>(t.has_pending_store));
-        out.push_back(static_cast<std::uint64_t>(
+    for (const ThreadCtx &t : self.threads_) {
+        v.word(static_cast<std::uint64_t>(t.pc) << 4 |
+               static_cast<std::uint64_t>(t.timed) << 3 |
+               static_cast<std::uint64_t>(t.done) << 2 |
+               static_cast<std::uint64_t>(t.resume) << 1 |
+               static_cast<std::uint64_t>(t.has_pending_store));
+        v.word(static_cast<std::uint64_t>(
             (t.has_pending_store ? t.pending_store_line : -1) + 1));
     }
-    for (int w : warm_left_)
-        out.push_back(static_cast<std::uint64_t>(w));
-    for (Tick v : core_free_)
-        out.push_back(maxreg(v));
-    out.push_back(maxreg(coherence_point_free_));
-    for (const Line &l : lines_) {
-        out.push_back(static_cast<std::uint64_t>(l.owner_core + 1) << 1 |
-                      static_cast<std::uint64_t>(l.exclusive));
-        out.push_back(l.copies);
-        out.push_back(maxreg(l.free_at));
+    v.words(self.warm_left_);
+    v.maxRegs(self.core_free_);
+    v.maxReg(self.coherence_point_free_);
+    for (auto &l : self.lines_) {
+        v.word(static_cast<std::uint64_t>(l.owner_core + 1) << 1 |
+               static_cast<std::uint64_t>(l.exclusive));
+        v.word(l.copies);
+        v.maxReg(l.free_at);
     }
-    for (const LockState &l : locks_) {
-        out.push_back(static_cast<std::uint64_t>(l.held) << 32 |
-                      static_cast<std::uint64_t>(l.waiters.size()));
-        for (const LockWaiter &w : l.waiters) {
-            out.push_back(static_cast<std::uint64_t>(w.tid));
-            out.push_back(off(w.since)); // feeds lock_wait_ticks later
+    for (auto &l : self.locks_) {
+        v.word(static_cast<std::uint64_t>(l.held) << 32 |
+               static_cast<std::uint64_t>(l.waiters.size()));
+        for (auto &w : l.waiters) {
+            v.word(static_cast<std::uint64_t>(w.tid));
+            v.stamp(w.since); // feeds lock_wait_ticks later
         }
     }
-    out.push_back(static_cast<std::uint64_t>(barrier_arrivals_));
+    v.word(static_cast<std::uint64_t>(self.barrier_arrivals_));
     // Both rendezvous stamps are live while a barrier is partially
     // arrived: first_arrival feeds future min()s, and last_arrival
     // can still win its max() -- a later arrival may carry a smaller
     // tick when issue contention delayed an earlier one.
-    out.push_back(barrier_arrivals_ ? off(barrier_first_arrival_) : 0);
-    out.push_back(barrier_arrivals_ ? off(barrier_last_arrival_) : 0);
-    for (int w : barrier_waiters_)
-        out.push_back(static_cast<std::uint64_t>(w));
-    out.push_back(static_cast<std::uint64_t>(align_arrivals_));
-    for (int w : align_waiters_)
-        out.push_back(static_cast<std::uint64_t>(w));
-    eq_.encodePending(base, out);
-}
-
-void
-CpuMachine::shiftTimes(Tick delta)
-{
-    for (Tick &v : core_free_)
-        v += delta;
-    coherence_point_free_ += delta;
-    for (Line &l : lines_)
-        l.free_at += delta;
-    for (LockState &l : locks_)
-        for (LockWaiter &w : l.waiters)
-            w.since += delta;
-    if (barrier_arrivals_ > 0) {
-        barrier_first_arrival_ += delta;
-        barrier_last_arrival_ += delta;
-    }
+    v.stampIf(self.barrier_arrivals_ > 0, self.barrier_first_arrival_);
+    v.stampIf(self.barrier_arrivals_ > 0, self.barrier_last_arrival_);
+    v.words(self.barrier_waiters_);
+    v.word(static_cast<std::uint64_t>(self.align_arrivals_));
+    v.words(self.align_waiters_);
     // align_last_ is final once the team is timed (and a trigger
     // exists only then); start/end ticks are frozen outputs shared
-    // with the unbatched run; the rng did not advance.
+    // with the unbatched run, and a jump never advances the rng.
 }
 
 void

@@ -289,18 +289,9 @@ class CpuMachine
     // --- Loop-batching hooks (sim::LoopBatcher; the actors are the
     // software threads) ---
 
-    /**
-     * Encode the complete dynamic machine state relative to the
-     * trigger-boundary tick @p base: live timing registers as exact
-     * offsets, provably dead ones canonicalized, the pending event
-     * set in execution order, and the rng state verbatim. Equal
-     * encodings at two boundaries prove the machine's dynamics are
-     * periodic with the boundaries' tick distance as the period.
-     */
-    void encodeState(Tick base, std::vector<std::uint64_t> &out) const;
-
-    /** Add @p delta to every live absolute-time register. */
-    void shiftTimes(Tick delta);
+    /** The fingerprinted state, each field once with its liveness
+     * class (sim::StateEncoder). */
+    template <class Self, class V> static void visitState(Self &self, V &v);
 
     int actorCount() const { return static_cast<int>(threads_.size()); }
     long &itersLeft(int tid) { return threads_[tid].iters_left; }

@@ -544,161 +544,69 @@ GpuMachine::arriveGridSync(int warp_id, Tick when)
     }
 }
 
+template <class Self, class V>
 void
-GpuMachine::encodeState(Tick base, std::vector<std::uint64_t> &out) const
+GpuMachine::visitState(Self &self, V &v)
 {
-    // Liveness floor: a max-register at or below both the boundary
-    // and every pending event can never win another max() against a
-    // future time, so it is canonicalized to one dead value; anything
-    // above the floor is encoded as its exact offset from the
-    // boundary. Rendezvous stamps of a partially arrived barrier are
-    // live in both directions (first feeds a min, last can still win
-    // its max when issue contention reorders arrival ticks).
-    Tick floor = eq_.earliestPending();
-    if (base < floor)
-        floor = base;
-    const auto off = [base](Tick v) {
-        return static_cast<std::uint64_t>(v - base);
-    };
-    constexpr std::uint64_t dead = std::uint64_t{1} << 63;
-    const auto maxreg = [&](Tick v) {
-        return v > floor ? off(v) : dead;
-    };
-
-    // Warp-local stamps (last_store_commit, own_atomic_gate) are
-    // only ever read by the owning warp's later ops, whose issue
-    // times are at least the warp's own next scheduled event: that
-    // tick is a far tighter liveness floor than the global one, and
-    // without it a store-heavy warp's commit stamp flickers between
-    // dead and live across boundaries, spoiling every fingerprint.
-    lb_warp_floor_.resize(warps_.size());
-    eq_.earliestPendingPerPriority(lb_warp_floor_);
-
-    out.clear();
-    out.push_back(rng_.state());
-    for (std::size_t i = 0; i < warps_.size(); ++i) {
-        const WarpCtx &w = warps_[i];
-        const Tick wfloor = lb_warp_floor_[i] == sim::EventQueue::no_tick
-                                ? floor
-                                : std::max(floor, lb_warp_floor_[i]);
-        const auto wmaxreg = [&](Tick v) {
-            return v > wfloor ? off(v) : dead;
-        };
-        out.push_back(static_cast<std::uint64_t>(w.pc) << 32 |
-                      static_cast<std::uint64_t>(w.phase) << 4 |
-                      static_cast<std::uint64_t>(w.done) << 1 |
-                      static_cast<std::uint64_t>(w.resume));
-        out.push_back(static_cast<std::uint64_t>(w.rep_left));
-        out.push_back(static_cast<std::uint64_t>(w.sm + 1) << 8 |
-                      static_cast<std::uint64_t>(w.sched));
-        out.push_back(wmaxreg(w.last_store_commit));
-        out.push_back(wmaxreg(w.own_atomic_gate));
+    for (std::size_t i = 0; i < self.warps_.size(); ++i) {
+        auto &w = self.warps_[i];
+        v.word(static_cast<std::uint64_t>(w.pc) << 32 |
+               static_cast<std::uint64_t>(w.phase) << 4 |
+               static_cast<std::uint64_t>(w.done) << 1 |
+               static_cast<std::uint64_t>(w.resume));
+        v.word(static_cast<std::uint64_t>(w.rep_left));
+        v.word(static_cast<std::uint64_t>(w.sm + 1) << 8 |
+               static_cast<std::uint64_t>(w.sched));
+        // Warp-local stamps are only ever read by the owning warp's
+        // later ops, whose issue times are at least the warp's own
+        // next scheduled event: that tick is a far tighter liveness
+        // floor than the global one, and without it a store-heavy
+        // warp's commit stamp flickers between dead and live across
+        // boundaries, spoiling every fingerprint.
+        v.actorMaxReg(static_cast<int>(i), w.last_store_commit);
+        v.actorMaxReg(static_cast<int>(i), w.own_atomic_gate);
     }
-    for (const BlockState &b : blocks_) {
-        out.push_back(static_cast<std::uint64_t>(b.sm + 1) << 32 |
-                      static_cast<std::uint64_t>(b.done_warps) << 16 |
-                      static_cast<std::uint64_t>(b.arrived));
-        out.push_back(b.arrived ? off(b.first_arrival) : 0);
-        out.push_back(b.arrived ? off(b.last_arrival) : 0);
-        out.push_back(b.waiters.size());
-        for (int w : b.waiters)
-            out.push_back(static_cast<std::uint64_t>(w));
+    for (auto &b : self.blocks_) {
+        v.word(static_cast<std::uint64_t>(b.sm + 1) << 32 |
+               static_cast<std::uint64_t>(b.done_warps) << 16 |
+               static_cast<std::uint64_t>(b.arrived));
+        // Rendezvous stamps of a partially arrived barrier are live in
+        // both directions: first feeds a min, and last can still win
+        // its max when issue contention reorders arrival ticks.
+        v.stampIf(b.arrived > 0, b.first_arrival);
+        v.stampIf(b.arrived > 0, b.last_arrival);
+        v.word(b.waiters.size());
+        v.words(b.waiters);
     }
-    out.push_back(pending_blocks_.size());
-    for (int b : pending_blocks_)
-        out.push_back(static_cast<std::uint64_t>(b));
-    for (int v : sm_free_threads_)
-        out.push_back(static_cast<std::uint64_t>(v));
-    for (int v : sm_blocks_)
-        out.push_back(static_cast<std::uint64_t>(v));
-    for (int v : sm_next_sched_)
-        out.push_back(static_cast<std::uint64_t>(v));
-    for (Tick v : sched_free_)
-        out.push_back(maxreg(v));
-    for (Tick v : lsu_free_)
-        out.push_back(maxreg(v));
-    for (Tick v : smem_free_)
-        out.push_back(maxreg(v));
-    for (Tick v : reduce_free_)
-        out.push_back(maxreg(v));
-    for (Tick v : unit_free_)
-        out.push_back(maxreg(v));
+    v.word(self.pending_blocks_.size());
+    v.words(self.pending_blocks_);
+    v.words(self.sm_free_threads_);
+    v.words(self.sm_blocks_);
+    v.words(self.sm_next_sched_);
+    v.maxRegs(self.sched_free_);
+    v.maxRegs(self.lsu_free_);
+    v.maxRegs(self.smem_free_);
+    v.maxRegs(self.reduce_free_);
+    v.maxRegs(self.unit_free_);
     // The DRAM queue tail is fire-and-forget: stores push it forward
     // without waiting, so under a store-heavy body it runs ahead of
     // the clock without bound and would spoil every boundary
     // fingerprint. Its value only ever reaches a run result through
     // a global load (the one reader); when the launched program
     // contains none, the register is outcome-dead for the rest of
-    // the run and canonicalizes like any dead max-register.
-    out.push_back(lb_mem_bw_live_ ? maxreg(mem_bw_free_) : dead);
-
-    // Hash maps in key order: iteration order is not part of the
-    // machine state.
-    lb_map_scratch_.clear();
-    for (const auto &[key, when] : line_free_)
-        lb_map_scratch_.push_back(key);
-    std::sort(lb_map_scratch_.begin(), lb_map_scratch_.end());
-    out.push_back(lb_map_scratch_.size());
-    for (std::uint64_t key : lb_map_scratch_) {
-        out.push_back(key);
-        out.push_back(maxreg(line_free_.find(key)->second));
-    }
-    lb_map_scratch_.clear();
-    for (const auto &[key, gate] : sm_line_gate_)
-        lb_map_scratch_.push_back(key);
-    std::sort(lb_map_scratch_.begin(), lb_map_scratch_.end());
-    out.push_back(lb_map_scratch_.size());
-    for (std::uint64_t key : lb_map_scratch_) {
-        const GateSlots &gate = sm_line_gate_.find(key)->second;
-        out.push_back(key);
-        out.push_back(maxreg(gate.newest));
-        out.push_back(maxreg(gate.oldest));
-    }
-
-    out.push_back(static_cast<std::uint64_t>(grid_arrivals_));
-    out.push_back(grid_arrivals_ ? off(grid_first_arrival_) : 0);
-    out.push_back(grid_arrivals_ ? off(grid_last_arrival_) : 0);
-    for (int w : grid_waiters_)
-        out.push_back(static_cast<std::uint64_t>(w));
-    eq_.encodePending(base, out);
-}
-
-void
-GpuMachine::shiftTimes(Tick delta)
-{
-    for (WarpCtx &w : warps_) {
-        w.last_store_commit += delta;
-        w.own_atomic_gate += delta;
-    }
-    for (BlockState &b : blocks_) {
-        if (b.arrived > 0) {
-            b.first_arrival += delta;
-            b.last_arrival += delta;
-        }
-    }
-    for (Tick &v : sched_free_)
-        v += delta;
-    for (Tick &v : lsu_free_)
-        v += delta;
-    for (Tick &v : smem_free_)
-        v += delta;
-    for (Tick &v : reduce_free_)
-        v += delta;
-    for (Tick &v : unit_free_)
-        v += delta;
-    mem_bw_free_ += delta;
-    for (auto &[key, when] : line_free_)
-        when += delta;
-    for (auto &[key, gate] : sm_line_gate_) {
-        gate.newest += delta;
-        gate.oldest += delta;
-    }
-    if (grid_arrivals_ > 0) {
-        grid_first_arrival_ += delta;
-        grid_last_arrival_ += delta;
-    }
+    // the run.
+    v.gatedMaxReg(self.lb_mem_bw_live_, self.mem_bw_free_);
+    v.map(self.line_free_, [&v](auto &when) { v.maxReg(when); });
+    v.map(self.sm_line_gate_, [&v](auto &gate) {
+        v.maxReg(gate.newest);
+        v.maxReg(gate.oldest);
+    });
+    v.word(static_cast<std::uint64_t>(self.grid_arrivals_));
+    v.stampIf(self.grid_arrivals_ > 0, self.grid_first_arrival_);
+    v.stampIf(self.grid_arrivals_ > 0, self.grid_last_arrival_);
+    v.words(self.grid_waiters_);
     // warp.start/warp.end are frozen clock64() outputs shared with
-    // the unbatched run; the rng did not advance.
+    // the unbatched run, and a jump never advances the rng.
 }
 
 void

@@ -327,18 +327,9 @@ class GpuMachine
     // --- Loop-batching hooks (sim::LoopBatcher; the actors are the
     // warps) ---
 
-    /**
-     * Encode the complete dynamic machine state relative to the
-     * trigger-boundary tick @p base: live timing registers as exact
-     * offsets, provably dead ones canonicalized, the pending event
-     * set in execution order, and the rng state verbatim. Equal
-     * encodings at two boundaries prove the machine's dynamics are
-     * periodic with the boundaries' tick distance as the period.
-     */
-    void encodeState(Tick base, std::vector<std::uint64_t> &out) const;
-
-    /** Add @p delta to every live absolute-time register. */
-    void shiftTimes(Tick delta);
+    /** The fingerprinted state, each field once with its liveness
+     * class (sim::StateEncoder). */
+    template <class Self, class V> static void visitState(Self &self, V &v);
 
     int actorCount() const { return static_cast<int>(warps_.size()); }
     long &itersLeft(int warp_id) { return warps_[warp_id].iters_left; }
@@ -390,12 +381,8 @@ class GpuMachine
     sim::LoopBatcher batcher_;
     /** Whether the launched program can read mem_bw_free_ (it holds
      * a global load): if not, the register is outcome-dead and the
-     * boundary fingerprint canonicalizes it (see encodeState). */
+     * boundary fingerprint canonicalizes it (see visitState). */
     bool lb_mem_bw_live_ = true;
-    mutable std::vector<std::uint64_t> lb_map_scratch_;
-    /** Per-warp next-event ticks: liveness floors for warp-local
-     * stamps (scratch for encodeState). */
-    mutable std::vector<Tick> lb_warp_floor_;
 };
 
 } // namespace syncperf::gpusim

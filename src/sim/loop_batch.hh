@@ -20,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -62,6 +63,152 @@ struct LoopBatchCounters
 };
 
 /**
+ * The fingerprint half of a host's visitState(): encodes the visited
+ * state relative to the boundary tick @p base, so that two boundaries
+ * encode equal exactly when the machine's dynamics from each are the
+ * same up to a time shift. Each visit names a liveness class:
+ *
+ * - word(w): discrete state, verbatim;
+ * - maxReg(t): a register only ever read through max() against a
+ *   future time. At or below the liveness floor -- the boundary or
+ *   the earliest pending event, whichever is earlier -- it can never
+ *   win again and encodes as the one `dead` word; above it, as its
+ *   offset from the boundary;
+ * - actorMaxReg(actor, t): a max-register only @p actor's later ops
+ *   read, whose floor is raised to that actor's next pending event
+ *   (the actors are the event priorities);
+ * - gatedMaxReg(live, t): a max-register that is outcome-dead, and
+ *   encodes as `dead`, while @p live is false;
+ * - stamp(t): a time that is always live (it feeds a min() or a
+ *   wait-time stat): its offset;
+ * - stampIf(live, t): a rendezvous stamp, its offset while @p live
+ *   and the word 0 otherwise;
+ * - words(r), maxRegs(r): word() or maxReg() of each element of r;
+ * - map(m, fn): a hash map in key order (iteration order is not
+ *   state): its size, then per key the key and fn(value).
+ *
+ * The encode starts with the rng word and ends with the pending
+ * event set in execution order.
+ */
+class StateEncoder
+{
+  public:
+    /** The canonical word of a dead max-register. */
+    static constexpr std::uint64_t dead = std::uint64_t{1} << 63;
+
+    /** Start encoding the boundary at @p base, with @p actors actors
+     * and rng word @p rng, into @p out (cleared). */
+    void
+    begin(const EventQueue &eq, Tick base, std::uint64_t rng, int actors,
+          std::vector<std::uint64_t> &out)
+    {
+        eq_ = &eq;
+        base_ = base;
+        floor_ = std::min(base, eq.earliestPending());
+        actors_ = actors;
+        actor_floor_.clear();
+        out_ = &out;
+        out.clear();
+        out.push_back(rng);
+    }
+
+    /** Append the pending event set; the encode is complete. */
+    void finish() { eq_->encodePending(base_, *out_); }
+
+    void word(std::uint64_t w) { out_->push_back(w); }
+    void maxReg(Tick t) { word(t > floor_ ? off(t) : dead); }
+    void maxRegs(const std::vector<Tick> &r) { for (Tick t : r) maxReg(t); }
+    void stamp(Tick t) { word(off(t)); }
+    void stampIf(bool live, Tick t) { word(live ? off(t) : 0); }
+    void
+    gatedMaxReg(bool live, Tick t)
+    {
+        word(live && t > floor_ ? off(t) : dead);
+    }
+
+    void
+    actorMaxReg(int actor, Tick t)
+    {
+        if (actor_floor_.empty()) {
+            // Per-actor floors cost a pass over the pending set: take
+            // them once per encode, and only for hosts that ask.
+            actor_floor_.resize(static_cast<std::size_t>(actors_));
+            eq_->earliestPendingPerPriority(actor_floor_);
+            for (Tick &f : actor_floor_)
+                f = f == EventQueue::no_tick ? floor_ : std::max(floor_, f);
+        }
+        word(t > actor_floor_[actor] ? off(t) : dead);
+    }
+
+    template <class R>
+    void
+    words(const R &r)
+    {
+        for (auto w : r)
+            word(static_cast<std::uint64_t>(w));
+    }
+
+    template <class Map, class Fn>
+    void
+    map(const Map &m, Fn &&fn)
+    {
+        keys_.clear();
+        for (const auto &kv : m)
+            keys_.push_back(kv.first);
+        std::sort(keys_.begin(), keys_.end());
+        word(keys_.size());
+        for (std::uint64_t key : keys_) {
+            word(key);
+            fn(m.find(key)->second);
+        }
+    }
+
+  private:
+    std::uint64_t off(Tick t) const { return t - base_; }
+
+    const EventQueue *eq_ = nullptr;
+    Tick base_ = 0;
+    Tick floor_ = 0;
+    int actors_ = 0;
+    std::vector<Tick> actor_floor_;   ///< per-actor floors (lazy)
+    std::vector<std::uint64_t> keys_; ///< map-key sort scratch
+    std::vector<std::uint64_t> *out_ = nullptr;
+};
+
+/**
+ * The jump half of a host's visitState(): adds the period shift to
+ * every time the host visits, and leaves discrete words alone. A
+ * rendezvous stamp moves only while its rendezvous is live; every
+ * register moves whether or not the encoder judged it dead, so a dead
+ * register stays dead.
+ */
+class StateShifter
+{
+  public:
+    explicit StateShifter(Tick delta) : delta_(delta) {}
+
+    void word(std::uint64_t) {}
+    template <class R> void words(const R &) {}
+    void maxReg(Tick &t) { t += delta_; }
+    void maxRegs(std::vector<Tick> &r) { for (Tick &t : r) t += delta_; }
+    void actorMaxReg(int, Tick &t) { t += delta_; }
+    void gatedMaxReg(bool, Tick &t) { t += delta_; }
+    void stamp(Tick &t) { t += delta_; }
+    void stampIf(bool live, Tick &t) { t += live ? delta_ : 0; }
+
+    template <class Map, class Fn>
+    void
+    map(Map &m, Fn &&fn)
+    {
+        for (auto &kv : m)
+            fn(kv.second);
+    }
+
+  private:
+    Tick delta_;
+};
+
+/**
  * The steady-state detector and period jump of one machine.
  *
  * The machine calls boundary() at every timed body-iteration
@@ -76,11 +223,12 @@ struct LoopBatchCounters
  * The host is a template parameter, found by name (the machines
  * befriend this class), and supplies:
  *
- * - `void encodeState(Tick base, std::vector<std::uint64_t> &out)
- *   const` -- the complete dynamic state relative to @p base; equal
- *   encodings at two boundaries prove periodicity;
- * - `void shiftTimes(Tick delta)` -- add @p delta to every live
- *   absolute-time register;
+ * - `template <class Self, class V> static void visitState(Self &self,
+ *   V &v)` -- names every piece of the host's dynamic state once,
+ *   each with its liveness class (see StateEncoder). Self is the host,
+ *   const when @p v is the StateEncoder that fingerprints a boundary
+ *   and mutable when it is the StateShifter that applies a jump, so
+ *   one list drives both;
  * - `int actorCount() const` and `long &itersLeft(int actor)` -- the
  *   actors' remaining timed iterations;
  * - `std::uint64_t rngState() const` -- the jitter stream's word.
@@ -217,6 +365,7 @@ class LoopBatcher
     std::array<Anchor, ring_size> ring_;
     int ring_head_ = 0;   ///< slot of the newest anchor
     int ring_n_ = 0;      ///< valid anchors (0 = disarmed)
+    StateEncoder encoder_;
     std::vector<std::uint64_t> fp_;  ///< the current boundary's fp
     std::uint64_t fp_hash_ = 0;
     LoopBatchCounters counters_;
@@ -236,7 +385,9 @@ LoopBatcher::attempt(Host &host, Tick done)
         return 0;
     }
 
-    host.encodeState(done, fp_);
+    encoder_.begin(*eq_, done, host.rngState(), host.actorCount(), fp_);
+    Host::visitState(std::as_const(host), encoder_);
+    encoder_.finish();
     const Anchor *match = findMatch();
     if (match == nullptr) {
         if (ring_n_ > 0)
@@ -278,7 +429,8 @@ LoopBatcher::attempt(Host &host, Tick done)
 
     const Tick shift = delta * static_cast<Tick>(k);
     eq_->shiftPending(shift);
-    host.shiftTimes(shift);
+    StateShifter shifter(shift);
+    Host::visitState(host, shifter);
     for (int i = 0; i < n; ++i) {
         const long d = match->iters[i] - host.itersLeft(i);
         host.itersLeft(i) -= k * d;

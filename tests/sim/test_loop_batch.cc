@@ -3,16 +3,20 @@
  * Tests for steady-state loop batching (docs/performance.md, "Loop
  * batching"). The shared sim::LoopBatcher is first driven alone by a
  * scripted host -- anchor matching, the randomness early-out, the
- * backoff, the horizon clamp and the trigger hand-off. Then, for
- * every workload class the simulators model, a batched run must
- * produce cycle counts bit-identical to single-stepping, the batcher
- * must engage on uncontended steady states, fall back around
- * contention, and respect a pinned horizon.
+ * backoff, the horizon clamp and the trigger hand-off -- and the
+ * state visitors it fingerprints and jumps with are checked one
+ * liveness class at a time. Then, for every workload class the
+ * simulators model, a batched run must produce cycle counts
+ * bit-identical to single-stepping, the batcher must engage on
+ * uncontended steady states, fall back around contention, and respect
+ * a pinned horizon.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "cpusim/machine.hh"
@@ -32,16 +36,20 @@ struct FakeHost
     std::vector<long> iters;
     std::uint64_t rng = 1;
     std::uint64_t fp = 0;                ///< what the next encode reports
+    sim::Tick now = 0;                   ///< the boundary being crossed
     mutable std::vector<sim::Tick> encodes;  ///< base of every encode
-    sim::Tick shifted = 0;
+    sim::Tick shifted = 0;               ///< sum of the jumps
 
-    void
-    encodeState(sim::Tick base, std::vector<std::uint64_t> &out) const
+    template <class Self, class V>
+    static void
+    visitState(Self &self, V &v)
     {
-        encodes.push_back(base);
-        out.assign(1, fp);
+        if constexpr (std::is_const_v<Self>)
+            self.encodes.push_back(self.now);
+        v.word(self.fp);
+        // Encodes as dead and moves with every jump.
+        v.gatedMaxReg(false, self.shifted);
     }
-    void shiftTimes(sim::Tick delta) { shifted += delta; }
     int actorCount() const { return static_cast<int>(iters.size()); }
     long &itersLeft(int actor) { return iters[actor]; }
     std::uint64_t rngState() const { return rng; }
@@ -65,6 +73,7 @@ struct Rig
     sim::Tick
     cross(int actor, sim::Tick done)
     {
+        host.now = done;
         const sim::Tick shift = lb.boundary(host, actor, done);
         --host.iters[actor];
         return shift;
@@ -218,6 +227,204 @@ TEST(LoopBatcher, ActorNearItsLoopExitVacatesTheTrigger)
     // records no fallback).
     EXPECT_EQ(r.host.encodes, (std::vector<sim::Tick>{1, 11, 32, 42}));
     EXPECT_EQ(r.lb.counters().fallbacks, 2u);
+}
+
+// ------------------------------------- StateEncoder / StateShifter
+
+/** A host state with one field of each liveness class. */
+struct ClassHost
+{
+    std::uint64_t word = 0x77;
+    sim::Tick reg = 0;
+    int actor = 1;
+    sim::Tick actor_reg = 0;
+    bool gate_live = true;
+    sim::Tick gated = 0;
+    sim::Tick stamp = 0;
+    int arrivals = 0;
+    sim::Tick rendezvous = 0;
+    std::unordered_map<std::uint64_t, sim::Tick> map;
+    std::vector<int> ids;
+    std::vector<sim::Tick> regs;
+
+    template <class Self, class V>
+    static void
+    visitState(Self &self, V &v)
+    {
+        v.word(self.word);
+        v.maxReg(self.reg);
+        v.actorMaxReg(self.actor, self.actor_reg);
+        v.gatedMaxReg(self.gate_live, self.gated);
+        v.stamp(self.stamp);
+        v.stampIf(self.arrivals > 0, self.rendezvous);
+        v.map(self.map, [&v](auto &t) { v.maxReg(t); });
+        v.words(self.ids);
+        v.maxRegs(self.regs);
+    }
+};
+
+/** Word positions of ClassHost's fields in an encode (after rng). */
+enum ClassWord
+{
+    RngWord,
+    PlainWord,
+    RegWord,
+    ActorRegWord,
+    GatedWord,
+    StampWord,
+    RendezvousWord,
+    MapSizeWord,
+};
+
+/** Encode @p h at boundary @p base, with two actors, against @p eq. */
+std::vector<std::uint64_t>
+encodeAt(const ClassHost &h, const sim::EventQueue &eq, sim::Tick base)
+{
+    sim::StateEncoder enc;
+    std::vector<std::uint64_t> out;
+    enc.begin(eq, base, 0x5eed, 2, out);
+    ClassHost::visitState(h, enc);
+    enc.finish();
+    return out;
+}
+
+/** The encoded offset of tick @p t from @p base. */
+std::uint64_t
+offset(sim::Tick t, sim::Tick base)
+{
+    return static_cast<std::uint64_t>(t - base);
+}
+
+TEST(StateEncoder, MaxRegAtOrBelowTheFloorEncodesDead)
+{
+    sim::EventQueue eq;
+    ClassHost h;
+    h.reg = 100;
+    auto out = encodeAt(h, eq, 100); // no events: the floor is the base
+    EXPECT_EQ(out[RngWord], 0x5eedu);
+    EXPECT_EQ(out[PlainWord], 0x77u);
+    EXPECT_EQ(out[RegWord], sim::StateEncoder::dead);
+    h.reg = 101;
+    EXPECT_EQ(encodeAt(h, eq, 100)[RegWord], 1u);
+
+    // A pending event before the boundary lowers the floor to it: a
+    // register between the two can still win a max().
+    eq.schedule(60, [] {}, 0);
+    h.reg = 80;
+    EXPECT_EQ(encodeAt(h, eq, 100)[RegWord], offset(80, 100));
+    h.reg = 60;
+    EXPECT_EQ(encodeAt(h, eq, 100)[RegWord], sim::StateEncoder::dead);
+}
+
+TEST(StateEncoder, ActorFloorOverridesALowerGlobalFloor)
+{
+    sim::EventQueue eq;
+    eq.schedule(150, [] {}, 1); // actor 1's next event
+    ClassHost h;
+    h.reg = 120;
+    h.actor_reg = 120;
+    auto out = encodeAt(h, eq, 100);
+    EXPECT_EQ(out[RegWord], 20u);                        // global floor 100
+    EXPECT_EQ(out[ActorRegWord], sim::StateEncoder::dead); // actor floor 150
+    h.actor_reg = 151;
+    EXPECT_EQ(encodeAt(h, eq, 100)[ActorRegWord], 51u);
+
+    // An actor with nothing pending keeps the global floor.
+    h.actor = 0;
+    h.actor_reg = 120;
+    EXPECT_EQ(encodeAt(h, eq, 100)[ActorRegWord], 20u);
+}
+
+TEST(StateEncoder, GatedMaxRegIsDeadWhileItsGateIsClosed)
+{
+    sim::EventQueue eq;
+    ClassHost h;
+    h.gated = 130;
+    EXPECT_EQ(encodeAt(h, eq, 100)[GatedWord], 30u);
+    h.gated = 100; // an open gate keeps the floor
+    EXPECT_EQ(encodeAt(h, eq, 100)[GatedWord], sim::StateEncoder::dead);
+    h.gated = 130;
+    h.gate_live = false;
+    EXPECT_EQ(encodeAt(h, eq, 100)[GatedWord], sim::StateEncoder::dead);
+}
+
+TEST(StateEncoder, StampsKeepTheirOffsetBelowTheFloor)
+{
+    sim::EventQueue eq;
+    ClassHost h;
+    h.stamp = 40;
+    EXPECT_EQ(encodeAt(h, eq, 100)[StampWord], offset(40, 100));
+}
+
+TEST(StateEncoder, InactiveStampIfEncodesZeroAndIsNotShifted)
+{
+    sim::EventQueue eq;
+    ClassHost h;
+    h.rendezvous = 90;
+    EXPECT_EQ(encodeAt(h, eq, 100)[RendezvousWord], 0u);
+    sim::StateShifter shift(40);
+    ClassHost::visitState(h, shift);
+    EXPECT_EQ(h.rendezvous, 90u);
+
+    h.arrivals = 1;
+    EXPECT_EQ(encodeAt(h, eq, 100)[RendezvousWord], offset(90, 100));
+    ClassHost::visitState(h, shift);
+    EXPECT_EQ(h.rendezvous, 130u);
+}
+
+TEST(StateEncoder, MapEncodingIgnoresInsertionOrder)
+{
+    sim::EventQueue eq;
+    ClassHost a;
+    ClassHost b;
+    for (std::uint64_t key : {3, 1, 2})
+        a.map[key] = 100 + key;
+    b.map.reserve(64);
+    for (std::uint64_t key : {2, 3, 1})
+        b.map[key] = 100 + key;
+    const auto order = [](const ClassHost &h) {
+        std::vector<std::uint64_t> keys;
+        for (const auto &kv : h.map)
+            keys.push_back(kv.first);
+        return keys;
+    };
+    ASSERT_NE(order(a), order(b)); // the maps iterate differently
+
+    const auto out = encodeAt(a, eq, 100);
+    EXPECT_EQ(out, encodeAt(b, eq, 100));
+    const std::vector<std::uint64_t> entries(out.begin() + MapSizeWord,
+                                             out.begin() + MapSizeWord + 7);
+    EXPECT_EQ(entries,
+              (std::vector<std::uint64_t>{3, 1, 1, 2, 2, 3, 3}));
+}
+
+TEST(StateShifter, MovesEveryTimeFieldAndNoWord)
+{
+    ClassHost h;
+    h.reg = 10;
+    h.actor_reg = 20;
+    h.gate_live = false; // a closed gate still moves its register
+    h.gated = 30;
+    h.stamp = 40;
+    h.arrivals = 2;
+    h.rendezvous = 50;
+    h.map = {{1, 60}, {2, 70}};
+    h.ids = {8, 9};
+    h.regs = {80, 90};
+    sim::StateShifter shift(5);
+    ClassHost::visitState(h, shift);
+    EXPECT_EQ(h.word, 0x77u);
+    EXPECT_EQ(h.actor, 1);
+    EXPECT_EQ(h.arrivals, 2);
+    EXPECT_EQ(h.ids, (std::vector<int>{8, 9}));
+    EXPECT_EQ(h.reg, 15u);
+    EXPECT_EQ(h.actor_reg, 25u);
+    EXPECT_EQ(h.gated, 35u);
+    EXPECT_EQ(h.stamp, 45u);
+    EXPECT_EQ(h.rendezvous, 55u);
+    EXPECT_EQ(h.map, (std::unordered_map<std::uint64_t, sim::Tick>{
+                         {1, 65}, {2, 75}}));
+    EXPECT_EQ(h.regs, (std::vector<sim::Tick>{85, 95}));
 }
 
 // ------------------------------------------------------------- CPU
