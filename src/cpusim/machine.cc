@@ -287,7 +287,7 @@ CpuMachine::visitState(Self &self, V &v)
     v.words(self.align_waiters_);
     // align_last_ is final once the team is timed (and a trigger
     // exists only then); start/end ticks are frozen outputs shared
-    // with the unbatched run, and a jump never advances the rng.
+    // with the unbatched run; the rng did not advance.
 }
 
 void

@@ -606,7 +606,7 @@ GpuMachine::visitState(Self &self, V &v)
     v.stampIf(self.grid_arrivals_ > 0, self.grid_last_arrival_);
     v.words(self.grid_waiters_);
     // warp.start/warp.end are frozen clock64() outputs shared with
-    // the unbatched run, and a jump never advances the rng.
+    // the unbatched run; the rng did not advance.
 }
 
 void
