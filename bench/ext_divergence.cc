@@ -10,6 +10,7 @@
  * cost is flat across thread counts and path counts.
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -39,17 +40,12 @@ divergenceCost(core::GpuSimTarget &, const gpusim::GpuConfig &cfg,
     auto run = [&](const gpusim::GpuKernel &k) {
         gpusim::GpuMachine machine(cfg);
         const auto r = machine.run(k, launch, protocol.n_warmup);
-        std::vector<double> seconds;
-        seconds.reserve(r.thread_cycles.size());
-        for (auto c : r.thread_cycles) {
-            seconds.push_back(static_cast<double>(c) /
-                              (cfg.clock_ghz * 1e9));
-        }
-        return seconds;
+        return static_cast<double>(std::ranges::max(r.warp_cycles)) /
+               (cfg.clock_ghz * 1e9);
     };
-    const auto m = core::measurePrimitive(
-        [&](std::vector<double> &out) { out = run(baseline); },
-        [&](std::vector<double> &out) { out = run(test); }, protocol);
+    const auto m = core::measurePrimitive([&] { return run(baseline); },
+                                          [&] { return run(test); },
+                                          protocol);
     return m.per_op_seconds;
 }
 

@@ -7,6 +7,7 @@
  * bench compares all three scopes on the RTX 4090 model.
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -27,9 +28,7 @@ gridSyncThroughput(const gpusim::GpuConfig &cfg, int blocks, int threads)
     kernel.body_iters = 50;
     gpusim::GpuMachine machine(cfg);
     const auto r = machine.run(kernel, {blocks, threads}, 2);
-    sim::Tick max = 0;
-    for (auto c : r.thread_cycles)
-        max = std::max(max, c);
+    const sim::Tick max = std::ranges::max(r.warp_cycles);
     const double per_op = static_cast<double>(max) /
                           static_cast<double>(kernel.body_iters) /
                           (cfg.clock_ghz * 1e9);

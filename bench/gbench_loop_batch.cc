@@ -93,12 +93,18 @@ runGpu(bool batch, sim::LoopBatchCounters *lb = nullptr)
 }
 
 /** True when the two runs produced byte-identical cycle counts. */
-template <typename RunResult>
 bool
-identical(const RunResult &a, const RunResult &b)
+identical(const cpusim::CpuRunResult &a, const cpusim::CpuRunResult &b)
 {
     return a.total_cycles == b.total_cycles &&
            a.thread_cycles == b.thread_cycles;
+}
+
+bool
+identical(const gpusim::GpuRunResult &a, const gpusim::GpuRunResult &b)
+{
+    return a.total_cycles == b.total_cycles &&
+           a.warp_cycles == b.warp_cycles;
 }
 
 /** Fail the benchmark unless batching engaged AND changed nothing. */

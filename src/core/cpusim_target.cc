@@ -5,6 +5,7 @@
 
 #include "cpusim_target.hh"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.hh"
@@ -232,9 +233,9 @@ CpuSimTarget::laneKey(const OmpExperiment &exp, int n_threads)
     return h.digest();
 }
 
-void
+double
 CpuSimTarget::runOnce(const std::vector<cpusim::CpuProgram> &programs,
-                      Affinity affinity, std::vector<double> &out)
+                      Affinity affinity)
 {
     // The seed is consumed unconditionally so the stream of seeds --
     // and therefore any jittered launch that follows -- is identical
@@ -248,10 +249,11 @@ CpuSimTarget::runOnce(const std::vector<cpusim::CpuProgram> &programs,
 
     std::uint64_t key = 0;
     bool hit = false;
+    double seconds = 0.0;
     if (cacheable) {
         key = cacheKey(programs, affinity);
         if (auto it = cache_.find(key); it != cache_.end()) {
-            out = it->second.seconds;
+            seconds = it->second.seconds;
             // A hit replays the stored telemetry of the original
             // simulation, so the accumulated sample is identical
             // with and without the cache.
@@ -286,11 +288,11 @@ CpuSimTarget::runOnce(const std::vector<cpusim::CpuProgram> &programs,
         metrics::add(metrics::Counter::LoopBatchFallbacks,
                      static_cast<long long>(
                          machine.loopBatch().fallbacks));
-        const double hz = cfg_.base_clock_ghz * 1e9;
-        out.clear();
-        out.reserve(result.thread_cycles.size());
-        for (auto cycles : result.thread_cycles)
-            out.push_back(static_cast<double>(cycles) / hz);
+        // Max in ticks, then one conversion: the cast and the
+        // division by a positive clock are monotone, so this is
+        // bit-identical to converting every entry and taking the max.
+        const sim::Tick slowest = std::ranges::max(result.thread_cycles);
+        seconds = static_cast<double>(slowest) / (cfg_.base_clock_ghz * 1e9);
         TelemetrySample launch;
         if (mcfg_.telemetry) {
             launch.addStats(machine.stats());
@@ -298,7 +300,7 @@ CpuSimTarget::runOnce(const std::vector<cpusim::CpuProgram> &programs,
         }
         if (cacheable) {
             cache_.emplace(key,
-                           CacheEntry{out, std::move(launch)});
+                           CacheEntry{seconds, std::move(launch)});
             metrics::add(metrics::Counter::SimCacheMisses);
         }
     }
@@ -306,14 +308,11 @@ CpuSimTarget::runOnce(const std::vector<cpusim::CpuProgram> &programs,
     // simulator output, and the injector's own rng advances once per
     // launch either way.
     if (auto *faults = sim::FaultInjector::active()) {
-        if (faults->shouldPoisonMeasurement()) {
-            out.assign(out.size(),
-                       std::numeric_limits<double>::quiet_NaN());
-        } else {
-            for (double &s : out)
-                s = faults->perturbSeconds(s);
-        }
+        if (faults->shouldPoisonMeasurement())
+            return std::numeric_limits<double>::quiet_NaN();
+        return faults->perturbSeconds(seconds);
     }
+    return seconds;
 }
 
 TelemetrySample
@@ -334,13 +333,8 @@ CpuSimTarget::measure(const OmpExperiment &exp, int n_threads)
     const auto pair =
         buildPrograms(exp, n_threads, mcfg_.opsPerMeasurement());
     return measurePrimitive(
-        [&](std::vector<double> &out) {
-            runOnce(pair.baseline, exp.affinity, out);
-        },
-        [&](std::vector<double> &out) {
-            runOnce(pair.test, exp.affinity, out);
-        },
-        mcfg_);
+        [&] { return runOnce(pair.baseline, exp.affinity); },
+        [&] { return runOnce(pair.test, exp.affinity); }, mcfg_);
 }
 
 } // namespace syncperf::core

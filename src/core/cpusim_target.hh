@@ -108,9 +108,13 @@ class CpuSimTarget
     const sim::LoopBatchCounters &loopBatch() const { return lb_; }
 
   private:
-    /** Simulate one launch, filling @p out with per-thread seconds. */
-    void runOnce(const std::vector<cpusim::CpuProgram> &p,
-                 Affinity affinity, std::vector<double> &out);
+    /**
+     * Simulate (or replay from the cache) one launch and return its
+     * slowest thread's runtime in seconds, after any active fault
+     * injector has perturbed or poisoned it.
+     */
+    double runOnce(const std::vector<cpusim::CpuProgram> &p,
+                   Affinity affinity);
 
     /** The target's machine, rebuilt when the affinity changes. */
     cpusim::CpuMachine &machineFor(Affinity affinity);
@@ -136,10 +140,11 @@ class CpuSimTarget
     static std::uint64_t
     imageKey(const std::vector<cpusim::CpuProgram> &p);
 
-    /** Pure simulator output (pre fault injection) of one launch. */
+    /** Pure simulator output (pre fault injection) of one launch:
+     * its slowest thread's seconds. */
     struct CacheEntry
     {
-        std::vector<double> seconds;
+        double seconds = 0.0;
         TelemetrySample telemetry;
     };
 

@@ -5,6 +5,7 @@
 
 #include "gpusim_target.hh"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.hh"
@@ -225,10 +226,9 @@ GpuSimTarget::laneKey(const CudaExperiment &exp)
     return h.digest();
 }
 
-void
+double
 GpuSimTarget::runOnce(const gpusim::GpuKernel &kernel,
-                      gpusim::LaunchConfig launch,
-                      std::vector<double> &out)
+                      gpusim::LaunchConfig launch)
 {
     // The seed is consumed unconditionally so the stream of seeds --
     // and therefore any jittered launch that follows -- is identical
@@ -244,10 +244,11 @@ GpuSimTarget::runOnce(const gpusim::GpuKernel &kernel,
 
     std::uint64_t key = 0;
     bool hit = false;
+    double seconds = 0.0;
     if (cacheable) {
         key = cacheKey(kernel, launch);
         if (auto it = cache_.find(key); it != cache_.end()) {
-            out = it->second.seconds;
+            seconds = it->second.seconds;
             // A hit replays the stored telemetry of the original
             // simulation, so the accumulated sample is identical
             // with and without the cache.
@@ -283,11 +284,11 @@ GpuSimTarget::runOnce(const gpusim::GpuKernel &kernel,
         metrics::add(metrics::Counter::LoopBatchFallbacks,
                      static_cast<long long>(
                          machine.loopBatch().fallbacks));
-        const double hz = cfg_.clock_ghz * 1e9;
-        out.clear();
-        out.reserve(result.thread_cycles.size());
-        for (auto cycles : result.thread_cycles)
-            out.push_back(static_cast<double>(cycles) / hz);
+        // Max in ticks, then one conversion: the cast and the
+        // division by a positive clock are monotone, so this is
+        // bit-identical to converting every entry and taking the max.
+        const sim::Tick slowest = std::ranges::max(result.warp_cycles);
+        seconds = static_cast<double>(slowest) / (cfg_.clock_ghz * 1e9);
         TelemetrySample launch_sample;
         if (mcfg_.telemetry) {
             launch_sample.addStats(machine.stats());
@@ -295,7 +296,7 @@ GpuSimTarget::runOnce(const gpusim::GpuKernel &kernel,
         }
         if (cacheable) {
             cache_.emplace(key,
-                           CacheEntry{out, std::move(launch_sample)});
+                           CacheEntry{seconds, std::move(launch_sample)});
             metrics::add(metrics::Counter::SimCacheMisses);
         }
     }
@@ -303,14 +304,11 @@ GpuSimTarget::runOnce(const gpusim::GpuKernel &kernel,
     // simulator output, and the injector's own rng advances once per
     // launch either way.
     if (auto *faults = sim::FaultInjector::active()) {
-        if (faults->shouldPoisonMeasurement()) {
-            out.assign(out.size(),
-                       std::numeric_limits<double>::quiet_NaN());
-        } else {
-            for (double &s : out)
-                s = faults->perturbSeconds(s);
-        }
+        if (faults->shouldPoisonMeasurement())
+            return std::numeric_limits<double>::quiet_NaN();
+        return faults->perturbSeconds(seconds);
     }
+    return seconds;
 }
 
 TelemetrySample
@@ -329,11 +327,8 @@ GpuSimTarget::measure(const CudaExperiment &exp,
                     cudaPrimitiveSupports(exp.primitive, exp.dtype));
     const auto pair = buildKernels(exp, mcfg_.opsPerMeasurement());
     return measurePrimitive(
-        [&](std::vector<double> &out) {
-            runOnce(pair.baseline, launch, out);
-        },
-        [&](std::vector<double> &out) { runOnce(pair.test, launch, out); },
-        mcfg_);
+        [&] { return runOnce(pair.baseline, launch); },
+        [&] { return runOnce(pair.test, launch); }, mcfg_);
 }
 
 } // namespace syncperf::core

@@ -106,9 +106,13 @@ class GpuSimTarget
     const sim::LoopBatchCounters &loopBatch() const { return lb_; }
 
   private:
-    /** Simulate one launch, filling @p out with per-thread seconds. */
-    void runOnce(const gpusim::GpuKernel &kernel,
-                 gpusim::LaunchConfig launch, std::vector<double> &out);
+    /**
+     * Simulate (or replay from the cache) one launch and return its
+     * slowest warp's runtime in seconds, after any active fault
+     * injector has perturbed or poisoned it.
+     */
+    double runOnce(const gpusim::GpuKernel &kernel,
+                   gpusim::LaunchConfig launch);
 
     /** Digest of everything a jitter-free launch's outcome depends on. */
     std::uint64_t cacheKey(const gpusim::GpuKernel &kernel,
@@ -129,10 +133,11 @@ class GpuSimTarget
      */
     bool ensureImage(std::uint64_t dkey, const gpusim::GpuKernel &kernel);
 
-    /** Pure simulator output (pre fault injection) of one launch. */
+    /** Pure simulator output (pre fault injection) of one launch:
+     * its slowest warp's seconds. */
     struct CacheEntry
     {
-        std::vector<double> seconds;
+        double seconds = 0.0;
         TelemetrySample telemetry;
     };
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/stats.hh"
 #include "threadlib/atomics.hh"
 #include "threadlib/barrier.hh"
 #include "threadlib/locks.hh"
@@ -180,13 +181,13 @@ measureTyped(const OmpExperiment &exp, int n_threads,
     TypedExperiment<T> state(exp, n_threads);
     threadlib::CentralBarrier align(n_threads);
     return measurePrimitive(
-        [&](std::vector<double> &out) {
-            out = timedRegion(n_threads, cfg, exp.affinity, align, state,
-                              1);
+        [&] {
+            return maxOf(timedRegion(n_threads, cfg, exp.affinity, align,
+                                     state, 1));
         },
-        [&](std::vector<double> &out) {
-            out = timedRegion(n_threads, cfg, exp.affinity, align, state,
-                              2);
+        [&] {
+            return maxOf(timedRegion(n_threads, cfg, exp.affinity, align,
+                                     state, 2));
         },
         cfg);
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/stats.hh"
 #include "threadlib/parallel_region.hh"
 
 #ifdef _OPENMP
@@ -215,9 +216,8 @@ measurePrim(const OmpExperiment &exp, int n_threads,
         return timedRun<T, P>(state, n_threads, cfg, exp.affinity,
                               copies);
     };
-    return measurePrimitive(
-        [&](std::vector<double> &out) { out = run(1); },
-        [&](std::vector<double> &out) { out = run(2); }, cfg);
+    return measurePrimitive([&] { return maxOf(run(1)); },
+                            [&] { return maxOf(run(2)); }, cfg);
 }
 
 template <typename T>

@@ -43,12 +43,6 @@ measureOnce(const TimedFunction &baseline, const TimedFunction &test,
     out.run_values.clear();
     out.run_values.reserve(cfg.runs);
 
-    // Per-attempt thread-time buffers, hoisted and refilled in place:
-    // a sweep performs thousands of attempts, and the timed functions
-    // write into warm storage instead of allocating a vector each.
-    std::vector<double> b;
-    std::vector<double> t;
-
     for (int run = 0; run < cfg.runs; ++run) {
         std::vector<double> base_maxes;
         std::vector<double> test_maxes;
@@ -57,12 +51,8 @@ measureOnce(const TimedFunction &baseline, const TimedFunction &test,
 
         int retries_left = cfg.max_retries;
         while (static_cast<int>(test_maxes.size()) < attempts) {
-            baseline(b);
-            test(t);
-            SYNCPERF_ASSERT(!b.empty() && !t.empty(),
-                            "timed function returned no thread times");
-            const double b_max = maxOf(b);
-            const double t_max = maxOf(t);
+            const double b_max = baseline();
+            const double t_max = test();
             if (!std::isfinite(b_max) || !std::isfinite(t_max)) {
                 // Pathological sample (hardware hiccup, injected
                 // fault): retry like any other invalid attempt, but

@@ -21,13 +21,13 @@ namespace syncperf::core
 {
 
 /**
- * One timed execution of a baseline or test function: overwrites
- * @p out with the runtime of every participating thread, in seconds.
- * Fill-style so the protocol can hand every attempt the same reused
- * buffer instead of allocating a fresh vector per timing (the
- * simulator targets run hundreds of launches per sweep point).
+ * One timed execution of a baseline or test function: returns the
+ * runtime of its slowest participating thread, in seconds. That is
+ * the only number the protocol reads from an attempt (Section IV),
+ * so each target reduces its threads (or, on the GPU, its warps) to
+ * it before returning.
  */
-using TimedFunction = std::function<void(std::vector<double> &out)>;
+using TimedFunction = std::function<double()>;
 
 /** Outcome of the full measurement procedure for one primitive. */
 struct Measurement

@@ -992,14 +992,11 @@ GpuMachine::run(const GpuKernel &kernel, LaunchConfig launch,
 
     GpuRunResult result;
     result.total_cycles = end;
-    result.thread_cycles.reserve(
-        static_cast<std::size_t>(launch.blocks) * launch.threads_per_block);
+    result.warp_cycles.reserve(warps_.size());
     for (const auto &warp : warps_) {
         SYNCPERF_ASSERT(warp.done, "warp did not finish (deadlock?)");
-        const Tick elapsed = warp.end >= warp.start
-            ? warp.end - warp.start : 0;
-        for (int lane = 0; lane < warp.lanes; ++lane)
-            result.thread_cycles.push_back(elapsed);
+        result.warp_cycles.push_back(
+            warp.end >= warp.start ? warp.end - warp.start : 0);
     }
 
     // Counters and histograms were recorded in place through the

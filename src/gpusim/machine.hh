@@ -57,10 +57,12 @@ namespace syncperf::gpusim
 struct GpuRunResult
 {
     /**
-     * clock64() delta of the timed region for every thread of the
-     * grid, in GPU cycles (all lanes of a warp share one value).
+     * clock64() delta of the timed region for every warp of the
+     * grid, in warp order (block-major), in GPU cycles. All lanes of
+     * a warp share this one value, so a thread's runtime is its
+     * warp's entry.
      */
-    std::vector<sim::Tick> thread_cycles;
+    std::vector<sim::Tick> warp_cycles;
 
     /** Tick at which the last block finished (kernel runtime). */
     sim::Tick total_cycles = 0;

@@ -12,7 +12,8 @@
  *
  * Hook points:
  *  - CpuSimTarget/GpuSimTarget::runOnce() consult active() to skew,
- *    jitter, or poison the per-thread runtimes they report;
+ *    jitter, or poison the one runtime each launch reports (its
+ *    slowest thread's), so jitter draws once per launch;
  *  - AtomicFile::open()/commit() consult the installed fault hook,
  *    which Scope wires to failWrites().
  */

@@ -117,6 +117,12 @@ TEST(MinMax, Basic)
     EXPECT_DOUBLE_EQ(maxOf(v), 8.0);
 }
 
+TEST(MaxOf, EmptyInputPanics)
+{
+    ScopedLogCapture capture;
+    EXPECT_THROW((void)maxOf(std::vector<double>{}), LogDeathException);
+}
+
 TEST(Percentile, Endpoints)
 {
     const std::vector<double> v{10.0, 20.0, 30.0, 40.0};

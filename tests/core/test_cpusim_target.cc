@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -151,6 +152,41 @@ TEST(CpuSimTarget, OversubscriptionIsFatal)
     OmpExperiment exp;
     ScopedLogCapture capture;
     EXPECT_THROW(target.measure(exp, 33), LogDeathException);
+}
+
+TEST(CpuSimTarget, MeasuresTheSlowestThread)
+{
+    // Six threads spread over System 3 contend on one atomic under
+    // its timing jitter, so neither the first nor the last thread is
+    // reliably the slowest. The measured cost must be the difference
+    // of the slowest threads of direct runs that consume the target's
+    // seeds (baseline first, then test).
+    const auto cfg = cpusim::CpuConfig::system3();
+    const auto mcfg = fastConfig();
+    OmpExperiment exp;
+    exp.primitive = OmpPrimitive::AtomicUpdate;
+    exp.affinity = Affinity::Spread;
+
+    CpuSimTarget target(cfg, mcfg, 7);
+    const auto m = target.measure(exp, 6);
+    ASSERT_TRUE(m.valid);
+    ASSERT_EQ(m.retries, 0);
+
+    const auto pair =
+        CpuSimTarget::buildPrograms(exp, 6, mcfg.opsPerMeasurement());
+    const auto slowest = [&](const std::vector<cpusim::CpuProgram> &p,
+                             std::uint64_t seed) {
+        cpusim::CpuMachine machine(cfg, exp.affinity, seed);
+        const auto r = machine.run(p, mcfg.n_warmup);
+        EXPECT_LT(std::ranges::min(r.thread_cycles),
+                  std::ranges::max(r.thread_cycles));
+        return static_cast<double>(std::ranges::max(r.thread_cycles)) /
+               (cfg.base_clock_ghz * 1e9);
+    };
+    const double b = slowest(pair.baseline, 7);
+    const double t = slowest(pair.test, 8);
+    EXPECT_EQ(m.per_op_seconds,
+              (t - b) / static_cast<double>(mcfg.opsPerMeasurement()));
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -138,6 +139,43 @@ TEST(GpuSimTarget, BlockFenceMeasuresAsNearlyFree)
     const auto mb = target.measure(fence_block, {1, 64});
     const auto md = target.measure(fence_dev, {1, 64});
     EXPECT_LT(mb.per_op_seconds, 0.1 * md.per_op_seconds);
+}
+
+TEST(GpuSimTarget, MeasuresTheSlowestWarp)
+{
+    // Ten 250-thread blocks on two 512-thread SMs run in three waves,
+    // each block ending in a 26-lane warp, so the warps of a launch
+    // finish at different ticks. The measured cost must be the
+    // difference of the slowest warps of direct runs that consume
+    // the target's seeds (baseline first, then test).
+    auto cfg = gpusim::GpuConfig::rtx4090();
+    cfg.sm_count = 2;
+    cfg.max_threads_per_sm = 512;
+    const auto mcfg = fastConfig();
+    const gpusim::LaunchConfig launch{10, 250};
+    CudaExperiment exp;
+    exp.primitive = CudaPrimitive::AtomicAdd;
+
+    GpuSimTarget target(cfg, mcfg, 7);
+    const auto m = target.measure(exp, launch);
+    ASSERT_TRUE(m.valid);
+    ASSERT_EQ(m.retries, 0);
+
+    const auto pair =
+        GpuSimTarget::buildKernels(exp, mcfg.opsPerMeasurement());
+    const auto slowest = [&](const gpusim::GpuKernel &k,
+                             std::uint64_t seed) {
+        gpusim::GpuMachine machine(cfg, seed);
+        const auto r = machine.run(k, launch, mcfg.n_warmup);
+        EXPECT_LT(std::ranges::min(r.warp_cycles),
+                  std::ranges::max(r.warp_cycles));
+        return static_cast<double>(std::ranges::max(r.warp_cycles)) /
+               (cfg.clock_ghz * 1e9);
+    };
+    const double b = slowest(pair.baseline, 7);
+    const double t = slowest(pair.test, 8);
+    EXPECT_EQ(m.per_op_seconds,
+              (t - b) / static_cast<double>(mcfg.opsPerMeasurement()));
 }
 
 } // namespace

@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <limits>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -36,23 +35,12 @@ TEST(Protocol, SubtractsBaselineAndDividesByOps)
     // baseline = 1 ms, test = 2 ms: one primitive costs
     // 1 ms / 100 ops = 10 us.
     const auto m = measurePrimitive(
-        [](std::vector<double> &out) { out = {1e-3}; },
-        [](std::vector<double> &out) { out = {2e-3}; }, cfg);
+        [] { return 1e-3; },
+        [] { return 2e-3; }, cfg);
     EXPECT_NEAR(m.per_op_seconds, 1e-5, 1e-12);
     EXPECT_DOUBLE_EQ(m.stddev_seconds, 0.0);
     EXPECT_EQ(m.run_values.size(), 3u);
     EXPECT_EQ(m.retries, 0);
-}
-
-TEST(Protocol, UsesMaxAcrossThreads)
-{
-    const auto cfg = tinyConfig();
-    const auto m = measurePrimitive(
-        [](std::vector<double> &out) { out = {1e-3, 2e-3, 1.5e-3}; },
-        [](std::vector<double> &out) { out = {1e-3, 3e-3, 2e-3}; },
-        cfg);
-    // (3 ms - 2 ms) / 100.
-    EXPECT_NEAR(m.per_op_seconds, 1e-5, 1e-12);
 }
 
 TEST(Protocol, RetriesWhenTestBeatsBaseline)
@@ -60,11 +48,11 @@ TEST(Protocol, RetriesWhenTestBeatsBaseline)
     const auto cfg = tinyConfig();
     int test_calls = 0;
     const auto m = measurePrimitive(
-        [](std::vector<double> &out) { out = {2e-3}; },
-        [&](std::vector<double> &out) {
+        [] { return 2e-3; },
+        [&] {
             // First call of each run looks faulty (test < baseline).
             ++test_calls;
-            out = {test_calls % 3 == 1 ? 1e-3 : 3e-3};
+            return test_calls % 3 == 1 ? 1e-3 : 3e-3;
         },
         cfg);
     EXPECT_GT(m.retries, 0);
@@ -79,8 +67,8 @@ TEST(Protocol, RetryBudgetExhaustionWarnsAndAccepts)
     cfg.max_retries = 2;
     ScopedLogCapture capture;
     const auto m = measurePrimitive(
-        [](std::vector<double> &out) { out = {2e-3}; },
-        [](std::vector<double> &out) { out = {1e-3}; }, cfg);
+        [] { return 2e-3; },
+        [] { return 1e-3; }, cfg);
     // Negative difference accepted after exhausting retries.
     EXPECT_LT(m.per_op_seconds, 0.0);
     EXPECT_EQ(m.retries, 2);
@@ -97,11 +85,11 @@ TEST(Protocol, MedianOverRunsRejectsOutlierRun)
     cfg.attempts = 1;
     int run = 0;
     const auto m = measurePrimitive(
-        [](std::vector<double> &out) { out = {1e-3}; },
-        [&](std::vector<double> &out) {
+        [] { return 1e-3; },
+        [&] {
             ++run;
             // One run is wildly slow; the median ignores it.
-            out = {run == 2 ? 100e-3 : 2e-3};
+            return run == 2 ? 100e-3 : 2e-3;
         },
         cfg);
     EXPECT_NEAR(m.per_op_seconds, 1e-5, 1e-12);
@@ -115,10 +103,10 @@ TEST(Protocol, MedianWithinRunRejectsOutlierAttempt)
     cfg.attempts = 5;
     int call = 0;
     const auto m = measurePrimitive(
-        [](std::vector<double> &out) { out = {1e-3}; },
-        [&](std::vector<double> &out) {
+        [] { return 1e-3; },
+        [&] {
             ++call;
-            out = {call == 3 ? 50e-3 : 2e-3};
+            return call == 3 ? 50e-3 : 2e-3;
         },
         cfg);
     EXPECT_NEAR(m.per_op_seconds, 1e-5, 1e-12);
@@ -128,8 +116,8 @@ TEST(Protocol, ZeroDifferenceGivesInfiniteThroughput)
 {
     const auto cfg = tinyConfig();
     const auto m = measurePrimitive(
-        [](std::vector<double> &out) { out = {1e-3}; },
-        [](std::vector<double> &out) { out = {1e-3}; }, cfg);
+        [] { return 1e-3; },
+        [] { return 1e-3; }, cfg);
     EXPECT_DOUBLE_EQ(m.per_op_seconds, 0.0);
     EXPECT_TRUE(std::isinf(m.opsPerSecondPerThread()));
 }
@@ -170,8 +158,8 @@ TEST(Protocol, FreePrimitiveMayCostSlightlyNegative)
     cfg.max_retries = 1;
     ScopedLogCapture capture;
     const auto m = measurePrimitive(
-        [](std::vector<double> &out) { out = {1.000e-3}; },
-        [](std::vector<double> &out) { out = {0.999e-3}; }, cfg);
+        [] { return 1.000e-3; },
+        [] { return 0.999e-3; }, cfg);
     EXPECT_TRUE(m.valid);
     EXPECT_LT(m.per_op_seconds, 0.0);
     EXPECT_TRUE(std::isinf(m.opsPerSecondPerThread()));
@@ -185,11 +173,11 @@ TEST(Protocol, RetryCountAccumulatesAcrossRuns)
     cfg.attempts = 2;
     int test_calls = 0;
     const auto m = measurePrimitive(
-        [](std::vector<double> &out) { out = {2e-3}; },
-        [&](std::vector<double> &out) {
+        [] { return 2e-3; },
+        [&] {
             // Every third test call looks faulty.
             ++test_calls;
-            out = {test_calls % 3 == 0 ? 1e-3 : 3e-3};
+            return test_calls % 3 == 0 ? 1e-3 : 3e-3;
         },
         cfg);
     // 3 runs x 2 attempts = 6 valid pairs; calls 3 and 6 were
@@ -207,11 +195,11 @@ TEST(Protocol, NonFiniteTimingRetriesThenFailsRecoverably)
     cfg.max_retries = 3;
     int calls = 0;
     const auto m = measurePrimitive(
-        [&](std::vector<double> &out) {
+        [&] {
             ++calls;
-            out = {std::numeric_limits<double>::quiet_NaN()};
+            return std::numeric_limits<double>::quiet_NaN();
         },
-        [](std::vector<double> &out) { out = {2e-3}; }, cfg);
+        [] { return 2e-3; }, cfg);
     EXPECT_FALSE(m.valid);
     EXPECT_NE(m.error.find("non-finite"), std::string::npos);
     EXPECT_TRUE(std::isnan(m.per_op_seconds));
@@ -227,12 +215,12 @@ TEST(Protocol, TransientNonFiniteTimingIsRetriedAway)
     cfg.attempts = 1;
     int calls = 0;
     const auto m = measurePrimitive(
-        [&](std::vector<double> &out) {
-            out = {++calls == 1
+        [&] {
+            return ++calls == 1
                        ? std::numeric_limits<double>::infinity()
-                       : 1e-3};
+                       : 1e-3;
         },
-        [](std::vector<double> &out) { out = {2e-3}; }, cfg);
+        [] { return 2e-3; }, cfg);
     EXPECT_TRUE(m.valid);
     EXPECT_EQ(m.retries, 1);
     EXPECT_NEAR(m.per_op_seconds, 1e-5, 1e-12);
@@ -252,10 +240,10 @@ TEST(Protocol, CovGateRemeasuresNoisySamplesWithBackoff)
     int test_calls = 0;
     ScopedLogCapture capture; // swallow the "still exceeded" warning
     const auto m = measurePrimitive(
-        [](std::vector<double> &out) { out = {1e-3}; },
-        [&](std::vector<double> &out) {
+        [] { return 1e-3; },
+        [&] {
             ++test_calls;
-            out = {2e-3 + 8e-3 * rng.uniform()};
+            return 2e-3 + 8e-3 * rng.uniform();
         },
         cfg);
     EXPECT_TRUE(m.valid);
@@ -271,10 +259,10 @@ TEST(Protocol, CovGateLeavesQuietMeasurementsAlone)
     cfg.cov_gate = 0.25;
     int test_calls = 0;
     const auto m = measurePrimitive(
-        [](std::vector<double> &out) { out = {1e-3}; },
-        [&](std::vector<double> &out) {
+        [] { return 1e-3; },
+        [&] {
             ++test_calls;
-            out = {2e-3};
+            return 2e-3;
         },
         cfg);
     EXPECT_TRUE(m.valid);
@@ -291,27 +279,16 @@ TEST(Protocol, CovGateSkipsFreePrimitives)
     cfg.cov_gate = 0.1;
     int test_calls = 0;
     const auto m = measurePrimitive(
-        [](std::vector<double> &out) { out = {1e-3}; },
-        [&](std::vector<double> &out) {
+        [] { return 1e-3; },
+        [&] {
             ++test_calls;
-            out = {1e-3};
+            return 1e-3;
         },
         cfg);
     EXPECT_TRUE(m.valid);
     EXPECT_EQ(m.noise_retries, 0);
     EXPECT_DOUBLE_EQ(m.cov, 0.0);
     EXPECT_EQ(test_calls, cfg.runs * cfg.attempts);
-}
-
-TEST(Protocol, EmptyThreadTimesPanics)
-{
-    const auto cfg = tinyConfig();
-    ScopedLogCapture capture;
-    EXPECT_THROW(
-        measurePrimitive([](std::vector<double> &out) { out.clear(); },
-                         [](std::vector<double> &out) { out.clear(); },
-                         cfg),
-        LogDeathException);
 }
 
 } // namespace

@@ -21,7 +21,7 @@ runPaths(int paths, LaunchConfig launch, long iters = 50)
     GpuMachine machine(GpuConfig::rtx4090());
     const auto r = machine.run(k, launch, 1);
     sim::Tick max = 0;
-    for (auto c : r.thread_cycles)
+    for (auto c : r.warp_cycles)
         max = std::max(max, c);
     return max;
 }
@@ -48,7 +48,7 @@ TEST(Divergence, SinglePathEqualsPlainAlu)
                   GpuMachine machine(GpuConfig::rtx4090());
                   const auto r = machine.run(k, {1, 32}, 1);
                   sim::Tick max = 0;
-                  for (auto c : r.thread_cycles)
+                  for (auto c : r.warp_cycles)
                       max = std::max(max, c);
                   return max;
               }());

@@ -78,8 +78,8 @@ TEST(GridSync, SynchronizesResidentGrid)
         << "one release per (warmup + timed) iteration";
     // Every warp of the grid runs the same number of barriers, so
     // all timed regions have identical length.
-    for (auto c : result.thread_cycles)
-        EXPECT_EQ(c, result.thread_cycles.front());
+    for (auto c : result.warp_cycles)
+        EXPECT_EQ(c, result.warp_cycles.front());
 }
 
 TEST(GridSync, CostGrowsWithBlockCount)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "gpusim/machine.hh"
 
@@ -30,16 +32,16 @@ bodyKernel(std::vector<GpuOp> body, long iters = 40)
     return k;
 }
 
-/** Mean timed cycles per body iteration across all threads. */
+/** Mean timed cycles per body iteration across all warps. */
 double
 cyclesPerIteration(GpuMachine &machine, const GpuKernel &kernel,
                    LaunchConfig launch, int warmup = 2)
 {
     const auto result = machine.run(kernel, launch, warmup);
     double sum = 0.0;
-    for (auto c : result.thread_cycles)
+    for (auto c : result.warp_cycles)
         sum += static_cast<double>(c);
-    return sum / static_cast<double>(result.thread_cycles.size()) /
+    return sum / static_cast<double>(result.warp_cycles.size()) /
            static_cast<double>(kernel.body_iters);
 }
 
@@ -48,7 +50,7 @@ TEST(GpuMachine, RunsToCompletion)
     GpuMachine machine(testGpu());
     const auto result =
         machine.run(bodyKernel({GpuOp::alu()}), {2, 64}, 1);
-    EXPECT_EQ(result.thread_cycles.size(), 128u);
+    EXPECT_EQ(result.warp_cycles.size(), 4u);
     EXPECT_GT(result.total_cycles, 0u);
 }
 
@@ -59,8 +61,8 @@ TEST(GpuMachine, Deterministic)
                              0x1000)});
     GpuMachine a(testGpu(), 3);
     GpuMachine b(testGpu(), 3);
-    EXPECT_EQ(a.run(k, {4, 128}, 2).thread_cycles,
-              b.run(k, {4, 128}, 2).thread_cycles);
+    EXPECT_EQ(a.run(k, {4, 128}, 2).warp_cycles,
+              b.run(k, {4, 128}, 2).warp_cycles);
 }
 
 TEST(GpuMachine, PartialWarpsGetLanesClamped)
@@ -68,7 +70,17 @@ TEST(GpuMachine, PartialWarpsGetLanesClamped)
     GpuMachine machine(testGpu());
     const auto result = machine.run(bodyKernel({GpuOp::alu()}), {1, 40}, 1);
     // 40 threads = one full warp + one 8-lane warp.
-    EXPECT_EQ(result.thread_cycles.size(), 40u);
+    EXPECT_EQ(result.warp_cycles.size(), 2u);
+}
+
+TEST(GpuMachine, RunResultHasOneEntryPerWarp)
+{
+    // The paper's largest geometry on the 2070: 80 blocks of 1024
+    // threads is 81,920 threads in 2,560 warps, one entry each.
+    GpuMachine machine(GpuConfig::rtx2070Super());
+    const auto result =
+        machine.run(bodyKernel({GpuOp::alu()}, 4), {80, 1024}, 1);
+    EXPECT_EQ(result.warp_cycles.size(), 2560u);
 }
 
 TEST(GpuMachine, SyncThreadsConstantUpToOneWarp)
@@ -287,7 +299,7 @@ TEST(GpuMachine, BlocksScheduleInWaves)
         machine.run(bodyKernel({GpuOp::alu()}), {8, 1024}, 1);
     EXPECT_EQ(machine.stats().get("gpu.blocks_launched"), 8u);
     EXPECT_EQ(machine.stats().get("gpu.blocks_retired"), 8u);
-    EXPECT_EQ(result.thread_cycles.size(), 8u * 1024u);
+    EXPECT_EQ(result.warp_cycles.size(), 8u * 32u);
 }
 
 TEST(GpuMachine, ResidencyRespectsThreadLimit)
@@ -367,19 +379,19 @@ TEST(GpuMachineImage, BuiltImageRunMatchesColdRun)
 {
     const GpuKernel k = imageTestKernel();
     GpuMachine cold(testGpu(), 5);
-    const auto want = cold.run(k, {4, 128}, 2).thread_cycles;
+    const auto want = cold.run(k, {4, 128}, 2).warp_cycles;
 
     GpuMachine warm(testGpu(), 5);
     warm.buildImage(42, k);
     ASSERT_TRUE(warm.hasImage(42));
-    EXPECT_EQ(warm.run(k, {4, 128}, 2, 42).thread_cycles, want);
+    EXPECT_EQ(warm.run(k, {4, 128}, 2, 42).warp_cycles, want);
     // Replaying the image again stays identical, including at a
     // different launch geometry (decoding is geometry-independent).
     warm.reseed(5);
-    EXPECT_EQ(warm.run(k, {4, 128}, 2, 42).thread_cycles, want);
+    EXPECT_EQ(warm.run(k, {4, 128}, 2, 42).warp_cycles, want);
     GpuMachine cold2(testGpu(), 5);
-    EXPECT_EQ(warm.run(k, {2, 64}, 2, 42).thread_cycles.size(),
-              cold2.run(k, {2, 64}, 2).thread_cycles.size());
+    EXPECT_EQ(warm.run(k, {2, 64}, 2, 42).warp_cycles.size(),
+              cold2.run(k, {2, 64}, 2).warp_cycles.size());
 }
 
 TEST(GpuMachineImage, DtypeMergedShflKernelsShareAFingerprint)
@@ -403,7 +415,7 @@ TEST(GpuMachineImage, DtypeMergedShflKernelsShareAFingerprint)
     machine.reseed(5);
     const auto run_b = machine.run(b, {2, 64}, 2, 2);
     EXPECT_EQ(run_b.total_cycles, run_a.total_cycles);
-    EXPECT_EQ(run_b.thread_cycles, run_a.thread_cycles);
+    EXPECT_EQ(run_b.warp_cycles, run_a.warp_cycles);
     EXPECT_EQ(machine.stats().all(), stats_a);
 }
 
@@ -453,6 +465,20 @@ TEST(GpuMachine, PerThreadAtomicTimingsArePinned)
         }
         return h;
     };
+    // The goldens fold one value per thread: each warp's entry once
+    // for every lane it holds, in grid order.
+    const auto foldPerThread = [&](std::uint64_t &h, const GpuRunResult &r,
+                                   const GpuConfig &cfg,
+                                   LaunchConfig launch) {
+        const int warps = cfg.warpsPerBlock(launch.threads_per_block);
+        for (std::size_t i = 0; i < r.warp_cycles.size(); ++i) {
+            const int w = static_cast<int>(i) % warps;
+            const int lanes = std::min(
+                cfg.warp_size, launch.threads_per_block - w * cfg.warp_size);
+            for (int lane = 0; lane < lanes; ++lane)
+                h = fold(h, r.warp_cycles[i]);
+        }
+    };
     std::uint64_t windows = 0;
     for (int o = 0; o < 2; ++o) {
         const AtomicOp aop = o == 0 ? AtomicOp::Add : AtomicOp::Cas;
@@ -482,10 +508,9 @@ TEST(GpuMachine, PerThreadAtomicTimingsArePinned)
                             stepped.setLoopBatch(false);
                             const auto r = batched.run(k, launch, 2);
                             windows += batched.loopBatch().windows;
-                            ASSERT_EQ(r.thread_cycles,
-                                      stepped.run(k, launch, 2).thread_cycles);
-                            for (auto c : r.thread_cycles)
-                                h = fold(h, c);
+                            ASSERT_EQ(r.warp_cycles,
+                                      stepped.run(k, launch, 2).warp_cycles);
+                            foldPerThread(h, r, cfg, launch);
                             h = fold(h, r.total_cycles);
                         }
                     }

@@ -356,13 +356,13 @@ expectGpuBatchingExact(const GpuCase &c)
     stepped.setLoopBatch(false);
     const auto rb = batched.run(c.kernel, c.launch, 1);
     const auto rs = stepped.run(c.kernel, c.launch, 1);
-    EXPECT_EQ(rb.thread_cycles, rs.thread_cycles);
+    EXPECT_EQ(rb.warp_cycles, rs.warp_cycles);
     EXPECT_EQ(rb.total_cycles, rs.total_cycles);
     expectSameStats(batched.stats(), stepped.stats());
     EXPECT_EQ(stepped.loopBatch().windows, 0u);
-    EXPECT_EQ(rb.thread_cycles.size(),
+    EXPECT_EQ(rb.warp_cycles.size(),
               static_cast<std::size_t>(c.launch.blocks) *
-                  c.launch.threads_per_block);
+                  c.cfg.warpsPerBlock(c.launch.threads_per_block));
     EXPECT_GT(rb.total_cycles, 0u);
     return batched.loopBatch();
 }
@@ -410,7 +410,7 @@ TEST_P(GpuContentionMonotonicity, PerThreadThroughputNonIncreasing)
         gpusim::GpuMachine machine(gpusim::GpuConfig::rtx4090());
         const auto r = machine.run(k, {1, threads}, 2);
         sim::Tick max_cycles = 0;
-        for (auto c : r.thread_cycles)
+        for (auto c : r.warp_cycles)
             max_cycles = std::max(max_cycles, c);
         const double rate = 1.0 / static_cast<double>(max_cycles);
         if (previous_rate >= 0.0)

@@ -160,6 +160,76 @@ TEST(FaultInjector, SkewShiftsMeasuredCostDeterministically)
                 1e-6 * std::fabs(baseline));
 }
 
+core::MeasurementConfig
+tinyGpuProtocol()
+{
+    auto cfg = core::MeasurementConfig::simGpuDefaults();
+    cfg.runs = 1;
+    cfg.attempts = 1;
+    cfg.n_iter = 5;
+    cfg.n_unroll = 2;
+    return cfg;
+}
+
+core::CudaExperiment
+atomicAddExperiment()
+{
+    core::CudaExperiment exp;
+    exp.primitive = core::CudaPrimitive::AtomicAdd;
+    return exp;
+}
+
+TEST(FaultInjector, GpuSkewDoublesMeasuredCostExactly)
+{
+    // Scaling by two is exact in binary floating point, so the skew
+    // applied to each launch's one reported runtime doubles the
+    // measured cost bit for bit.
+    const auto exp = atomicAddExperiment();
+    core::GpuSimTarget clean(gpusim::GpuConfig::rtx4090(),
+                             tinyGpuProtocol());
+    const double baseline = clean.measure(exp, {2, 64}).per_op_seconds;
+
+    FaultInjector faults;
+    faults.setClockSkew(2.0);
+    FaultInjector::Scope scope(faults);
+    core::GpuSimTarget skewed(gpusim::GpuConfig::rtx4090(),
+                              tinyGpuProtocol());
+    const auto m = skewed.measure(exp, {2, 64});
+    ASSERT_TRUE(m.valid);
+    EXPECT_GT(baseline, 0.0);
+    EXPECT_EQ(m.per_op_seconds, 2.0 * baseline);
+}
+
+TEST(FaultInjector, GpuJitterIsSeededPerLaunch)
+{
+    // Jitter draws once per launch from the injector's seeded stream:
+    // two targets under equally seeded injectors measure the same
+    // bits, and the jitter does move the result off the clean one.
+    const auto exp = atomicAddExperiment();
+    const auto measure = [&] {
+        core::GpuSimTarget target(gpusim::GpuConfig::rtx4090(),
+                                  tinyGpuProtocol());
+        return target.measure(exp, {2, 64});
+    };
+    const core::Measurement clean = measure();
+    const auto jittered = [&] {
+        FaultInjector faults;
+        faults.setJitter(0.5, 99);
+        FaultInjector::Scope scope(faults);
+        return measure();
+    };
+    const core::Measurement a = jittered();
+    const core::Measurement b = jittered();
+    ASSERT_TRUE(a.valid);
+    ASSERT_TRUE(b.valid);
+    EXPECT_EQ(a.per_op_seconds, b.per_op_seconds);
+    EXPECT_EQ(a.stddev_seconds, b.stddev_seconds);
+    EXPECT_EQ(a.run_values, b.run_values);
+    EXPECT_EQ(a.retries, b.retries);
+    EXPECT_EQ(a.cov, b.cov);
+    EXPECT_NE(a.per_op_seconds, clean.per_op_seconds);
+}
+
 TEST(FaultInjector, TransientPoisonIsAbsorbedByProtocolRetry)
 {
     FaultInjector faults;
@@ -196,11 +266,7 @@ TEST(FaultInjector, GpuTargetHonorsPoisoning)
     faults.poisonMeasurements(1, 1 << 20);
     FaultInjector::Scope scope(faults);
 
-    auto protocol = core::MeasurementConfig::simGpuDefaults();
-    protocol.runs = 1;
-    protocol.attempts = 1;
-    protocol.n_iter = 5;
-    protocol.n_unroll = 2;
+    auto protocol = tinyGpuProtocol();
     protocol.max_retries = 2;
 
     core::CudaExperiment exp;

@@ -609,7 +609,7 @@ expectGpuIdentity(const gpusim::GpuKernel &k,
     const auto batched = runGpu(k, launch, true, &lb);
     const auto stepped = runGpu(k, launch, false);
     EXPECT_EQ(batched.total_cycles, stepped.total_cycles);
-    EXPECT_EQ(batched.thread_cycles, stepped.thread_cycles);
+    EXPECT_EQ(batched.warp_cycles, stepped.warp_cycles);
 }
 
 TEST(GpuLoopBatch, UncontendedAluBatchesAndMatchesSingleStep)
@@ -688,13 +688,13 @@ TEST(GpuLoopBatch, HorizonPinShrinksBatchingButNotResults)
     const auto capped = runGpu(k, launch, true, &pinned,
                                reference.total_cycles / 2);
     EXPECT_EQ(capped.total_cycles, reference.total_cycles);
-    EXPECT_EQ(capped.thread_cycles, reference.thread_cycles);
+    EXPECT_EQ(capped.warp_cycles, reference.warp_cycles);
     EXPECT_LT(pinned.batched_iters, unpinned.batched_iters);
 
     sim::LoopBatchCounters frozen;
     const auto stepped = runGpu(k, launch, true, &frozen, 0);
     EXPECT_EQ(stepped.total_cycles, reference.total_cycles);
-    EXPECT_EQ(stepped.thread_cycles, reference.thread_cycles);
+    EXPECT_EQ(stepped.warp_cycles, reference.warp_cycles);
     EXPECT_EQ(frozen.batched_iters, 0u);
 }
 
