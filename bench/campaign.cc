@@ -76,10 +76,6 @@ struct Totals
      * --explain batch-ratio annotation; never an artifact). */
     std::map<std::string, sim::LoopBatchCounters> loop_batch;
 
-    /** Per-system lane-grouping summaries (feeds the --explain lane
-     * annotation; never an artifact). */
-    std::map<std::string, LaneSummary> lanes;
-
     void
     fold(const std::string &system, const CampaignResult &r)
     {
@@ -91,8 +87,6 @@ struct Totals
             failures.push_back({system + "/" + f.file, f.error});
         for (const auto &lb : r.loop_batch)
             loop_batch[system + "/" + lb.file].merge(lb.counters);
-        if (r.lanes.planned())
-            lanes[system].merge(r.lanes);
     }
 };
 
@@ -177,10 +171,7 @@ constexpr Flag flags[] = {
     {"--checkpoint-every", true},
     {"--only", true},
     {"--cov-gate", true},
-    {"--no-sim-cache", false},
     {"--no-loop-batch", false},
-    {"--lanes", true},
-    {"--no-lanes", false},
     {"--telemetry", false},
     {"--explain", false},
     {"--explain-only", false},
@@ -352,19 +343,9 @@ main(int argc, char **argv)
                 return bad_value("a finite number");
             omp_protocol.cov_gate = gate;
             cuda_protocol.cov_gate = gate;
-        } else if (name == "--no-sim-cache") {
-            omp_protocol.sim_cache = false;
-            cuda_protocol.sim_cache = false;
         } else if (name == "--no-loop-batch") {
             omp_protocol.loop_batch = false;
             cuda_protocol.loop_batch = false;
-        } else if (name == "--lanes") {
-            if (!parseInt(value, options.lanes) || options.lanes < 1) {
-                return bad_value(
-                    "a width >= 1 (use --no-lanes to disable grouping)");
-            }
-        } else if (name == "--no-lanes") {
-            options.lanes = 0;
         } else if (name == "--telemetry") {
             omp_protocol.telemetry = true;
             cuda_protocol.telemetry = true;
@@ -385,8 +366,7 @@ main(int argc, char **argv)
                 "[--resume] [--cov-gate COV] [--jobs N] "
                 "[--checkpoint-every N] "
                 "[--only NAME[,NAME...]] "
-                "[--no-sim-cache] [--no-loop-batch] "
-                "[--lanes N] [--no-lanes] "
+                "[--no-loop-batch] "
                 "[--telemetry] [--explain] "
                 "[--explain-only] [--trace FILE] [--metrics FILE] "
                 "[--metrics-summary] [--status FILE] "
@@ -395,28 +375,12 @@ main(int argc, char **argv)
                 "hardware threads; 1 = serial).\n"
                 "             Output is byte-identical at every job "
                 "count.\n"
-                "  --no-sim-cache  re-simulate every launch instead "
-                "of memoizing deterministic results\n"
-                "             (output is byte-identical either way; "
-                "this only trades speed for memory).\n"
                 "  --no-loop-batch  single-step every simulated "
                 "iteration instead of batching proven\n"
                 "             steady-state windows (output is "
                 "byte-identical either way; this only\n"
                 "             trades speed for nothing -- see "
                 "docs/performance.md, \"Loop batching\").\n"
-                "  --lanes N  lane groups span at most N sweep points "
-                "whose programs decode to\n"
-                "             identical images; a group simulates its "
-                "reference lane once and every\n"
-                "             in-step lane shares that walk (output "
-                "is byte-identical at every\n"
-                "             width -- see docs/performance.md, "
-                "\"Lane-batched sweeps\"; default 8).\n"
-                "  --no-lanes  bypass the lane planner and measure "
-                "every point on its own\n"
-                "             simulator (the reference leg; output is "
-                "byte-identical either way).\n"
                 "  --only     run only systems whose sanitized name "
                 "contains a given fragment.\n"
                 "  --trace FILE     record spans, write Chrome trace "
@@ -610,8 +574,7 @@ main(int argc, char **argv)
         if (auto s = explainCampaign(
                 options.output_dir, std::cout,
                 totals.loop_batch.empty() ? nullptr
-                                          : &totals.loop_batch,
-                totals.lanes.empty() ? nullptr : &totals.lanes);
+                                          : &totals.loop_batch);
             !s.isOk()) {
             std::fprintf(stderr, "%s: %s\n", argv[0],
                          s.toString().c_str());

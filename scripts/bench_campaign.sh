@@ -5,8 +5,8 @@
 # one GPU, so both machine families of the paper's Table I weigh in)
 # with every layer on -- THE warm baseline, reused as the fast side
 # of every ratio -- then once per disabled layer: --jobs N
-# (parallel), --no-loop-batch (single-stepped simulators), and
-# --no-lanes (ungrouped sweep points). Every timed leg is best-of-3: the
+# (parallel) and --no-loop-batch (single-stepped simulators). Every
+# timed leg is best-of-3: the
 # ratio floors below assert on quotients of sub-second walls, where a
 # single scheduler hiccup is bigger than the margin being asserted,
 # while minima are stable. All single-run result trees -- every
@@ -14,7 +14,9 @@
 # baseline's. Writes BENCH_campaign.json at the repo root with
 # wall-clock times, ratio speedups, and experiments/sec for each leg.
 # Compare the JSON across commits to catch scheduler, per-experiment,
-# loop-batcher, or lane regressions.
+# or loop-batcher regressions. The launch memo has no off switch; its
+# work is pinned exactly by the sim_cache_* lines of
+# tests/digests/*.counters instead.
 #
 # Usage: scripts/bench_campaign.sh [options] [JOBS]
 #   JOBS  worker count for the parallel leg (default: nproc; clamped
@@ -27,8 +29,8 @@
 #   --check            regression gate: rerun the benchmark and fail
 #                      when wall-clock or experiments/sec regresses
 #                      >15% against the committed BENCH_campaign.json
-#                      (which is left untouched), or a ratio floor
-#                      (loop batching, lanes) is missed.
+#                      (which is left untouched), or the loop-batching
+#                      ratio floor is missed.
 #                      Used by CI; see docs/performance.md.
 #   --trace-overhead [PCT]
 #                      overhead gate: time the serial leg with and
@@ -92,8 +94,7 @@ JOBS_CLAMPED=false
 # Two CPU hosts plus one GPU: the paper's Table I is three CPU and
 # three GPU systems, and a 1+1 slice underweights the OpenMP family,
 # which is where the sweep's dtype variants actually collapse onto
-# shared decoded images (39 points -> 18 lane groups per CPU host vs
-# 18 -> 14 on the GPU).
+# shared decoded images that the launch memo serves.
 ONLY="xeon_gold,threadripper,rtx_4090"
 BASELINE_JSON="BENCH_campaign.json"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/syncperf_bench_campaign.XXXXXX")"
@@ -240,14 +241,10 @@ echo "== bench: single-stepped leg (--no-loop-batch --jobs 1) =="
 NOBATCH_S="$(run_best3 nobatch --no-loop-batch --jobs 1)"
 echo "   best of 3: ${NOBATCH_S}s"
 
-echo "== bench: ungrouped leg (--no-lanes --jobs 1) =="
-NOLANES_S="$(run_best3 nolanes --no-lanes --jobs 1)"
-echo "   best of 3: ${NOLANES_S}s"
-
 # Untimed status-surface leg: the engine's own final status.json
 # carries its experiments/sec and the layer engagement ratios
-# (sim-cache hit rate, image reuse rate, lane grouping, loop-batch
-# window coverage). Recording them into the baseline JSON makes
+# (launch-memo hit rate, image reuse rate, loop-batch window
+# coverage). Recording them into the baseline JSON makes
 # engagement drift -- a layer silently disengaging -- show up in
 # review even when wall time hides it. Untimed because the leg exists
 # for its JSON, not its clock.
@@ -258,11 +255,10 @@ run_leg "$WORK/statusleg" --jobs 1 --status "$WORK/status.json" >/dev/null
 STATUS_EPS="$(json_field "$WORK/status.json" experiments_per_s)"
 STATUS_SIM_CACHE="$(json_field "$WORK/status.json" sim_cache_hit_ratio)"
 STATUS_POOL_WARM="$(json_field "$WORK/status.json" pool_warm_ratio)"
-STATUS_LANES="$(json_field "$WORK/status.json" lane_grouped_ratio)"
 STATUS_BATCH="$(json_field "$WORK/status.json" loop_batch_window_ratio)"
-echo "   ${STATUS_EPS:-0} exp/s; engagement: sim-cache" \
+echo "   ${STATUS_EPS:-0} exp/s; engagement: launch memo" \
      "${STATUS_SIM_CACHE:-0}, images ${STATUS_POOL_WARM:-0}," \
-     "lanes ${STATUS_LANES:-0}, loop-batch ${STATUS_BATCH:-0}"
+     "loop-batch ${STATUS_BATCH:-0}"
 
 # Every repetition of every leg must match the warm baseline tree --
 # reps of the baseline itself included, which doubles as a
@@ -270,7 +266,7 @@ echo "   ${STATUS_EPS:-0} exp/s; engagement: sim-cache" \
 echo "== bench: byte-identity check =="
 IDENTICAL=true
 for d in "$WORK"/serial.r* "$WORK"/parallel* "$WORK"/nobatch* \
-         "$WORK"/nolanes* "$WORK"/statusleg; do
+         "$WORK"/statusleg; do
     [[ -d "$d" ]] || continue
     if ! diff -r "$WORK/serial" "$d" >/dev/null; then
         IDENTICAL=false
@@ -299,14 +295,10 @@ PARALLEL_EPS="$(awk -v n="$EXPERIMENTS" -v p="$PARALLEL_S" \
     'BEGIN { printf "%.1f", (p > 0) ? n / p : 0 }')"
 NOBATCH_EPS="$(awk -v n="$EXPERIMENTS" -v s="$NOBATCH_S" \
     'BEGIN { printf "%.1f", (s > 0) ? n / s : 0 }')"
-NOLANES_EPS="$(awk -v n="$EXPERIMENTS" -v s="$NOLANES_S" \
-    'BEGIN { printf "%.1f", (s > 0) ? n / s : 0 }')"
 # Every layer's win is a ratio of two legs from this same invocation
 # -- reference leg over the shared warm baseline -- immune to host
 # noise that shifts absolute wall times.
 BATCH_SPEEDUP="$(awk -v n="$NOBATCH_S" -v s="$SERIAL_S" \
-    'BEGIN { printf "%.2f", (s > 0) ? n / s : 0 }')"
-LANE_SPEEDUP="$(awk -v n="$NOLANES_S" -v s="$SERIAL_S" \
     'BEGIN { printf "%.2f", (s > 0) ? n / s : 0 }')"
 
 cat > "$OUT_JSON" <<EOF
@@ -321,18 +313,14 @@ cat > "$OUT_JSON" <<EOF
   "serial_wall_s": $SERIAL_S,
   "parallel_wall_s": $PARALLEL_S,
   "nobatch_wall_s": $NOBATCH_S,
-  "nolanes_wall_s": $NOLANES_S,
   "speedup": $SPEEDUP,
   "loop_batch_speedup": $BATCH_SPEEDUP,
-  "lane_speedup": $LANE_SPEEDUP,
   "serial_experiments_per_s": $SERIAL_EPS,
   "parallel_experiments_per_s": $PARALLEL_EPS,
   "nobatch_experiments_per_s": $NOBATCH_EPS,
-  "nolanes_experiments_per_s": $NOLANES_EPS,
   "status_experiments_per_s": ${STATUS_EPS:-0},
   "status_sim_cache_hit_ratio": ${STATUS_SIM_CACHE:-0},
   "status_pool_warm_ratio": ${STATUS_POOL_WARM:-0},
-  "status_lane_grouped_ratio": ${STATUS_LANES:-0},
   "status_loop_batch_window_ratio": ${STATUS_BATCH:-0},
   "byte_identical": $IDENTICAL
 }
@@ -345,8 +333,7 @@ cat "$OUT_JSON"
 if [[ "$MODE" == check ]]; then
     echo "== bench: regression gate vs $BASELINE_JSON (limit ${CHECK_LIMIT_PCT}%) =="
     FAILED=0
-    for key in serial_wall_s parallel_wall_s nobatch_wall_s \
-               nolanes_wall_s; do
+    for key in serial_wall_s parallel_wall_s nobatch_wall_s; do
         base="$(json_field "$BASELINE_JSON" "$key")"
         cur="$(json_field "$OUT_JSON" "$key")"
         if [[ -z "$base" || -z "$cur" ]]; then
@@ -366,7 +353,7 @@ if [[ "$MODE" == check ]]; then
     # Throughput gates the opposite direction: fewer experiments per
     # second is the regression.
     for key in serial_experiments_per_s parallel_experiments_per_s \
-               nobatch_experiments_per_s nolanes_experiments_per_s; do
+               nobatch_experiments_per_s; do
         base="$(json_field "$BASELINE_JSON" "$key")"
         cur="$(json_field "$OUT_JSON" "$key")"
         if [[ -z "$base" || -z "$cur" ]]; then
@@ -390,17 +377,6 @@ if [[ "$MODE" == check ]]; then
     echo "   loop_batch_speedup: ${cur:-missing}x (floor 2.0x)"
     awk -v c="${cur:-0}" 'BEGIN { exit !(c >= 2.0) }' || {
         echo "   FAIL: loop batching speedup ${cur:-0}x below the 2.0x floor" >&2
-        FAILED=1
-    }
-    # Lane grouping's floor is lower than the batcher's: the win is
-    # bounded by how many enumerated points collapse onto each
-    # decoded image, and even the three-system sweep leaves a tail
-    # of singleton groups (GPU atomics by dtype, strided-array
-    # variants) that dilute the ratio.
-    cur="$(json_field "$OUT_JSON" lane_speedup)"
-    echo "   lane_speedup: ${cur:-missing}x (floor 1.3x)"
-    awk -v c="${cur:-0}" 'BEGIN { exit !(c >= 1.3) }' || {
-        echo "   FAIL: lane grouping speedup ${cur:-0}x below the 1.3x floor" >&2
         FAILED=1
     }
     if [[ "$FAILED" -ne 0 ]]; then

@@ -40,13 +40,6 @@ ping-pongs, lock contention, CAS conflicts) while the batcher was
 engaged, loop_batch_fallbacks must be nonzero -- contention perturbs
 the boundary fingerprints the batcher keys on.
 
-A fourth gate covers the lane planner's lane_* counters (multi-lane
-lockstep sweeps, docs/performance.md): groups partition points, so
-group, singleton, and peel counts must satisfy the arithmetic of a
-partition -- e.g. every non-singleton group holds at least two
-points, and the group count equals the point count exactly when
-every group is a singleton.
-
 Exit status: 0 ok, 1 gate failed, 2 bad invocation/input.
 Stdlib only; no third-party imports.
 """
@@ -293,52 +286,6 @@ def check_loop_batch(counters, contention):
     return failures
 
 
-def check_lane_grouping(counters):
-    """Gate the lane planner's counters.
-
-    The lane_* counters are deterministic-class like the batcher's:
-    for a given campaign they are a function of the enumerated sweep
-    alone. Groups partition points and a singleton group holds
-    exactly one point, so the counts must satisfy the arithmetic of
-    a partition. Returns a list of failure strings.
-    """
-    failures = []
-    for name in ("lane_groups", "lane_points", "lane_peels",
-                 "lane_singleton_points"):
-        value = counters.get(name, 0)
-        if not isinstance(value, int) or value < 0:
-            failures.append(f"{name} = {value!r} is not a "
-                            f"non-negative integer")
-            return failures
-    groups = counters.get("lane_groups", 0)
-    points = counters.get("lane_points", 0)
-    peels = counters.get("lane_peels", 0)
-    singletons = counters.get("lane_singleton_points", 0)
-    print(f"check_metrics: lane grouping: {points} points in "
-          f"{groups} groups ({singletons} singletons, {peels} peels)")
-    if (points > 0) != (groups > 0):
-        failures.append(
-            f"lane_points ({points}) and lane_groups ({groups}) "
-            f"disagree about whether the planner engaged")
-    if groups > points:
-        failures.append(f"lane_groups ({groups}) exceeds lane_points "
-                        f"({points}): every group holds a point")
-    if singletons > groups:
-        failures.append(f"lane_singleton_points ({singletons}) "
-                        f"exceeds lane_groups ({groups}): each "
-                        f"singleton is its own group")
-    if peels > points:
-        failures.append(f"lane_peels ({peels}) exceeds lane_points "
-                        f"({points}): only enumerated points peel")
-    if singletons <= groups <= points and \
-            points - singletons < 2 * (groups - singletons):
-        failures.append(
-            f"{groups - singletons} non-singleton groups cannot "
-            f"partition {points - singletons} non-singleton points "
-            f"(each must hold at least two)")
-    return failures
-
-
 def main():
     parser = argparse.ArgumentParser(
         description="Gate a campaign metrics.json snapshot and/or "
@@ -432,10 +379,6 @@ def main():
 
     for failure in check_loop_batch(counters, contention):
         print(f"check_metrics: loop batching: {failure}")
-        failed = True
-
-    for failure in check_lane_grouping(counters):
-        print(f"check_metrics: lane grouping: {failure}")
         failed = True
 
     if failed or not telemetry_ok:

@@ -43,17 +43,18 @@ enum class Counter : int
     FaultsSurvived,    ///< poisoned samples absorbed by the retry budget
     CheckpointFlushes, ///< manifest.json rewrites (timing class: the
                        ///< flush cadence depends on --jobs)
-    SimCacheHits,      ///< sim measurements served from the result cache
-    SimCacheMisses,    ///< cacheable sim measurements actually simulated
+    SimCacheHits,      ///< launches the launch memo served
+    SimCacheMisses,    ///< launches the launch memo simulated
     LoopBatchIters,    ///< timed iterations advanced algebraically
     LoopBatchWindows,  ///< steady-state windows the batchers applied
     LoopBatchFallbacks,///< boundary checks that fell back to stepping
-    PoolClones,        ///< launches that reused the target's decoded image
+    PoolClones,        ///< simulations that replayed a decoded image
     PoolColdBuilds,    ///< decoded images built by a decode
-    LaneGroups,        ///< lane groups the campaign planner formed
-    LanePoints,        ///< sweep points routed through the lane planner
-    LanePeels,         ///< lanes peeled to single-lane execution
-    LaneSingletonPoints, ///< planned points left in width-1 groups
+    // Always 0 (the lane planner is gone); perfbench still reads them.
+    LaneGroups,
+    LanePoints,
+    LanePeels,
+    LaneSingletonPoints,
     SimEvents,         ///< events the cpusim/gpusim event queues executed
 
     // Timing: scheduling/wall-clock dependent, never compared

@@ -8,19 +8,18 @@
  * commits outcomes -- journal entries, result accounting, the
  * checkpoint cadence -- strictly in point order on the calling
  * thread. The measurement side of a point touches only its own
- * state (its own simulator target, its own CSV temp file), which is
- * what makes the fan-out safe; the ordered commit is what makes the
- * output byte-identical at every job count.
+ * state (its own simulator target, its own CSV temp file) and the
+ * system's launch memo, whose single-flight claims make it safe to
+ * share and make its work the same at every job count; the ordered
+ * commit is what makes the output byte-identical at every job count.
  */
 
 #include "campaign.hh"
 
-#include <atomic>
 #include <cctype>
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "common/atomic_file.hh"
@@ -30,11 +29,11 @@
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "core/executor.hh"
+#include "core/launch_memo.hh"
 #include "core/manifest.hh"
 #include "core/metrics.hh"
 #include "core/sweep.hh"
 #include "core/telemetry.hh"
-#include "sim/fault_injector.hh"
 
 namespace syncperf::core
 {
@@ -348,301 +347,6 @@ pointDigest(const ConfigHasher &base, const std::string &file,
     return h.digest();
 }
 
-// ------------------------------------------------------ lane groups
-//
-// A lane group (docs/performance.md, "Lane-batched sweeps") spans
-// sweep points whose baseline/test pairs decode to identical images:
-// their measurement walks are provably bit-identical, so the group
-// simulates its reference lane once per sweep step and every in-step
-// lane copies that walk's outputs. The group runs lazily inside the
-// first member emit the executor schedules (later members block on
-// the mutex and read their slot), which keeps the per-point
-// fan-out/commit structure -- and therefore byte-identity at every
-// jobs count -- exactly as it is without lanes.
-
-/** True when lane grouping may run at all under this configuration:
- * ordinal-order fault injection is the one per-launch rng the
- * grouped walk cannot replicate per lane. */
-bool
-laneGroupingAllowed(const CampaignOptions &options)
-{
-    return options.lanes > 0 && sim::FaultInjector::active() == nullptr;
-}
-
-/** One lane's share of a group run. */
-struct LaneProduct
-{
-    Status status = Status::ok();
-
-    /** One entry per completed sweep step, in sweep order. */
-    std::vector<Measurement> measurements;
-
-    /** Parallel to measurements (empty without --telemetry). */
-    std::vector<TelemetrySample> telemetry;
-
-    /** Launches this lane itself simulated (reference and peeled
-     * lanes; in-step lanes share the reference walk and contribute
-     * nothing, the sim-cache-hit precedent). */
-    sim::LoopBatchCounters lb;
-};
-
-/** Shared state of one OpenMP lane group. */
-class OmpLaneGroup
-{
-  public:
-    OmpLaneGroup(const cpusim::CpuConfig &cfg,
-                 const MeasurementConfig &protocol,
-                 const std::vector<int> &threads,
-                 std::vector<OmpExperiment> exps,
-                 std::shared_ptr<std::atomic<long long>> peels)
-        : cfg_(cfg), protocol_(protocol), threads_(threads),
-          exps_(std::move(exps)), peels_(std::move(peels))
-    {
-    }
-
-    /** Lane @p lane's product, running the group on first demand. */
-    const LaneProduct &
-    product(std::size_t lane)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!ran_) {
-            runGroup();
-            ran_ = true;
-        }
-        return products_[lane];
-    }
-
-  private:
-    void
-    runGroup()
-    {
-        const std::size_t k = exps_.size();
-        products_.assign(k, LaneProduct{});
-        CpuSimTarget ref(cfg_, protocol_);
-        std::vector<std::unique_ptr<CpuSimTarget>> solo(k);
-        std::vector<bool> peeled(k, false);
-        bool ref_failed = false;
-        for (int n : threads_) {
-            // Re-check agreement at this team size before the
-            // reference measures it: a lane that stops matching is
-            // peeled to its own solo target, seeded exactly where a
-            // never-grouped run of its point would be.
-            if (!ref_failed) {
-                std::vector<std::size_t> fresh_peels;
-                std::vector<std::uint64_t> fresh_seeds;
-                const std::uint64_t want = ref.laneKey(exps_[0], n);
-                for (std::size_t i = 1; i < k; ++i) {
-                    if (!peeled[i] && ref.laneKey(exps_[i], n) != want) {
-                        peeled[i] = true;
-                        fresh_peels.push_back(i);
-                        fresh_seeds.push_back(ref.seedCursor());
-                    }
-                }
-                const Measurement m = ref.measure(exps_[0], n);
-                TelemetrySample sample;
-                if (protocol_.telemetry)
-                    sample = ref.takeTelemetry();
-                for (std::size_t p = 0; p < fresh_peels.size();
-                     ++p) {
-                    const std::size_t i = fresh_peels[p];
-                    peels_->fetch_add(1, std::memory_order_relaxed);
-                    metrics::add(metrics::Counter::LanePeels);
-                    solo[i] = std::make_unique<CpuSimTarget>(
-                        cfg_, protocol_, fresh_seeds[p]);
-                }
-                if (!m.valid) {
-                    // Every in-step lane's solo run would fail the
-                    // same way at the same step.
-                    ref_failed = true;
-                    for (std::size_t i = 0; i < k; ++i) {
-                        if (peeled[i])
-                            continue;
-                        products_[i].status = Status::error(
-                            ErrorCode::MeasurementError,
-                            "{} threads: {}", n, m.error);
-                    }
-                } else {
-                    for (std::size_t i = 0; i < k; ++i) {
-                        if (peeled[i])
-                            continue;
-                        products_[i].measurements.push_back(m);
-                        if (protocol_.telemetry)
-                            products_[i].telemetry.push_back(sample);
-                    }
-                }
-            }
-            for (std::size_t i = 1; i < k; ++i) {
-                if (!solo[i] || !products_[i].status.isOk())
-                    continue;
-                const Measurement m = solo[i]->measure(exps_[i], n);
-                if (!m.valid) {
-                    products_[i].status = Status::error(
-                        ErrorCode::MeasurementError, "{} threads: {}",
-                        n, m.error);
-                    continue;
-                }
-                products_[i].measurements.push_back(m);
-                if (protocol_.telemetry) {
-                    products_[i].telemetry.push_back(
-                        solo[i]->takeTelemetry());
-                }
-            }
-        }
-        products_[0].lb = ref.loopBatch();
-        for (std::size_t i = 1; i < k; ++i) {
-            if (solo[i])
-                products_[i].lb = solo[i]->loopBatch();
-        }
-    }
-
-    const cpusim::CpuConfig &cfg_;
-    const MeasurementConfig &protocol_;
-    const std::vector<int> &threads_;
-    const std::vector<OmpExperiment> exps_;
-    const std::shared_ptr<std::atomic<long long>> peels_;
-
-    std::mutex mu_;
-    bool ran_ = false;
-    std::vector<LaneProduct> products_;
-};
-
-/** Shared state of one CUDA lane group. */
-class CudaLaneGroup
-{
-  public:
-    CudaLaneGroup(const gpusim::GpuConfig &cfg,
-                  const MeasurementConfig &protocol,
-                  const std::vector<int> &block_counts,
-                  const std::vector<int> &thread_counts,
-                  std::vector<CudaExperiment> exps,
-                  std::shared_ptr<std::atomic<long long>> peels)
-        : cfg_(cfg), protocol_(protocol), block_counts_(block_counts),
-          thread_counts_(thread_counts), exps_(std::move(exps)),
-          peels_(std::move(peels))
-    {
-    }
-
-    const LaneProduct &
-    product(std::size_t lane)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!ran_) {
-            runGroup();
-            ran_ = true;
-        }
-        return products_[lane];
-    }
-
-  private:
-    void
-    runGroup()
-    {
-        const std::size_t k = exps_.size();
-        products_.assign(k, LaneProduct{});
-        GpuSimTarget ref(cfg_, protocol_);
-        std::vector<std::unique_ptr<GpuSimTarget>> solo(k);
-        std::vector<bool> peeled(k, false);
-        // Kernel decoding is launch-geometry independent, so one
-        // agreement check covers the whole sweep; a lane that fails
-        // it peels before any seed is consumed.
-        const std::uint64_t want = ref.laneKey(exps_[0]);
-        for (std::size_t i = 1; i < k; ++i) {
-            if (ref.laneKey(exps_[i]) != want)
-                peeled[i] = true;
-        }
-        for (std::size_t i = 1; i < k; ++i) {
-            if (!peeled[i])
-                continue;
-            peels_->fetch_add(1, std::memory_order_relaxed);
-            metrics::add(metrics::Counter::LanePeels);
-            solo[i] = std::make_unique<GpuSimTarget>(cfg_, protocol_);
-        }
-        bool ref_failed = false;
-        for (int blocks : block_counts_) {
-            for (int n : thread_counts_) {
-                if (!ref_failed) {
-                    const Measurement m =
-                        ref.measure(exps_[0], {blocks, n});
-                    TelemetrySample sample;
-                    if (protocol_.telemetry)
-                        sample = ref.takeTelemetry();
-                    if (!m.valid) {
-                        ref_failed = true;
-                        for (std::size_t i = 0; i < k; ++i) {
-                            if (peeled[i])
-                                continue;
-                            products_[i].status = Status::error(
-                                ErrorCode::MeasurementError,
-                                "{} blocks x {} threads: {}", blocks,
-                                n, m.error);
-                        }
-                    } else {
-                        for (std::size_t i = 0; i < k; ++i) {
-                            if (peeled[i])
-                                continue;
-                            products_[i].measurements.push_back(m);
-                            if (protocol_.telemetry)
-                                products_[i].telemetry.push_back(
-                                    sample);
-                        }
-                    }
-                }
-                for (std::size_t i = 1; i < k; ++i) {
-                    if (!solo[i] || !products_[i].status.isOk())
-                        continue;
-                    const Measurement m =
-                        solo[i]->measure(exps_[i], {blocks, n});
-                    if (!m.valid) {
-                        products_[i].status = Status::error(
-                            ErrorCode::MeasurementError,
-                            "{} blocks x {} threads: {}", blocks, n,
-                            m.error);
-                        continue;
-                    }
-                    products_[i].measurements.push_back(m);
-                    if (protocol_.telemetry) {
-                        products_[i].telemetry.push_back(
-                            solo[i]->takeTelemetry());
-                    }
-                }
-            }
-        }
-        products_[0].lb = ref.loopBatch();
-        for (std::size_t i = 1; i < k; ++i) {
-            if (solo[i])
-                products_[i].lb = solo[i]->loopBatch();
-        }
-    }
-
-    const gpusim::GpuConfig &cfg_;
-    const MeasurementConfig &protocol_;
-    const std::vector<int> &block_counts_;
-    const std::vector<int> &thread_counts_;
-    const std::vector<CudaExperiment> exps_;
-    const std::shared_ptr<std::atomic<long long>> peels_;
-
-    std::mutex mu_;
-    bool ran_ = false;
-    std::vector<LaneProduct> products_;
-};
-
-/** Fold a planned grouping into the counters and the result. */
-void
-recordLanePlan(const std::vector<LaneGroup> &groups,
-               std::size_t n_points, CampaignResult &result)
-{
-    result.lanes.points = static_cast<long long>(n_points);
-    result.lanes.groups = static_cast<long long>(groups.size());
-    for (const LaneGroup &g : groups) {
-        if (g.ordinals.size() == 1)
-            ++result.lanes.singletons;
-    }
-    metrics::add(metrics::Counter::LanePoints, result.lanes.points);
-    metrics::add(metrics::Counter::LaneGroups, result.lanes.groups);
-    metrics::add(metrics::Counter::LaneSingletonPoints,
-                 result.lanes.singletons);
-}
-
 } // namespace
 
 std::string
@@ -682,7 +386,9 @@ runOmpCampaign(const cpusim::CpuConfig &cfg,
     hashProtocol(base_hash, protocol);
 
     std::vector<CampaignRunner::Experiment> experiments;
-    std::vector<OmpExperiment> exp_cfgs; // parallel to experiments
+    // One memo for the whole system: every point's target serves the
+    // launches any earlier point (or attempt) already simulated.
+    const auto memo = std::make_shared<LaunchMemo>();
 
     auto add = [&](OmpPrimitive prim, DataType dtype, Location loc,
                    int stride, Affinity affinity, std::string file) {
@@ -692,7 +398,6 @@ runOmpCampaign(const cpusim::CpuConfig &cfg,
         e.location = loc;
         e.stride = stride;
         e.affinity = affinity;
-        exp_cfgs.push_back(e);
 
         CampaignRunner::Experiment exp;
         exp.hash = pointDigest(base_hash, file, e);
@@ -700,12 +405,13 @@ runOmpCampaign(const cpusim::CpuConfig &cfg,
         // The emit closure runs on a worker thread: one simulator
         // target per experiment file, built fresh from a fixed seed,
         // reused across the whole thread sweep -- results depend
-        // only on the point, never on scheduling.
+        // only on the point, never on scheduling, because a served
+        // launch is bit-identical to simulating it.
         exp.emit = [e, file, lb = exp.loop_batch, &cfg, &protocol,
-                    &threads, &dir,
-                    &system](CsvWriter &csv,
-                             ManifestEntry &entry) -> Status {
-            CpuSimTarget target(cfg, protocol);
+                    &threads, &dir, &system,
+                    &memo](CsvWriter &csv,
+                           ManifestEntry &entry) -> Status {
+            CpuSimTarget target(cfg, protocol, 1, memo);
             TelemetryReport report;
             for (int n : threads) {
                 const auto m = target.measure(e, n);
@@ -782,81 +488,10 @@ runOmpCampaign(const cpusim::CpuConfig &cfg,
     if (options.enumerate_only)
         return result;
 
-    // Lane planning: key every point by its decoded pair at the
-    // largest team size (cheap -- decoding only; the per-n re-check
-    // inside the group run keeps any over-grouping safe), then
-    // rebind multi-lane group members to the shared group run.
-    // Width-1 groups keep the untouched solo emit path.
-    auto peels = std::make_shared<std::atomic<long long>>(0);
-    if (laneGroupingAllowed(options)) {
-        CpuSimTarget planner_target(cfg, protocol);
-        std::vector<std::uint64_t> keys;
-        keys.reserve(exp_cfgs.size());
-        for (const OmpExperiment &e : exp_cfgs)
-            keys.push_back(planner_target.laneKey(e, threads.back()));
-        const std::vector<LaneGroup> groups =
-            planLaneGroups(keys, options.lanes);
-        recordLanePlan(groups, experiments.size(), result);
-        for (const LaneGroup &g : groups) {
-            if (g.ordinals.size() < 2)
-                continue;
-            std::vector<OmpExperiment> members;
-            members.reserve(g.ordinals.size());
-            for (std::size_t ordinal : g.ordinals)
-                members.push_back(exp_cfgs[ordinal]);
-            auto group = std::make_shared<OmpLaneGroup>(
-                cfg, protocol, threads, std::move(members), peels);
-            for (std::size_t lane = 0; lane < g.ordinals.size();
-                 ++lane) {
-                CampaignRunner::Experiment &exp =
-                    experiments[g.ordinals[lane]];
-                exp.emit = [group, lane, file = exp.file,
-                            lb = exp.loop_batch, &protocol, &threads,
-                            &dir, &system](
-                               CsvWriter &csv,
-                               ManifestEntry &entry) -> Status {
-                    const LaneProduct &prod = group->product(lane);
-                    TelemetryReport report;
-                    for (std::size_t s = 0;
-                         s < prod.measurements.size(); ++s) {
-                        const Measurement &m = prod.measurements[s];
-                        accumulate(entry, m);
-                        csv.field(static_cast<long long>(threads[s]))
-                            .field(m.per_op_seconds)
-                            .field(m.opsPerSecondPerThread())
-                            .field(m.stddev_seconds);
-                        csv.endRow();
-                        if (protocol.telemetry) {
-                            TelemetryPoint pt;
-                            pt.axes.emplace_back(
-                                "threads", static_cast<std::uint64_t>(
-                                               threads[s]));
-                            pt.sample = prod.telemetry[s];
-                            report.points.push_back(std::move(pt));
-                        }
-                    }
-                    if (!prod.status.isOk())
-                        return prod.status;
-                    *lb = prod.lb;
-                    if (protocol.telemetry) {
-                        report.experiment = file;
-                        report.system = system;
-                        if (Status s = report.writeFile(
-                                telemetryPathFor(dir, file));
-                            !s.isOk())
-                            return s;
-                    }
-                    return Status::ok();
-                };
-            }
-        }
-    }
-
     CampaignRunner runner(dir, system, options, result);
     runner.runAll({"threads", "per_op_seconds", "throughput_per_thread",
                    "stddev_seconds"},
                   std::move(experiments));
-    result.lanes.peels = peels->load(std::memory_order_relaxed);
     return result;
 }
 
@@ -892,7 +527,7 @@ runCudaCampaign(const gpusim::GpuConfig &cfg,
     hashProtocol(base_hash, protocol);
 
     std::vector<CampaignRunner::Experiment> experiments;
-    std::vector<CudaExperiment> exp_cfgs; // parallel to experiments
+    const auto memo = std::make_shared<LaunchMemo>();
 
     auto add = [&](CudaPrimitive prim, DataType dtype, Location loc,
                    int stride, std::string file) {
@@ -901,16 +536,15 @@ runCudaCampaign(const gpusim::GpuConfig &cfg,
         e.dtype = dtype;
         e.location = loc;
         e.stride = stride;
-        exp_cfgs.push_back(e);
 
         CampaignRunner::Experiment exp;
         exp.hash = pointDigest(base_hash, file, e);
         exp.loop_batch = std::make_shared<sim::LoopBatchCounters>();
         exp.emit = [e, file, lb = exp.loop_batch, &cfg, &protocol,
-                    &block_counts, &thread_counts, &dir,
-                    &system](CsvWriter &csv,
-                             ManifestEntry &entry) -> Status {
-            GpuSimTarget target(cfg, protocol);
+                    &block_counts, &thread_counts, &dir, &system,
+                    &memo](CsvWriter &csv,
+                           ManifestEntry &entry) -> Status {
+            GpuSimTarget target(cfg, protocol, 1, memo);
             TelemetryReport report;
             for (int blocks : block_counts) {
                 for (int n : thread_counts) {
@@ -996,92 +630,10 @@ runCudaCampaign(const gpusim::GpuConfig &cfg,
     if (options.enumerate_only)
         return result;
 
-    // Lane planning mirrors the OpenMP sweep; kernel decoding is
-    // launch-geometry independent, so one key covers every
-    // blocks x threads point of an experiment.
-    auto peels = std::make_shared<std::atomic<long long>>(0);
-    if (laneGroupingAllowed(options)) {
-        GpuSimTarget planner_target(cfg, protocol);
-        std::vector<std::uint64_t> keys;
-        keys.reserve(exp_cfgs.size());
-        for (const CudaExperiment &e : exp_cfgs)
-            keys.push_back(planner_target.laneKey(e));
-        const std::vector<LaneGroup> groups =
-            planLaneGroups(keys, options.lanes);
-        recordLanePlan(groups, experiments.size(), result);
-        for (const LaneGroup &g : groups) {
-            if (g.ordinals.size() < 2)
-                continue;
-            std::vector<CudaExperiment> members;
-            members.reserve(g.ordinals.size());
-            for (std::size_t ordinal : g.ordinals)
-                members.push_back(exp_cfgs[ordinal]);
-            auto group = std::make_shared<CudaLaneGroup>(
-                cfg, protocol, block_counts, thread_counts,
-                std::move(members), peels);
-            for (std::size_t lane = 0; lane < g.ordinals.size();
-                 ++lane) {
-                CampaignRunner::Experiment &exp =
-                    experiments[g.ordinals[lane]];
-                exp.emit = [group, lane, file = exp.file,
-                            lb = exp.loop_batch, &protocol,
-                            &block_counts, &thread_counts, &dir,
-                            &system](
-                               CsvWriter &csv,
-                               ManifestEntry &entry) -> Status {
-                    const LaneProduct &prod = group->product(lane);
-                    TelemetryReport report;
-                    std::size_t s = 0;
-                    for (int blocks : block_counts) {
-                        for (int n : thread_counts) {
-                            if (s >= prod.measurements.size())
-                                break;
-                            const Measurement &m =
-                                prod.measurements[s];
-                            accumulate(entry, m);
-                            csv.field(static_cast<long long>(blocks))
-                                .field(static_cast<long long>(n))
-                                .field(m.per_op_seconds)
-                                .field(m.opsPerSecondPerThread());
-                            csv.endRow();
-                            if (protocol.telemetry) {
-                                TelemetryPoint pt;
-                                pt.axes.emplace_back(
-                                    "blocks",
-                                    static_cast<std::uint64_t>(
-                                        blocks));
-                                pt.axes.emplace_back(
-                                    "threads_per_block",
-                                    static_cast<std::uint64_t>(n));
-                                pt.sample = prod.telemetry[s];
-                                report.points.push_back(
-                                    std::move(pt));
-                            }
-                            ++s;
-                        }
-                    }
-                    if (!prod.status.isOk())
-                        return prod.status;
-                    *lb = prod.lb;
-                    if (protocol.telemetry) {
-                        report.experiment = file;
-                        report.system = system;
-                        if (Status s2 = report.writeFile(
-                                telemetryPathFor(dir, file));
-                            !s2.isOk())
-                            return s2;
-                    }
-                    return Status::ok();
-                };
-            }
-        }
-    }
-
     CampaignRunner runner(dir, system, options, result);
     runner.runAll({"blocks", "threads_per_block", "per_op_seconds",
                    "throughput_per_thread"},
                   std::move(experiments));
-    result.lanes.peels = peels->load(std::memory_order_relaxed);
     return result;
 }
 

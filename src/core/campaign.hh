@@ -31,7 +31,6 @@
 
 #include "core/cpusim_target.hh"
 #include "core/gpusim_target.hh"
-#include "core/sweep.hh"
 #include "sim/loop_batch.hh"
 
 namespace syncperf::core
@@ -92,18 +91,6 @@ struct CampaignOptions
      * without measuring anything or touching the filesystem (the
      * CLI sizes its status total this way). */
     bool enumerate_only = false;
-
-    /**
-     * Maximum lanes per lane group (docs/performance.md,
-     * "Lane-batched sweeps"): points whose baseline/test pairs
-     * decode to identical images are measured through one shared
-     * reference walk, at most this many per group. 1 plans
-     * width-1 groups only (grouping observable, nothing shared);
-     * <= 0 bypasses the planner entirely (--no-lanes, the
-     * reference leg). Output is byte-identical at every setting,
-     * so the knob is not part of the config hash.
-     */
-    int lanes = 8;
 };
 
 /** One experiment the campaign could not complete. */
@@ -156,14 +143,6 @@ struct CampaignResult
      * telemetry, manifest), so batching cannot leak into outputs.
      */
     std::vector<ExperimentLoopBatch> loop_batch;
-
-    /**
-     * Lane-grouping activity of this campaign (zero when the planner
-     * was bypassed or gated off). Like loop_batch, purely an
-     * in-memory side channel for --explain: never written to any
-     * artifact, so grouping cannot leak into outputs.
-     */
-    LaneSummary lanes;
 
     /** True when nothing failed (skips are fine). */
     bool ok() const { return failures.empty() && !interrupted; }

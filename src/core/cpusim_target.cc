@@ -6,7 +6,6 @@
 #include "cpusim_target.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
@@ -127,8 +126,10 @@ buildBody(const OmpExperiment &exp, int tid, int copies)
 } // namespace
 
 CpuSimTarget::CpuSimTarget(cpusim::CpuConfig cfg, MeasurementConfig mcfg,
-                           std::uint64_t seed)
-    : cfg_(std::move(cfg)), mcfg_(mcfg), next_seed_(seed)
+                           std::uint64_t seed,
+                           std::shared_ptr<LaunchMemo> memo)
+    : cfg_(std::move(cfg)), mcfg_(mcfg), next_seed_(seed),
+      memo_(memo ? std::move(memo) : std::make_shared<LaunchMemo>())
 {
 }
 
@@ -165,35 +166,14 @@ CpuSimTarget::machineFor(Affinity affinity)
     return *machine_;
 }
 
-bool
+void
 CpuSimTarget::ensureImage(std::uint64_t dkey,
                           const std::vector<cpusim::CpuProgram> &programs)
 {
     if (machine_->hasImage(dkey))
-        return true;
+        return;
     machine_->buildImage(dkey, programs);
     metrics::add(metrics::Counter::PoolColdBuilds);
-    return false;
-}
-
-std::uint64_t
-CpuSimTarget::cacheKey(const std::vector<cpusim::CpuProgram> &programs,
-                       Affinity affinity) const
-{
-    ConfigHasher h;
-    h.add(static_cast<int>(affinity)).add(mcfg_.n_warmup);
-    h.add(static_cast<std::uint64_t>(programs.size()));
-    for (const auto &prog : programs) {
-        h.add(static_cast<std::uint64_t>(prog.iterations));
-        h.add(static_cast<std::uint64_t>(prog.body.size()));
-        for (const auto &o : prog.body) {
-            h.add(static_cast<int>(o.kind))
-                .add(o.addr)
-                .add(static_cast<int>(o.dtype))
-                .add(o.lock_id);
-        }
-    }
-    return h.digest();
 }
 
 std::uint64_t
@@ -233,86 +213,69 @@ CpuSimTarget::laneKey(const OmpExperiment &exp, int n_threads)
     return h.digest();
 }
 
-double
-CpuSimTarget::runOnce(const std::vector<cpusim::CpuProgram> &programs,
+CpuSimTarget::Launch
+CpuSimTarget::prepare(const std::vector<cpusim::CpuProgram> &programs,
                       Affinity affinity)
 {
-    // The seed is consumed unconditionally so the stream of seeds --
-    // and therefore any jittered launch that follows -- is identical
-    // whether or not earlier launches hit the cache.
+    cpusim::CpuMachine &machine = machineFor(affinity);
+    // Decode each distinct program set once per machine into an
+    // image, then replay it for every later launch. The image holds
+    // exactly what the decode would rebuild, so results are
+    // identical.
+    const std::uint64_t dkey = imageKey(programs);
+    ensureImage(dkey, programs);
+    // The fingerprint already folds the team size.
+    ConfigHasher h;
+    h.add(static_cast<int>(affinity)).add(mcfg_.n_warmup);
+    for (const auto &prog : programs)
+        h.add(static_cast<std::uint64_t>(prog.iterations));
+    h.add(machine.imageFingerprint(dkey));
+    return {&programs, dkey, h.digest()};
+}
+
+double
+CpuSimTarget::runOnce(const Launch &launch)
+{
+    // Every launch consumes a seed, served or not, so two targets
+    // measuring points with equal images walk equal seed sequences.
     const std::uint64_t seed = next_seed_++;
+    // Only a jittered model draws from the seed's stream; without
+    // jitter the outcome does not depend on it.
+    std::uint64_t key = launch.key;
+    if (cfg_.jitter_frac != 0.0)
+        key = ConfigHasher().add(key).add(seed).digest();
+    const LaunchOutcome &outcome =
+        memo_->serve(key, [&] { return simulate(launch, seed); });
+    if (mcfg_.telemetry)
+        telemetry_.merge(outcome.telemetry);
+    lb_.merge(outcome.loop_batch);
+    return sim::FaultInjector::reportLaunch(outcome.seconds);
+}
 
-    // Only a jitter-free model is a pure function of its inputs;
-    // with jitter_frac > 0 every launch draws from its own rng
-    // stream and must be simulated.
-    const bool cacheable = mcfg_.sim_cache && cfg_.jitter_frac == 0.0;
-
-    std::uint64_t key = 0;
-    bool hit = false;
-    double seconds = 0.0;
-    if (cacheable) {
-        key = cacheKey(programs, affinity);
-        if (auto it = cache_.find(key); it != cache_.end()) {
-            seconds = it->second.seconds;
-            // A hit replays the stored telemetry of the original
-            // simulation, so the accumulated sample is identical
-            // with and without the cache.
-            if (mcfg_.telemetry)
-                telemetry_.merge(it->second.telemetry);
-            hit = true;
-            metrics::add(metrics::Counter::SimCacheHits);
-        }
-    }
-    if (!hit) {
-        cpusim::CpuMachine &machine = machineFor(affinity);
-        // Decode each distinct program set once per machine into an
-        // image, then replay it for every later launch. The image
-        // holds exactly what the decode would rebuild, so results are
-        // identical.
-        const std::uint64_t dkey = imageKey(programs);
-        if (ensureImage(dkey, programs))
-            metrics::add(metrics::Counter::PoolClones);
-        machine.reseed(seed);
-        machine.setLoopBatch(mcfg_.loop_batch);
-        const std::uint64_t events = machine.eventQueue().executed();
-        const auto result = machine.run(programs, mcfg_.n_warmup, dkey);
-        metrics::add(metrics::Counter::SimEvents,
-                     static_cast<long long>(
-                         machine.eventQueue().executed() - events));
-        lb_.merge(machine.loopBatch());
-        metrics::add(metrics::Counter::LoopBatchIters,
-                     static_cast<long long>(
-                         machine.loopBatch().batched_iters));
-        metrics::add(metrics::Counter::LoopBatchWindows,
-                     static_cast<long long>(machine.loopBatch().windows));
-        metrics::add(metrics::Counter::LoopBatchFallbacks,
-                     static_cast<long long>(
-                         machine.loopBatch().fallbacks));
-        // Max in ticks, then one conversion: the cast and the
-        // division by a positive clock are monotone, so this is
-        // bit-identical to converting every entry and taking the max.
-        const sim::Tick slowest = std::ranges::max(result.thread_cycles);
-        seconds = static_cast<double>(slowest) / (cfg_.base_clock_ghz * 1e9);
-        TelemetrySample launch;
-        if (mcfg_.telemetry) {
-            launch.addStats(machine.stats());
-            telemetry_.merge(launch);
-        }
-        if (cacheable) {
-            cache_.emplace(key,
-                           CacheEntry{seconds, std::move(launch)});
-            metrics::add(metrics::Counter::SimCacheMisses);
-        }
-    }
-    // Faults perturb after the cache stage: cached entries hold pure
-    // simulator output, and the injector's own rng advances once per
-    // launch either way.
-    if (auto *faults = sim::FaultInjector::active()) {
-        if (faults->shouldPoisonMeasurement())
-            return std::numeric_limits<double>::quiet_NaN();
-        return faults->perturbSeconds(seconds);
-    }
-    return seconds;
+LaunchOutcome
+CpuSimTarget::simulate(const Launch &launch, std::uint64_t seed)
+{
+    cpusim::CpuMachine &machine = *machine_;
+    // Keying the launch decoded its image, so every simulation
+    // replays one.
+    metrics::add(metrics::Counter::PoolClones);
+    machine.reseed(seed);
+    machine.setLoopBatch(mcfg_.loop_batch);
+    const std::uint64_t events = machine.eventQueue().executed();
+    const auto result =
+        machine.run(*launch.programs, mcfg_.n_warmup, launch.image);
+    LaunchOutcome outcome;
+    // Max in ticks, then one conversion: the cast and the division by
+    // a positive clock are monotone, so this is bit-identical to
+    // converting every entry and taking the max.
+    const sim::Tick slowest = std::ranges::max(result.thread_cycles);
+    outcome.seconds =
+        static_cast<double>(slowest) / (cfg_.base_clock_ghz * 1e9);
+    outcome.loop_batch = machine.loopBatch();
+    outcome.events = machine.eventQueue().executed() - events;
+    if (mcfg_.telemetry)
+        outcome.telemetry.addStats(machine.stats());
+    return outcome;
 }
 
 TelemetrySample
@@ -332,9 +295,10 @@ CpuSimTarget::measure(const OmpExperiment &exp, int n_threads)
     }
     const auto pair =
         buildPrograms(exp, n_threads, mcfg_.opsPerMeasurement());
-    return measurePrimitive(
-        [&] { return runOnce(pair.baseline, exp.affinity); },
-        [&] { return runOnce(pair.test, exp.affinity); }, mcfg_);
+    const Launch baseline = prepare(pair.baseline, exp.affinity);
+    const Launch test = prepare(pair.test, exp.affinity);
+    return measurePrimitive([&] { return runOnce(baseline); },
+                            [&] { return runOnce(test); }, mcfg_);
 }
 
 } // namespace syncperf::core

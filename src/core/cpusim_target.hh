@@ -10,10 +10,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/launch_memo.hh"
 #include "core/measure_config.hh"
 #include "core/primitives.hh"
 #include "core/protocol.hh"
@@ -34,24 +34,32 @@ struct OmpProgramPair
  * Measurement target backed by cpusim.
  *
  * Holds the machine configuration, a seed counter that gives every
- * simulated launch an independent deterministic jitter stream (so
- * the protocol's runs/attempts see run-to-run variation exactly
- * where the model has jitter), its own machine instance (warm event
- * queue and decoded program images across the thousands of launches
- * a sweep performs), and a result cache keyed by the simulated input.
+ * launch an independent deterministic jitter stream (so the
+ * protocol's runs/attempts see run-to-run variation exactly where
+ * the model has jitter), its own machine instance (warm event queue
+ * and decoded program images across the thousands of launches a
+ * sweep performs), and the launch memo it shares with the other
+ * targets of its campaign.
  *
- * The cache only ever serves jitter-free configurations
- * (cfg.jitter_frac == 0), where a launch's outcome is a pure
- * function of (programs, affinity, warmup) -- a hit is bit-identical
- * to re-simulating. Jittered models (the paper's Threadripper) take
- * a fresh seed per launch and always re-simulate. Seeds are consumed
- * on hits too, so cache state never shifts the jitter stream.
+ * A launch's memo key is everything its outcome depends on: the
+ * placement, the warmup, every program's iteration count, the
+ * fingerprint of the decoded image (which folds the team size), and
+ * -- only when the model draws jitter (cfg.jitter_frac != 0, the
+ * paper's Threadripper) -- the seed. A served launch is therefore
+ * bit-identical to simulating it. Seeds are consumed by every launch, so two targets
+ * that measure points with equal images walk equal seed sequences and
+ * share even their jittered launches.
  */
 class CpuSimTarget
 {
   public:
+    /**
+     * @param memo The launch memo to consult; null gives the target a
+     *        private one.
+     */
     CpuSimTarget(cpusim::CpuConfig cfg, MeasurementConfig mcfg,
-                 std::uint64_t seed = 1);
+                 std::uint64_t seed = 1,
+                 std::shared_ptr<LaunchMemo> memo = nullptr);
 
     /**
      * Run the full measurement protocol for one experiment point.
@@ -72,49 +80,54 @@ class CpuSimTarget
     const cpusim::CpuConfig &config() const { return cfg_; }
 
     /**
-     * Lane-grouping key for @p exp at @p n_threads: a digest of the
-     * placement policy plus the decoded-image fingerprints of the
-     * baseline/test program pair. Points with equal keys at every
-     * swept team size perform bit-identical measurement walks (the
-     * campaign's lane-lockstep agreement test). As a side effect the
-     * pair's images are built on the target's machine, so the decode
-     * doubles as the image measure() replays.
+     * A digest of the placement policy plus the decoded-image
+     * fingerprints of @p exp's baseline/test pair at @p n_threads.
+     * Nothing calls it: it stays only because perfbench's layer probe
+     * links against it.
      */
     std::uint64_t laneKey(const OmpExperiment &exp, int n_threads);
-
-    /**
-     * The seed the next simulated launch will consume. Lane peeling
-     * hands this to the solo target that takes over a diverged lane,
-     * keeping its jitter stream exactly where a never-grouped run of
-     * that point would be.
-     */
-    std::uint64_t seedCursor() const { return next_seed_; }
 
     /**
      * Telemetry accumulated by every launch since the last take
      * (all runs/attempts/retries of the measure() calls in between),
      * and reset the accumulator. Empty unless mcfg.telemetry is set.
-     * Cache hits contribute the stored telemetry of the original
-     * simulation, so the sample is independent of cache state.
+     * A served launch contributes the stored telemetry of its
+     * simulation, so the sample does not depend on who simulated it.
      */
     TelemetrySample takeTelemetry();
 
     /**
-     * Loop-batching activity accumulated over every launch this
-     * target actually simulated (cache hits replay stored results
-     * and add nothing). Feeds the loop_batch_* metrics counters and
-     * the --explain batch-ratio annotation.
+     * Loop-batching activity summed over every launch this target
+     * consumed, simulated or served, so it does not depend on the
+     * schedule. Feeds the --explain batch-ratio annotation.
      */
     const sim::LoopBatchCounters &loopBatch() const { return lb_; }
 
   private:
+    /** One launch the protocol repeats, decoded and keyed. */
+    struct Launch
+    {
+        const std::vector<cpusim::CpuProgram> *programs = nullptr;
+        std::uint64_t image = 0; ///< decode key on the machine
+        std::uint64_t key = 0;   ///< memo key, short of the seed
+    };
+
     /**
-     * Simulate (or replay from the cache) one launch and return its
-     * slowest thread's runtime in seconds, after any active fault
-     * injector has perturbed or poisoned it.
+     * Decode @p p on the machine for @p affinity (if not yet there)
+     * and compute its memo key.
      */
-    double runOnce(const std::vector<cpusim::CpuProgram> &p,
+    Launch prepare(const std::vector<cpusim::CpuProgram> &p,
                    Affinity affinity);
+
+    /**
+     * Serve one launch from the memo (simulating it on first
+     * request) and return its slowest thread's runtime in seconds,
+     * after any active fault injector has perturbed or poisoned it.
+     */
+    double runOnce(const Launch &launch);
+
+    /** Simulate @p launch on the machine with @p seed. */
+    LaunchOutcome simulate(const Launch &launch, std::uint64_t seed);
 
     /** The target's machine, rebuilt when the affinity changes. */
     cpusim::CpuMachine &machineFor(Affinity affinity);
@@ -122,14 +135,9 @@ class CpuSimTarget
     /**
      * Make sure the current machine holds the image of @p p under
      * @p dkey, decoding it (counted in pool_cold_builds) when absent.
-     * Returns true when the image was already there.
      */
-    bool ensureImage(std::uint64_t dkey,
+    void ensureImage(std::uint64_t dkey,
                      const std::vector<cpusim::CpuProgram> &p);
-
-    /** Digest of everything a jitter-free launch's outcome depends on. */
-    std::uint64_t cacheKey(const std::vector<cpusim::CpuProgram> &p,
-                           Affinity affinity) const;
 
     /**
      * Digest of everything the decoded form of @p p depends on
@@ -140,14 +148,6 @@ class CpuSimTarget
     static std::uint64_t
     imageKey(const std::vector<cpusim::CpuProgram> &p);
 
-    /** Pure simulator output (pre fault injection) of one launch:
-     * its slowest thread's seconds. */
-    struct CacheEntry
-    {
-        double seconds = 0.0;
-        TelemetrySample telemetry;
-    };
-
     cpusim::CpuConfig cfg_;
     MeasurementConfig mcfg_;
     std::uint64_t next_seed_;
@@ -155,12 +155,12 @@ class CpuSimTarget
     std::unique_ptr<cpusim::CpuMachine> machine_;
     Affinity machine_affinity_ = Affinity::Spread;
 
-    std::unordered_map<std::uint64_t, CacheEntry> cache_;
+    std::shared_ptr<LaunchMemo> memo_;
 
     /** Accumulates across launches until takeTelemetry(). */
     TelemetrySample telemetry_;
 
-    /** Accumulates across every simulated (non-cache-hit) launch. */
+    /** Accumulates across every launch, simulated or served. */
     sim::LoopBatchCounters lb_;
 };
 

@@ -6,7 +6,6 @@
 #include "gpusim_target.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
@@ -152,9 +151,11 @@ hashOps(ConfigHasher &h, const std::vector<GpuOp> &ops)
 } // namespace
 
 GpuSimTarget::GpuSimTarget(gpusim::GpuConfig cfg, MeasurementConfig mcfg,
-                           std::uint64_t seed)
+                           std::uint64_t seed,
+                           std::shared_ptr<LaunchMemo> memo)
     : cfg_(std::move(cfg)), mcfg_(mcfg), next_seed_(seed),
-      machine_(std::make_unique<gpusim::GpuMachine>(cfg_))
+      machine_(std::make_unique<gpusim::GpuMachine>(cfg_)),
+      memo_(memo ? std::move(memo) : std::make_shared<LaunchMemo>())
 {
 }
 
@@ -176,21 +177,6 @@ GpuSimTarget::paperBlockCounts() const
 }
 
 std::uint64_t
-GpuSimTarget::cacheKey(const gpusim::GpuKernel &kernel,
-                       gpusim::LaunchConfig launch) const
-{
-    ConfigHasher h;
-    h.add(launch.blocks)
-        .add(launch.threads_per_block)
-        .add(mcfg_.n_warmup)
-        .add(static_cast<std::uint64_t>(kernel.body_iters));
-    hashOps(h, kernel.prologue);
-    hashOps(h, kernel.body);
-    hashOps(h, kernel.epilogue);
-    return h.digest();
-}
-
-std::uint64_t
 GpuSimTarget::imageKey(const gpusim::GpuKernel &kernel)
 {
     ConfigHasher h;
@@ -201,15 +187,14 @@ GpuSimTarget::imageKey(const gpusim::GpuKernel &kernel)
     return digest == 0 ? 1 : digest;
 }
 
-bool
+void
 GpuSimTarget::ensureImage(std::uint64_t dkey,
                           const gpusim::GpuKernel &kernel)
 {
     if (machine_->hasImage(dkey))
-        return true;
+        return;
     machine_->buildImage(dkey, kernel);
     metrics::add(metrics::Counter::PoolColdBuilds);
-    return false;
 }
 
 std::uint64_t
@@ -226,89 +211,69 @@ GpuSimTarget::laneKey(const CudaExperiment &exp)
     return h.digest();
 }
 
-double
-GpuSimTarget::runOnce(const gpusim::GpuKernel &kernel,
-                      gpusim::LaunchConfig launch)
+GpuSimTarget::Launch
+GpuSimTarget::prepare(const gpusim::GpuKernel &kernel,
+                      gpusim::LaunchConfig geometry)
 {
-    // The seed is consumed unconditionally so the stream of seeds --
-    // and therefore any jittered launch that follows -- is identical
-    // whether or not earlier launches hit the cache.
+    // Decode each distinct kernel once per machine into an image,
+    // then replay it for every later launch -- including every
+    // launch-geometry point, since decoding is geometry-independent.
+    const std::uint64_t dkey = imageKey(kernel);
+    ensureImage(dkey, kernel);
+    ConfigHasher h;
+    h.add(geometry.blocks)
+        .add(geometry.threads_per_block)
+        .add(mcfg_.n_warmup)
+        .add(static_cast<std::uint64_t>(kernel.body_iters))
+        .add(machine_->imageFingerprint(dkey));
+    return {&kernel, geometry, dkey, h.digest(),
+            hasSystemFence(kernel.prologue) ||
+                hasSystemFence(kernel.body) ||
+                hasSystemFence(kernel.epilogue)};
+}
+
+double
+GpuSimTarget::runOnce(const Launch &launch)
+{
+    // Every launch consumes a seed, served or not, so two targets
+    // measuring points with equal images walk equal seed sequences.
     const std::uint64_t seed = next_seed_++;
+    // Only a system-scope fence draws from the seed's stream; any
+    // other kernel's outcome does not depend on it.
+    std::uint64_t key = launch.key;
+    if (launch.jittered)
+        key = ConfigHasher().add(key).add(seed).digest();
+    const LaunchOutcome &outcome =
+        memo_->serve(key, [&] { return simulate(launch, seed); });
+    if (mcfg_.telemetry)
+        telemetry_.merge(outcome.telemetry);
+    lb_.merge(outcome.loop_batch);
+    return sim::FaultInjector::reportLaunch(outcome.seconds);
+}
 
-    // A system-scope fence draws per-launch PCIe jitter from the rng
-    // stream; every other kernel is a pure function of its inputs.
-    const bool cacheable = mcfg_.sim_cache &&
-                           !hasSystemFence(kernel.prologue) &&
-                           !hasSystemFence(kernel.body) &&
-                           !hasSystemFence(kernel.epilogue);
-
-    std::uint64_t key = 0;
-    bool hit = false;
-    double seconds = 0.0;
-    if (cacheable) {
-        key = cacheKey(kernel, launch);
-        if (auto it = cache_.find(key); it != cache_.end()) {
-            seconds = it->second.seconds;
-            // A hit replays the stored telemetry of the original
-            // simulation, so the accumulated sample is identical
-            // with and without the cache.
-            if (mcfg_.telemetry)
-                telemetry_.merge(it->second.telemetry);
-            hit = true;
-            metrics::add(metrics::Counter::SimCacheHits);
-        }
-    }
-    if (!hit) {
-        gpusim::GpuMachine &machine = *machine_;
-        // Decode each distinct kernel once per machine into an image,
-        // then replay it for every later launch -- including every
-        // launch-geometry point, since decoding is
-        // geometry-independent.
-        const std::uint64_t dkey = imageKey(kernel);
-        if (ensureImage(dkey, kernel))
-            metrics::add(metrics::Counter::PoolClones);
-        machine.reseed(seed);
-        machine.setLoopBatch(mcfg_.loop_batch);
-        const std::uint64_t events = machine.eventQueue().executed();
-        const auto result =
-            machine.run(kernel, launch, mcfg_.n_warmup, dkey);
-        metrics::add(metrics::Counter::SimEvents,
-                     static_cast<long long>(
-                         machine.eventQueue().executed() - events));
-        lb_.merge(machine.loopBatch());
-        metrics::add(metrics::Counter::LoopBatchIters,
-                     static_cast<long long>(
-                         machine.loopBatch().batched_iters));
-        metrics::add(metrics::Counter::LoopBatchWindows,
-                     static_cast<long long>(machine.loopBatch().windows));
-        metrics::add(metrics::Counter::LoopBatchFallbacks,
-                     static_cast<long long>(
-                         machine.loopBatch().fallbacks));
-        // Max in ticks, then one conversion: the cast and the
-        // division by a positive clock are monotone, so this is
-        // bit-identical to converting every entry and taking the max.
-        const sim::Tick slowest = std::ranges::max(result.warp_cycles);
-        seconds = static_cast<double>(slowest) / (cfg_.clock_ghz * 1e9);
-        TelemetrySample launch_sample;
-        if (mcfg_.telemetry) {
-            launch_sample.addStats(machine.stats());
-            telemetry_.merge(launch_sample);
-        }
-        if (cacheable) {
-            cache_.emplace(key,
-                           CacheEntry{seconds, std::move(launch_sample)});
-            metrics::add(metrics::Counter::SimCacheMisses);
-        }
-    }
-    // Faults perturb after the cache stage: cached entries hold pure
-    // simulator output, and the injector's own rng advances once per
-    // launch either way.
-    if (auto *faults = sim::FaultInjector::active()) {
-        if (faults->shouldPoisonMeasurement())
-            return std::numeric_limits<double>::quiet_NaN();
-        return faults->perturbSeconds(seconds);
-    }
-    return seconds;
+LaunchOutcome
+GpuSimTarget::simulate(const Launch &launch, std::uint64_t seed)
+{
+    gpusim::GpuMachine &machine = *machine_;
+    // Keying the launch decoded its image, so every simulation
+    // replays one.
+    metrics::add(metrics::Counter::PoolClones);
+    machine.reseed(seed);
+    machine.setLoopBatch(mcfg_.loop_batch);
+    const std::uint64_t events = machine.eventQueue().executed();
+    const auto result = machine.run(*launch.kernel, launch.geometry,
+                                    mcfg_.n_warmup, launch.image);
+    LaunchOutcome outcome;
+    // Max in ticks, then one conversion: the cast and the division by
+    // a positive clock are monotone, so this is bit-identical to
+    // converting every entry and taking the max.
+    const sim::Tick slowest = std::ranges::max(result.warp_cycles);
+    outcome.seconds = static_cast<double>(slowest) / (cfg_.clock_ghz * 1e9);
+    outcome.loop_batch = machine.loopBatch();
+    outcome.events = machine.eventQueue().executed() - events;
+    if (mcfg_.telemetry)
+        outcome.telemetry.addStats(machine.stats());
+    return outcome;
 }
 
 TelemetrySample
@@ -326,9 +291,10 @@ GpuSimTarget::measure(const CudaExperiment &exp,
     SYNCPERF_ASSERT(cudaPrimitiveIsTypeless(exp.primitive) ||
                     cudaPrimitiveSupports(exp.primitive, exp.dtype));
     const auto pair = buildKernels(exp, mcfg_.opsPerMeasurement());
-    return measurePrimitive(
-        [&] { return runOnce(pair.baseline, launch); },
-        [&] { return runOnce(pair.test, launch); }, mcfg_);
+    const Launch baseline = prepare(pair.baseline, launch);
+    const Launch test = prepare(pair.test, launch);
+    return measurePrimitive([&] { return runOnce(baseline); },
+                            [&] { return runOnce(test); }, mcfg_);
 }
 
 } // namespace syncperf::core

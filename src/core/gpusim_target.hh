@@ -10,10 +10,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/launch_memo.hh"
 #include "core/measure_config.hh"
 #include "core/primitives.hh"
 #include "core/protocol.hh"
@@ -34,20 +34,28 @@ struct CudaKernelPair
  * Measurement target backed by gpusim.
  *
  * Owns one machine instance reused across launches (warm event queue
- * and decoded kernel images) and memoizes results keyed by the
- * simulated input.
- * Only kernels without a system-scope fence are cached: every other
- * op sequence is deterministic per (kernel, launch, warmup), so a
- * hit is bit-identical to re-simulating, while __threadfence_system
- * draws per-launch PCIe jitter and always re-simulates. Seeds are
- * consumed on hits too, so cache state never shifts the jitter
- * stream.
+ * and decoded kernel images) and consults the launch memo it shares
+ * with the other targets of its campaign.
+ *
+ * A launch's memo key is everything its outcome depends on: the grid
+ * geometry, the warmup, body_iters, the fingerprint of the decoded
+ * kernel image, and -- only for a kernel with a system-scope fence,
+ * the one op that draws per-launch PCIe jitter -- the seed. A served
+ * launch is therefore bit-identical to simulating it. Seeds are
+ * consumed by every launch, so two targets that measure points with
+ * equal images walk equal seed sequences and share even their
+ * jittered launches.
  */
 class GpuSimTarget
 {
   public:
+    /**
+     * @param memo The launch memo to consult; null gives the target a
+     *        private one.
+     */
     GpuSimTarget(gpusim::GpuConfig cfg, MeasurementConfig mcfg,
-                 std::uint64_t seed = 1);
+                 std::uint64_t seed = 1,
+                 std::shared_ptr<LaunchMemo> memo = nullptr);
 
     /**
      * Run the full measurement protocol for one experiment point.
@@ -67,23 +75,11 @@ class GpuSimTarget
     const gpusim::GpuConfig &config() const { return cfg_; }
 
     /**
-     * Lane-grouping key for @p exp: a digest of the decoded-image
-     * fingerprints of the baseline/test kernel pair. Decoding is
-     * launch-geometry independent, so equal keys mean bit-identical
-     * measurement walks at every swept geometry (the campaign's
-     * lane-lockstep agreement test). As a side effect the pair's
-     * images are built on the target's machine, so the decode doubles
-     * as the image measure() replays.
+     * A digest of the decoded-image fingerprints of @p exp's
+     * baseline/test kernel pair. Nothing calls it: it stays only
+     * because perfbench's layer probe links against it.
      */
     std::uint64_t laneKey(const CudaExperiment &exp);
-
-    /**
-     * The seed the next simulated launch will consume. Lane peeling
-     * hands this to the solo target that takes over a diverged lane,
-     * keeping its jitter stream exactly where a never-grouped run of
-     * that point would be.
-     */
-    std::uint64_t seedCursor() const { return next_seed_; }
 
     /** Block counts the paper sweeps for this device. */
     std::vector<int> paperBlockCounts() const;
@@ -92,31 +88,45 @@ class GpuSimTarget
      * Telemetry accumulated by every launch since the last take
      * (all runs/attempts/retries of the measure() calls in between),
      * and reset the accumulator. Empty unless mcfg.telemetry is set.
-     * Cache hits contribute the stored telemetry of the original
-     * simulation, so the sample is independent of cache state.
+     * A served launch contributes the stored telemetry of its
+     * simulation, so the sample does not depend on who simulated it.
      */
     TelemetrySample takeTelemetry();
 
     /**
-     * Loop-batching activity accumulated over every launch this
-     * target actually simulated (cache hits replay stored results
-     * and add nothing). Feeds the loop_batch_* metrics counters and
-     * the --explain batch-ratio annotation.
+     * Loop-batching activity summed over every launch this target
+     * consumed, simulated or served, so it does not depend on the
+     * schedule. Feeds the --explain batch-ratio annotation.
      */
     const sim::LoopBatchCounters &loopBatch() const { return lb_; }
 
   private:
-    /**
-     * Simulate (or replay from the cache) one launch and return its
-     * slowest warp's runtime in seconds, after any active fault
-     * injector has perturbed or poisoned it.
-     */
-    double runOnce(const gpusim::GpuKernel &kernel,
-                   gpusim::LaunchConfig launch);
+    /** One launch the protocol repeats, decoded and keyed. */
+    struct Launch
+    {
+        const gpusim::GpuKernel *kernel = nullptr;
+        gpusim::LaunchConfig geometry;
+        std::uint64_t image = 0; ///< decode key on the machine
+        std::uint64_t key = 0;   ///< memo key, short of the seed
+        bool jittered = false;   ///< has a system-scope fence
+    };
 
-    /** Digest of everything a jitter-free launch's outcome depends on. */
-    std::uint64_t cacheKey(const gpusim::GpuKernel &kernel,
-                           gpusim::LaunchConfig launch) const;
+    /**
+     * Decode @p kernel on the machine (if not yet there) and compute
+     * the memo key of launching it on @p geometry.
+     */
+    Launch prepare(const gpusim::GpuKernel &kernel,
+                   gpusim::LaunchConfig geometry);
+
+    /**
+     * Serve one launch from the memo (simulating it on first
+     * request) and return its slowest warp's runtime in seconds,
+     * after any active fault injector has perturbed or poisoned it.
+     */
+    double runOnce(const Launch &launch);
+
+    /** Simulate @p launch on the machine with @p seed. */
+    LaunchOutcome simulate(const Launch &launch, std::uint64_t seed);
 
     /**
      * Digest of everything the decoded form of @p kernel depends on
@@ -129,17 +139,8 @@ class GpuSimTarget
     /**
      * Make sure the machine holds the image of @p kernel under
      * @p dkey, decoding it (counted in pool_cold_builds) when absent.
-     * Returns true when the image was already there.
      */
-    bool ensureImage(std::uint64_t dkey, const gpusim::GpuKernel &kernel);
-
-    /** Pure simulator output (pre fault injection) of one launch:
-     * its slowest warp's seconds. */
-    struct CacheEntry
-    {
-        double seconds = 0.0;
-        TelemetrySample telemetry;
-    };
+    void ensureImage(std::uint64_t dkey, const gpusim::GpuKernel &kernel);
 
     gpusim::GpuConfig cfg_;
     MeasurementConfig mcfg_;
@@ -147,12 +148,12 @@ class GpuSimTarget
 
     std::unique_ptr<gpusim::GpuMachine> machine_;
 
-    std::unordered_map<std::uint64_t, CacheEntry> cache_;
+    std::shared_ptr<LaunchMemo> memo_;
 
     /** Accumulates across launches until takeTelemetry(). */
     TelemetrySample telemetry_;
 
-    /** Accumulates across every simulated (non-cache-hit) launch. */
+    /** Accumulates across every launch, simulated or served. */
     sim::LoopBatchCounters lb_;
 };
 

@@ -39,24 +39,13 @@ struct MeasurementConfig
     int max_noise_retries = 3;
 
     /**
-     * Memoize simulator results keyed by the exact simulated input
-     * (program/kernel, placement, warmup). Only jitter-free
-     * configurations are ever cached, so cached and re-simulated
-     * results are bit-identical and this knob cannot change any
-     * output -- it is deliberately left out of the campaign's
-     * config hash. Disable to force every run through the machine
-     * (--no-sim-cache; used by the determinism tests).
-     */
-    bool sim_cache = true;
-
-    /**
      * Collect microarchitectural telemetry (core/telemetry.hh):
      * targets fold every launch's sim::StatSet into a per-point
      * TelemetrySample retrievable via takeTelemetry(). Recording in
      * the machines is always on (interned probes, O(1)); this knob
      * only controls the aggregation and artifact emission, never the
      * simulated timing, so it cannot change any measured value and
-     * is -- like sim_cache -- left out of the campaign config hash.
+     * is left out of the campaign config hash.
      */
     bool telemetry = false;
 
@@ -65,7 +54,7 @@ struct MeasurementConfig
      * windows algebraically (docs/performance.md, "Loop batching").
      * Results are bit-identical either way -- the detector only
      * batches what it has proven periodic -- so this knob cannot
-     * change any output and is, like sim_cache, left out of the
+     * change any output and is, like telemetry, left out of the
      * campaign's config hash. Disable to force single-stepping
      * (--no-loop-batch; used by the identity tests).
      */

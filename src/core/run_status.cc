@@ -40,12 +40,6 @@ RunStatus::poolWarmRatio() const
 }
 
 double
-RunStatus::laneGroupedRatio() const
-{
-    return ratio(lane_points - lane_singleton_points, lane_points);
-}
-
-double
 RunStatus::loopBatchWindowRatio() const
 {
     return ratio(loop_batch_windows,
@@ -67,9 +61,6 @@ RunStatus::fillCountersFromRegistry()
     sim_cache_misses = metrics::value(Counter::SimCacheMisses);
     pool_clones = metrics::value(Counter::PoolClones);
     pool_cold_builds = metrics::value(Counter::PoolColdBuilds);
-    lane_points = metrics::value(Counter::LanePoints);
-    lane_singleton_points =
-        metrics::value(Counter::LaneSingletonPoints);
     loop_batch_windows = metrics::value(Counter::LoopBatchWindows);
     loop_batch_fallbacks =
         metrics::value(Counter::LoopBatchFallbacks);
@@ -107,8 +98,6 @@ RunStatus::toJson() const
     engagement.set("sim_cache_hit_ratio",
                    JsonValue(simCacheHitRatio()));
     engagement.set("pool_warm_ratio", JsonValue(poolWarmRatio()));
-    engagement.set("lane_grouped_ratio",
-                   JsonValue(laneGroupedRatio()));
     engagement.set("loop_batch_window_ratio",
                    JsonValue(loopBatchWindowRatio()));
     root.set("engagement", std::move(engagement));

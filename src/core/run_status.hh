@@ -7,8 +7,8 @@
  * The schema is versioned ("syncperf-status-v1") because this file
  * is the future syncperfd daemon's /status endpoint body
  * (ROADMAP.md): points done/total, experiments/s, ETA, and the
- * engagement ratios of every fast path (sim cache, decoded images,
- * lane grouping, loop batching). See docs/observability.md, "Live
+ * engagement ratios of every fast path (launch memo, decoded images,
+ * loop batching). See docs/observability.md, "Live
  * run status".
  */
 
@@ -43,8 +43,6 @@ struct RunStatus
     long long sim_cache_misses = 0;
     long long pool_clones = 0;
     long long pool_cold_builds = 0;
-    long long lane_points = 0;
-    long long lane_singleton_points = 0;
     long long loop_batch_windows = 0;
     long long loop_batch_fallbacks = 0;
 
@@ -56,7 +54,6 @@ struct RunStatus
     /** Engagement ratios; 0 when the path never ran. */
     double simCacheHitRatio() const;
     double poolWarmRatio() const;
-    double laneGroupedRatio() const;
     double loopBatchWindowRatio() const;
     double poolIdleFraction() const;
 

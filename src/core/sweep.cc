@@ -6,35 +6,11 @@
 #include "sweep.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/logging.hh"
 
 namespace syncperf::core
 {
-
-std::vector<LaneGroup>
-planLaneGroups(const std::vector<std::uint64_t> &keys, int max_width)
-{
-    SYNCPERF_ASSERT(max_width >= 1);
-    std::vector<LaneGroup> groups;
-    // Open group per key; a full group is retired so later points
-    // with the same key start a new one.
-    std::unordered_map<std::uint64_t, std::size_t> open;
-    for (std::size_t ordinal = 0; ordinal < keys.size(); ++ordinal) {
-        const std::uint64_t key = keys[ordinal];
-        const auto it = open.find(key);
-        if (it != open.end() &&
-            static_cast<int>(groups[it->second].ordinals.size()) <
-                max_width) {
-            groups[it->second].ordinals.push_back(ordinal);
-            continue;
-        }
-        open[key] = groups.size();
-        groups.push_back(LaneGroup{{ordinal}});
-    }
-    return groups;
-}
 
 std::vector<int>
 ompThreadCounts(int max_hw_threads, int step)

@@ -7,54 +7,10 @@
 #ifndef SYNCPERF_CORE_SWEEP_HH
 #define SYNCPERF_CORE_SWEEP_HH
 
-#include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace syncperf::core
 {
-
-/**
- * One lane group of a lane-batched sweep: the enumeration ordinals
- * of the points it spans (ascending; the first is the reference
- * lane). See docs/performance.md, "Lane-batched sweeps".
- */
-struct LaneGroup
-{
-    std::vector<std::size_t> ordinals;
-};
-
-/** Lane-grouping activity of one campaign (one system). */
-struct LaneSummary
-{
-    long long points = 0;     ///< points routed through the planner
-    long long groups = 0;     ///< groups formed (incl. singletons)
-    long long singletons = 0; ///< points left in width-1 groups
-    long long peels = 0;      ///< lanes peeled at runtime
-
-    bool planned() const { return points > 0; }
-
-    void
-    merge(const LaneSummary &other)
-    {
-        points += other.points;
-        groups += other.groups;
-        singletons += other.singletons;
-        peels += other.peels;
-    }
-};
-
-/**
- * Bucket sweep points by lane key. @p keys holds one grouping key
- * per enumerated point (in enumeration order); points with equal
- * keys land in the same group until it reaches @p max_width lanes,
- * then a fresh group opens. Groups are ordered by their first
- * ordinal and members keep enumeration order, so the plan -- like
- * everything downstream of it -- is a pure function of the
- * enumerated sweep.
- */
-std::vector<LaneGroup>
-planLaneGroups(const std::vector<std::uint64_t> &keys, int max_width);
 
 /**
  * OpenMP thread counts: 2 up to the machine's hardware-thread

@@ -450,45 +450,12 @@ explainLoopBatch(
     out << '\n';
 }
 
-/**
- * The lane-grouping annotation: how tightly this system's sweep
- * points collapsed into shared lane groups (docs/performance.md,
- * "Lane-batched sweeps"). Like batching, pure wall-clock
- * bookkeeping -- grouping never changes a measured value.
- */
-void
-explainLanes(const std::string &system,
-             const std::map<std::string, LaneSummary> &lanes,
-             std::ostream &out)
-{
-    const auto it = lanes.find(system);
-    if (it == lanes.end() || !it->second.planned())
-        return;
-    const LaneSummary &s = it->second;
-    const double ratio =
-        s.groups == 0 ? 0.0
-                      : static_cast<double>(s.points) /
-                            static_cast<double>(s.groups);
-    const double peel_pct =
-        s.points == 0 ? 0.0
-                      : 100.0 * static_cast<double>(s.peels) /
-                            static_cast<double>(s.points);
-    const std::uint64_t tenths = rounded(ratio * 10.0);
-    out << format("lane grouping: {} points -> {} groups ({}.{} "
-                  "points per group; {} singleton{}, {} peel{} = "
-                  "{}%)\n\n",
-                  s.points, s.groups, tenths / 10, tenths % 10,
-                  s.singletons, s.singletons == 1 ? "" : "s", s.peels,
-                  s.peels == 1 ? "" : "s", rounded(peel_pct));
-}
-
 } // namespace
 
 Status
 explainCampaign(const fs::path &dir, std::ostream &out,
                 const std::map<std::string, sim::LoopBatchCounters>
-                    *loop_batch,
-                const std::map<std::string, LaneSummary> *lanes)
+                    *loop_batch)
 {
     std::vector<fs::path> system_dirs;
     std::error_code ec;
@@ -518,8 +485,6 @@ explainCampaign(const fs::path &dir, std::ostream &out,
                    "channel of the measuring run, never an "
                    "artifact)\n\n";
         }
-        if (lanes != nullptr)
-            explainLanes(system_dir.filename().string(), *lanes, out);
         ++rendered;
     }
     if (rendered == 0)

@@ -16,9 +16,9 @@
  * Determinism contract: samples accumulate in simulation order,
  * JSON objects are keyed through std::map (sorted), and files go
  * through AtomicFile -- the artifact tree is byte-identical at any
- * --jobs count. Samples ride inside the sim-result cache entries,
- * so a cache hit replays the exact telemetry of the original
- * simulation instead of silently dropping it.
+ * --jobs count. Samples ride inside the launch memo's entries, so a
+ * served launch replays the exact telemetry of its simulation
+ * instead of silently dropping it.
  */
 
 #ifndef SYNCPERF_CORE_TELEMETRY_HH
@@ -35,7 +35,6 @@
 #include "common/histogram.hh"
 #include "common/json.hh"
 #include "common/status.hh"
-#include "core/sweep.hh"
 #include "sim/loop_batch.hh"
 #include "sim/stat.hh"
 
@@ -117,17 +116,11 @@ std::filesystem::path telemetryPathFor(
  *        ratio (batched_iters / total_iters) per experiment; pass
  *        nullptr when no measurements ran in this process
  *        (--explain-only) and the section says so instead.
- * @param lanes Optional per-system lane-grouping summaries keyed by
- *        system slug (CampaignResult::lanes, the measuring run's
- *        in-memory side channel). When present, each system section
- *        reports its grouping ratio (points per group) and peel
- *        rate; pass nullptr in --explain-only mode.
  */
 Status explainCampaign(
     const std::filesystem::path &dir, std::ostream &out,
     const std::map<std::string, sim::LoopBatchCounters> *loop_batch =
-        nullptr,
-    const std::map<std::string, LaneSummary> *lanes = nullptr);
+        nullptr);
 
 } // namespace syncperf::core
 

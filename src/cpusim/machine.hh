@@ -107,7 +107,7 @@ class CpuMachine
          * nothing it does not, so raw addresses or data types that
          * decode to the same image share a fingerprint). Equal
          * fingerprints mean equal walks for equal (seed, iterations,
-         * warmup): the lane planner's agreement test.
+         * warmup): the launch memo keys on it.
          */
         std::uint64_t fingerprint = 0;
     };

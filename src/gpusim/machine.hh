@@ -121,7 +121,7 @@ class GpuMachine
          * does not, so kernels whose raw data types decode to the
          * same costs share a fingerprint). Equal fingerprints mean
          * equal walks for equal (seed, geometry, body_iters,
-         * warmup): the lane planner's agreement test.
+         * warmup): the launch memo keys on it.
          */
         std::uint64_t fingerprint = 0;
     };

@@ -7,6 +7,7 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <limits>
 
 #include <unistd.h>
 
@@ -32,6 +33,17 @@ FaultInjector::shouldPoisonMeasurement()
         metrics::add(metrics::Counter::FaultsInjected);
     }
     return poison;
+}
+
+double
+FaultInjector::reportLaunch(double seconds)
+{
+    FaultInjector *faults = active();
+    if (faults == nullptr)
+        return seconds;
+    if (faults->shouldPoisonMeasurement())
+        return std::numeric_limits<double>::quiet_NaN();
+    return faults->perturbSeconds(seconds);
 }
 
 Status

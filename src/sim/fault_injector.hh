@@ -11,9 +11,10 @@
  * are seeded, so a failing test reproduces bit-for-bit.
  *
  * Hook points:
- *  - CpuSimTarget/GpuSimTarget::runOnce() consult active() to skew,
- *    jitter, or poison the one runtime each launch reports (its
- *    slowest thread's), so jitter draws once per launch;
+ *  - CpuSimTarget/GpuSimTarget::runOnce() pass the one runtime each
+ *    launch reports (its slowest thread's) through reportLaunch(),
+ *    which skews, jitters or poisons it, so jitter draws once per
+ *    launch, after the launch memo;
  *  - AtomicFile::open()/commit() consult the installed fault hook,
  *    which Scope wires to failWrites().
  */
@@ -114,6 +115,13 @@ class FaultInjector
 
     /** Count one timed launch; true when it should be poisoned. */
     bool shouldPoisonMeasurement();
+
+    /**
+     * One timed launch's runtime as the active injector reports it:
+     * NaN when poisoned, else skewed and jittered. Returns @p seconds
+     * unchanged when no injector is installed.
+     */
+    static double reportLaunch(double seconds);
 
     /** Count one write operation; non-ok when it should fail. */
     Status onWriteOp(const std::filesystem::path &path,

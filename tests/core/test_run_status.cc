@@ -66,7 +66,6 @@ TEST_F(RunStatusTest, RatiosAreZeroWhenNothingRan)
     const RunStatus st;
     EXPECT_EQ(st.simCacheHitRatio(), 0.0);
     EXPECT_EQ(st.poolWarmRatio(), 0.0);
-    EXPECT_EQ(st.laneGroupedRatio(), 0.0);
     EXPECT_EQ(st.loopBatchWindowRatio(), 0.0);
     EXPECT_EQ(st.poolIdleFraction(), 0.0);
 }
@@ -78,8 +77,6 @@ TEST_F(RunStatusTest, RatiosComputeFromRawInputs)
     st.sim_cache_misses = 1;
     st.pool_clones = 9;
     st.pool_cold_builds = 1;
-    st.lane_points = 10;
-    st.lane_singleton_points = 4;
     st.loop_batch_windows = 1;
     st.loop_batch_fallbacks = 3;
     st.pool_busy_s = 3.0;
@@ -87,7 +84,6 @@ TEST_F(RunStatusTest, RatiosComputeFromRawInputs)
 
     EXPECT_DOUBLE_EQ(st.simCacheHitRatio(), 0.75);
     EXPECT_DOUBLE_EQ(st.poolWarmRatio(), 0.9);
-    EXPECT_DOUBLE_EQ(st.laneGroupedRatio(), 0.6);
     EXPECT_DOUBLE_EQ(st.loopBatchWindowRatio(), 0.25);
     EXPECT_DOUBLE_EQ(st.poolIdleFraction(), 0.25);
 }
@@ -96,16 +92,12 @@ TEST_F(RunStatusTest, FillCountersReadsTheRegistry)
 {
     metrics::add(metrics::Counter::SimCacheHits, 7);
     metrics::add(metrics::Counter::SimCacheMisses, 3);
-    metrics::add(metrics::Counter::LanePoints, 12);
-    metrics::add(metrics::Counter::LaneSingletonPoints, 2);
     metrics::add(metrics::Counter::PoolBusyNanos, 1'500'000'000);
 
     RunStatus st;
     st.fillCountersFromRegistry();
     EXPECT_EQ(st.sim_cache_hits, 7);
     EXPECT_EQ(st.sim_cache_misses, 3);
-    EXPECT_EQ(st.lane_points, 12);
-    EXPECT_EQ(st.lane_singleton_points, 2);
     EXPECT_DOUBLE_EQ(st.pool_busy_s, 1.5);
 }
 

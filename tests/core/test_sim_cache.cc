@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the simulator result cache in CpuSimTarget and
- * GpuSimTarget: hits are bit-identical to re-simulating, jittered
- * configurations bypass the cache entirely, disabling the cache
- * never changes results, and the hit/miss counters land in the
- * deterministic metrics class (identical across --jobs counts).
+ * Tests for the launch memo as CpuSimTarget and GpuSimTarget use it:
+ * served launches are bit-identical to a direct run that simulates
+ * every launch, a jittered launch is never served to a later launch
+ * of the same target, the campaign writes what direct runs produce,
+ * and the served/simulated counters land in the deterministic
+ * metrics class (identical across --jobs counts).
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +18,11 @@
 
 #include <unistd.h>
 
+#include "common/csv.hh"
 #include "common/metrics.hh"
 #include "core/campaign.hh"
-#include "core/cpusim_target.hh"
-#include "core/gpusim_target.hh"
+#include "core/sweep.hh"
+#include "direct_run.hh"
 
 namespace syncperf::core
 {
@@ -28,6 +30,9 @@ namespace
 {
 
 namespace fs = std::filesystem;
+using testing::directCpuRun;
+using testing::directGpuRun;
+using testing::expectSameMeasurement;
 
 long long
 hits()
@@ -92,40 +97,36 @@ TEST_F(SimCacheTest, CpuRepeatLaunchesHitAndMatchFirstMeasurement)
 
 TEST_F(SimCacheTest, CpuCacheDoesNotChangeResults)
 {
-    auto cached_cfg = cpuProtocol();
-    auto uncached_cfg = cpuProtocol();
-    uncached_cfg.sim_cache = false;
-
-    CpuSimTarget cached(cpusim::CpuConfig::system2(), cached_cfg);
-    CpuSimTarget uncached(cpusim::CpuConfig::system2(), uncached_cfg);
+    const auto cpu = cpusim::CpuConfig::system2();
+    CpuSimTarget target(cpu, cpuProtocol());
     OmpExperiment exp;
     exp.primitive = OmpPrimitive::AtomicUpdate;
 
-    const auto a = cached.measure(exp, 4);
-    const auto hits_cached = hits();
-    const auto b = uncached.measure(exp, 4);
-
-    EXPECT_GT(hits_cached, 0);
-    EXPECT_EQ(hits(), hits_cached) << "disabled cache counted a hit";
-    EXPECT_DOUBLE_EQ(a.per_op_seconds, b.per_op_seconds);
-    EXPECT_DOUBLE_EQ(a.stddev_seconds, b.stddev_seconds);
-    ASSERT_EQ(a.run_values.size(), b.run_values.size());
-    for (std::size_t i = 0; i < a.run_values.size(); ++i)
-        EXPECT_DOUBLE_EQ(a.run_values[i], b.run_values[i]);
+    const auto got = target.measure(exp, 4);
+    EXPECT_GT(hits(), 0);
+    expectSameMeasurement(got,
+                          directCpuRun(cpu, cpuProtocol(), exp, 4)
+                              .measurement);
 }
 
 TEST_F(SimCacheTest, CpuJitteredModelBypassesCache)
 {
-    // system3 has jitter_frac > 0: launches are never pure functions
-    // of their inputs, so neither counter may move.
-    CpuSimTarget target(cpusim::CpuConfig::system3(), cpuProtocol());
+    // system3 has jitter_frac > 0: every launch draws from its own
+    // seed's stream, so a target never serves one launch to another
+    // and each is simulated exactly as a direct run would.
+    const auto cpu = cpusim::CpuConfig::system3();
+    CpuSimTarget target(cpu, cpuProtocol());
     OmpExperiment exp;
     exp.primitive = OmpPrimitive::Barrier;
 
-    target.measure(exp, 4);
-    target.measure(exp, 4);
+    const auto first = directCpuRun(cpu, cpuProtocol(), exp, 4);
+    const auto second = directCpuRun(cpu, cpuProtocol(), exp, 4,
+                                     1 + first.launches.size());
+    expectSameMeasurement(target.measure(exp, 4), first.measurement);
+    expectSameMeasurement(target.measure(exp, 4), second.measurement);
     EXPECT_EQ(hits(), 0);
-    EXPECT_EQ(misses(), 0);
+    EXPECT_EQ(misses(), static_cast<long long>(first.launches.size() +
+                                               second.launches.size()));
 }
 
 TEST_F(SimCacheTest, GpuRepeatLaunchesHitAndMatchFirstMeasurement)
@@ -159,20 +160,28 @@ TEST_F(SimCacheTest, GpuDifferentLaunchGeometryMisses)
 
 TEST_F(SimCacheTest, GpuSystemFenceBypassesCache)
 {
-    // __threadfence_system draws per-launch PCIe jitter; its kernels
-    // must never be served from (or stored into) the cache.
-    GpuSimTarget target(gpusim::GpuConfig::rtx4090(), gpuProtocol());
+    // __threadfence_system draws per-launch PCIe jitter: a target
+    // never serves one of its kernel's launches to another.
+    const auto gpu = gpusim::GpuConfig::rtx4090();
+    GpuSimTarget target(gpu, gpuProtocol());
     CudaExperiment exp;
     exp.primitive = CudaPrimitive::ThreadFenceSystem;
     exp.location = Location::PrivateArray;
 
-    target.measure(exp, {2, 64});
-    target.measure(exp, {2, 64});
-    // The baseline kernel (two stores, no fence) is cacheable; only
-    // the test kernel carries the system fence.
-    EXPECT_EQ(misses(), 1);
-    target.measure(exp, {2, 64});
-    EXPECT_EQ(misses(), 1);
+    const auto first = directGpuRun(gpu, gpuProtocol(), exp, {2, 64});
+    const auto second = directGpuRun(gpu, gpuProtocol(), exp, {2, 64},
+                                     1 + first.launches.size());
+    expectSameMeasurement(target.measure(exp, {2, 64}),
+                          first.measurement);
+    expectSameMeasurement(target.measure(exp, {2, 64}),
+                          second.measurement);
+    // The baseline kernel (two stores, no fence) is simulated once;
+    // every launch of the test kernel, which carries the system
+    // fence, is simulated.
+    const std::size_t launches =
+        first.launches.size() + second.launches.size();
+    EXPECT_EQ(misses(), static_cast<long long>(1 + launches / 2));
+    EXPECT_EQ(hits(), static_cast<long long>(launches / 2 - 1));
 }
 
 /** Every regular file under @p dir, as relative path -> bytes. */
@@ -193,97 +202,126 @@ snapshotTree(const fs::path &dir)
     return out;
 }
 
+/** @p file's bytes as the campaign writes it from direct runs. */
+std::string
+directCsv(const cpusim::CpuConfig &cpu, const MeasurementConfig &protocol,
+          const OmpExperiment &exp, const std::vector<int> &threads)
+{
+    std::ostringstream bytes;
+    CsvWriter csv(bytes);
+    csv.header({"threads", "per_op_seconds", "throughput_per_thread",
+                "stddev_seconds"});
+    std::uint64_t seed = 1;
+    for (int n : threads) {
+        const auto run = directCpuRun(cpu, protocol, exp, n, seed);
+        seed += run.launches.size();
+        const Measurement &m = run.measurement;
+        csv.field(static_cast<long long>(n))
+            .field(m.per_op_seconds)
+            .field(m.opsPerSecondPerThread())
+            .field(m.stddev_seconds);
+        csv.endRow();
+    }
+    return bytes.str();
+}
+
 TEST_F(SimCacheTest, CampaignOutputIsByteIdenticalWithCacheOff)
 {
+    // The campaign shares one memo across all its points, so most of
+    // these launches are served -- across runs, attempts, dtypes and
+    // primitives. Every CSV checked must still be what direct runs
+    // give.
     const auto base =
         fs::temp_directory_path() /
         ("syncperf_sim_cache_" + std::to_string(::getpid()));
     fs::remove_all(base);
 
-    auto cpu = cpusim::CpuConfig::system2(); // jitter-free: cache engages
+    auto cpu = cpusim::CpuConfig::system2(); // jitter-free
     cpu.cores_per_socket = 2;                // keep the sweep cheap
 
-    auto cached_cfg = cpuProtocol();
-    auto uncached_cfg = cpuProtocol();
-    uncached_cfg.sim_cache = false;
+    CampaignOptions options;
+    options.output_dir = base.string();
+    options.quick = true;
+    options.jobs = 2;
+    const auto result = runOmpCampaign(cpu, cpuProtocol(), options);
+    ASSERT_TRUE(result.ok());
+    EXPECT_GT(hits(), 0);
 
-    CampaignOptions cached_opts;
-    cached_opts.output_dir = (base / "cached").string();
-    cached_opts.quick = true;
-    auto uncached_opts = cached_opts;
-    uncached_opts.output_dir = (base / "uncached").string();
-
-    const auto cached = runOmpCampaign(cpu, cached_cfg, cached_opts);
-    const auto cache_hits = hits();
-    const auto uncached =
-        runOmpCampaign(cpu, uncached_cfg, uncached_opts);
-
-    ASSERT_TRUE(cached.ok());
-    ASSERT_TRUE(uncached.ok());
-    EXPECT_GT(cache_hits, 0);
-    EXPECT_EQ(hits(), cache_hits);
-
-    const auto cached_tree = snapshotTree(base / "cached");
-    const auto uncached_tree = snapshotTree(base / "uncached");
-    ASSERT_FALSE(cached_tree.empty());
-    ASSERT_EQ(cached_tree.size(), uncached_tree.size());
-    for (const auto &[file, bytes] : cached_tree) {
-        const auto it = uncached_tree.find(file);
-        ASSERT_NE(it, uncached_tree.end()) << file << " missing";
-        EXPECT_EQ(bytes, it->second) << file << " differs";
+    const auto tree = snapshotTree(base);
+    const auto threads = ompThreadCounts(cpu.totalHwThreads(), 4);
+    const std::string dir = sanitizeName(cpu.name) + "/";
+    const auto expect_csv = [&](const std::string &file,
+                                const OmpExperiment &exp) {
+        const auto it = tree.find(dir + file);
+        ASSERT_NE(it, tree.end()) << file << " missing";
+        EXPECT_EQ(it->second, directCsv(cpu, cpuProtocol(), exp, threads))
+            << file << " differs from direct runs";
+    };
+    OmpExperiment barrier;
+    barrier.primitive = OmpPrimitive::Barrier;
+    expect_csv("omp_barrier.csv", barrier);
+    for (DataType t : all_data_types) {
+        OmpExperiment update;
+        update.primitive = OmpPrimitive::AtomicUpdate;
+        update.dtype = t;
+        update.affinity = Affinity::System;
+        expect_csv("omp_atomic_update_" + std::string(dataTypeName(t)) +
+                       ".csv",
+                   update);
+        OmpExperiment flush;
+        flush.primitive = OmpPrimitive::Flush;
+        flush.dtype = t;
+        flush.location = Location::PrivateArray;
+        flush.stride = 16;
+        flush.affinity = Affinity::Close;
+        expect_csv("omp_flush_s16_" + std::string(dataTypeName(t)) +
+                       ".csv",
+                   flush);
     }
     fs::remove_all(base);
 }
 
 TEST_F(SimCacheTest, CpuCacheHitsReplayIdenticalTelemetry)
 {
-    // A cache hit must contribute the stored telemetry of the
-    // original simulation: the accumulated sample is identical with
-    // the cache on (mostly hits) and off (all re-simulated).
-    auto cached_cfg = cpuProtocol();
-    cached_cfg.telemetry = true;
-    auto uncached_cfg = cached_cfg;
-    uncached_cfg.sim_cache = false;
-
-    CpuSimTarget cached(cpusim::CpuConfig::system2(), cached_cfg);
-    CpuSimTarget uncached(cpusim::CpuConfig::system2(), uncached_cfg);
+    // A served launch must contribute the stored telemetry of its
+    // simulation: the accumulated sample equals a direct run's, which
+    // simulates every launch.
+    auto protocol = cpuProtocol();
+    protocol.telemetry = true;
+    const auto cpu = cpusim::CpuConfig::system2();
+    CpuSimTarget target(cpu, protocol);
     OmpExperiment exp;
     exp.primitive = OmpPrimitive::AtomicUpdate;
 
-    cached.measure(exp, 4);
-    uncached.measure(exp, 4);
+    target.measure(exp, 4);
     EXPECT_GT(hits(), 0);
 
-    const auto a = cached.takeTelemetry();
-    const auto b = uncached.takeTelemetry();
+    const auto a = target.takeTelemetry();
     EXPECT_FALSE(a.empty());
-    EXPECT_EQ(a, b) << "cache hits dropped or altered telemetry";
+    EXPECT_EQ(a, directCpuRun(cpu, protocol, exp, 4).telemetry)
+        << "served launches dropped or altered telemetry";
     ASSERT_EQ(a.histograms.count("cpu.acq_wait_ticks"), 1u);
 
     // takeTelemetry drains the accumulator.
-    EXPECT_TRUE(cached.takeTelemetry().empty());
+    EXPECT_TRUE(target.takeTelemetry().empty());
 }
 
 TEST_F(SimCacheTest, GpuCacheHitsReplayIdenticalTelemetry)
 {
-    auto cached_cfg = gpuProtocol();
-    cached_cfg.telemetry = true;
-    auto uncached_cfg = cached_cfg;
-    uncached_cfg.sim_cache = false;
-
-    GpuSimTarget cached(gpusim::GpuConfig::rtx4090(), cached_cfg);
-    GpuSimTarget uncached(gpusim::GpuConfig::rtx4090(), uncached_cfg);
+    auto protocol = gpuProtocol();
+    protocol.telemetry = true;
+    const auto gpu = gpusim::GpuConfig::rtx4090();
+    GpuSimTarget target(gpu, protocol);
     CudaExperiment exp;
     exp.primitive = CudaPrimitive::AtomicAdd;
 
-    cached.measure(exp, {2, 64});
-    uncached.measure(exp, {2, 64});
+    target.measure(exp, {2, 64});
     EXPECT_GT(hits(), 0);
 
-    const auto a = cached.takeTelemetry();
-    const auto b = uncached.takeTelemetry();
+    const auto a = target.takeTelemetry();
     EXPECT_FALSE(a.empty());
-    EXPECT_EQ(a, b) << "cache hits dropped or altered telemetry";
+    EXPECT_EQ(a, directGpuRun(gpu, protocol, exp, {2, 64}).telemetry)
+        << "served launches dropped or altered telemetry";
     ASSERT_EQ(a.histograms.count("gpu.atomic_wait_ticks"), 1u);
 }
 

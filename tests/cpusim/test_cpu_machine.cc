@@ -436,7 +436,7 @@ oneOpPrograms(CpuOpKind kind, DataType dtype, int n_threads)
 
 TEST(CpuMachineImage, DtypeMergedProgramsShareAFingerprint)
 {
-    // The decode collapse the lane planner exploits: int and
+    // The decode collapse the launch memo exploits: int and
     // unsigned-long-long atomic updates decode to the same handler
     // stream, so their images fingerprint equal and their runs are
     // the same walk.

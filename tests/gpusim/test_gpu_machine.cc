@@ -397,7 +397,7 @@ TEST(GpuMachineImage, BuiltImageRunMatchesColdRun)
 TEST(GpuMachineImage, DtypeMergedShflKernelsShareAFingerprint)
 {
     // shfl decodes identically for same-width element types, the GPU
-    // half of the lane planner's decode collapse.
+    // half of the launch memo's decode collapse.
     const GpuKernel a = bodyKernel({GpuOp::shfl(DataType::Int32)});
     const GpuKernel b = bodyKernel({GpuOp::shfl(DataType::Float32)});
     const GpuKernel c = bodyKernel({GpuOp::vote()});

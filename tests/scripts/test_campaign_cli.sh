@@ -32,17 +32,17 @@ expect() {
     fi
 }
 
-for flag in --out --jobs --checkpoint-every --only --cov-gate --lanes \
+for flag in --out --jobs --checkpoint-every --only --cov-gate \
             --trace --metrics --status --status-interval; do
     expect 2 "$flag requires a value" "$flag"
 done
 
 # Numeric values are parsed whole: trailing junk, non-numbers,
 # overflow, non-finite numbers and out-of-range values are rejected.
-for args in "--jobs 2x" "--jobs 0" "--jobs -1" "--lanes 99999999999" \
+for args in "--jobs 2x" "--jobs 0" "--jobs -1" "--jobs 99999999999" \
             "--jobs 1.5" "--checkpoint-every zz" "--checkpoint-every 4k" \
             "--cov-gate abc" "--cov-gate 0.1x" "--cov-gate inf" \
-            "--cov-gate nan" "--lanes 3q" "--lanes 0" \
+            "--cov-gate nan" "--checkpoint-every 3q" \
             "--status-interval 1s" "--status-interval 0" \
             "--status-interval inf"; do
     # shellcheck disable=SC2086
@@ -54,11 +54,13 @@ expect 2 "--jobs wants" --out "$WORK/tree" --jobs "" --only rtx_2070
 
 # In-range values parse (--help then exits before running anything).
 expect 0 "" --jobs 2 --checkpoint-every 0 --cov-gate 1000000 \
-    --lanes 3 --status-interval 0.5 --help
+    --status-interval 0.5 --help
 
 # Retired and misspelled flags alike are unknown; a value after one
-# must not be swallowed as that flag's argument.
-for args in "--bogus" "--workers 2" "--jobs 2 --no-such-flag" "ompp"; do
+# must not be swallowed as that flag's argument. --lanes, --no-lanes
+# and --no-sim-cache switched reuse layers the launch memo replaced.
+for args in "--bogus" "--workers 2" "--jobs 2 --no-such-flag" "ompp" \
+            "--lanes 3" "--lanes" "--no-lanes" "--no-sim-cache"; do
     # shellcheck disable=SC2086
     set -- $args
     unknown=$1

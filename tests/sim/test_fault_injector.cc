@@ -9,11 +9,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <string>
 
 #include <unistd.h>
 
 #include "common/atomic_file.hh"
+#include "common/metrics.hh"
 #include "core/cpusim_target.hh"
 #include "core/gpusim_target.hh"
 #include "sim/fault_injector.hh"
@@ -274,6 +276,45 @@ TEST(FaultInjector, GpuTargetHonorsPoisoning)
     core::GpuSimTarget target(gpusim::GpuConfig::rtx4090(), protocol);
     const auto m = target.measure(exp, {1, 32});
     EXPECT_FALSE(m.valid);
+}
+
+TEST(FaultInjector, PoisonNeverEntersTheMemo)
+{
+    // The first launch claims its key: the memo stores the clean
+    // simulated outcome, and only the value reported to the protocol
+    // is poisoned. The protocol's retry, and a later target sharing
+    // the memo, are served the clean outcome.
+    const auto cpu = cpusim::CpuConfig::system2(); // jitter-free
+    const auto clean = core::CpuSimTarget(cpu, tinyProtocol())
+                           .measure(barrierExperiment(), 2);
+    metrics::Registry::global().reset();
+
+    auto memo = std::make_shared<core::LaunchMemo>();
+    core::Measurement poisoned;
+    {
+        FaultInjector faults;
+        faults.poisonMeasurements(1, 1);
+        FaultInjector::Scope scope(faults);
+        poisoned = core::CpuSimTarget(cpu, tinyProtocol(), 1, memo)
+                       .measure(barrierExperiment(), 2);
+        EXPECT_EQ(faults.injectedCount(), 1);
+    }
+    EXPECT_TRUE(poisoned.valid);
+    EXPECT_EQ(poisoned.retries, clean.retries + 1);
+    EXPECT_EQ(poisoned.per_op_seconds, clean.per_op_seconds);
+    EXPECT_EQ(poisoned.run_values, clean.run_values);
+
+    const long long simulated =
+        metrics::value(metrics::Counter::SimCacheMisses);
+    const auto later = core::CpuSimTarget(cpu, tinyProtocol(), 1, memo)
+                           .measure(barrierExperiment(), 2);
+    EXPECT_EQ(metrics::value(metrics::Counter::SimCacheMisses),
+              simulated);
+    EXPECT_TRUE(later.valid);
+    EXPECT_EQ(later.retries, clean.retries);
+    EXPECT_EQ(later.per_op_seconds, clean.per_op_seconds);
+    EXPECT_EQ(later.run_values, clean.run_values);
+    metrics::Registry::global().reset();
 }
 
 TEST(FaultInjector, KillAfterIsReadFromTheEnvironment)
