@@ -48,10 +48,12 @@ struct LaunchOutcome
  * (sim_cache_hits) are the same at every --jobs value. A claimant
  * never waits on another caller, so the memo cannot deadlock.
  *
- * A memo serves the targets of one system under one
- * MeasurementConfig: the campaign creates one per system and hands it
- * to every target it builds, and a target built without one owns a
- * private memo. Entries live as long as the memo.
+ * Keys hold no machine config, and entries record what the telemetry
+ * and loop_batch switches asked of their simulation, so a memo serves
+ * the targets of one system that agree on those two switches: the
+ * campaign creates one per system and hands it to every target it
+ * builds, and a target built without one owns a private memo.
+ * Entries live as long as the memo.
  */
 class LaunchMemo
 {

@@ -78,7 +78,7 @@ class SimCacheTest : public ::testing::Test
 TEST_F(SimCacheTest, CpuRepeatLaunchesHitAndMatchFirstMeasurement)
 {
     // system2 is jitter-free, so every launch after the first pair
-    // (baseline, test) is a cache hit.
+    // (baseline, test) is served by the target's memo.
     CpuSimTarget target(cpusim::CpuConfig::system2(), cpuProtocol());
     OmpExperiment exp;
     exp.primitive = OmpPrimitive::Barrier;
