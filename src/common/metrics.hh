@@ -30,7 +30,9 @@ namespace syncperf::metrics
 {
 
 /** Every counter the pipeline records. Append only: the snapshot
- * schema and check_metrics.py key off the names. */
+ * schema, the counter pins under tests/digests, the
+ * observability_campaign test and perfbench/run.py key off the
+ * names. */
 enum class Counter : int
 {
     // Deterministic: identical totals at every --jobs count.

@@ -9,8 +9,9 @@
  * ThreadPool a campaign ran -- and renders both into a deterministic
  * JSON snapshot (written atomically, diffable across runs for the
  * deterministic counter section) and a human-readable table. Schema
- * documented in docs/observability.md; gated in CI by
- * scripts/check_metrics.py.
+ * documented in docs/observability.md; its deterministic counters are
+ * pinned by the .counters files under tests/digests and compared
+ * across --jobs values by the observability_campaign test.
  */
 
 #ifndef SYNCPERF_CORE_METRICS_HH
@@ -67,7 +68,8 @@ class CampaignMetrics
     std::string summaryTable() const;
 
     /**
-     * Derived gates consumed by scripts/check_metrics.py:
+     * Derived rates for the reader of the snapshot (checked present
+     * by CampaignMetricsTest.SnapshotJsonParsesWithDocumentedSchema):
      * retries per measured point, and the fraction of pooled worker
      * time spent idle. Both 0 when nothing ran.
      */

@@ -1,14 +1,17 @@
 /**
  * @file
- * Tests for OrderedExecutor: commits must land in submission order on
- * the calling thread regardless of completion order, and the serial
- * path (null pool) must behave identically.
+ * Tests for OrderedExecutor: jobs on a multi-worker pool overlap,
+ * commits must land in submission order on the calling thread
+ * regardless of completion order, and the serial path (null pool)
+ * must behave identically.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -75,6 +78,37 @@ TEST(OrderedExecutor, SingleWorkerPoolFallsBackToInline)
         &pool, orderRecordingJobs(4, commit_order, commit_thread, 0));
     ASSERT_EQ(commit_order.size(), 4u);
     EXPECT_EQ(commit_thread, std::this_thread::get_id());
+}
+
+TEST(OrderedExecutor, RunsJobsConcurrently)
+{
+    // Job 0 cannot finish until job 1 has started, so an executor
+    // that runs its jobs one after the other times out here instead
+    // of passing. The wait is bounded so such an executor fails the
+    // test rather than hanging it.
+    ThreadPool pool(2);
+    std::mutex mutex;
+    std::condition_variable started;
+    bool job1_started = false;
+    bool job0_saw_job1 = false;
+    std::vector<OrderedExecutor::Job> jobs;
+    jobs.push_back([&]() -> OrderedExecutor::CommitFn {
+        std::unique_lock lock(mutex);
+        job0_saw_job1 = started.wait_for(lock, std::chrono::seconds(5),
+                                         [&] { return job1_started; });
+        return nullptr;
+    });
+    jobs.push_back([&]() -> OrderedExecutor::CommitFn {
+        {
+            std::scoped_lock lock(mutex);
+            job1_started = true;
+        }
+        started.notify_all();
+        return nullptr;
+    });
+    OrderedExecutor::run(&pool, std::move(jobs));
+    EXPECT_TRUE(job0_saw_job1)
+        << "job 0 waited 5 s for job 1 to start on a 2-worker pool";
 }
 
 TEST(OrderedExecutor, NullCommitIsSkipped)

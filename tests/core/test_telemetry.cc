@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -16,6 +17,7 @@
 
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "core/campaign.hh"
 #include "core/telemetry.hh"
 
@@ -205,6 +207,42 @@ TEST(TelemetryCampaign, ArtifactsAreJobsInvariantAndOffByDefault)
     }
     EXPECT_EQ(serial_tree.size(), parallel_tree.size());
     EXPECT_GT(telemetry_files, 0);
+
+    // Every artifact carries the schema tag, names its experiment and
+    // system, and has at least one point whose axes are positive and
+    // whose counters are non-negative integers. (The histograms'
+    // count/sum/bucket-range invariants hold by construction and are
+    // pinned by the Histogram tests and the round trip above.)
+    for (const auto &[file, bytes] : serial_tree) {
+        if (file.find(".telemetry.json") == std::string::npos)
+            continue;
+        const auto parsed = parseJson(bytes);
+        ASSERT_TRUE(parsed.isOk()) << file;
+        const JsonValue &doc = parsed.value();
+        EXPECT_EQ(doc.stringOr("schema", ""), "syncperf-telemetry-v1")
+            << file;
+        EXPECT_FALSE(doc.stringOr("experiment", "").empty()) << file;
+        EXPECT_FALSE(doc.stringOr("system", "").empty()) << file;
+        const JsonValue *points = doc.find("points");
+        ASSERT_TRUE(points != nullptr && points->isArray()) << file;
+        EXPECT_FALSE(points->asArray().empty()) << file;
+        for (const JsonValue &pt : points->asArray()) {
+            const JsonValue *axes = pt.find("axes");
+            ASSERT_TRUE(axes != nullptr && axes->isObject()) << file;
+            EXPECT_FALSE(axes->asObject().empty()) << file;
+            for (const auto &[axis, v] : axes->asObject())
+                EXPECT_TRUE(v.isNumber() && v.asNumber() >= 1 &&
+                            v.asNumber() == std::floor(v.asNumber()))
+                    << file << ": axis " << axis;
+            const JsonValue *counters = pt.find("counters");
+            ASSERT_TRUE(counters != nullptr && counters->isObject())
+                << file;
+            for (const auto &[name, v] : counters->asObject())
+                EXPECT_TRUE(v.isNumber() && v.asNumber() >= 0 &&
+                            v.asNumber() == std::floor(v.asNumber()))
+                    << file << ": counter " << name;
+        }
+    }
 
     // Telemetry off: no artifact files, and the rest of the tree is
     // byte-identical to the instrumented run (collection never

@@ -2,10 +2,13 @@
 # End-to-end checks for campaign observability
 # (docs/observability.md):
 #
-#   1. metrics: the deterministic counters of a --jobs 2 run's
-#      metrics.json equal the serial run's, and the snapshot passes
-#      check_metrics.py; its trace.json is loadable JSON with one
-#      experiment span per CSV and non-negative timestamps;
+#   1. metrics: the deterministic counters of a --jobs 2 run with
+#      --trace and --telemetry equal the plain serial run's, so
+#      tracing and telemetry add no simulations; its trace.json is
+#      loadable JSON with non-negative timestamps and exactly one
+#      campaign and one system span, one experiment and one commit
+#      span per CSV, and one attempt span per CSV data row plus one
+#      per noise retry;
 #   2. live status: status.json parses as syncperf-status-v1 at every
 #      mid-run poll (atomic rewrites -- a reader can never observe a
 #      torn file) and finishes with done == total;
@@ -22,7 +25,6 @@
 set -u
 
 CAMPAIGN=${1:?usage: $0 <campaign-binary>}
-SCRIPTS_DIR=$(cd "$(dirname "$0")/../../scripts" && pwd)
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/syncperf_obs_XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 
@@ -47,9 +49,11 @@ dump_log() {
 }
 
 # A resumed run keeps the postmortem of the run it resumed; every
-# other file must match the serial tree.
+# other file must match the serial tree. Further diff options (such
+# as --exclude) follow the two trees.
 same_tree() {
-    diff -r --exclude=postmortem.json "$1" "$2" >"$WORK/diff.txt" 2>&1
+    diff -r --exclude=postmortem.json "${@:3}" "$1" "$2" \
+        >"$WORK/diff.txt" 2>&1
 }
 
 # Every counter in either snapshot's "counters" section (the
@@ -76,13 +80,15 @@ if ! run serial.log omp --only threadripper --out "$WORK/serial" \
     fail "serial campaign exited non-zero"
 fi
 
-echo "== parallel: --jobs 2 --metrics --trace"
+echo "== parallel: --jobs 2 --metrics --trace --telemetry"
 if ! run j2.log omp --only threadripper --out "$WORK/j2" --jobs 2 \
-        --metrics "$WORK/metrics-j2.json" --trace "$WORK/trace.json"; then
+        --metrics "$WORK/metrics-j2.json" --trace "$WORK/trace.json" \
+        --telemetry; then
     dump_log j2.log
     fail "--jobs 2 campaign exited non-zero"
 else
-    if ! same_tree "$WORK/serial" "$WORK/j2"; then
+    if ! same_tree "$WORK/serial" "$WORK/j2" \
+            --exclude='*.telemetry.json'; then
         cat "$WORK/diff.txt" >&2
         fail "--jobs 2 tree differs from serial"
     fi
@@ -90,19 +96,21 @@ else
             "$WORK/metrics-j2.json"; then
         fail "--jobs 2 counters differ from serial"
     fi
-    if ! $PY "$SCRIPTS_DIR/check_metrics.py" "$WORK/metrics-j2.json"; then
-        fail "--jobs 2 snapshot failed check_metrics.py"
-    fi
-    csvs=$(find "$WORK/j2" -name '*.csv' | wc -l)
     if ! $PY -c '
-import json, sys
+import collections, glob, json, os, sys
 t = json.load(open(sys.argv[1]))
+tree = sys.argv[2]
+noise_retries = json.load(open(sys.argv[3]))["counters"]["noise_retries"]
 spans = [e for e in t["traceEvents"] if e.get("ph") == "X"]
-experiments = [e for e in spans if e.get("cat") == "experiment"]
-assert len(experiments) == int(sys.argv[2]), (len(experiments), sys.argv[2])
 assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in spans)
-print("   %d spans, %d experiments" % (len(spans), len(experiments)))
-' "$WORK/trace.json" "$csvs"; then
+csvs = glob.glob(os.path.join(tree, "*", "*.csv"))
+rows = sum(sum(1 for _ in open(f)) - 1 for f in csvs)
+want = {"campaign": 1, "system": 1, "experiment": len(csvs),
+        "commit": len(csvs), "attempt": rows + noise_retries}
+have = collections.Counter(e.get("cat") for e in spans)
+assert dict(have) == want, (dict(have), want)
+print("   spans:", " ".join("%s %d" % kv for kv in sorted(have.items())))
+' "$WORK/trace.json" "$WORK/j2" "$WORK/metrics-j2.json"; then
         fail "--jobs 2 trace invalid"
     fi
 fi

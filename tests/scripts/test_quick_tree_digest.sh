@@ -17,10 +17,11 @@
 # The run's simulator work counts are pinned as well, in
 # <name>.counters next to the digest file: one `<counter> <value>`
 # line per metrics.json counter (loop-batch iterations, windows and
-# fallbacks, executed events, and the launches the launch memo served
-# and simulated). They are deterministic at every --jobs value, so a
-# change to the loop batcher, the event loop or the memo key that
-# keeps the bytes but does different work fails here. Re-bless with
+# fallbacks, executed events, the launches the launch memo served and
+# simulated, protocol and noise retries, and failed points). They are
+# deterministic at every --jobs value, so a change to the loop
+# batcher, the event loop, the memo key or the measurement protocol
+# that keeps the bytes but does different work fails here. Re-bless with
 # the values of the same run's metrics.json, and say why in
 # CHANGES.md.
 #
