@@ -293,7 +293,10 @@ class HoldModel
 
 /** The hold model on one reused queue: the warm-up cycle reaches
  * every buffer's high-water mark, so later cycles must not
- * allocate. */
+ * allocate. relinked_per_event is EventQueue::relinked() per executed
+ * event: a work count, not a time. Each cycle starts at the tick the
+ * last one ended on, so its last digits move with the iteration
+ * count. */
 void
 BM_HoldModel(benchmark::State &state)
 {
@@ -303,12 +306,16 @@ BM_HoldModel(benchmark::State &state)
 
     const std::uint64_t before = allocCount();
     const std::uint64_t executed_before = eq.executed();
+    const std::uint64_t relinked_before = eq.relinked();
     for (auto _ : state)
         model.cycle(eq);
     const std::uint64_t events = eq.executed() - executed_before;
     const std::uint64_t allocs = allocCount() - before;
 
     finish(state, events, allocs);
+    state.counters["relinked_per_event"] = benchmark::Counter(
+        static_cast<double>(eq.relinked() - relinked_before) /
+        static_cast<double>(events));
 }
 BENCHMARK(BM_HoldModel);
 

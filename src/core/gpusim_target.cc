@@ -116,7 +116,7 @@ buildBody(const CudaExperiment &exp, int copies)
 }
 
 /** True when any op of @p ops is a system-scope fence (the one GPU
- * op that draws per-launch jitter). */
+ * op that draws seeded jitter, on every fence it executes). */
 bool
 hasSystemFence(const std::vector<GpuOp> &ops)
 {

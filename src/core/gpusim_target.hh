@@ -40,11 +40,11 @@ struct CudaKernelPair
  * A launch's memo key is everything its outcome depends on: the grid
  * geometry, the warmup, body_iters, the fingerprint of the decoded
  * kernel image, and -- only for a kernel with a system-scope fence,
- * the one op that draws per-launch PCIe jitter -- the seed. A served
- * launch is therefore bit-identical to simulating it. Seeds are
- * consumed by every launch, so two targets that measure points with
- * equal images walk equal seed sequences and share even their
- * jittered launches.
+ * the one op that draws PCIe jitter, on every fence it executes --
+ * the seed. A served launch is therefore bit-identical to simulating
+ * it. Seeds are consumed by every launch, so two targets that measure
+ * points with equal images walk equal seed sequences and share even
+ * their jittered launches.
  */
 class GpuSimTarget
 {

@@ -12,6 +12,11 @@
 namespace syncperf::sim
 {
 
+EventQueue::EventQueue()
+{
+    wheel_.fill(no_slot);
+}
+
 EventId
 EventQueue::schedule(Tick when, EventCallback cb, int priority)
 {
@@ -82,6 +87,16 @@ EventQueue::place(std::uint32_t slot)
                         slot);
         return;
     }
+    if (b <= wheel_bits) {
+        // Same block as last_: the exact slot of its tick, where it
+        // stays until that tick becomes current.
+        const auto idx = static_cast<std::size_t>(node.when() & wheel_mask);
+        node.next = wheel_[idx];
+        wheel_[idx] = slot;
+        wheel_occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+        wheel_summary_ |= std::uint64_t{1} << (idx >> 6);
+        return;
+    }
     // Branch-free push: an empty bucket holds the no_slot head and the
     // all-ones key, which chain and min() absorb.
     Bucket &bucket = buckets_[b];
@@ -94,22 +109,40 @@ EventQueue::place(std::uint32_t slot)
 void
 EventQueue::advance()
 {
-    Bucket &bucket = buckets_[std::countr_zero(mask_)];
-    mask_ &= mask_ - 1;
-    // Every record of the bucket agrees with the new base above the
-    // bucket's bit, so each one lands in a lower bucket (or
-    // current_), and this one is empty again before the walk refills
-    // anything.
-    last_ = bucket.min_key >> when_shift;
-    std::uint32_t s = bucket.head;
-    bucket = Bucket{};
-    while (s != no_slot) {
-        const std::uint32_t next = nodes_[s].next;
-        if (nodes_[s].when() == last_)
-            current_.push_back(s); // sorted once, below
-        else
-            place(s);
-        s = next;
+    if (wheel_summary_ != 0) {
+        // Every wheel tick precedes every bucketed one. The new last_
+        // keeps the block, so the rest of the wheel and every bucket
+        // stay filed correctly.
+        const std::size_t idx = lowestWheelSlot();
+        std::uint64_t &word = wheel_occupied_[idx >> 6];
+        word &= word - 1;
+        if (word == 0)
+            wheel_summary_ &= wheel_summary_ - 1;
+        last_ = wheelTick(idx);
+        for (std::uint32_t s = wheel_[idx]; s != no_slot;
+             s = nodes_[s].next) {
+            current_.push_back(s);
+        }
+        wheel_[idx] = no_slot;
+    } else {
+        Bucket &bucket = buckets_[std::countr_zero(mask_)];
+        mask_ &= mask_ - 1;
+        // Every record of the bucket agrees with the new base above
+        // the bucket's bit, so each one lands in current_, the empty
+        // wheel or a lower bucket, and this one is empty again before
+        // the walk refills anything.
+        last_ = bucket.min_key >> when_shift;
+        std::uint32_t s = bucket.head;
+        bucket = Bucket{};
+        while (s != no_slot) {
+            const std::uint32_t next = nodes_[s].next;
+            ++relinked_;
+            if (nodes_[s].when() == last_)
+                current_.push_back(s); // sorted once, below
+            else
+                place(s);
+            s = next;
+        }
     }
     if (current_.size() > 1)
         std::sort(current_.begin(), current_.end(), laterFirst());
@@ -170,6 +203,20 @@ EventQueue::earliestPending() const
         if (slots_[s].state == SlotState::Pending)
             return last_;
     }
+    // All records of a wheel slot share its tick.
+    Tick wheel_best = no_tick;
+    forEachWheelSlot([&](std::size_t idx) {
+        for (std::uint32_t s = wheel_[idx]; s != no_slot;
+             s = nodes_[s].next) {
+            if (slots_[s].state == SlotState::Pending) {
+                wheel_best = wheelTick(idx);
+                return true;
+            }
+        }
+        return false;
+    });
+    if (wheel_best != no_tick)
+        return wheel_best;
     for (std::uint64_t m = mask_; m != 0; m &= m - 1) {
         Tick best = no_tick;
         for (std::uint32_t s = buckets_[std::countr_zero(m)].head;
@@ -227,21 +274,41 @@ EventQueue::nextForeignTick(int priority) const
 void
 EventQueue::encodePending(Tick base, std::vector<std::uint64_t> &out) const
 {
-    order_scratch_.clear();
-    forEachHeld([&](std::uint32_t s) {
-        if (slots_[s].state == SlotState::Pending)
-            order_scratch_.push_back(nodes_[s]);
-    });
-    // Execution order, not bucket order: the bucket layout depends on
+    // Execution order, not list order: list order depends on
     // insertion history, which two equivalent states need not share.
-    std::sort(order_scratch_.begin(), order_scratch_.end(), before);
-    out.push_back(order_scratch_.size());
-    for (const Node &n : order_scratch_) {
+    // The layout already orders the lists -- current_ (run from the
+    // back), then the wheel slots, then the buckets, each in turn --
+    // so only each list's own records need sorting.
+    const std::size_t count_at = out.size();
+    out.push_back(0);
+    const auto emit = [&](const Node &n) {
         // The offset is signed-in-two's-complement: pending events
         // may precede the caller's base tick.
         out.push_back(static_cast<std::uint64_t>(n.when() - base));
         out.push_back(n.key & ((priority_bias << 1) - 1));
+        ++out[count_at];
+    };
+    const auto emitList = [&](std::uint32_t s) {
+        order_scratch_.clear();
+        for (; s != no_slot; s = nodes_[s].next) {
+            if (slots_[s].state == SlotState::Pending)
+                order_scratch_.push_back(nodes_[s]);
+        }
+        std::sort(order_scratch_.begin(), order_scratch_.end(),
+                  [](const Node &a, const Node &b) { return before(a, b); });
+        for (const Node &n : order_scratch_)
+            emit(n);
+    };
+    for (auto it = current_.rbegin(); it != current_.rend(); ++it) {
+        if (slots_[*it].state == SlotState::Pending)
+            emit(nodes_[*it]);
     }
+    forEachWheelSlot([&](std::size_t idx) {
+        emitList(wheel_[idx]);
+        return false;
+    });
+    for (std::uint64_t m = mask_; m != 0; m &= m - 1)
+        emitList(buckets_[std::countr_zero(m)].head);
 }
 
 void
@@ -251,30 +318,40 @@ EventQueue::shiftPending(Tick delta)
         return;
     SYNCPERF_ASSERT(delta < tick_limit,
                     "shift out of the packed 40-bit range");
-    const auto shift = [&](std::uint32_t s) {
-        Node &n = nodes_[s];
+    // Detach every held record into one chain, then re-file each
+    // against the unchanged last_: wheel slots and bucket indices
+    // depend on absolute ticks. Every shifted tick is past last_, so
+    // nothing re-enters current_.
+    std::uint32_t chain = no_slot;
+    const auto detach = [&](std::uint32_t s) {
+        while (s != no_slot) {
+            const std::uint32_t next = nodes_[s].next;
+            nodes_[s].next = chain;
+            chain = s;
+            s = next;
+        }
+    };
+    for (std::uint32_t s : current_) {
+        nodes_[s].next = chain;
+        chain = s;
+    }
+    current_.clear();
+    takeWheel(detach);
+    for (std::uint64_t m = mask_; m != 0; m &= m - 1) {
+        Bucket &bucket = buckets_[std::countr_zero(m)];
+        detach(bucket.head);
+        bucket = Bucket{};
+    }
+    mask_ = 0;
+    while (chain != no_slot) {
+        const std::uint32_t next = nodes_[chain].next;
+        Node &n = nodes_[chain];
         SYNCPERF_ASSERT(n.when() < tick_limit - delta,
                         "shifted tick out of the packed 40-bit range");
         n.key += delta << when_shift;
-        place(s);
-    };
-    // Re-bucket against the unchanged last_: bucket indices depend on
-    // absolute ticks. Every shifted tick is past last_, so nothing
-    // re-enters current_ while it is walked.
-    const std::array<Bucket, bucket_count> lists = buckets_;
-    const std::uint64_t held = mask_;
-    buckets_.fill(Bucket{});
-    mask_ = 0;
-    for (std::uint32_t s : current_)
-        shift(s);
-    current_.clear();
-    for (std::uint64_t m = held; m != 0; m &= m - 1) {
-        std::uint32_t s = lists[std::countr_zero(m)].head;
-        while (s != no_slot) {
-            const std::uint32_t next = nodes_[s].next;
-            shift(s);
-            s = next;
-        }
+        place(chain);
+        ++relinked_;
+        chain = next;
     }
 }
 
@@ -282,6 +359,7 @@ void
 EventQueue::reset()
 {
     current_.clear();
+    takeWheel([](std::uint32_t) {}); // free when drained
     buckets_.fill(Bucket{});
     mask_ = 0;
     last_ = 0;

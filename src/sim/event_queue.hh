@@ -15,16 +15,20 @@
  * rather than a hash set. Steady-state schedule()/run() cycles on a
  * reused queue perform zero heap allocations per event.
  *
- * Ordering is a radix heap on the 40-bit tick (Ahuja, Mehlhorn,
- * Orlin & Tarjan, 1990): simulated time never runs backwards, so an
- * event lands in the bucket named by the highest bit in which its
- * tick differs from the last popped one. Insert is one list push
- * (a sorted insert into the short current-tick array for a same-tick
- * event); a pop that runs out of current-tick events takes the
- * lowest non-empty bucket, whose minimum it already knows, and
- * redistributes it downward in one walk. The bucket
- * lists are threaded through a per-slot side array, so the queue's
- * memory is bounded by the slot table whatever the tick spread.
+ * Ordering resolves the 40-bit tick in two tiers, both exploiting
+ * that simulated time never runs backwards. Let last_ be the tick of
+ * the last refill. An event in the same aligned 4,096-tick block as
+ * last_ goes into an exact per-tick wheel: one list per tick, found
+ * through a two-level occupancy bitmap, so it is filed once and never
+ * moves again. A farther event goes into a radix heap bucket (Ahuja,
+ * Mehlhorn, Orlin & Tarjan, 1990) named by the highest bit in which
+ * its tick differs from last_. A pop that runs out of current-tick
+ * events takes the wheel's lowest tick whole; only when the wheel is
+ * empty does it take the lowest radix bucket, whose minimum it
+ * already knows, and redistribute it in one walk into the current
+ * tick, the wheel and lower buckets. Every list is threaded through
+ * a per-slot side array, so the queue's memory is bounded by the slot
+ * table plus the fixed wheel, whatever the tick spread.
  *
  * Handles are generation-tagged slot references: executing,
  * cancelling, or reset() bumps the slot's generation, which
@@ -169,8 +173,8 @@ class EventCallback
 };
 
 /**
- * Monotone event queue (a radix heap on the tick) with stable
- * same-tick ordering.
+ * Monotone event queue (a per-tick wheel under radix heap levels)
+ * with stable same-tick ordering.
  *
  * Not thread safe: each simulated machine owns one queue and runs it
  * from a single host thread.
@@ -180,6 +184,8 @@ class EventQueue
   public:
     /** Default event priority; lower runs first within a tick. */
     static constexpr int default_priority = 0;
+
+    EventQueue();
 
     /**
      * Schedule @p cb to run at absolute time @p when.
@@ -233,6 +239,16 @@ class EventQueue
     /** Total number of events executed over the queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
 
+    /**
+     * Total number of records that refills and shiftPending() moved
+     * over the queue's lifetime: every record of a radix bucket a
+     * refill walks, and every record a shift re-files. An event filed
+     * into the wheel or the current tick is never counted, and neither
+     * is a wheel tick becoming the current one. Deterministic, so it
+     * pins the queue's ordering work exactly.
+     */
+    std::uint64_t relinked() const { return relinked_; }
+
     /** High-water pending() mark since construction or reset(). */
     std::size_t maxPending() const { return max_pending_; }
 
@@ -242,8 +258,10 @@ class EventQueue
     /**
      * Tick of the earliest pending (non-cancelled) event, or no_tick
      * when the queue is empty. Scans the current tick's events, then
-     * the lowest bucket holding a live event: every tick in a lower
-     * bucket precedes every tick in a higher one.
+     * the wheel's ticks in order, then the lowest bucket holding a
+     * live event: every wheel tick precedes every bucketed one, and
+     * every tick in a lower bucket precedes every tick in a higher
+     * one.
      */
     Tick earliestPending() const;
 
@@ -283,8 +301,8 @@ class EventQueue
      * included; they are inert either way). Relative order is
      * untouched -- the packed key makes this a monotone transform --
      * so this is how the loop batcher advances a whole steady-state
-     * window in O(pending). Bucket indices depend on absolute ticks,
-     * so every event is re-bucketed.
+     * window in O(pending). Wheel slots and bucket indices depend on
+     * absolute ticks, so every event is re-filed.
      */
     void shiftPending(Tick delta);
 
@@ -340,12 +358,18 @@ class EventQueue
     /** First tick past the packed 40-bit range. */
     static constexpr Tick tick_limit = Tick{1} << (64 - when_shift);
 
-    /** Radix buckets: index 0 is the current tick (current_), and
-     * bucket b in [1, 40] holds ticks whose highest bit differing
-     * from last_ is bit b - 1. */
+    /** Low tick bits the wheel resolves: 4,096 ticks, the most a
+     * two-level 64 x 64 occupancy bitmap covers. */
+    static constexpr unsigned wheel_bits = 12;
+    static constexpr std::size_t wheel_size = 1 << wheel_bits;
+    static constexpr Tick wheel_mask = wheel_size - 1;
+
+    /** Radix buckets: bucket b in (wheel_bits, 40] holds ticks whose
+     * highest bit differing from last_ is bit b - 1. Lower indices
+     * are unused: the current tick is current_, the rest the wheel. */
     static constexpr unsigned bucket_count = 65 - when_shift;
 
-    /** End of a bucket list. */
+    /** End of a wheel or bucket list. */
     static constexpr std::uint32_t no_slot = ~std::uint32_t{0};
 
     /**
@@ -405,26 +429,83 @@ class EventQueue
         };
     }
 
-    /** File @p slot under the bucket of its tick relative to last_
-     * (requires its tick >= last_). */
+    /** File @p slot under current_, the wheel or the bucket of its
+     * tick relative to last_ (requires its tick >= last_). */
     void place(std::uint32_t slot);
 
-    /** Refill the empty current_ from the lowest non-empty bucket,
-     * advancing last_ to that bucket's earliest tick. */
+    /** Refill the empty current_ from the wheel's lowest tick, or,
+     * with the wheel empty, from the lowest non-empty bucket,
+     * advancing last_ to the tick taken. */
     void advance();
+
+    /** Index of the wheel's lowest occupied slot. Requires a
+     * non-empty wheel. */
+    std::size_t
+    lowestWheelSlot() const
+    {
+        const auto word = std::countr_zero(wheel_summary_);
+        return static_cast<std::size_t>(word) << 6 |
+               static_cast<std::size_t>(
+                   std::countr_zero(wheel_occupied_[word]));
+    }
+
+    /** Tick of wheel slot @p idx: wheel records share last_'s block. */
+    Tick
+    wheelTick(std::size_t idx) const
+    {
+        return (last_ & ~wheel_mask) | idx;
+    }
 
     /** Earliest tick held, tombstones included, without moving
      * last_. Requires a non-empty queue. */
     Tick
     peekTick() const
     {
-        return current_.empty()
-                   ? buckets_[std::countr_zero(mask_)].min_key >> when_shift
-                   : last_;
+        if (!current_.empty())
+            return last_;
+        if (wheel_summary_ != 0)
+            return wheelTick(lowestWheelSlot());
+        return buckets_[std::countr_zero(mask_)].min_key >> when_shift;
     }
 
     /** True when no record (live or tombstone) is held. */
-    bool drained() const { return current_.empty() && mask_ == 0; }
+    bool
+    drained() const
+    {
+        return current_.empty() && wheel_summary_ == 0 && mask_ == 0;
+    }
+
+    /** Call @p fn(idx) for every occupied wheel slot in tick order;
+     * stop early when @p fn returns true. */
+    template <typename Fn>
+    void
+    forEachWheelSlot(Fn &&fn) const
+    {
+        for (std::uint64_t sm = wheel_summary_; sm != 0; sm &= sm - 1) {
+            const auto word = std::countr_zero(sm);
+            for (std::uint64_t m = wheel_occupied_[word]; m != 0;
+                 m &= m - 1) {
+                if (fn(static_cast<std::size_t>(word) << 6 |
+                       static_cast<std::size_t>(std::countr_zero(m))))
+                    return;
+            }
+        }
+    }
+
+    /** Empty the wheel, handing @p fn(head) each occupied slot's
+     * list first. Touches only the occupied slots and words. */
+    template <typename Fn>
+    void
+    takeWheel(Fn &&fn)
+    {
+        forEachWheelSlot([&](std::size_t idx) {
+            fn(wheel_[idx]);
+            wheel_[idx] = no_slot;
+            return false;
+        });
+        for (; wheel_summary_ != 0; wheel_summary_ &= wheel_summary_ - 1)
+            wheel_occupied_[std::countr_zero(wheel_summary_)] = 0;
+    }
 
     /** Call @p fn(slot) for every held record, tombstones included,
      * in no particular order. */
@@ -434,6 +515,13 @@ class EventQueue
     {
         for (std::uint32_t s : current_)
             fn(s);
+        forEachWheelSlot([&](std::size_t idx) {
+            for (std::uint32_t s = wheel_[idx]; s != no_slot;
+                 s = nodes_[s].next) {
+                fn(s);
+            }
+            return false;
+        });
         for (std::uint64_t m = mask_; m != 0; m &= m - 1) {
             for (std::uint32_t s = buckets_[std::countr_zero(m)].head;
                  s != no_slot; s = nodes_[s].next) {
@@ -455,10 +543,17 @@ class EventQueue
     std::vector<Slot> slots_;
     std::vector<Node> nodes_;         ///< ordering records, by slot
     std::vector<std::uint32_t> free_; ///< reusable slot indices
-    /** Bucket 0: the slots due at tick last_, sorted by (priority,
-     * schedule order) from the back, which runs next. */
+    /** The current tick: the slots due at tick last_, sorted by
+     * (priority, schedule order) from the back, which runs next. */
     std::vector<std::uint32_t> current_;
-    std::array<Bucket, bucket_count> buckets_{}; ///< [0] unused
+    /** List heads of the wheel: slot i holds the records due at
+     * tick (last_'s block) + i. An empty slot's head is no_slot. */
+    std::array<std::uint32_t, wheel_size> wheel_;
+    /** Bit i % 64 of word i / 64 set iff wheel slot i is occupied. */
+    std::array<std::uint64_t, wheel_size / 64> wheel_occupied_{};
+    std::uint64_t wheel_summary_ = 0; ///< bit w set iff word w != 0
+    /** [0, wheel_bits] unused. */
+    std::array<Bucket, bucket_count> buckets_{};
     std::uint64_t mask_ = 0; ///< bit b set iff bucket b is non-empty
     /** Tick of the last refill: every held record is at or after
      * it, and it never exceeds now_ while a callback can run. */
@@ -468,6 +563,7 @@ class EventQueue
     std::size_t live_ = 0;
     std::size_t max_pending_ = 0;
     std::uint64_t executed_ = 0;
+    std::uint64_t relinked_ = 0;
     Tick horizon_pin_ = no_tick;
     /** Reused sort buffer of encodePending(). */
     mutable std::vector<Node> order_scratch_;

@@ -160,8 +160,9 @@ TEST_F(SimCacheTest, GpuDifferentLaunchGeometryMisses)
 
 TEST_F(SimCacheTest, GpuSystemFenceBypassesCache)
 {
-    // __threadfence_system draws per-launch PCIe jitter: a target
-    // never serves one of its kernel's launches to another.
+    // __threadfence_system draws PCIe jitter on every fence it
+    // executes, from the launch's seed: a target never serves one of
+    // its kernel's launches to another.
     const auto gpu = gpusim::GpuConfig::rtx4090();
     GpuSimTarget target(gpu, gpuProtocol());
     CudaExperiment exp;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -404,6 +405,215 @@ TEST(EventQueue, ManyEventsStressOrdering)
 }
 
 // ------------------------------------------------------------------
+// The per-tick wheel: ticks in the 4,096-tick block of the last
+// refill are filed by their low 12 bits, farther ones in radix
+// buckets.
+// ------------------------------------------------------------------
+
+TEST(EventQueue, WheelRunsAcrossBlockBoundaries)
+{
+    EventQueue eq;
+    std::vector<std::pair<int, Tick>> seen;
+    const auto at = [&](Tick when, int tag, int prio = 0) {
+        eq.schedule(when, [&, tag] { seen.emplace_back(tag, eq.now()); },
+                    prio);
+    };
+    at(4097, 5);
+    at(4094, 1);
+    at(8192, 7);
+    at(4096, 4, 1);
+    at(4095, 2);
+    at(4096, 3, 0);
+    at(8191, 6);
+    eq.run();
+    const std::vector<std::pair<int, Tick>> want{
+        {1, 4094}, {2, 4095}, {3, 4096}, {4, 4096},
+        {5, 4097}, {6, 8191}, {7, 8192}};
+    EXPECT_EQ(seen, want);
+}
+
+TEST(EventQueue, WheelSlotKeepsTheBlockOfTheLastRefill)
+{
+    // After running into a later block, a wheel slot's tick is that
+    // block's base plus the slot index, not the index alone.
+    EventQueue eq;
+    std::vector<Tick> seen;
+    eq.schedule(3 * 4096 + 10, [&] {
+        seen.push_back(eq.now());
+        eq.scheduleIn(5, [&] { seen.push_back(eq.now()); });
+        eq.scheduleIn(2, [&] { seen.push_back(eq.now()); });
+    });
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<Tick>{3 * 4096 + 10, 3 * 4096 + 12,
+                                       3 * 4096 + 15}));
+    EXPECT_EQ(eq.now(), 3u * 4096 + 15);
+}
+
+TEST(EventQueue, WheelTicksRunBeforeRadixTicks)
+{
+    // 5000 shares no 4,096-tick block with the base 0, 100 does: the
+    // wheel's tick must run first even though it was queued later.
+    EventQueue eq;
+    std::vector<Tick> seen;
+    eq.schedule(5000, [&] { seen.push_back(eq.now()); });
+    eq.schedule(100, [&] {
+        seen.push_back(eq.now());
+        eq.schedule(4095, [&] { seen.push_back(eq.now()); });
+    });
+    EXPECT_EQ(eq.earliestPending(), 100u);
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<Tick>{100, 4095, 5000}));
+}
+
+TEST(EventQueue, WheelSlotOfTombstonesOnlyIsSkipped)
+{
+    EventQueue eq;
+    std::vector<Tick> seen;
+    const EventId a = eq.schedule(7, [&] { seen.push_back(7); });
+    const EventId b = eq.schedule(7, [&] { seen.push_back(7); }, 3);
+    eq.schedule(9, [&] { seen.push_back(eq.now()); });
+    eq.schedule(6000, [&] { seen.push_back(eq.now()); });
+    EXPECT_TRUE(eq.deschedule(a));
+    EXPECT_TRUE(eq.deschedule(b));
+    EXPECT_EQ(eq.earliestPending(), 9u);
+    EXPECT_EQ(eq.pending(), 2u);
+
+    // The tombstone slot pops inside the limit; the base must not
+    // pass the limit, so a later schedule at it still runs in order.
+    eq.runUntil(8);
+    EXPECT_EQ(eq.now(), 8u);
+    EXPECT_TRUE(seen.empty());
+    eq.schedule(8, [&] { seen.push_back(eq.now()); });
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<Tick>{8, 9, 6000}));
+    EXPECT_EQ(eq.idWindow(), 0u);
+}
+
+TEST(EventQueue, WheelRunUntilInsideTheSpan)
+{
+    EventQueue eq;
+    std::vector<Tick> seen;
+    const auto note = [&] { seen.push_back(eq.now()); };
+    eq.schedule(100, note);
+    eq.schedule(3000, note);
+    eq.schedule(4200, note);
+    eq.runUntil(2000);
+    EXPECT_EQ(eq.now(), 2000u);
+    EXPECT_EQ(eq.executed(), 1u);
+    eq.schedule(2500, note);
+    eq.schedule(2000, note);
+    eq.runUntil(4096);
+    EXPECT_EQ(seen, (std::vector<Tick>{100, 2000, 2500, 3000}));
+    EXPECT_EQ(eq.earliestPending(), 4200u);
+    eq.schedule(4100, note);
+    eq.run();
+    EXPECT_EQ(seen,
+              (std::vector<Tick>{100, 2000, 2500, 3000, 4100, 4200}));
+}
+
+TEST(EventQueue, WheelShiftMovesRecordsIntoRadixBuckets)
+{
+    EventQueue eq;
+    std::vector<std::pair<int, Tick>> seen;
+    const auto at = [&](Tick when, int tag) {
+        eq.schedule(when, [&, tag] { seen.emplace_back(tag, eq.now()); });
+    };
+    at(10, 1);
+    at(4000, 2);
+    at(4090, 3);
+    at(9000, 4);
+    const EventId doomed = eq.schedule(4095, [&] { seen.emplace_back(9, 0); });
+    EXPECT_TRUE(eq.deschedule(doomed));
+    const std::uint64_t before = eq.relinked();
+    // 4000 and 4090 leave the base's block; 10 stays in it.
+    eq.shiftPending(100);
+    EXPECT_EQ(eq.relinked() - before, 5u) << "every held record moves";
+    EXPECT_EQ(eq.earliestPending(), 110u);
+    std::vector<Tick> floors(1);
+    eq.earliestPendingPerPriority(floors);
+    EXPECT_EQ(floors[0], 110u);
+    eq.run();
+    const std::vector<std::pair<int, Tick>> want{
+        {1, 110}, {2, 4100}, {3, 4190}, {4, 9100}};
+    EXPECT_EQ(seen, want);
+}
+
+TEST(EventQueue, WheelEventsAreNeverRelinked)
+{
+    // An event filed within the wheel span of the base stays in its
+    // slot until its tick becomes current; only far events move.
+    EventQueue eq;
+    std::uint64_t chained = 0;
+    std::function<void()> step = [&] {
+        if (++chained < 1000)
+            eq.scheduleIn(1 + chained % 3, step, 0);
+    };
+    eq.schedule(4096 * 6 - 1000, [&] {
+        // One far event: a single refill walk files it.
+        EXPECT_EQ(eq.relinked(), 1u);
+        // Gaps of 1..3 cross blocks only at boundaries, where the
+        // successor lands in a radix bucket.
+        step();
+    });
+    for (Tick t = 1; t < 4096; t += 97)
+        eq.schedule(t, [] {}, 2);
+    eq.run();
+    EXPECT_EQ(chained, 1000u);
+    // 1,000 chained steps over about 2,000 ticks from 23,576 cross
+    // the 24,576 boundary once: that one successor moves, nothing
+    // else does.
+    EXPECT_EQ(eq.relinked(), 2u);
+}
+
+/**
+ * Seeded hold model: 200 actors each reschedule themselves after a gap
+ * drawn from the simulators' mix (same tick, short, block-crossing
+ * and far), until 20,000 events have run.
+ */
+std::uint64_t
+holdModelRelinks(EventQueue &eq)
+{
+    Pcg32 rng(2024, 7);
+    std::uint64_t budget = 20000;
+    const auto gap = [&rng]() -> Tick {
+        const std::uint32_t pick = rng.below(100);
+        if (pick < 6)
+            return 0;
+        if (pick < 54)
+            return 1 + rng.below(511);
+        if (pick < 79)
+            return 512 + rng.below(7680);
+        return 8192 + rng.below(1 << 21);
+    };
+    std::function<void(int)> hold = [&](int actor) {
+        if (budget == 0)
+            return;
+        --budget;
+        eq.scheduleIn(gap(), [&hold, actor] { hold(actor); }, actor);
+    };
+    for (int a = 0; a < 200; ++a)
+        eq.scheduleIn(gap(), [&hold, a] { hold(a); }, a);
+    eq.run();
+    return eq.relinked();
+}
+
+TEST(EventQueue, RelinkedPinsTheSeededHoldModel)
+{
+    // An exact work gate: the number of records refills moved is a
+    // deterministic function of the traffic, so any change to the
+    // queue's filing shows here without a wall-clock threshold.
+    EventQueue eq;
+    const std::uint64_t relinks = holdModelRelinks(eq);
+    EXPECT_EQ(eq.executed(), 20200u);
+    EXPECT_EQ(relinks, 25058u);
+
+    // reset() keeps the lifetime count and a reused queue repeats it.
+    eq.reset();
+    EXPECT_EQ(eq.relinked(), relinks);
+    EXPECT_EQ(holdModelRelinks(eq), 2 * relinks);
+}
+
+// ------------------------------------------------------------------
 // Differential check: seeded random operation streams against a
 // reference ordered multiset keyed (tick, priority, schedule order).
 // ------------------------------------------------------------------
@@ -444,8 +654,10 @@ class QueueDifferential
                 if (!issued_.empty()) {
                     EXPECT_FALSE(eq_.deschedule(issued_.back()));
                 }
-            } else if (pick < 90) {
+            } else if (pick < 88) {
                 pin();
+            } else if (pick < 92) {
+                tombstoneTick();
             } else if (pick < 95) {
                 reset();
             } else {
@@ -466,6 +678,7 @@ class QueueDifferential
     using Key = std::tuple<Tick, int, std::uint64_t>;
 
     static constexpr int prio_window = 8;
+    static constexpr Tick wheel_span = 4096;
     static constexpr Tick tick_limit = Tick{1} << 40;
 
     std::uint64_t
@@ -476,8 +689,9 @@ class QueueDifferential
         return bits >= 64 ? v : v & ((std::uint64_t{1} << bits) - 1);
     }
 
-    /** Gap mix: same tick, short, long, and rare huge jumps up to
-     * 2^39, kept inside the packed 40-bit tick range. */
+    /** Gap mix: same tick, short, long, a few ticks either side of a
+     * wheel block boundary, and rare huge jumps up to 2^39, kept
+     * inside the packed 40-bit tick range. */
     Tick
     delta()
     {
@@ -485,15 +699,31 @@ class QueueDifferential
         Tick d;
         if (pick < 15)
             d = 0;
-        else if (pick < 60)
+        else if (pick < 50)
             d = wide(4);
-        else if (pick < 85)
+        else if (pick < 70)
             d = wide(12);
+        else if (pick < 85)
+            d = toBoundary(8);
         else if (pick < 97)
             d = wide(21);
         else
             d = wide(39);
         return maxTick() + d < tick_limit / 2 ? d : wide(4);
+    }
+
+    /** Gap to a tick within @p spread of the next (or, one time in
+     * four, the one after) multiple of the wheel's 4,096 ticks, on
+     * either side of it, but never before now. */
+    Tick
+    toBoundary(std::uint32_t spread)
+    {
+        const Tick now = eq_.now();
+        const Tick boundary =
+            (now | (wheel_span - 1)) + 1 +
+            (rng_.below(4) == 0 ? wheel_span : 0);
+        const Tick target = boundary - spread + rng_.below(2 * spread);
+        return target > now ? target - now : 0;
     }
 
     int
@@ -577,10 +807,15 @@ class QueueDifferential
         }
     }
 
+    /** Shift mix: short, long, and just far enough to carry the
+     * earliest records out of the current wheel block. */
     void
     shift()
     {
-        Tick d = rng_.below(4) == 0 ? wide(30) : wide(10);
+        const std::uint32_t pick = rng_.below(4);
+        Tick d = pick == 0   ? wide(30)
+                 : pick == 1 ? toBoundary(4) + 1
+                             : wide(10);
         if (maxTick() + d >= tick_limit / 2)
             d = 1;
         eq_.shiftPending(d);
@@ -597,7 +832,15 @@ class QueueDifferential
     void
     runUntilThenFill()
     {
-        const Tick limit = eq_.now() + wide(rng_.below(2) ? 6 : 14);
+        // Limits short, long, or anywhere up to the end of now's
+        // wheel block.
+        const std::uint32_t pick = rng_.below(3);
+        const Tick limit =
+            eq_.now() +
+            (pick == 0   ? wide(6)
+             : pick == 1 ? wide(14)
+                         : rng_.below(static_cast<std::uint32_t>(
+                               wheel_span - (eq_.now() & (wheel_span - 1)))));
         budget_ = rng_.below(100);
         eq_.runUntil(limit);
         EXPECT_EQ(eq_.now(), limit);
@@ -612,6 +855,22 @@ class QueueDifferential
             scheduleAt(limit + rng_.below(static_cast<std::uint32_t>(
                                    std::min<Tick>(next - limit, 1 << 20))),
                        priority());
+        }
+    }
+
+    /** Schedule one to three events at a single near tick and
+     * cancel them all: a wheel slot of tombstones only. */
+    void
+    tombstoneTick()
+    {
+        const Tick when = eq_.now() + 1 + wide(rng_.below(2) ? 4 : 11);
+        const std::uint32_t n = 1 + rng_.below(3);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            scheduleAt(when, priority());
+            EXPECT_TRUE(eq_.deschedule(issued_.back()));
+            const auto live = by_id_.find(next_id_ - 1);
+            ref_.erase(live->second.first);
+            by_id_.erase(live);
         }
     }
 
