@@ -505,15 +505,8 @@ runCudaCampaign(const gpusim::GpuConfig &cfg,
     trace::Span system_span("cuda:" + system, "system");
     const fs::path dir = fs::path(options.output_dir) / system;
 
-    auto thread_counts = cudaThreadCounts();
-    if (options.quick) {
-        std::vector<int> coarse;
-        for (std::size_t i = 0; i < thread_counts.size(); i += 2)
-            coarse.push_back(thread_counts[i]);
-        if (coarse.back() != thread_counts.back())
-            coarse.push_back(thread_counts.back());
-        thread_counts = coarse;
-    }
+    const std::vector<int> thread_counts =
+        cudaThreadCounts(1024, options.quick ? 2 : 1);
     const std::vector<int> block_counts =
         options.quick ? std::vector<int>{1, 2, cfg.sm_count / 2}
                       : cudaBlockCounts(cfg.sm_count);

@@ -25,12 +25,14 @@ ompThreadCounts(int max_hw_threads, int step)
 }
 
 std::vector<int>
-cudaThreadCounts(int max_threads_per_block)
+cudaThreadCounts(int max_threads_per_block, int step)
 {
-    SYNCPERF_ASSERT(max_threads_per_block >= 2);
+    SYNCPERF_ASSERT(max_threads_per_block >= 2 && step >= 1);
     std::vector<int> out;
-    for (int t = 2; t <= max_threads_per_block; t *= 2)
-        out.push_back(t);
+    for (int t = 2, i = 0; t <= max_threads_per_block; t *= 2, ++i) {
+        if (i % step == 0 || 2 * t > max_threads_per_block)
+            out.push_back(t);
+    }
     return out;
 }
 

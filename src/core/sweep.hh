@@ -23,8 +23,16 @@ namespace syncperf::core
  */
 std::vector<int> ompThreadCounts(int max_hw_threads, int step = 1);
 
-/** CUDA thread-per-block counts: powers of two, 2..1024. */
-std::vector<int> cudaThreadCounts(int max_threads_per_block = 1024);
+/**
+ * CUDA thread-per-block counts: powers of two, 2..1024.
+ *
+ * @param max_threads_per_block Largest block size of the sweep.
+ * @param step Keep every step-th power of two (1 reproduces the
+ *        paper; 2 is the quick sweep {2, 8, 32, 128, 512, 1024}); the
+ *        maximum is always kept.
+ */
+std::vector<int> cudaThreadCounts(int max_threads_per_block = 1024,
+                                  int step = 1);
 
 /** CUDA block counts: 1, 2, SMs/2, SMs, 2*SMs (deduplicated). */
 std::vector<int> cudaBlockCounts(int sm_count);

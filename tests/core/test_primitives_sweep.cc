@@ -71,6 +71,9 @@ TEST(Sweep, CudaThreadCountsArePowersOfTwo)
     EXPECT_EQ(ts.size(), 10u);
     for (std::size_t i = 1; i < ts.size(); ++i)
         EXPECT_EQ(ts[i], 2 * ts[i - 1]);
+    // The quick sweep keeps every other power of two and the maximum.
+    EXPECT_EQ(cudaThreadCounts(1024, 2),
+              (std::vector<int>{2, 8, 32, 128, 512, 1024}));
 }
 
 TEST(Sweep, CudaBlockCountsMatchPaper)
@@ -98,6 +101,7 @@ TEST(Sweep, InvalidArgumentsPanic)
     EXPECT_THROW(ompThreadCounts(1), LogDeathException);
     EXPECT_THROW(ompThreadCounts(8, 0), LogDeathException);
     EXPECT_THROW(cudaThreadCounts(1), LogDeathException);
+    EXPECT_THROW(cudaThreadCounts(1024, 0), LogDeathException);
     EXPECT_THROW(cudaBlockCounts(0), LogDeathException);
 }
 
