@@ -6,6 +6,7 @@
 #include "bench_common.hh"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 
@@ -23,15 +24,21 @@ Options::parse(int argc, char **argv)
             opt.quick = true;
         } else if (std::strcmp(argv[i], "--csv") == 0) {
             opt.csv = true;
-        } else if (std::strcmp(argv[i], "--help") == 0) {
-            std::printf(
+        } else {
+            const bool help = std::strcmp(argv[i], "--help") == 0;
+            if (!help) {
+                std::fprintf(stderr, "%s: unknown argument '%s'\n",
+                             argv[0], argv[i]);
+            }
+            std::fprintf(
+                help ? stdout : stderr,
                 "usage: %s [--full] [--quick] [--csv]\n"
                 "  --full   run the paper's full 9-run x 7-attempt "
                 "protocol\n"
                 "  --quick  coarser parameter sweep for smoke runs\n"
                 "  --csv    print CSV rows after each chart\n",
                 argv[0]);
-            std::exit(0);
+            std::exit(help ? 0 : 2);
         }
     }
     return opt;
@@ -70,16 +77,7 @@ ompSweep(const cpusim::CpuConfig &cfg, const Options &opt)
 std::vector<int>
 cudaSweep(const Options &opt)
 {
-    auto counts = core::cudaThreadCounts();
-    if (opt.quick) {
-        std::vector<int> coarse;
-        for (std::size_t i = 0; i < counts.size(); i += 2)
-            coarse.push_back(counts[i]);
-        if (coarse.back() != counts.back())
-            coarse.push_back(counts.back());
-        return coarse;
-    }
-    return counts;
+    return core::cudaThreadCounts(1024, opt.quick ? 2 : 1);
 }
 
 void

@@ -30,6 +30,10 @@ struct Options
     bool quick = false;   ///< --quick: coarser sweeps for smoke runs
     bool csv = false;     ///< --csv: emit CSV rows after each chart
 
+    /**
+     * Parse the command line. --help prints the usage and exits 0; any
+     * other unknown argument prints it to stderr and exits 2.
+     */
     static Options parse(int argc, char **argv);
 };
 

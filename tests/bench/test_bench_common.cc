@@ -47,9 +47,12 @@ TEST(BenchOptions, QuickParses)
     EXPECT_TRUE(parseArgs({"--quick"}).quick);
 }
 
-TEST(BenchOptions, UnknownFlagsIgnored)
+TEST(BenchOptions, UnknownFlagsExitWithUsage)
 {
-    EXPECT_NO_THROW(parseArgs({"--frobnicate"}));
+    // A mistyped flag must not run the default sweep in its place.
+    EXPECT_EXIT(parseArgs({"--quick", "--frobnicate"}),
+                testing::ExitedWithCode(2),
+                "unknown argument '--frobnicate'\nusage: ");
 }
 
 TEST(BenchProtocols, FullSelectsPaperDefaults)
