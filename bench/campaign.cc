@@ -281,6 +281,7 @@ main(int argc, char **argv)
     double status_interval = 1.0;
     bool progress = false;
     std::vector<std::string> only;
+    const char *only_arg = "";
     MeasurementConfig omp_protocol = MeasurementConfig::simDefaults();
     MeasurementConfig cuda_protocol = MeasurementConfig::simGpuDefaults();
     omp_protocol.runs = 1;
@@ -318,9 +319,12 @@ main(int argc, char **argv)
             if (!parseInt(value, options.jobs) || options.jobs < 1)
                 return bad_value("a count >= 1");
         } else if (name == "--checkpoint-every") {
-            if (!parseInt(value, options.checkpoint_every))
-                return bad_value("an integer count (0 = auto)");
+            if (!parseInt(value, options.checkpoint_every) ||
+                options.checkpoint_every < 0) {
+                return bad_value("a count >= 0 (0 = auto)");
+            }
         } else if (name == "--only") {
+            only_arg = value;
             only = parseOnly(value);
         } else if (name == "--trace") {
             trace_file = value;
@@ -339,8 +343,8 @@ main(int argc, char **argv)
             progress = true;
         } else if (name == "--cov-gate") {
             double gate = 0.0;
-            if (!parseFinite(value, gate))
-                return bad_value("a finite number");
+            if (!parseFinite(value, gate) || gate < 0)
+                return bad_value("a finite number >= 0 (0 = off)");
             omp_protocol.cov_gate = gate;
             cuda_protocol.cov_gate = gate;
         } else if (name == "--no-loop-batch") {
@@ -382,7 +386,8 @@ main(int argc, char **argv)
                 "             trades speed for nothing -- see "
                 "docs/performance.md, \"Loop batching\").\n"
                 "  --only     run only systems whose sanitized name "
-                "contains a given fragment.\n"
+                "contains a given fragment\n"
+                "             (matching no system is an error).\n"
                 "  --trace FILE     record spans, write Chrome trace "
                 "JSON (Perfetto / chrome://tracing).\n"
                 "  --metrics FILE   write the metrics.json snapshot "
@@ -412,6 +417,36 @@ main(int argc, char **argv)
                 argv[0]);
             return 0;
         }
+    }
+
+    // The systems this invocation covers, in canonical order.
+    std::vector<cpusim::CpuConfig> cpus;
+    std::vector<gpusim::GpuConfig> gpus;
+    std::string slugs; // every system of the mode, for the error below
+    const auto consider = [&](const auto &system, auto &selected) {
+        const std::string slug = sanitizeName(system.name);
+        slugs += (slugs.empty() ? "" : ", ") + slug;
+        if (systemSelected(only, slug))
+            selected.push_back(system);
+    };
+    if (!cuda_only) {
+        for (const auto &cpu : {cpusim::CpuConfig::system1(),
+                                cpusim::CpuConfig::system2(),
+                                cpusim::CpuConfig::system3()})
+            consider(cpu, cpus);
+    }
+    if (!omp_only) {
+        for (const auto &gpu : {gpusim::GpuConfig::rtx2070Super(),
+                                gpusim::GpuConfig::a100(),
+                                gpusim::GpuConfig::rtx4090()})
+            consider(gpu, gpus);
+    }
+    if (!only.empty() && cpus.empty() && gpus.empty() && !explain_only) {
+        std::fprintf(stderr,
+                     "%s: --only '%s' matches no system; the systems "
+                     "are %s\n",
+                     argv[0], only_arg, slugs.c_str());
+        return 2;
     }
 
     // The CoV gate needs more than one run to see variance.
@@ -455,26 +490,6 @@ main(int argc, char **argv)
     // One fresh window per invocation: counters cover this campaign
     // only, so two snapshots of the same configuration are diffable.
     core::CampaignMetrics::global().reset();
-
-    // The systems this invocation covers, in canonical order.
-    std::vector<cpusim::CpuConfig> cpus;
-    std::vector<gpusim::GpuConfig> gpus;
-    if (!cuda_only) {
-        for (const auto &cpu : {cpusim::CpuConfig::system1(),
-                                cpusim::CpuConfig::system2(),
-                                cpusim::CpuConfig::system3()}) {
-            if (systemSelected(only, sanitizeName(cpu.name)))
-                cpus.push_back(cpu);
-        }
-    }
-    if (!omp_only) {
-        for (const auto &gpu : {gpusim::GpuConfig::rtx2070Super(),
-                                gpusim::GpuConfig::a100(),
-                                gpusim::GpuConfig::rtx4090()}) {
-            if (systemSelected(only, sanitizeName(gpu.name)))
-                gpus.push_back(gpu);
-        }
-    }
 
     // Live run-status surface, opt-in via --status/--progress
     // (--progress alone prints the line and writes no file).

@@ -50,8 +50,9 @@ enum class Counter : int
     LoopBatchIters,    ///< timed iterations advanced algebraically
     LoopBatchWindows,  ///< steady-state windows the batchers applied
     LoopBatchFallbacks,///< boundary checks that fell back to stepping
-    PoolClones,        ///< simulations that replayed a decoded image
-    PoolColdBuilds,    ///< decoded images built by a decode
+    // Named after the retired machine pool; perfbench still reads them.
+    PoolClones,        ///< launches simulated (= SimCacheMisses)
+    PoolColdBuilds,    ///< launch decodes that keyed the memo
     // Always 0 (the lane planner is gone); perfbench still reads them.
     LaneGroups,
     LanePoints,

@@ -156,9 +156,7 @@ CpuSimTarget::buildPrograms(const OmpExperiment &exp, int n_threads,
 cpusim::CpuMachine &
 CpuSimTarget::machineFor(Affinity affinity)
 {
-    // A machine serves one placement; a new one starts without
-    // images, so what a machine holds depends only on the launches
-    // of this target (the pool_* counters' --jobs invariance).
+    // A machine serves one placement.
     if (!machine_ || machine_affinity_ != affinity) {
         machine_ = std::make_unique<cpusim::CpuMachine>(cfg_, affinity);
         machine_affinity_ = affinity;
@@ -166,32 +164,11 @@ CpuSimTarget::machineFor(Affinity affinity)
     return *machine_;
 }
 
-void
-CpuSimTarget::ensureImage(std::uint64_t dkey,
-                          const std::vector<cpusim::CpuProgram> &programs)
-{
-    if (machine_->hasImage(dkey))
-        return;
-    machine_->buildImage(dkey, programs);
-    metrics::add(metrics::Counter::PoolColdBuilds);
-}
-
 std::uint64_t
-CpuSimTarget::imageKey(const std::vector<cpusim::CpuProgram> &programs)
+CpuSimTarget::fingerprint(const std::vector<cpusim::CpuProgram> &programs)
 {
-    ConfigHasher h;
-    h.add(static_cast<std::uint64_t>(programs.size()));
-    for (const auto &prog : programs) {
-        h.add(static_cast<std::uint64_t>(prog.body.size()));
-        for (const auto &o : prog.body) {
-            h.add(static_cast<int>(o.kind))
-                .add(o.addr)
-                .add(static_cast<int>(o.dtype))
-                .add(o.lock_id);
-        }
-    }
-    const std::uint64_t digest = h.digest();
-    return digest == 0 ? 1 : digest;
+    metrics::add(metrics::Counter::PoolColdBuilds);
+    return machine_->decode(programs).fingerprint;
 }
 
 std::uint64_t
@@ -199,13 +176,7 @@ CpuSimTarget::laneKey(const OmpExperiment &exp, int n_threads)
 {
     const auto pair =
         buildPrograms(exp, n_threads, mcfg_.opsPerMeasurement());
-    cpusim::CpuMachine &machine = machineFor(exp.affinity);
-    const auto fingerprint =
-        [&](const std::vector<cpusim::CpuProgram> &programs) {
-            const std::uint64_t dkey = imageKey(programs);
-            ensureImage(dkey, programs);
-            return machine.imageFingerprint(dkey);
-        };
+    machineFor(exp.affinity);
     ConfigHasher h;
     h.add(static_cast<int>(exp.affinity))
         .add(fingerprint(pair.baseline))
@@ -217,20 +188,15 @@ CpuSimTarget::Launch
 CpuSimTarget::prepare(const std::vector<cpusim::CpuProgram> &programs,
                       Affinity affinity)
 {
-    cpusim::CpuMachine &machine = machineFor(affinity);
-    // Decode each distinct program set once per machine into an
-    // image, then replay it for every later launch. The image holds
-    // exactly what the decode would rebuild, so results are
-    // identical.
-    const std::uint64_t dkey = imageKey(programs);
-    ensureImage(dkey, programs);
+    // simulate() runs the launch on the machine for its placement.
+    machineFor(affinity);
     // The fingerprint already folds the team size.
     ConfigHasher h;
     h.add(static_cast<int>(affinity)).add(mcfg_.n_warmup);
     for (const auto &prog : programs)
         h.add(static_cast<std::uint64_t>(prog.iterations));
-    h.add(machine.imageFingerprint(dkey));
-    return {&programs, dkey, h.digest()};
+    h.add(fingerprint(programs));
+    return {&programs, h.digest()};
 }
 
 double
@@ -256,14 +222,10 @@ LaunchOutcome
 CpuSimTarget::simulate(const Launch &launch, std::uint64_t seed)
 {
     cpusim::CpuMachine &machine = *machine_;
-    // Keying the launch decoded its image, so every simulation
-    // replays one.
     metrics::add(metrics::Counter::PoolClones);
-    machine.reseed(seed);
     machine.setLoopBatch(mcfg_.loop_batch);
     const std::uint64_t events = machine.eventQueue().executed();
-    const auto result =
-        machine.run(*launch.programs, mcfg_.n_warmup, launch.image);
+    const auto result = machine.run(*launch.programs, mcfg_.n_warmup, seed);
     LaunchOutcome outcome;
     // Max in ticks, then one conversion: the cast and the division by
     // a positive clock are monotone, so this is bit-identical to

@@ -36,10 +36,9 @@ struct OmpProgramPair
  * Holds the machine configuration, a seed counter that gives every
  * launch an independent deterministic jitter stream (so the
  * protocol's runs/attempts see run-to-run variation exactly where
- * the model has jitter), its own machine instance (warm event queue
- * and decoded program images across the thousands of launches a
- * sweep performs), and the launch memo it shares with the other
- * targets of its campaign.
+ * the model has jitter), its own machine instance (a warm event queue
+ * across the thousands of launches a sweep performs), and the launch
+ * memo it shares with the other targets of its campaign.
  *
  * A launch's memo key is everything its outcome depends on: the
  * placement, the warmup, every program's iteration count, the
@@ -104,18 +103,14 @@ class CpuSimTarget
     const sim::LoopBatchCounters &loopBatch() const { return lb_; }
 
   private:
-    /** One launch the protocol repeats, decoded and keyed. */
+    /** One launch the protocol repeats, keyed. */
     struct Launch
     {
         const std::vector<cpusim::CpuProgram> *programs = nullptr;
-        std::uint64_t image = 0; ///< decode key on the machine
-        std::uint64_t key = 0;   ///< memo key, short of the seed
+        std::uint64_t key = 0; ///< memo key, short of the seed
     };
 
-    /**
-     * Decode @p p on the machine for @p affinity (if not yet there)
-     * and compute its memo key.
-     */
+    /** Compute the memo key of launching @p p with @p affinity. */
     Launch prepare(const std::vector<cpusim::CpuProgram> &p,
                    Affinity affinity);
 
@@ -133,20 +128,10 @@ class CpuSimTarget
     cpusim::CpuMachine &machineFor(Affinity affinity);
 
     /**
-     * Make sure the current machine holds the image of @p p under
-     * @p dkey, decoding it (counted in pool_cold_builds) when absent.
+     * The fingerprint of @p p decoded on the current machine (one
+     * decode, counted in pool_cold_builds).
      */
-    void ensureImage(std::uint64_t dkey,
-                     const std::vector<cpusim::CpuProgram> &p);
-
-    /**
-     * Digest of everything the decoded form of @p p depends on
-     * within the target's machine: the program bodies, never warmup,
-     * placement, or iteration counts. Non-zero by construction --
-     * key 0 is the machines' "decode normally" sentinel.
-     */
-    static std::uint64_t
-    imageKey(const std::vector<cpusim::CpuProgram> &p);
+    std::uint64_t fingerprint(const std::vector<cpusim::CpuProgram> &p);
 
     cpusim::CpuConfig cfg_;
     MeasurementConfig mcfg_;

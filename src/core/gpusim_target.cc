@@ -129,25 +129,6 @@ hasSystemFence(const std::vector<GpuOp> &ops)
     return false;
 }
 
-/** Fold one op sequence into @p h, delimited by its length. */
-void
-hashOps(ConfigHasher &h, const std::vector<GpuOp> &ops)
-{
-    h.add(static_cast<std::uint64_t>(ops.size()));
-    for (const auto &o : ops) {
-        h.add(static_cast<int>(o.kind))
-            .add(static_cast<int>(o.aop))
-            .add(static_cast<int>(o.dtype))
-            .add(static_cast<int>(o.amode))
-            .add(static_cast<int>(o.scope))
-            .add(static_cast<int>(o.pred))
-            .add(o.stride)
-            .add(o.base_addr)
-            .add(o.repeat)
-            .add(o.diverge_paths);
-    }
-}
-
 } // namespace
 
 GpuSimTarget::GpuSimTarget(gpusim::GpuConfig cfg, MeasurementConfig mcfg,
@@ -177,35 +158,16 @@ GpuSimTarget::paperBlockCounts() const
 }
 
 std::uint64_t
-GpuSimTarget::imageKey(const gpusim::GpuKernel &kernel)
+GpuSimTarget::fingerprint(const gpusim::GpuKernel &kernel)
 {
-    ConfigHasher h;
-    hashOps(h, kernel.prologue);
-    hashOps(h, kernel.body);
-    hashOps(h, kernel.epilogue);
-    const std::uint64_t digest = h.digest();
-    return digest == 0 ? 1 : digest;
-}
-
-void
-GpuSimTarget::ensureImage(std::uint64_t dkey,
-                          const gpusim::GpuKernel &kernel)
-{
-    if (machine_->hasImage(dkey))
-        return;
-    machine_->buildImage(dkey, kernel);
     metrics::add(metrics::Counter::PoolColdBuilds);
+    return machine_->decode(kernel).fingerprint;
 }
 
 std::uint64_t
 GpuSimTarget::laneKey(const CudaExperiment &exp)
 {
     const auto pair = buildKernels(exp, mcfg_.opsPerMeasurement());
-    const auto fingerprint = [&](const gpusim::GpuKernel &kernel) {
-        const std::uint64_t dkey = imageKey(kernel);
-        ensureImage(dkey, kernel);
-        return machine_->imageFingerprint(dkey);
-    };
     ConfigHasher h;
     h.add(fingerprint(pair.baseline)).add(fingerprint(pair.test));
     return h.digest();
@@ -215,18 +177,13 @@ GpuSimTarget::Launch
 GpuSimTarget::prepare(const gpusim::GpuKernel &kernel,
                       gpusim::LaunchConfig geometry)
 {
-    // Decode each distinct kernel once per machine into an image,
-    // then replay it for every later launch -- including every
-    // launch-geometry point, since decoding is geometry-independent.
-    const std::uint64_t dkey = imageKey(kernel);
-    ensureImage(dkey, kernel);
     ConfigHasher h;
     h.add(geometry.blocks)
         .add(geometry.threads_per_block)
         .add(mcfg_.n_warmup)
         .add(static_cast<std::uint64_t>(kernel.body_iters))
-        .add(machine_->imageFingerprint(dkey));
-    return {&kernel, geometry, dkey, h.digest(),
+        .add(fingerprint(kernel));
+    return {&kernel, geometry, h.digest(),
             hasSystemFence(kernel.prologue) ||
                 hasSystemFence(kernel.body) ||
                 hasSystemFence(kernel.epilogue)};
@@ -255,14 +212,11 @@ LaunchOutcome
 GpuSimTarget::simulate(const Launch &launch, std::uint64_t seed)
 {
     gpusim::GpuMachine &machine = *machine_;
-    // Keying the launch decoded its image, so every simulation
-    // replays one.
     metrics::add(metrics::Counter::PoolClones);
-    machine.reseed(seed);
     machine.setLoopBatch(mcfg_.loop_batch);
     const std::uint64_t events = machine.eventQueue().executed();
     const auto result = machine.run(*launch.kernel, launch.geometry,
-                                    mcfg_.n_warmup, launch.image);
+                                    mcfg_.n_warmup, seed);
     LaunchOutcome outcome;
     // Max in ticks, then one conversion: the cast and the division by
     // a positive clock are monotone, so this is bit-identical to

@@ -33,9 +33,9 @@ struct CudaKernelPair
 /**
  * Measurement target backed by gpusim.
  *
- * Owns one machine instance reused across launches (warm event queue
- * and decoded kernel images) and consults the launch memo it shares
- * with the other targets of its campaign.
+ * Owns one machine instance reused across launches (a warm event
+ * queue) and consults the launch memo it shares with the other
+ * targets of its campaign.
  *
  * A launch's memo key is everything its outcome depends on: the grid
  * geometry, the warmup, body_iters, the fingerprint of the decoded
@@ -101,20 +101,16 @@ class GpuSimTarget
     const sim::LoopBatchCounters &loopBatch() const { return lb_; }
 
   private:
-    /** One launch the protocol repeats, decoded and keyed. */
+    /** One launch the protocol repeats, keyed. */
     struct Launch
     {
         const gpusim::GpuKernel *kernel = nullptr;
         gpusim::LaunchConfig geometry;
-        std::uint64_t image = 0; ///< decode key on the machine
-        std::uint64_t key = 0;   ///< memo key, short of the seed
-        bool jittered = false;   ///< has a system-scope fence
+        std::uint64_t key = 0; ///< memo key, short of the seed
+        bool jittered = false; ///< has a system-scope fence
     };
 
-    /**
-     * Decode @p kernel on the machine (if not yet there) and compute
-     * the memo key of launching it on @p geometry.
-     */
+    /** Compute the memo key of launching @p kernel on @p geometry. */
     Launch prepare(const gpusim::GpuKernel &kernel,
                    gpusim::LaunchConfig geometry);
 
@@ -129,18 +125,10 @@ class GpuSimTarget
     LaunchOutcome simulate(const Launch &launch, std::uint64_t seed);
 
     /**
-     * Digest of everything the decoded form of @p kernel depends on
-     * within the target's machine: the op sequences, never warmup,
-     * launch geometry, or body_iters. Non-zero by construction -- key
-     * 0 is the machine's "decode normally" sentinel.
+     * The fingerprint of @p kernel decoded on the machine (one
+     * decode, counted in pool_cold_builds).
      */
-    static std::uint64_t imageKey(const gpusim::GpuKernel &kernel);
-
-    /**
-     * Make sure the machine holds the image of @p kernel under
-     * @p dkey, decoding it (counted in pool_cold_builds) when absent.
-     */
-    void ensureImage(std::uint64_t dkey, const gpusim::GpuKernel &kernel);
+    std::uint64_t fingerprint(const gpusim::GpuKernel &kernel);
 
     gpusim::GpuConfig cfg_;
     MeasurementConfig mcfg_;

@@ -34,12 +34,6 @@ RunStatus::simCacheHitRatio() const
 }
 
 double
-RunStatus::poolWarmRatio() const
-{
-    return ratio(pool_clones, pool_clones + pool_cold_builds);
-}
-
-double
 RunStatus::loopBatchWindowRatio() const
 {
     return ratio(loop_batch_windows,
@@ -59,8 +53,6 @@ RunStatus::fillCountersFromRegistry()
     using metrics::Counter;
     sim_cache_hits = metrics::value(Counter::SimCacheHits);
     sim_cache_misses = metrics::value(Counter::SimCacheMisses);
-    pool_clones = metrics::value(Counter::PoolClones);
-    pool_cold_builds = metrics::value(Counter::PoolColdBuilds);
     loop_batch_windows = metrics::value(Counter::LoopBatchWindows);
     loop_batch_fallbacks =
         metrics::value(Counter::LoopBatchFallbacks);
@@ -97,7 +89,6 @@ RunStatus::toJson() const
     JsonValue engagement = JsonValue::object();
     engagement.set("sim_cache_hit_ratio",
                    JsonValue(simCacheHitRatio()));
-    engagement.set("pool_warm_ratio", JsonValue(poolWarmRatio()));
     engagement.set("loop_batch_window_ratio",
                    JsonValue(loopBatchWindowRatio()));
     root.set("engagement", std::move(engagement));

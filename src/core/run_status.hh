@@ -41,8 +41,6 @@ struct RunStatus
     // Raw engagement inputs, from the counter registry.
     long long sim_cache_hits = 0;
     long long sim_cache_misses = 0;
-    long long pool_clones = 0;
-    long long pool_cold_builds = 0;
     long long loop_batch_windows = 0;
     long long loop_batch_fallbacks = 0;
 
@@ -53,7 +51,6 @@ struct RunStatus
 
     /** Engagement ratios; 0 when the path never ran. */
     double simCacheHitRatio() const;
-    double poolWarmRatio() const;
     double loopBatchWindowRatio() const;
     double poolIdleFraction() const;
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <iterator>
+#include <unordered_map>
 
 #include "common/logging.hh"
 
@@ -30,27 +31,6 @@ void
 CpuMachine::reseed(std::uint64_t seed)
 {
     rng_ = Pcg32(seed, rng_stream);
-}
-
-int
-CpuMachine::internLine(std::uint64_t addr)
-{
-    const std::uint64_t key = addr / cfg_.cache_line_bytes;
-    const auto [it, fresh] =
-        line_index_.try_emplace(key, static_cast<int>(lines_.size()));
-    if (fresh)
-        lines_.emplace_back();
-    return it->second;
-}
-
-int
-CpuMachine::internLock(int lock_id)
-{
-    const auto [it, fresh] =
-        lock_index_.try_emplace(lock_id, static_cast<int>(locks_.size()));
-    if (fresh)
-        locks_.emplace_back();
-    return it->second;
 }
 
 Tick
@@ -529,8 +509,31 @@ CpuMachine::execAlu(int tid, const DecodedOp &op, Tick start)
     finishOp(tid, start + op.alu_cost);
 }
 
+struct CpuMachine::Interner
+{
+    std::uint64_t line_bytes;
+    std::unordered_map<std::uint64_t, int> lines;
+    std::unordered_map<int, int> locks;
+
+    /** Dense index for the cache line containing @p addr. */
+    int
+    line(std::uint64_t addr)
+    {
+        return lines
+            .try_emplace(addr / line_bytes, static_cast<int>(lines.size()))
+            .first->second;
+    }
+
+    int
+    lock(int lock_id)
+    {
+        return locks.try_emplace(lock_id, static_cast<int>(locks.size()))
+            .first->second;
+    }
+};
+
 CpuMachine::DecodedOp
-CpuMachine::decodeOp(const CpuOp &op)
+CpuMachine::decodeOp(const CpuOp &op, Interner &in) const
 {
     DecodedOp d;
     d.alu_cost = aluCost(op.kind, op.dtype);
@@ -538,19 +541,19 @@ CpuMachine::decodeOp(const CpuOp &op)
       case CpuOpKind::Load:
       case CpuOpKind::AtomicLoad:
         d.handler = &CpuMachine::execLoad;
-        d.line = internLine(op.addr);
+        d.line = in.line(op.addr);
         return d;
       case CpuOpKind::Store:
         d.handler = &CpuMachine::execStore;
-        d.line = internLine(op.addr);
+        d.line = in.line(op.addr);
         return d;
       case CpuOpKind::AtomicStore:
         d.handler = &CpuMachine::execAtomicStore;
-        d.line = internLine(op.addr);
+        d.line = in.line(op.addr);
         return d;
       case CpuOpKind::AtomicRmw:
         d.handler = &CpuMachine::execAtomicRmw;
-        d.line = internLine(op.addr);
+        d.line = in.line(op.addr);
         return d;
       case CpuOpKind::Fence:
         d.handler = &CpuMachine::execFence;
@@ -560,12 +563,12 @@ CpuMachine::decodeOp(const CpuOp &op)
         return d;
       case CpuOpKind::LockAcquire:
         d.handler = &CpuMachine::execLockAcquire;
-        d.line = internLine(op.addr);
-        d.lock = internLock(op.lock_id);
+        d.line = in.line(op.addr);
+        d.lock = in.lock(op.lock_id);
         return d;
       case CpuOpKind::LockRelease:
         d.handler = &CpuMachine::execLockRelease;
-        d.lock = internLock(op.lock_id);
+        d.lock = in.lock(op.lock_id);
         return d;
       case CpuOpKind::Alu:
         d.handler = &CpuMachine::execAlu;
@@ -574,46 +577,58 @@ CpuMachine::decodeOp(const CpuOp &op)
     panic("unhandled op kind");
 }
 
-CpuRunResult
-CpuMachine::run(const std::vector<CpuProgram> &programs,
-                int warmup_iterations, std::uint64_t decode_key)
+CpuMachine::DecodedImage
+CpuMachine::decode(const std::vector<CpuProgram> &programs) const
 {
-    const int n = static_cast<int>(programs.size());
-    SYNCPERF_ASSERT(n >= 1);
-    for (const auto &p : programs) {
+    SYNCPERF_ASSERT(!programs.empty());
+    // Dense handler+operand arrays with all config-dependent costs
+    // and container lookups hoisted out of the execution loop.
+    Interner in{static_cast<std::uint64_t>(cfg_.cache_line_bytes), {}, {}};
+    DecodedImage img;
+    img.code.resize(programs.size());
+    for (std::size_t t = 0; t < programs.size(); ++t) {
+        const CpuProgram &p = programs[t];
         SYNCPERF_ASSERT(!p.body.empty(), "empty program body");
         SYNCPERF_ASSERT(p.iterations >= 1);
+        auto &code = img.code[t];
+        code.reserve(p.body.size());
+        for (const CpuOp &op : p.body)
+            code.push_back(decodeOp(op, in));
+        img.iterations.push_back(p.iterations);
     }
+    img.n_lines = static_cast<int>(in.lines.size());
+    img.n_locks = static_cast<int>(in.locks.size());
+    img.fingerprint = fingerprintOf(img);
+    return img;
+}
+
+CpuRunResult
+CpuMachine::run(const std::vector<CpuProgram> &programs,
+                int warmup_iterations)
+{
+    return run(decode(programs), warmup_iterations);
+}
+
+CpuRunResult
+CpuMachine::run(const std::vector<CpuProgram> &programs,
+                int warmup_iterations, std::uint64_t seed)
+{
+    reseed(seed);
+    return run(programs, warmup_iterations);
+}
+
+CpuRunResult
+CpuMachine::run(const DecodedImage &image, int warmup_iterations)
+{
+    const int n = static_cast<int>(image.code.size());
+    SYNCPERF_ASSERT(n >= 1);
     SYNCPERF_ASSERT(warmup_iterations >= 1,
                     "at least one warmup iteration required");
 
-    const DecodedImage *image = nullptr;
-    if (decode_key != 0) {
-        const auto it = images_.find(decode_key);
-        SYNCPERF_ASSERT(it != images_.end(),
-                        "run() with an unmaterialized decode key");
-        image = &it->second;
-        SYNCPERF_ASSERT(static_cast<int>(image->code.size()) == n,
-                        "decoded image team size mismatch");
-    }
-
     places_ = mapThreads(cfg_, affinity_, n);
     core_free_.assign(cfg_.totalCores(), 0);
-    if (image != nullptr) {
-        // Fast path: the image carries the interned universe sizes,
-        // so the line/lock tables restore by assignment and the
-        // interning maps stay untouched (they are decode-time state;
-        // the cold path below rebuilds them before use).
-        lines_.assign(static_cast<std::size_t>(image->n_lines),
-                      Line{});
-        locks_.assign(static_cast<std::size_t>(image->n_locks),
-                      LockState{});
-    } else {
-        lines_.clear();
-        line_index_.clear();
-        locks_.clear();
-        lock_index_.clear();
-    }
+    lines_.assign(static_cast<std::size_t>(image.n_lines), Line{});
+    locks_.assign(static_cast<std::size_t>(image.n_locks), LockState{});
     coherence_point_free_ = 0;
     eq_.reset();
     stats_.clear();
@@ -627,30 +642,14 @@ CpuMachine::run(const std::vector<CpuProgram> &programs,
     barrier_last_arrival_ = 0;
     barrier_waiters_.clear();
     std::uint64_t total_iters = 0;
-    for (const auto &p : programs)
-        total_iters += static_cast<std::uint64_t>(p.iterations);
+    for (const long iters : image.iterations)
+        total_iters += static_cast<std::uint64_t>(iters);
     batcher_.beginRun(eq_, stats_, total_iters);
 
-    // Decode once per program: dense handler+operand arrays with all
-    // config-dependent costs and container lookups hoisted out of
-    // the execution loop. A cached image skips this entirely -- the
-    // threads execute the image's arrays in place.
-    if (image == nullptr) {
-        decoded_.resize(n);
-        for (int t = 0; t < n; ++t) {
-            auto &code = decoded_[t];
-            code.clear();
-            code.reserve(programs[t].body.size());
-            for (const CpuOp &op : programs[t].body)
-                code.push_back(decodeOp(op));
-        }
-    }
-
     for (int t = 0; t < n; ++t) {
-        threads_[t].code =
-            image != nullptr ? &image->code[t] : &decoded_[t];
+        threads_[t].code = &image.code[t];
         threads_[t].place = places_[t];
-        threads_[t].iters_left = programs[t].iterations;
+        threads_[t].iters_left = image.iterations[t];
         eq_.schedule(0, [this, t] { step(t); }, t);
     }
 
@@ -690,30 +689,6 @@ CpuMachine::handlerTable(std::size_t &count)
     return table;
 }
 
-void
-CpuMachine::decodeImageInto(const std::vector<CpuProgram> &programs,
-                            DecodedImage &img)
-{
-    // Decode with a fresh interning universe; run() re-derives every
-    // piece of this state anyway, so borrowing the members here is
-    // safe on any path.
-    lines_.clear();
-    line_index_.clear();
-    locks_.clear();
-    lock_index_.clear();
-    img.code.resize(programs.size());
-    for (std::size_t t = 0; t < programs.size(); ++t) {
-        auto &code = img.code[t];
-        code.clear();
-        code.reserve(programs[t].body.size());
-        for (const CpuOp &op : programs[t].body)
-            code.push_back(decodeOp(op));
-    }
-    img.n_lines = static_cast<int>(lines_.size());
-    img.n_locks = static_cast<int>(locks_.size());
-    img.fingerprint = fingerprintOf(img);
-}
-
 std::uint64_t
 CpuMachine::fingerprintOf(const DecodedImage &img)
 {
@@ -745,16 +720,6 @@ CpuMachine::fingerprintOf(const DecodedImage &img)
         }
     }
     return h;
-}
-
-void
-CpuMachine::buildImage(std::uint64_t key,
-                       const std::vector<CpuProgram> &programs)
-{
-    SYNCPERF_ASSERT(key != 0, "key 0 means undecoded");
-    DecodedImage img;
-    decodeImageInto(programs, img);
-    images_[key] = std::move(img);
 }
 
 } // namespace syncperf::cpusim

@@ -19,16 +19,13 @@
  *   high thread counts (the paper's plateau);
  * - FIFO lock handoff for critical sections.
  *
- * Execution uses precompiled dispatch: run() decodes every program
- * once into a dense handler+operand array (config costs hoisted,
- * cache lines and locks interned to dense indices), and the event
- * loop then jumps straight into per-op handlers with no switch and
- * no hash lookups. Event ordering is identical to the historical
- * switch interpreter, so results stay bit-for-bit reproducible.
- *
- * Decoded programs can further be captured as immutable
- * DecodedImages keyed by the caller's program digest: run() with a
- * key skips decode and interning entirely.
+ * Execution uses precompiled dispatch: decode() turns the programs
+ * into a DecodedImage, dense handler+operand arrays (config costs
+ * hoisted, cache lines and locks interned to dense indices), and
+ * run() executes an image, its event loop jumping straight into
+ * per-op handlers with no switch and no hash lookups. Event ordering
+ * is identical to the historical switch interpreter, so results stay
+ * bit-for-bit reproducible.
  */
 
 #ifndef SYNCPERF_CPUSIM_MACHINE_HH
@@ -36,7 +33,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "common/dtype.hh"
@@ -90,68 +86,58 @@ class CpuMachine
 
     /**
      * Immutable decoded form of one program set: the dense
-     * handler+operand arrays plus the interned line/lock universe
-     * they index. Built once per decode key by buildImage() and
-     * replayed by every later launch, so the machine re-runs a known
-     * program set without re-decoding.
+     * handler+operand arrays, the interned line/lock universe they
+     * index, and each thread's timed iteration count. It holds no
+     * machine state, so any machine of the same config runs it.
      */
     struct DecodedImage
     {
         int n_lines = 0;    ///< interned cache-line universe size
         int n_locks = 0;    ///< interned lock universe size
         std::vector<std::vector<DecodedOp>> code; ///< one per thread
+        std::vector<long> iterations; ///< one per thread
 
         /**
-         * Content digest of the decoded form (handler ids, interned
-         * operands, hoisted costs -- everything run() executes, and
-         * nothing it does not, so raw addresses or data types that
-         * decode to the same image share a fingerprint). Equal
-         * fingerprints mean equal walks for equal (seed, iterations,
-         * warmup): the launch memo keys on it.
+         * Content digest of the decoded code (handler ids, interned
+         * operands, hoisted costs -- everything run() executes except
+         * the iteration counts, and nothing it does not, so raw
+         * addresses or data types that decode to the same code share
+         * a fingerprint). Equal fingerprints mean equal walks for
+         * equal (seed, iterations, warmup): the launch memo keys on
+         * it.
          */
         std::uint64_t fingerprint = 0;
     };
 
+    /** Decode one program per software thread into an image. */
+    DecodedImage decode(const std::vector<CpuProgram> &programs) const;
+
     /**
-     * Execute one program per software thread.
+     * Execute a decoded program set, one program per software thread
+     * (team size = image.code.size()).
      *
      * Mirrors the paper's Listing 2: every thread performs
      * @p warmup_iterations of its body, joins an alignment barrier,
-     * then executes prog.iterations timed body repetitions.
+     * then executes its timed body repetitions. The threads run the
+     * image's arrays in place, so @p image must outlive the call.
      *
-     * @param programs One program per software thread (team size =
-     *                 programs.size()).
      * @param warmup_iterations Untimed body repetitions before the
      *                          alignment barrier.
-     * @param decode_key 0 decodes @p programs from scratch (the cold
-     *                   path); a nonzero key reuses the cached image
-     *                   built by buildImage() under that key,
-     *                   skipping decode and interning. The caller
-     *                   guarantees the image was built from identical
-     *                   programs; results are bit-identical to the
-     *                   cold path.
+     */
+    CpuRunResult run(const DecodedImage &image, int warmup_iterations = 2);
+
+    /** Decode @p programs and run them. */
+    CpuRunResult run(const std::vector<CpuProgram> &programs,
+                     int warmup_iterations = 2);
+
+    /**
+     * reseed(@p seed), then decode and run @p programs: exactly what
+     * a fresh CpuMachine(cfg, affinity, seed) returns. The sim target
+     * simulates its launches through this entry point, which
+     * perfbench's layer probe times by its symbol name.
      */
     CpuRunResult run(const std::vector<CpuProgram> &programs,
-                     int warmup_iterations = 2,
-                     std::uint64_t decode_key = 0);
-
-    /** True when an image is cached under @p key. */
-    bool hasImage(std::uint64_t key) const
-    {
-        return images_.find(key) != images_.end();
-    }
-
-    /** Fingerprint of the image cached under @p key (0 if absent). */
-    std::uint64_t
-    imageFingerprint(std::uint64_t key) const
-    {
-        const auto it = images_.find(key);
-        return it == images_.end() ? 0 : it->second.fingerprint;
-    }
-
-    /** Decode @p programs and cache the image under @p key (!= 0). */
-    void buildImage(std::uint64_t key,
-                    const std::vector<CpuProgram> &programs);
+                     int warmup_iterations, std::uint64_t seed);
 
     /**
      * Restart the jitter stream as if the machine had been freshly
@@ -237,14 +223,9 @@ class CpuMachine
         bool has_pending_store = false;
     };
 
-    /** Dense index for the cache line containing @p addr. */
-    int internLine(std::uint64_t addr);
-    int internLock(int lock_id);
-    DecodedOp decodeOp(const CpuOp &op);
-
-    /** Decode @p programs into @p img (fresh interning universe). */
-    void decodeImageInto(const std::vector<CpuProgram> &programs,
-                         DecodedImage &img);
+    /** Dense indices for the cache lines and locks of one decode. */
+    struct Interner;
+    DecodedOp decodeOp(const CpuOp &op, Interner &in) const;
 
     /** Digest over the decoded arrays (handler ids and operands). */
     static std::uint64_t fingerprintOf(const DecodedImage &img);
@@ -306,15 +287,9 @@ class CpuMachine
     std::vector<ThreadCtx> threads_;
     std::vector<HwPlace> places_;
     std::vector<Tick> core_free_;
-    std::vector<std::vector<DecodedOp>> decoded_;
     std::vector<Line> lines_;
     std::vector<LockState> locks_;
-    std::unordered_map<std::uint64_t, int> line_index_;
-    std::unordered_map<int, int> lock_index_;
     Tick coherence_point_free_ = 0;
-
-    /** Decoded images by key (node-based: run() holds a pointer). */
-    std::unordered_map<std::uint64_t, DecodedImage> images_;
 
     std::vector<int> warm_left_;
 

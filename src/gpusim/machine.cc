@@ -663,18 +663,18 @@ GpuMachine::advancePhase(int warp_id, Tick done)
     WarpCtx &warp = warps_[warp_id];
     switch (warp.phase) {
       case Phase::Prologue:
-        if (warmup_iterations_ > 0 && !kernel_->body.empty()) {
+        if (warmup_iterations_ > 0 && !image_->body.empty()) {
             warp.phase = Phase::Warmup;
-            warp.code = &dec_body_;
+            warp.code = &image_->body;
             warp.iters_left = warmup_iterations_;
             eq_.schedule(done, [this, warp_id] { step(warp_id); },
                          warp_id);
             return;
         }
         warp.phase = Phase::Timed;
-        warp.code = &dec_body_;
+        warp.code = &image_->body;
         warp.start = done;
-        warp.iters_left = kernel_->body.empty() ? 0 : kernel_->body_iters;
+        warp.iters_left = image_->body.empty() ? 0 : image_->body_iters;
         if (warp.iters_left == 0) {
             advancePhase(warp_id, done);
             return;
@@ -685,7 +685,7 @@ GpuMachine::advancePhase(int warp_id, Tick done)
       case Phase::Warmup: {
         // Align the block, then stamp clock64() (Listing 3 line 11).
         warp.phase = Phase::Timed;
-        warp.iters_left = kernel_->body_iters;
+        warp.iters_left = image_->body_iters;
         // The alignment __syncthreads() reuses the block barrier; the
         // start stamp is taken at its release.
         BlockState &block = blocks_[warp.block];
@@ -717,8 +717,8 @@ GpuMachine::advancePhase(int warp_id, Tick done)
       case Phase::Timed:
         warp.end = done;
         warp.phase = Phase::Epilogue;
-        warp.code = &dec_epilogue_;
-        if (kernel_->epilogue.empty()) {
+        warp.code = &image_->epilogue;
+        if (image_->epilogue.empty()) {
             warpDone(warp_id, done);
             return;
         }
@@ -886,60 +886,65 @@ GpuMachine::decodeOp(const GpuOp &op) const
     panic("unhandled GPU op kind");
 }
 
-void
-GpuMachine::decodeSequence(const std::vector<GpuOp> &ops,
-                           std::vector<DecodedGpuOp> &out) const
+std::vector<GpuMachine::DecodedGpuOp>
+GpuMachine::decodeSequence(const std::vector<GpuOp> &ops) const
 {
-    out.clear();
+    std::vector<DecodedGpuOp> out;
     out.reserve(ops.size());
     for (const GpuOp &op : ops)
         out.push_back(decodeOp(op));
+    return out;
+}
+
+GpuMachine::DecodedImage
+GpuMachine::decode(const GpuKernel &kernel) const
+{
+    SYNCPERF_ASSERT(kernel.body_iters >= 1 || kernel.body.empty());
+    DecodedImage img;
+    img.prologue = decodeSequence(kernel.prologue);
+    img.body = decodeSequence(kernel.body);
+    img.epilogue = decodeSequence(kernel.epilogue);
+    img.body_iters = kernel.body_iters;
+    img.fingerprint = fingerprintOf(img);
+    return img;
 }
 
 GpuRunResult
 GpuMachine::run(const GpuKernel &kernel, LaunchConfig launch,
-                int warmup_iterations, std::uint64_t decode_key)
+                int warmup_iterations)
+{
+    return run(decode(kernel), launch, warmup_iterations);
+}
+
+GpuRunResult
+GpuMachine::run(const GpuKernel &kernel, LaunchConfig launch,
+                int warmup_iterations, std::uint64_t seed)
+{
+    reseed(seed);
+    return run(kernel, launch, warmup_iterations);
+}
+
+GpuRunResult
+GpuMachine::run(const DecodedImage &image, LaunchConfig launch,
+                int warmup_iterations)
 {
     SYNCPERF_ASSERT(launch.blocks >= 1);
     SYNCPERF_ASSERT(launch.threads_per_block >= 1 &&
                     launch.threads_per_block <= cfg_.max_threads_per_block);
-    SYNCPERF_ASSERT(kernel.body_iters >= 1 || kernel.body.empty());
 
-    const DecodedImage *image = nullptr;
-    if (decode_key != 0) {
-        const auto it = images_.find(decode_key);
-        SYNCPERF_ASSERT(it != images_.end(),
-                        "run() with an unmaterialized decode key");
-        image = &it->second;
-    }
-
-    kernel_ = &kernel;
-    launch_ = launch;
+    image_ = &image;
     warmup_iterations_ = warmup_iterations;
 
     eq_.reset();
     stats_.clear();
-    if (image != nullptr) {
-        // Fast path: restore the decoded sequences by POD assignment.
-        // The image was produced by the same decodeOp over the same
-        // kernel, so the assigned contents are identical to what the
-        // decode below would rebuild.
-        dec_prologue_ = image->prologue;
-        dec_body_ = image->body;
-        dec_epilogue_ = image->epilogue;
-    } else {
-        decodeSequence(kernel.prologue, dec_prologue_);
-        decodeSequence(kernel.body, dec_body_);
-        decodeSequence(kernel.epilogue, dec_epilogue_);
-    }
     const auto has_load = [](const std::vector<DecodedGpuOp> &code) {
         for (const DecodedGpuOp &op : code)
             if (op.handler == &GpuMachine::execGlobalLoad)
                 return true;
         return false;
     };
-    lb_mem_bw_live_ = has_load(dec_prologue_) || has_load(dec_body_) ||
-                      has_load(dec_epilogue_);
+    lb_mem_bw_live_ = has_load(image.prologue) || has_load(image.body) ||
+                      has_load(image.epilogue);
     warps_.clear();
     blocks_.assign(launch.blocks, BlockState{});
     pending_blocks_.clear();
@@ -971,7 +976,7 @@ GpuMachine::run(const GpuKernel &kernel, LaunchConfig launch,
             WarpCtx warp;
             warp.block = b;
             warp.warp_in_block = w;
-            warp.code = &dec_prologue_;
+            warp.code = &image.prologue;
             warp.first_tid = b * launch.threads_per_block +
                              w * cfg_.warp_size;
             warp.lanes = std::min(
@@ -982,9 +987,9 @@ GpuMachine::run(const GpuKernel &kernel, LaunchConfig launch,
         pending_blocks_.push_back(b);
     }
     batcher_.beginRun(eq_, stats_,
-                      kernel.body.empty()
+                      image.body.empty()
                           ? 0
-                          : static_cast<std::uint64_t>(kernel.body_iters) *
+                          : static_cast<std::uint64_t>(image.body_iters) *
                                 warps_.size());
     tryLaunchBlocks(0);
 
@@ -1033,16 +1038,6 @@ GpuMachine::handlerTable(std::size_t &count)
     return table;
 }
 
-void
-GpuMachine::decodeImageInto(const GpuKernel &kernel,
-                            DecodedImage &img) const
-{
-    decodeSequence(kernel.prologue, img.prologue);
-    decodeSequence(kernel.body, img.body);
-    decodeSequence(kernel.epilogue, img.epilogue);
-    img.fingerprint = fingerprintOf(img);
-}
-
 std::uint64_t
 GpuMachine::fingerprintOf(const DecodedImage &img)
 {
@@ -1084,15 +1079,6 @@ GpuMachine::fingerprintOf(const DecodedImage &img)
     fold_seq(img.body);
     fold_seq(img.epilogue);
     return h;
-}
-
-void
-GpuMachine::buildImage(std::uint64_t key, const GpuKernel &kernel)
-{
-    SYNCPERF_ASSERT(key != 0, "key 0 means undecoded");
-    DecodedImage img;
-    decodeImageInto(kernel, img);
-    images_[key] = std::move(img);
 }
 
 } // namespace syncperf::gpusim

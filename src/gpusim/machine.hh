@@ -21,18 +21,13 @@
  * - shared-memory (block-scoped) atomics served by a per-SM unit;
  * - block residency limits and wave-by-wave block scheduling.
  *
- * Execution uses precompiled dispatch: run() decodes the kernel's
- * three op sequences once into dense handler+operand arrays (fixed
- * latencies, micro-op counts, and per-type service intervals all
- * hoisted), and the event loop then jumps straight into per-op
- * handlers with no switch. Event ordering is identical to the
- * historical switch interpreter, so results stay bit-for-bit
- * reproducible.
- *
- * Decoded kernels can further be captured as immutable
- * DecodedImages keyed by the caller's kernel digest: run() with a key
- * restores the three sequences by POD assignment instead of
- * re-decoding.
+ * Execution uses precompiled dispatch: decode() turns the kernel's
+ * three op sequences into a DecodedImage, dense handler+operand
+ * arrays (fixed latencies, micro-op counts, and per-type service
+ * intervals all hoisted), and run() executes an image, its event loop
+ * jumping straight into per-op handlers with no switch. Event
+ * ordering is identical to the historical switch interpreter, so
+ * results stay bit-for-bit reproducible.
  */
 
 #ifndef SYNCPERF_GPUSIM_MACHINE_HH
@@ -105,69 +100,61 @@ class GpuMachine
     };
 
     /**
-     * An immutable decoded kernel, captured once and replayed by any
-     * number of launches. Its key is whatever digest the caller used
-     * to derive it -- the machine only stores and compares it.
+     * An immutable decoded kernel: the three dense op sequences and
+     * the timed iteration count. It holds no machine state and no
+     * launch geometry, so any machine of the same config runs it on
+     * any grid.
      */
     struct DecodedImage
     {
         std::vector<DecodedGpuOp> prologue;
         std::vector<DecodedGpuOp> body;
         std::vector<DecodedGpuOp> epilogue;
+        long body_iters = 1;
 
         /**
-         * Content digest of the decoded form (handler ids, operands,
-         * hoisted costs -- everything run() executes, and nothing it
-         * does not, so kernels whose raw data types decode to the
-         * same costs share a fingerprint). Equal fingerprints mean
-         * equal walks for equal (seed, geometry, body_iters,
-         * warmup): the launch memo keys on it.
+         * Content digest of the decoded sequences (handler ids,
+         * operands, hoisted costs -- everything run() executes except
+         * body_iters, and nothing it does not, so kernels whose raw
+         * data types decode to the same costs share a fingerprint).
+         * Equal fingerprints mean equal walks for equal (seed,
+         * geometry, body_iters, warmup): the launch memo keys on it.
          */
         std::uint64_t fingerprint = 0;
     };
 
+    /** Decode @p kernel into an image. */
+    DecodedImage decode(const GpuKernel &kernel) const;
+
     /**
-     * Launch @p kernel with geometry @p launch.
+     * Launch a decoded kernel with geometry @p launch.
      *
      * Mirrors the paper's Listing 3: each thread executes the
      * prologue, @p warmup_iterations untimed body repetitions, a
      * block-wide __syncthreads(), reads clock64(), executes
      * body_iters timed body repetitions, reads clock64() again, and
-     * finally runs the epilogue.
+     * finally runs the epilogue. The warps run the image's sequences
+     * in place, so @p image must outlive the call.
      *
      * @param warmup_iterations May be zero for application kernels
      *        (reductions); the timed region then starts right after
      *        the prologue without an extra sync.
-     * @param decode_key Non-zero selects a previously materialized
-     *        DecodedImage (hasImage(decode_key) must hold): the three
-     *        decoded sequences are restored by assignment and the
-     *        decode step is skipped entirely. Zero (the default)
-     *        decodes @p kernel as before. Results are bit-identical
-     *        either way.
      */
+    GpuRunResult run(const DecodedImage &image, LaunchConfig launch,
+                     int warmup_iterations = 2);
+
+    /** Decode @p kernel and launch it. */
     GpuRunResult run(const GpuKernel &kernel, LaunchConfig launch,
-                     int warmup_iterations = 2,
-                     std::uint64_t decode_key = 0);
-
-    /** Whether a decoded image for @p key is installed. */
-    bool hasImage(std::uint64_t key) const
-    {
-        return images_.find(key) != images_.end();
-    }
-
-    /** Fingerprint of the image cached under @p key (0 if absent). */
-    std::uint64_t
-    imageFingerprint(std::uint64_t key) const
-    {
-        const auto it = images_.find(key);
-        return it == images_.end() ? 0 : it->second.fingerprint;
-    }
+                     int warmup_iterations = 2);
 
     /**
-     * Decode @p kernel (exactly as a key-0 run() would) and store
-     * the result as the image for @p key (key must be non-zero).
+     * reseed(@p seed), then decode and launch @p kernel: exactly what
+     * a fresh GpuMachine(cfg, seed) returns. The sim target simulates
+     * its launches through this entry point, which perfbench's layer
+     * probe times by its symbol name.
      */
-    void buildImage(std::uint64_t key, const GpuKernel &kernel);
+    GpuRunResult run(const GpuKernel &kernel, LaunchConfig launch,
+                     int warmup_iterations, std::uint64_t seed);
 
     /**
      * Restart the jitter stream as if the machine had been freshly
@@ -276,11 +263,8 @@ class GpuMachine
     Tick gateDelay(DataType t) const;
 
     DecodedGpuOp decodeOp(const GpuOp &op) const;
-    void decodeSequence(const std::vector<GpuOp> &ops,
-                        std::vector<DecodedGpuOp> &out) const;
-
-    /** Decode @p kernel into @p img (exactly as a key-0 run would). */
-    void decodeImageInto(const GpuKernel &kernel, DecodedImage &img) const;
+    std::vector<DecodedGpuOp>
+    decodeSequence(const std::vector<GpuOp> &ops) const;
 
     /** Digest over the decoded sequences (handler ids and operands). */
     static std::uint64_t fingerprintOf(const DecodedImage &img);
@@ -342,14 +326,9 @@ class GpuMachine
     sim::EventQueue eq_;
     sim::StatSet stats_;
 
-    const GpuKernel *kernel_ = nullptr;
-    LaunchConfig launch_;
+    /** The image of the current run. */
+    const DecodedImage *image_ = nullptr;
     int warmup_iterations_ = 0;
-
-    /** Decoded kernel sequences for the current run. */
-    std::vector<DecodedGpuOp> dec_prologue_;
-    std::vector<DecodedGpuOp> dec_body_;
-    std::vector<DecodedGpuOp> dec_epilogue_;
 
     std::vector<WarpCtx> warps_;
     std::vector<BlockState> blocks_;
@@ -367,10 +346,6 @@ class GpuMachine
     std::unordered_map<std::uint64_t, Tick> line_free_;
     std::unordered_map<std::uint64_t, GateSlots> sm_line_gate_;
     Tick mem_bw_free_ = 0;
-
-    /** Decoded images by the caller's digest (node-based: run()
-     * holds a pointer). */
-    std::unordered_map<std::uint64_t, DecodedImage> images_;
 
     // Grid-wide barrier rendezvous (cooperative launch).
     int grid_arrivals_ = 0;

@@ -94,13 +94,12 @@ cpuLeg(const cpusim::CpuConfig &cpu, Pcg32 &rng)
     const int max_team = std::min(cpu.totalHwThreads(), 24);
     for (int d = 0; d < draws_per_seed; ++d) {
         const OmpExperiment exp = drawOmp(rng);
-        const int team =
-            1 + static_cast<int>(rng.below(static_cast<std::uint32_t>(
-                    max_team)));
+        const int team = 1 + static_cast<int>(rng.below(
+                                 static_cast<std::uint32_t>(max_team)));
         SCOPED_TRACE(::testing::Message()
-                     << "draw " << d << ": " << ompPrimitiveName(
-                            exp.primitive)
-                     << ' ' << dataTypeName(exp.dtype) << " stride "
+                     << "draw " << d << ": "
+                     << ompPrimitiveName(exp.primitive) << ' '
+                     << dataTypeName(exp.dtype) << " stride "
                      << exp.stride << " team " << team);
         const auto direct = directCpuRun(cpu, mcfg, exp, team, seed);
         seed += direct.launches.size();
@@ -125,9 +124,9 @@ gpuLeg(const gpusim::GpuConfig &gpu, Pcg32 &rng)
             block_counts[rng.below(std::size(block_counts))],
             block_threads[rng.below(std::size(block_threads))]};
         SCOPED_TRACE(::testing::Message()
-                     << "draw " << d << ": " << cudaPrimitiveName(
-                            exp.primitive)
-                     << ' ' << dataTypeName(exp.dtype) << " stride "
+                     << "draw " << d << ": "
+                     << cudaPrimitiveName(exp.primitive) << ' '
+                     << dataTypeName(exp.dtype) << " stride "
                      << exp.stride << ' ' << geometry.blocks << 'x'
                      << geometry.threads_per_block);
         const auto direct = directGpuRun(gpu, mcfg, exp, geometry, seed);

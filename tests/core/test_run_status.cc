@@ -65,7 +65,6 @@ TEST_F(RunStatusTest, RatiosAreZeroWhenNothingRan)
 {
     const RunStatus st;
     EXPECT_EQ(st.simCacheHitRatio(), 0.0);
-    EXPECT_EQ(st.poolWarmRatio(), 0.0);
     EXPECT_EQ(st.loopBatchWindowRatio(), 0.0);
     EXPECT_EQ(st.poolIdleFraction(), 0.0);
 }
@@ -75,15 +74,12 @@ TEST_F(RunStatusTest, RatiosComputeFromRawInputs)
     RunStatus st;
     st.sim_cache_hits = 3;
     st.sim_cache_misses = 1;
-    st.pool_clones = 9;
-    st.pool_cold_builds = 1;
     st.loop_batch_windows = 1;
     st.loop_batch_fallbacks = 3;
     st.pool_busy_s = 3.0;
     st.pool_idle_s = 1.0;
 
     EXPECT_DOUBLE_EQ(st.simCacheHitRatio(), 0.75);
-    EXPECT_DOUBLE_EQ(st.poolWarmRatio(), 0.9);
     EXPECT_DOUBLE_EQ(st.loopBatchWindowRatio(), 0.25);
     EXPECT_DOUBLE_EQ(st.poolIdleFraction(), 0.25);
 }

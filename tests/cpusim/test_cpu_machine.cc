@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/logging.hh"
 #include "cpusim/machine.hh"
 
@@ -347,7 +349,8 @@ TEST(CpuMachine, EmptyProgramListPanics)
 {
     CpuMachine machine(testConfig(), Affinity::System);
     ScopedLogCapture capture;
-    EXPECT_THROW(machine.run({}, 1), LogDeathException);
+    EXPECT_THROW(machine.run(std::vector<CpuProgram>{}, 1),
+                 LogDeathException);
 }
 
 TEST(CpuMachine, EmptyBodyPanics)
@@ -404,19 +407,75 @@ imageTestPrograms()
     return programs;
 }
 
+/** testConfig() with the Threadripper's transfer jitter, so a
+ * run's cycles depend on its seed. */
+CpuConfig
+jitteredConfig()
+{
+    CpuConfig c = testConfig();
+    c.jitter_frac = 0.35;
+    return c;
+}
+
+/** Cycles and stats of one run agree with another's. */
+void
+expectSameRun(const CpuRunResult &a, const CpuMachine &ma,
+              const CpuRunResult &b, const CpuMachine &mb)
+{
+    EXPECT_EQ(a.thread_cycles, b.thread_cycles);
+    EXPECT_EQ(a.total_cycles, b.total_cycles);
+    EXPECT_EQ(ma.stats().all(), mb.stats().all());
+}
+
 TEST(CpuMachineImage, BuiltImageRunMatchesColdRun)
 {
     const auto programs = imageTestPrograms();
     CpuMachine cold(testConfig(), Affinity::System, 5);
-    const auto want = cold.run(programs, 2).thread_cycles;
+    const auto want = cold.run(programs, 2);
 
     CpuMachine warm(testConfig(), Affinity::System, 5);
-    warm.buildImage(42, programs);
-    ASSERT_TRUE(warm.hasImage(42));
-    EXPECT_EQ(warm.run(programs, 2, 42).thread_cycles, want);
+    const CpuMachine::DecodedImage image = warm.decode(programs);
+    expectSameRun(warm.run(image, 2), warm, want, cold);
     // Replaying the image again stays identical.
     warm.reseed(5);
-    EXPECT_EQ(warm.run(programs, 2, 42).thread_cycles, want);
+    expectSameRun(warm.run(image, 2), warm, want, cold);
+}
+
+TEST(CpuMachineImage, ReplaysAcrossReseeds)
+{
+    // One image, replayed under interleaved seeds of a jittered
+    // model, gives each seed exactly what a fresh machine built with
+    // that seed gives for the programs -- and so does the seeded
+    // run(programs).
+    const auto programs = imageTestPrograms();
+    CpuMachine machine(jitteredConfig(), Affinity::Spread);
+    const CpuMachine::DecodedImage image = machine.decode(programs);
+    std::map<std::uint64_t, std::vector<sim::Tick>> cycles;
+    for (const std::uint64_t seed : {3, 11, 3, 7}) {
+        SCOPED_TRACE(seed);
+        CpuMachine fresh(jitteredConfig(), Affinity::Spread, seed);
+        const auto want = fresh.run(programs, 2);
+        machine.reseed(seed);
+        expectSameRun(machine.run(image, 2), machine, want, fresh);
+        expectSameRun(machine.run(programs, 2, seed), machine, want,
+                      fresh);
+        cycles[seed] = want.thread_cycles;
+    }
+    EXPECT_NE(cycles[3], cycles[11]) << "the jitter never reached the cycles";
+}
+
+TEST(CpuMachineImage, RunsOnASecondMachine)
+{
+    // An image holds no machine state: decoded on one machine, it runs
+    // on another of the same config exactly as there.
+    const auto programs = imageTestPrograms();
+    CpuMachine a(jitteredConfig(), Affinity::Close, 9);
+    CpuMachine b(jitteredConfig(), Affinity::Close, 9);
+    const CpuMachine::DecodedImage image = a.decode(programs);
+    const auto on_a = a.run(image, 2);
+    expectSameRun(b.run(image, 2), b, on_a, a);
+    b.reseed(9);
+    expectSameRun(b.run(programs, 2), b, on_a, a);
 }
 
 /** @p n_threads copies of a one-op program. */
@@ -445,18 +504,17 @@ TEST(CpuMachineImage, DtypeMergedProgramsShareAFingerprint)
         oneOpPrograms(CpuOpKind::AtomicRmw, DataType::UInt64, 4);
     const auto c = oneOpPrograms(CpuOpKind::Load, DataType::Int32, 4);
     CpuMachine machine(testConfig(), Affinity::Close);
-    machine.buildImage(1, a);
-    machine.buildImage(2, b);
-    machine.buildImage(3, c);
-    EXPECT_NE(machine.imageFingerprint(1), 0u);
-    EXPECT_EQ(machine.imageFingerprint(1), machine.imageFingerprint(2));
-    EXPECT_NE(machine.imageFingerprint(1), machine.imageFingerprint(3));
+    const auto image_a = machine.decode(a);
+    const auto image_b = machine.decode(b);
+    EXPECT_NE(image_a.fingerprint, 0u);
+    EXPECT_EQ(image_a.fingerprint, image_b.fingerprint);
+    EXPECT_NE(image_a.fingerprint, machine.decode(c).fingerprint);
 
     machine.reseed(5);
-    const auto run_a = machine.run(a, 2, 1);
+    const auto run_a = machine.run(image_a, 2);
     const auto stats_a = machine.stats().all();
     machine.reseed(5);
-    const auto run_b = machine.run(b, 2, 2);
+    const auto run_b = machine.run(image_b, 2);
     EXPECT_EQ(run_b.total_cycles, run_a.total_cycles);
     EXPECT_EQ(run_b.thread_cycles, run_a.thread_cycles);
     EXPECT_EQ(machine.stats().all(), stats_a);

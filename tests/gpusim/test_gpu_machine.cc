@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "common/logging.hh"
 #include "gpusim/machine.hh"
@@ -375,23 +376,73 @@ imageTestKernel()
         25);
 }
 
+/** Cycles and stats of one launch agree with another's. */
+void
+expectSameRun(const GpuRunResult &a, const GpuMachine &ma,
+              const GpuRunResult &b, const GpuMachine &mb)
+{
+    EXPECT_EQ(a.warp_cycles, b.warp_cycles);
+    EXPECT_EQ(a.total_cycles, b.total_cycles);
+    EXPECT_EQ(ma.stats().all(), mb.stats().all());
+}
+
 TEST(GpuMachineImage, BuiltImageRunMatchesColdRun)
 {
     const GpuKernel k = imageTestKernel();
     GpuMachine cold(testGpu(), 5);
-    const auto want = cold.run(k, {4, 128}, 2).warp_cycles;
+    const auto want = cold.run(k, {4, 128}, 2);
 
     GpuMachine warm(testGpu(), 5);
-    warm.buildImage(42, k);
-    ASSERT_TRUE(warm.hasImage(42));
-    EXPECT_EQ(warm.run(k, {4, 128}, 2, 42).warp_cycles, want);
-    // Replaying the image again stays identical, including at a
-    // different launch geometry (decoding is geometry-independent).
+    const GpuMachine::DecodedImage image = warm.decode(k);
+    expectSameRun(warm.run(image, {4, 128}, 2), warm, want, cold);
+    // Replaying the image again stays identical.
     warm.reseed(5);
-    EXPECT_EQ(warm.run(k, {4, 128}, 2, 42).warp_cycles, want);
-    GpuMachine cold2(testGpu(), 5);
-    EXPECT_EQ(warm.run(k, {2, 64}, 2, 42).warp_cycles.size(),
-              cold2.run(k, {2, 64}, 2).warp_cycles.size());
+    expectSameRun(warm.run(image, {4, 128}, 2), warm, want, cold);
+}
+
+TEST(GpuMachineImage, ReplaysAcrossReseedsAndGeometries)
+{
+    // One image of a kernel whose system fence draws PCIe jitter,
+    // replayed under interleaved seeds and grids, gives each (seed,
+    // grid) exactly what a fresh machine built with that seed gives
+    // for the kernel -- and so does the seeded run(kernel).
+    GpuKernel k = imageTestKernel();
+    k.body.push_back(GpuOp::fence(FenceScope::System));
+    GpuMachine machine(testGpu());
+    const GpuMachine::DecodedImage image = machine.decode(k);
+    const LaunchConfig grids[] = {{4, 128}, {2, 64}, {1, 1024}, {4, 128}};
+    std::map<std::uint64_t, std::vector<sim::Tick>> cycles;
+    for (const LaunchConfig grid : grids) {
+        for (const std::uint64_t s : {3, 11}) {
+            SCOPED_TRACE(::testing::Message() << grid.blocks << 'x'
+                                              << grid.threads_per_block
+                                              << " seed " << s);
+            GpuMachine fresh(testGpu(), s);
+            const auto want = fresh.run(k, grid, 2);
+            machine.reseed(s);
+            expectSameRun(machine.run(image, grid, 2), machine, want,
+                          fresh);
+            expectSameRun(machine.run(k, grid, 2, s), machine, want,
+                          fresh);
+            if (grid.blocks == 4)
+                cycles[s] = want.warp_cycles;
+        }
+    }
+    EXPECT_NE(cycles[3], cycles[11]) << "the jitter never reached the cycles";
+}
+
+TEST(GpuMachineImage, RunsOnASecondMachine)
+{
+    // An image holds no machine state: decoded on one machine, it runs
+    // on another of the same config exactly as there.
+    const GpuKernel k = imageTestKernel();
+    GpuMachine a(testGpu(), 9);
+    GpuMachine b(testGpu(), 9);
+    const GpuMachine::DecodedImage image = a.decode(k);
+    const auto on_a = a.run(image, {4, 128}, 2);
+    expectSameRun(b.run(image, {4, 128}, 2), b, on_a, a);
+    b.reseed(9);
+    expectSameRun(b.run(k, {4, 128}, 2), b, on_a, a);
 }
 
 TEST(GpuMachineImage, DtypeMergedShflKernelsShareAFingerprint)
@@ -402,18 +453,17 @@ TEST(GpuMachineImage, DtypeMergedShflKernelsShareAFingerprint)
     const GpuKernel b = bodyKernel({GpuOp::shfl(DataType::Float32)});
     const GpuKernel c = bodyKernel({GpuOp::vote()});
     GpuMachine machine(testGpu());
-    machine.buildImage(1, a);
-    machine.buildImage(2, b);
-    machine.buildImage(3, c);
-    EXPECT_NE(machine.imageFingerprint(1), 0u);
-    EXPECT_EQ(machine.imageFingerprint(1), machine.imageFingerprint(2));
-    EXPECT_NE(machine.imageFingerprint(1), machine.imageFingerprint(3));
+    const auto image_a = machine.decode(a);
+    const auto image_b = machine.decode(b);
+    EXPECT_NE(image_a.fingerprint, 0u);
+    EXPECT_EQ(image_a.fingerprint, image_b.fingerprint);
+    EXPECT_NE(image_a.fingerprint, machine.decode(c).fingerprint);
 
     machine.reseed(5);
-    const auto run_a = machine.run(a, {2, 64}, 2, 1);
+    const auto run_a = machine.run(image_a, {2, 64}, 2);
     const auto stats_a = machine.stats().all();
     machine.reseed(5);
-    const auto run_b = machine.run(b, {2, 64}, 2, 2);
+    const auto run_b = machine.run(image_b, {2, 64}, 2);
     EXPECT_EQ(run_b.total_cycles, run_a.total_cycles);
     EXPECT_EQ(run_b.warp_cycles, run_a.warp_cycles);
     EXPECT_EQ(machine.stats().all(), stats_a);

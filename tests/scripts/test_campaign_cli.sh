@@ -4,7 +4,8 @@
 # numeric flag whose value is not wholly a number in range exits 2
 # with "<flag> wants ...", and an unknown argument -- with or without
 # a value after it -- exits 2 with "unknown argument '<arg>' (try
-# --help)" before anything runs.
+# --help)" before anything runs. So does an --only value that matches
+# no system of the mode, listing the systems it could have named.
 #
 # Usage: test_campaign_cli.sh <path-to-campaign-binary>
 set -u
@@ -43,6 +44,7 @@ for args in "--jobs 2x" "--jobs 0" "--jobs -1" "--jobs 99999999999" \
             "--jobs 1.5" "--checkpoint-every zz" "--checkpoint-every 4k" \
             "--cov-gate abc" "--cov-gate 0.1x" "--cov-gate inf" \
             "--cov-gate nan" "--checkpoint-every 3q" \
+            "--checkpoint-every -1" "--cov-gate -0.5" \
             "--status-interval 1s" "--status-interval 0" \
             "--status-interval inf"; do
     # shellcheck disable=SC2086
@@ -69,6 +71,24 @@ for args in "--bogus" "--workers 2" "--jobs 2 --no-such-flag" "ompp" \
         --out "$WORK/tree" "$@"
 done
 [ ! -e "$WORK/tree" ] || fail "a rejected command line created --out"
+
+# An --only that selects nothing is an error, not an empty campaign;
+# the message names every system of the mode (omp: the CPUs, cuda:
+# the GPUs).
+expect 2 "--only 'zzz' matches no system" --out "$WORK/tree" omp --only zzz
+grep -qF "system_3_amd_ryzen_threadripper_2950x" "$WORK/err.txt" ||
+    fail "the --only error does not list the OpenMP systems"
+expect 2 "matches no system" --out "$WORK/tree" cuda --only system_1
+grep -qF "nvidia_geforce_rtx_2070_super" "$WORK/err.txt" ||
+    fail "the --only error does not list the CUDA systems"
+[ ! -e "$WORK/tree" ] || fail "an --only matching nothing created --out"
+# --explain-only measures nothing, so it ignores --only.
+"$CAMPAIGN" --explain-only --only zzz --out "$WORK/tree" \
+    >"$WORK/out.txt" 2>"$WORK/err.txt"
+rc=$?
+if [ "$rc" -eq 2 ] || grep -qF "matches no system" "$WORK/err.txt"; then
+    fail "--explain-only rejected an --only matching nothing (exit $rc)"
+fi
 
 expect 0 "" --help
 grep -q "^usage:" "$WORK/out.txt" || fail "--help printed no usage line"
