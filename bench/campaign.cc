@@ -326,6 +326,8 @@ main(int argc, char **argv)
         } else if (name == "--only") {
             only_arg = value;
             only = parseOnly(value);
+            if (only.empty())
+                return bad_value("at least one system name");
         } else if (name == "--trace") {
             trace_file = value;
         } else if (name == "--metrics") {
@@ -417,6 +419,16 @@ main(int argc, char **argv)
                 argv[0]);
             return 0;
         }
+    }
+
+    // No mode flag already means both modes; both flags would exclude
+    // every system.
+    if (omp_only && cuda_only) {
+        std::fprintf(stderr,
+                     "%s: give one mode (omp or cuda), or neither for "
+                     "both\n",
+                     argv[0]);
+        return 2;
     }
 
     // The systems this invocation covers, in canonical order.

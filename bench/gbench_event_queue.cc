@@ -3,14 +3,13 @@
  * google-benchmark micro-suite for sim::EventQueue, the innermost
  * loop of every simulated machine.
  *
- * Besides measuring schedule/execute throughput, the suite enforces
- * the queue's central performance contract: steady-state
- * schedule()/run() cycles on a reused queue perform ZERO heap
- * allocations per event for callbacks that fit the small-buffer
- * slot. The global operator new below counts every allocation; the
- * steady-state benchmarks fail (SkipWithError) if any occur inside
- * the measured region. Run with --benchmark_min_time=0.01 for a
- * quick pass/fail check, e.g. from CI or a sanitizer build.
+ * Besides measuring wake/pop throughput, the suite enforces the
+ * queue's central performance contract: steady-state wake()/next()
+ * cycles on a reused queue perform ZERO heap allocations per event.
+ * The global operator new below counts every allocation; every
+ * benchmark fails (SkipWithError) if any occur inside the measured
+ * region. Run with --benchmark_min_time=0.01 for a quick pass/fail
+ * check, e.g. from CI or a sanitizer build.
  */
 
 #include <benchmark/benchmark.h>
@@ -111,23 +110,22 @@ finish(benchmark::State &state, std::uint64_t events,
 }
 
 /**
- * Batch schedule-then-drain, the machines' launch pattern: after one
- * warm-up drain has grown the bucket/slot/free-list storage to the
- * peak in-flight size, every later cycle must reuse it.
+ * Batch wake-then-drain, the machines' launch pattern: every actor
+ * is woken once and the queue drains. After one warm-up cycle has
+ * grown the current-tick buffer to its peak, every later cycle must
+ * reuse it.
  */
 void
-BM_ScheduleDrainSteadyState(benchmark::State &state)
+BM_WakeDrainSteadyState(benchmark::State &state)
 {
-    EventQueue eq;
+    EventQueue eq(batch);
     std::uint64_t sink = 0;
 
     auto cycle = [&] {
-        for (int i = 0; i < batch; ++i) {
-            eq.scheduleIn(static_cast<Tick>(i % 7),
-                          [&sink, i] { sink += static_cast<unsigned>(i); },
-                          i % 3);
-        }
-        eq.run();
+        for (int a = 0; a < batch; ++a)
+            eq.wake(eq.now() + static_cast<Tick>(a % 7), a);
+        for (int a; (a = eq.next()) != EventQueue::none;)
+            sink += static_cast<unsigned>(a);
     };
 
     cycle(); // warm-up: grows all internal buffers
@@ -143,47 +141,28 @@ BM_ScheduleDrainSteadyState(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
     finish(state, events, allocs);
 }
-BENCHMARK(BM_ScheduleDrainSteadyState);
+BENCHMARK(BM_WakeDrainSteadyState);
 
 /**
- * Self-rescheduling chains, the machines' per-warp tick pattern:
- * each callback schedules its successor, so slots are recycled
- * through the free list while the queue never drains mid-run.
+ * Self-waking chains, the machines' per-warp tick pattern: each
+ * popped actor wakes itself again, so the queue never drains
+ * mid-run.
  */
 void
-BM_SelfRescheduleSteadyState(benchmark::State &state)
+BM_SelfWakeSteadyState(benchmark::State &state)
 {
     constexpr int chains = 64;
-    EventQueue eq;
-    std::uint64_t sink = 0;
-    std::uint64_t remaining = 0;
+    EventQueue eq(chains);
 
     const auto seed = [&](std::uint64_t steps) {
-        remaining = steps;
-        for (int c = 0; c < chains; ++c) {
-            struct Step
-            {
-                EventQueue *eq;
-                std::uint64_t *sink;
-                std::uint64_t *remaining;
-                int chain;
-
-                void
-                operator()() const
-                {
-                    ++*sink;
-                    // Check-then-decrement: the budget is shared
-                    // across chains, so a bare decrement would
-                    // underflow once the other pending chains drain.
-                    if (*remaining > 0) {
-                        --*remaining;
-                        eq->scheduleIn(1 + chain % 3, *this, chain);
-                    }
-                }
-            };
-            eq.scheduleIn(1, Step{&eq, &sink, &remaining, c}, c);
+        for (int c = 0; c < chains; ++c)
+            eq.wake(eq.now() + 1, c);
+        for (int c; (c = eq.next()) != EventQueue::none;) {
+            if (steps > 0) {
+                --steps;
+                eq.wake(eq.now() + 1 + static_cast<Tick>(c % 3), c);
+            }
         }
-        eq.run();
     };
 
     seed(4 * chains); // warm-up
@@ -195,10 +174,9 @@ BM_SelfRescheduleSteadyState(benchmark::State &state)
     const std::uint64_t events = eq.executed() - executed_before;
     const std::uint64_t allocs = allocCount() - before;
 
-    benchmark::DoNotOptimize(sink);
     finish(state, events, allocs);
 }
-BENCHMARK(BM_SelfRescheduleSteadyState);
+BENCHMARK(BM_SelfWakeSteadyState);
 
 /**
  * Tick gaps with the mix a thorough RTX 2070 Super CUDA sweep
@@ -239,12 +217,12 @@ holdDeltas(std::size_t n)
 }
 
 /**
- * Hold model on the simulators' traffic: ~1,000 actors, one event
- * pending each, every callback rescheduling its actor (as its own
- * priority, like a warp) after the next gap of holdDeltas(). The
- * pending set stays near 1,000 until the shared budget runs out and
- * the queue drains, so a cycle times the pop/insert pair at the
- * machines' queue depth. Every cycle replays the same gaps.
+ * Hold model on the simulators' traffic: 1,000 actors, one wake
+ * pending each, every popped actor waking itself again (like a warp)
+ * after the next gap of holdDeltas(). The pending set stays at 1,000
+ * until the shared budget runs out and the queue drains, so a cycle
+ * times the pop/wake pair at the machines' queue depth. Every cycle
+ * replays the same gaps.
  */
 class HoldModel
 {
@@ -255,30 +233,19 @@ class HoldModel
     cycle(EventQueue &eq)
     {
         cursor_ = 0;
-        remaining_ = 64 * actors;
+        std::uint64_t remaining = 64 * actors;
         for (int a = 0; a < actors; ++a)
-            eq.scheduleIn(gap(), Hold{&eq, this, a}, a);
-        eq.run();
+            eq.wake(eq.now() + gap(), a);
+        for (int a; (a = eq.next()) != EventQueue::none;) {
+            if (remaining > 0) {
+                --remaining;
+                eq.wake(eq.now() + gap(), a);
+            }
+        }
     }
 
   private:
     static constexpr std::size_t gap_mask = (1 << 16) - 1;
-
-    struct Hold
-    {
-        EventQueue *eq;
-        HoldModel *model;
-        int actor;
-
-        void
-        operator()() const
-        {
-            if (model->remaining_ == 0)
-                return;
-            --model->remaining_;
-            eq->scheduleIn(model->gap(), *this, actor);
-        }
-    };
 
     Tick
     gap()
@@ -288,20 +255,19 @@ class HoldModel
     }
 
     std::size_t cursor_ = 0;
-    std::uint64_t remaining_ = 0;
 };
 
 /** The hold model on one reused queue: the warm-up cycle reaches
  * every buffer's high-water mark, so later cycles must not
- * allocate. relinked_per_event is EventQueue::relinked() per executed
- * event: a work count, not a time. Each cycle starts at the tick the
+ * allocate. relinked_per_event is EventQueue::relinked() per popped
+ * wake: a work count, not a time. Each cycle starts at the tick the
  * last one ended on, so its last digits move with the iteration
  * count. */
 void
 BM_HoldModel(benchmark::State &state)
 {
     HoldModel model;
-    EventQueue eq;
+    EventQueue eq(HoldModel::actors);
     model.cycle(eq); // warm-up
 
     const std::uint64_t before = allocCount();
@@ -318,48 +284,6 @@ BM_HoldModel(benchmark::State &state)
         static_cast<double>(events));
 }
 BENCHMARK(BM_HoldModel);
-
-/**
- * Contrast case: captures larger than EventCallback::inline_size buy
- * one boxed allocation per event by design. No zero-alloc assertion
- * -- the counter documents the cost of outgrowing the small buffer.
- */
-void
-BM_ScheduleDrainOversizedCapture(benchmark::State &state)
-{
-    EventQueue eq;
-    std::uint64_t sink = 0;
-
-    struct Fat
-    {
-        std::uint64_t pad[8]; // 64 bytes > inline_size (48)
-    };
-
-    auto cycle = [&] {
-        for (int i = 0; i < batch; ++i) {
-            Fat fat{};
-            fat.pad[0] = static_cast<std::uint64_t>(i);
-            eq.scheduleIn(1, [&sink, fat] { sink += fat.pad[0]; });
-        }
-        eq.run();
-    };
-
-    cycle();
-
-    const std::uint64_t before = allocCount();
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        cycle();
-        events += batch;
-    }
-    const std::uint64_t allocs = allocCount() - before;
-
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-    state.counters["allocs_per_event"] = benchmark::Counter(
-        static_cast<double>(allocs) / static_cast<double>(events));
-}
-BENCHMARK(BM_ScheduleDrainOversizedCapture);
 
 } // namespace
 

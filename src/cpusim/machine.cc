@@ -165,14 +165,11 @@ CpuMachine::arriveBarrier(int tid, Tick when)
     barrier_last_arrival_ = 0;
 
     for (int w : waiters) {
-        // The callback reads its tick from the queue (it runs exactly
-        // at `release`), so a loop-batch shift of the pending event
-        // shifts the continuation with it.
+        // The resumed step reads its tick from the queue (it runs
+        // exactly at `release`), so a loop-batch shift of the pending
+        // wake shifts the continuation with it.
         threads_[w].resume = true;
-        eq_.schedule(release, [this, w] {
-            threads_[w].resume = false;
-            finishOp(w, eq_.now());
-        }, w);
+        eq_.wake(release, w);
     }
 }
 
@@ -182,7 +179,7 @@ CpuMachine::finishOp(int tid, Tick done)
     ThreadCtx &ctx = threads_[tid];
     ++ctx.pc;
     if (ctx.pc < ctx.code->size()) {
-        eq_.schedule(done, [this, tid] { step(tid); }, tid);
+        eq_.wake(done, tid);
         return;
     }
 
@@ -190,7 +187,7 @@ CpuMachine::finishOp(int tid, Tick done)
     ctx.pc = 0;
     if (!ctx.timed) {
         if (--warm_left_[tid] > 0) {
-            eq_.schedule(done, [this, tid] { step(tid); }, tid);
+            eq_.wake(done, tid);
             return;
         }
         // Alignment join before the timed region (Listing 2 line 15).
@@ -201,11 +198,8 @@ CpuMachine::finishOp(int tid, Tick done)
             const Tick go = align_last_ +
                 barrierLatency(static_cast<int>(threads_.size()));
             for (int w : align_waiters_) {
-                eq_.schedule(go, [this, w] {
-                    threads_[w].timed = true;
-                    threads_[w].start_tick = eq_.now();
-                    step(w);
-                }, w);
+                threads_[w].aligning = true;
+                eq_.wake(go, w);
             }
             align_waiters_.clear();
         }
@@ -217,7 +211,7 @@ CpuMachine::finishOp(int tid, Tick done)
     done += batcher_.boundary(*this, tid, done);
 
     if (--ctx.iters_left > 0) {
-        eq_.schedule(done, [this, tid] { step(tid); }, tid);
+        eq_.wake(done, tid);
         return;
     }
     ctx.done = true;
@@ -230,7 +224,8 @@ void
 CpuMachine::visitState(Self &self, V &v)
 {
     for (const ThreadCtx &t : self.threads_) {
-        v.word(static_cast<std::uint64_t>(t.pc) << 4 |
+        v.word(static_cast<std::uint64_t>(t.pc) << 5 |
+               static_cast<std::uint64_t>(t.aligning) << 4 |
                static_cast<std::uint64_t>(t.timed) << 3 |
                static_cast<std::uint64_t>(t.done) << 2 |
                static_cast<std::uint64_t>(t.resume) << 1 |
@@ -275,8 +270,20 @@ CpuMachine::step(int tid)
 {
     ThreadCtx &ctx = threads_[tid];
     SYNCPERF_ASSERT(!ctx.done);
-    const DecodedOp &op = (*ctx.code)[ctx.pc];
     const Tick now = eq_.now();
+    if (ctx.resume) {
+        // Barrier release or lock grant: the blocked op completes now.
+        ctx.resume = false;
+        finishOp(tid, now);
+        return;
+    }
+    if (ctx.aligning) {
+        // Alignment go: the timed region starts here.
+        ctx.aligning = false;
+        ctx.timed = true;
+        ctx.start_tick = now;
+    }
+    const DecodedOp &op = (*ctx.code)[ctx.pc];
 
     // Issue through the core pipeline (shared by SMT siblings).
     Tick start = std::max(now, core_free_[ctx.place.core]);
@@ -493,10 +500,7 @@ CpuMachine::execLockRelease(int tid, const DecodedOp &op, Tick start)
         stats_.record(sim::HistProbe::CpuLockWaitTicks,
                       grant - waiter.since);
         threads_[next].resume = true;
-        eq_.schedule(grant, [this, next] {
-            threads_[next].resume = false;
-            finishOp(next, eq_.now());
-        }, next);
+        eq_.wake(grant, next);
     } else {
         lock.held = false;
     }
@@ -630,7 +634,7 @@ CpuMachine::run(const DecodedImage &image, int warmup_iterations)
     lines_.assign(static_cast<std::size_t>(image.n_lines), Line{});
     locks_.assign(static_cast<std::size_t>(image.n_locks), LockState{});
     coherence_point_free_ = 0;
-    eq_.reset();
+    eq_.reset(static_cast<std::size_t>(n));
     stats_.clear();
     threads_.assign(n, ThreadCtx{});
     warm_left_.assign(n, warmup_iterations);
@@ -650,10 +654,12 @@ CpuMachine::run(const DecodedImage &image, int warmup_iterations)
         threads_[t].code = &image.code[t];
         threads_[t].place = places_[t];
         threads_[t].iters_left = image.iterations[t];
-        eq_.schedule(0, [this, t] { step(t); }, t);
+        eq_.wake(0, t);
     }
 
-    const Tick end = eq_.run();
+    for (int t; (t = eq_.next()) != sim::EventQueue::none;)
+        step(t);
+    const Tick end = eq_.now();
 
     CpuRunResult result;
     result.total_cycles = end;

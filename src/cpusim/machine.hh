@@ -213,10 +213,12 @@ class CpuMachine
         std::size_t pc = 0;
         bool timed = false;
         bool done = false;
-        /** A barrier-release/lock-grant continuation is pending for
-         * this thread (distinguishes its queued event from a plain
-         * step for the loop-batch fingerprint). */
+        /** The pending wake is a barrier release or lock grant: the
+         * next step() finishes the blocked op instead of issuing. */
         bool resume = false;
+        /** The pending wake is the alignment go: the next step()
+         * enters the timed region before issuing. */
+        bool aligning = false;
         Tick start_tick = 0;
         Tick end_tick = 0;
         int pending_store_line = -1;  ///< interned index
@@ -243,10 +245,12 @@ class CpuMachine
     Tick aluCost(CpuOpKind kind, DataType dtype) const;
     Tick barrierLatency(int team_size);
 
-    /** Run ops for thread @p tid starting at the queue's now(). */
+    /** Resume thread @p tid at the queue's now(): finish a blocked
+     * op on a resume wake, enter the timed region on the alignment
+     * go, and otherwise issue the thread's next op. */
     void step(int tid);
 
-    /** Advance past the current op and schedule the next step. */
+    /** Advance past the current op and wake the thread at @p done. */
     void finishOp(int tid, Tick done);
 
     /** Handle team-wide barrier arrival; returns true if blocked. */

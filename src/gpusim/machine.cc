@@ -491,10 +491,7 @@ GpuMachine::arriveSyncThreads(int warp_id, Tick when)
 
     for (int w : waiters) {
         warps_[w].resume = true;
-        eq_.schedule(release, [this, w] {
-            warps_[w].resume = false;
-            finishOp(w, eq_.now());
-        }, w);
+        eq_.wake(release, w);
     }
 }
 
@@ -537,10 +534,7 @@ GpuMachine::arriveGridSync(int warp_id, Tick when)
     grid_last_arrival_ = 0;
     for (int w : waiters) {
         warps_[w].resume = true;
-        eq_.schedule(release, [this, w] {
-            warps_[w].resume = false;
-            finishOp(w, eq_.now());
-        }, w);
+        eq_.wake(release, w);
     }
 }
 
@@ -606,7 +600,13 @@ GpuMachine::visitState(Self &self, V &v)
     v.stampIf(self.grid_arrivals_ > 0, self.grid_last_arrival_);
     v.words(self.grid_waiters_);
     // warp.start/warp.end are frozen clock64() outputs shared with
-    // the unbatched run; the rng did not advance.
+    // the unbatched run; the rng did not advance. warp.aligning is
+    // left out with them: it only makes a wake stamp warp.start, and
+    // no boundary jumps with an alignment wake pending (see
+    // advancePhase), so an anchor taken while one was pending and a
+    // later boundary that differs from it only there prove the same
+    // period. Encoding the flag would split such matches and
+    // single-step iterations a jump covers.
 }
 
 void
@@ -615,6 +615,17 @@ GpuMachine::step(int warp_id)
     WarpCtx &warp = warps_[warp_id];
     SYNCPERF_ASSERT(!warp.done);
     const Tick now = eq_.now();
+    if (warp.resume) {
+        // Barrier release: the blocked op completes now.
+        warp.resume = false;
+        finishOp(warp_id, now);
+        return;
+    }
+    if (warp.aligning) {
+        // Alignment release: stamp clock64() (Listing 3 line 11).
+        warp.aligning = false;
+        warp.start = now;
+    }
 
     const std::vector<DecodedGpuOp> &code = *warp.code;
     if (code.empty() || warp.pc >= code.size()) {
@@ -634,13 +645,13 @@ GpuMachine::finishOp(int warp_id, Tick done)
 {
     WarpCtx &warp = warps_[warp_id];
     if (--warp.rep_left > 0) {
-        eq_.schedule(done, [this, warp_id] { step(warp_id); }, warp_id);
+        eq_.wake(done, warp_id);
         return;
     }
     ++warp.pc;
 
     if (warp.pc < warp.code->size()) {
-        eq_.schedule(done, [this, warp_id] { step(warp_id); }, warp_id);
+        eq_.wake(done, warp_id);
         return;
     }
     warp.pc = 0;
@@ -650,7 +661,7 @@ GpuMachine::finishOp(int warp_id, Tick done)
         done += batcher_.boundary(*this, warp_id, done);
     if ((warp.phase == Phase::Warmup || warp.phase == Phase::Timed) &&
         --warp.iters_left > 0) {
-        eq_.schedule(done, [this, warp_id] { step(warp_id); }, warp_id);
+        eq_.wake(done, warp_id);
         return;
     }
     batcher_.retire(warp_id);
@@ -667,8 +678,7 @@ GpuMachine::advancePhase(int warp_id, Tick done)
             warp.phase = Phase::Warmup;
             warp.code = &image_->body;
             warp.iters_left = warmup_iterations_;
-            eq_.schedule(done, [this, warp_id] { step(warp_id); },
-                         warp_id);
+            eq_.wake(done, warp_id);
             return;
         }
         warp.phase = Phase::Timed;
@@ -679,7 +689,7 @@ GpuMachine::advancePhase(int warp_id, Tick done)
             advancePhase(warp_id, done);
             return;
         }
-        eq_.schedule(done, [this, warp_id] { step(warp_id); }, warp_id);
+        eq_.wake(done, warp_id);
         return;
 
       case Phase::Warmup: {
@@ -701,15 +711,13 @@ GpuMachine::advancePhase(int warp_id, Tick done)
         block.waiters.clear();
         block.arrived = 0;
         block.last_arrival = 0;
-        // The captured absolute tick is safe under loop batching:
-        // this one-shot event's boundary-relative offset shrinks
+        // The start stamp is the wake's tick, which is `release`:
+        // this one-shot wake's boundary-relative offset shrinks
         // between any two trigger boundaries, so it can never be
         // part of equal fingerprints and is never shifted.
         for (int w : waiters) {
-            eq_.schedule(release, [this, w, release] {
-                warps_[w].start = release;
-                step(w);
-            }, w);
+            warps_[w].aligning = true;
+            eq_.wake(release, w);
         }
         return;
       }
@@ -722,7 +730,7 @@ GpuMachine::advancePhase(int warp_id, Tick done)
             warpDone(warp_id, done);
             return;
         }
-        eq_.schedule(done, [this, warp_id] { step(warp_id); }, warp_id);
+        eq_.wake(done, warp_id);
         return;
 
       case Phase::Epilogue:
@@ -789,7 +797,7 @@ GpuMachine::launchBlock(int block_id, int sm, Tick when)
         warp.sched = sm_next_sched_[sm];
         sm_next_sched_[sm] =
             (sm_next_sched_[sm] + 1) % cfg_.schedulers_per_sm;
-        eq_.schedule(start, [this, warp_id] { step(warp_id); }, warp_id);
+        eq_.wake(start, warp_id);
     }
     stats_.inc(sim::Probe::GpuBlocksLaunched);
 }
@@ -935,7 +943,6 @@ GpuMachine::run(const DecodedImage &image, LaunchConfig launch,
     image_ = &image;
     warmup_iterations_ = warmup_iterations;
 
-    eq_.reset();
     stats_.clear();
     const auto has_load = [](const std::vector<DecodedGpuOp> &code) {
         for (const DecodedGpuOp &op : code)
@@ -986,6 +993,7 @@ GpuMachine::run(const DecodedImage &image, LaunchConfig launch,
         }
         pending_blocks_.push_back(b);
     }
+    eq_.reset(warps_.size());
     batcher_.beginRun(eq_, stats_,
                       image.body.empty()
                           ? 0
@@ -993,7 +1001,9 @@ GpuMachine::run(const DecodedImage &image, LaunchConfig launch,
                                 warps_.size());
     tryLaunchBlocks(0);
 
-    const Tick end = eq_.run();
+    for (int w; (w = eq_.next()) != sim::EventQueue::none;)
+        step(w);
+    const Tick end = eq_.now();
 
     GpuRunResult result;
     result.total_cycles = end;

@@ -222,10 +222,13 @@ class GpuMachine
         Tick end = 0;
         bool done = false;
 
-        /** A barrier-release continuation is queued for this warp
-         * (distinguishes its pending event from a plain step for the
-         * loop-batch fingerprint). */
+        /** The pending wake is a barrier release: the next step()
+         * finishes the blocked op instead of issuing. */
         bool resume = false;
+
+        /** The pending wake is the alignment release: the next
+         * step() stamps start before issuing. */
+        bool aligning = false;
 
         /** Commit time of this warp's most recent global store (the
          * point a device-scope fence must wait for). */

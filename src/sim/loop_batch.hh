@@ -75,8 +75,8 @@ struct LoopBatchCounters
  *   win again and encodes as the one `dead` word; above it, as its
  *   offset from the boundary;
  * - actorMaxReg(actor, t): a max-register only @p actor's later ops
- *   read, whose floor is raised to that actor's next pending event
- *   (the actors are the event priorities);
+ *   read, whose floor is raised to that actor's pending wake (the
+ *   queue holds at most one per actor);
  * - gatedMaxReg(live, t): a max-register that is outcome-dead, and
  *   encodes as `dead`, while @p live is false;
  * - stamp(t): a time that is always live (it feeds a min() or a

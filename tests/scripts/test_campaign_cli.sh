@@ -5,7 +5,9 @@
 # with "<flag> wants ...", and an unknown argument -- with or without
 # a value after it -- exits 2 with "unknown argument '<arg>' (try
 # --help)" before anything runs. So does an --only value that matches
-# no system of the mode, listing the systems it could have named.
+# no system of the mode, listing the systems it could have named, an
+# --only value that names no system at all, and both mode flags at
+# once.
 #
 # Usage: test_campaign_cli.sh <path-to-campaign-binary>
 set -u
@@ -82,6 +84,21 @@ expect 2 "matches no system" --out "$WORK/tree" cuda --only system_1
 grep -qF "nvidia_geforce_rtx_2070_super" "$WORK/err.txt" ||
     fail "the --only error does not list the CUDA systems"
 [ ! -e "$WORK/tree" ] || fail "an --only matching nothing created --out"
+# An --only value with no fragment in it filters nothing; it must not
+# fall back to running every system.
+expect 2 "--only wants at least one system name" \
+    --out "$WORK/tree" omp --only ''
+expect 2 "--only wants at least one system name" \
+    --out "$WORK/tree" omp --only ,
+[ ! -e "$WORK/tree" ] || fail "an empty --only created --out"
+
+# No mode flag means both modes; naming both is an error, not an
+# empty campaign.
+expect 2 "give one mode (omp or cuda), or neither for both" \
+    --out "$WORK/tree" omp cuda
+expect 2 "give one mode (omp or cuda), or neither for both" \
+    --out "$WORK/tree" cuda --only rtx_2070 omp
+[ ! -e "$WORK/tree" ] || fail "both mode flags created --out"
 # --explain-only measures nothing, so it ignores --only.
 "$CAMPAIGN" --explain-only --only zzz --out "$WORK/tree" \
     >"$WORK/out.txt" 2>"$WORK/err.txt"

@@ -1,18 +1,16 @@
 /**
  * @file
- * Unit tests for the discrete-event queue.
+ * Unit tests for the wake-up queue.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -24,97 +22,60 @@ namespace syncperf::sim
 namespace
 {
 
+/** Pop every wake, handing each actor to @p step (which may wake
+ * more), the way a machine's loop runs its queue. */
+void
+drain(EventQueue &eq, const std::function<void(int)> &step)
+{
+    for (int a; (a = eq.next()) != EventQueue::none;)
+        step(a);
+}
+
+/** Pop every wake due at or before @p limit, handing each actor to
+ * @p step; later wakes stay pending. */
+void
+runUntil(EventQueue &eq, Tick limit, const std::function<void(int)> &step)
+{
+    while (eq.earliestPending() <= limit)
+        step(eq.next());
+}
+
 TEST(EventQueue, ExecutesInTimeOrder)
 {
-    EventQueue eq;
+    EventQueue eq(3);
     std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    eq.wake(30, 0);
+    eq.wake(10, 1);
+    eq.wake(20, 2);
+    drain(eq, [&](int a) { order.push_back(a); });
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
+    EXPECT_EQ(eq.now(), 30u);
+    EXPECT_EQ(eq.next(), EventQueue::none);
     EXPECT_EQ(eq.now(), 30u);
 }
 
-TEST(EventQueue, SameTickOrderedByPriorityThenInsertion)
+TEST(EventQueue, SameTickOrderedByActor)
 {
-    EventQueue eq;
+    // Wake order never decides: (tick, actor) is unique among the
+    // pending wakes.
+    EventQueue eq(3);
     std::vector<int> order;
-    eq.schedule(5, [&] { order.push_back(1); }, 1);
-    eq.schedule(5, [&] { order.push_back(0); }, 0);
-    eq.schedule(5, [&] { order.push_back(2); }, 1);
-    eq.run();
+    eq.wake(5, 2);
+    eq.wake(5, 0);
+    eq.wake(5, 1);
+    drain(eq, [&](int a) { order.push_back(a); });
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(EventQueue, ScheduleInIsRelative)
-{
-    EventQueue eq;
-    Tick seen = 0;
-    eq.schedule(10, [&] {
-        eq.scheduleIn(5, [&] { seen = eq.now(); });
-    });
-    eq.run();
-    EXPECT_EQ(seen, 15u);
-}
-
-TEST(EventQueue, DescheduleCancels)
-{
-    EventQueue eq;
-    bool ran = false;
-    const EventId id = eq.schedule(10, [&] { ran = true; });
-    EXPECT_TRUE(eq.deschedule(id));
-    eq.run();
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
-TEST(EventQueue, DoubleDescheduleIsNoop)
-{
-    EventQueue eq;
-    const EventId id = eq.schedule(10, [] {});
-    EXPECT_TRUE(eq.deschedule(id));
-    EXPECT_FALSE(eq.deschedule(id));
-}
-
-TEST(EventQueue, DescheduleUnknownIdReturnsFalse)
-{
-    EventQueue eq;
-    EXPECT_FALSE(eq.deschedule(12345));
-}
-
-TEST(EventQueue, DescheduleExecutedEventReturnsFalse)
-{
-    EventQueue eq;
-    const EventId id = eq.schedule(1, [] {});
-    eq.run();
-    EXPECT_FALSE(eq.deschedule(id));
-}
-
-TEST(EventQueue, RunUntilStopsAtLimit)
-{
-    EventQueue eq;
-    std::vector<Tick> seen;
-    eq.schedule(10, [&] { seen.push_back(10); });
-    eq.schedule(20, [&] { seen.push_back(20); });
-    eq.runUntil(15);
-    EXPECT_EQ(seen, (std::vector<Tick>{10}));
-    EXPECT_EQ(eq.now(), 15u);
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_EQ(seen, (std::vector<Tick>{10, 20}));
 }
 
 TEST(EventQueue, EventsMaySpawnEvents)
 {
-    EventQueue eq;
+    EventQueue eq(2);
     int count = 0;
-    std::function<void()> chain = [&] {
+    eq.wake(0, 0);
+    drain(eq, [&](int a) {
         if (++count < 5)
-            eq.scheduleIn(1, chain);
-    };
-    eq.schedule(0, chain);
-    eq.run();
+            eq.wake(eq.now() + 1, 1 - a); // hand over to the other
+    });
     EXPECT_EQ(count, 5);
     EXPECT_EQ(eq.now(), 4u);
     EXPECT_EQ(eq.executed(), 5u);
@@ -122,104 +83,75 @@ TEST(EventQueue, EventsMaySpawnEvents)
 
 TEST(EventQueue, SchedulingIntoThePastPanics)
 {
-    EventQueue eq;
-    eq.schedule(10, [] {});
-    eq.run();
+    EventQueue eq(1);
+    eq.wake(10, 0);
+    EXPECT_EQ(eq.next(), 0);
     ScopedLogCapture capture;
-    EXPECT_THROW(eq.schedule(5, [] {}), LogDeathException);
+    EXPECT_THROW(eq.wake(5, 0), LogDeathException);
+}
+
+TEST(EventQueue, SecondPendingWakeOfOneActorPanics)
+{
+    EventQueue eq(2);
+    eq.wake(10, 1);
+    {
+        ScopedLogCapture capture;
+        EXPECT_THROW(eq.wake(20, 1), LogDeathException);
+        EXPECT_THROW(eq.wake(10, 1), LogDeathException);
+    }
+    // Once popped, the actor may be woken again.
+    EXPECT_EQ(eq.next(), 1);
+    eq.wake(20, 1);
+    EXPECT_EQ(eq.pending(), 1u);
+}
+
+TEST(EventQueue, WakeOutsideTheBoundRangePanics)
+{
+    EventQueue eq(4);
+    ScopedLogCapture capture;
+    EXPECT_THROW(eq.wake(1, 4), LogDeathException);
+    EXPECT_THROW(eq.wake(1, -1), LogDeathException);
+    eq.reset(2);
+    EXPECT_THROW(eq.wake(1, 3), LogDeathException);
+    EXPECT_THROW(eq.reset(EventQueue::max_actors + 1), LogDeathException);
 }
 
 TEST(EventQueue, PendingCountsLiveEvents)
 {
-    EventQueue eq;
-    eq.schedule(1, [] {});
-    eq.schedule(2, [] {});
+    EventQueue eq(2);
+    eq.wake(1, 0);
+    eq.wake(2, 1);
     EXPECT_EQ(eq.pending(), 2u);
     EXPECT_FALSE(eq.empty());
-    eq.run();
+    drain(eq, [](int) {});
     EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, MoveOnlyCallbacksAreSupported)
-{
-    EventQueue eq;
-    int seen = 0;
-    auto payload = std::make_unique<int>(41);
-    eq.schedule(3, [&seen, p = std::move(payload)] { seen = *p + 1; });
-    eq.run();
-    EXPECT_EQ(seen, 42);
-}
-
-TEST(EventQueue, LargeCapturesFallBackToTheHeap)
-{
-    EventQueue eq;
-    std::array<std::uint64_t, 16> big{};
-    big.fill(7);
-    std::uint64_t sum = 0;
-    eq.schedule(1, [big, &sum] {
-        for (auto v : big)
-            sum += v;
-    });
-    eq.run();
-    EXPECT_EQ(sum, 112u);
-}
-
-TEST(EventQueue, IdWindowIsTrimmedWhenDrained)
-{
-    // A reused machine runs many schedule/run cycles on one queue;
-    // the cancellation bookkeeping must not accumulate across them.
-    EventQueue eq;
-    for (int cycle = 0; cycle < 100; ++cycle) {
-        std::vector<EventId> ids;
-        for (int i = 0; i < 10; ++i)
-            ids.push_back(eq.scheduleIn(static_cast<Tick>(i), [] {}));
-        eq.deschedule(ids[3]);
-        eq.run();
-        EXPECT_EQ(eq.idWindow(), 0u);
-        EXPECT_EQ(eq.pending(), 0u);
-        // Handles from a drained cycle are dead, even fresh ones.
-        EXPECT_FALSE(eq.deschedule(ids.back()));
-    }
-    EXPECT_EQ(eq.executed(), 100u * 9u);
+    EXPECT_EQ(eq.maxPending(), 2u);
 }
 
 TEST(EventQueue, ResetRestoresInitialStateButKillsOldHandles)
 {
-    EventQueue eq;
-    const EventId stale = eq.schedule(10, [] {});
-    eq.schedule(20, [] {});
-    eq.runUntil(12);
-    eq.reset();
+    // An actor's pending wake is its only handle into the queue.
+    EventQueue eq(2);
+    eq.wake(10, 0);
+    eq.wake(20, 1);
+    EXPECT_EQ(eq.next(), 0);
+    eq.reset(3);
     EXPECT_EQ(eq.now(), 0u);
     EXPECT_EQ(eq.pending(), 0u);
     EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.idWindow(), 0u);
-    EXPECT_FALSE(eq.deschedule(stale));
+    EXPECT_EQ(eq.maxPending(), 0u);
+    EXPECT_EQ(eq.earliestPending(), EventQueue::no_tick);
 
+    // Actor 1's pre-reset wake is dead: it never pops, waking the
+    // actor again is its first pending wake, and the third actor is
+    // bound now.
     std::vector<int> order;
-    eq.schedule(5, [&] { order.push_back(1); });
-    eq.schedule(1, [&] { order.push_back(0); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    eq.wake(5, 1);
+    eq.wake(1, 2);
+    drain(eq, [&](int a) { order.push_back(a); });
+    EXPECT_EQ(order, (std::vector<int>{2, 1}));
     EXPECT_EQ(eq.now(), 5u);
-}
-
-TEST(EventQueue, CancelledEntriesDoNotBlockDraining)
-{
-    EventQueue eq;
-    bool ran = false;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 8; ++i)
-        ids.push_back(eq.schedule(static_cast<Tick>(100 + i), [] {}));
-    eq.schedule(50, [&] { ran = true; });
-    for (EventId id : ids)
-        EXPECT_TRUE(eq.deschedule(id));
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_TRUE(ran);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.idWindow(), 0u);
-    EXPECT_EQ(eq.executed(), 1u);
+    EXPECT_EQ(eq.executed(), 3u); // a lifetime count
 }
 
 // ------------------------------------------------------------------
@@ -229,154 +161,134 @@ TEST(EventQueue, CancelledEntriesDoNotBlockDraining)
 
 TEST(EventQueue, NextForeignTickSkipsOwnPriority)
 {
-    EventQueue eq;
-    eq.schedule(10, [] {}, /*priority=*/3);
-    eq.schedule(20, [] {}, /*priority=*/5);
-    eq.schedule(30, [] {}, /*priority=*/3);
+    EventQueue eq(6);
+    eq.wake(10, 3);
+    eq.wake(20, 5);
     EXPECT_EQ(eq.nextForeignTick(3), 20u);
     EXPECT_EQ(eq.nextForeignTick(5), 10u);
-    // Every pending event belongs to the queried actor: no horizon.
+    EXPECT_EQ(eq.next(), 3);
+    eq.wake(30, 3);
     EXPECT_EQ(eq.nextForeignTick(3), 20u);
-    eq.runUntil(21);
+    EXPECT_EQ(eq.next(), 5);
+    // Every pending wake belongs to the queried actor: no horizon.
     EXPECT_EQ(eq.nextForeignTick(3), EventQueue::no_tick);
 }
 
 TEST(EventQueue, NextForeignTickSeesBoundaryExactEvent)
 {
-    // A foreign event at exactly the would-be window boundary must
-    // be reported, not jumped over: the batcher compares against
-    // the boundary tick with <=, so an off-by-one here would let a
-    // batch swallow a same-tick wakeup.
-    EventQueue eq;
-    eq.schedule(100, [] {}, 1);
+    // A foreign wake at exactly the would-be window boundary must be
+    // reported, not jumped over: the batcher compares against the
+    // boundary tick with <=, so an off-by-one here would let a batch
+    // swallow a same-tick wakeup.
+    EventQueue eq(2);
+    eq.wake(100, 1);
     EXPECT_EQ(eq.nextForeignTick(0), 100u);
-}
-
-TEST(EventQueue, NextForeignTickIgnoresTombstones)
-{
-    EventQueue eq;
-    const EventId doomed = eq.schedule(10, [] {}, 1);
-    eq.schedule(40, [] {}, 2);
-    EXPECT_EQ(eq.nextForeignTick(0), 10u);
-    EXPECT_TRUE(eq.deschedule(doomed));
-    // The cancelled event lands nowhere, so it cannot bound a batch.
-    EXPECT_EQ(eq.nextForeignTick(0), 40u);
-    eq.schedule(5, [] {}, 0);
-    EXPECT_EQ(eq.nextForeignTick(0), 40u); // own priority still skipped
 }
 
 TEST(EventQueue, HorizonPinCapsNextForeignTick)
 {
-    EventQueue eq;
-    eq.schedule(100, [] {}, 1);
+    EventQueue eq(3);
+    eq.wake(100, 1);
     EXPECT_EQ(eq.horizonPin(), EventQueue::no_tick);
     eq.pinHorizon(25);
     EXPECT_EQ(eq.horizonPin(), 25u);
-    // The pin is earlier than any pending foreign event and wins.
+    // The pin is earlier than any pending foreign wake and wins.
     EXPECT_EQ(eq.nextForeignTick(0), 25u);
-    // A pending event earlier than the pin still wins over it.
-    eq.schedule(7, [] {}, 2);
+    // A pending wake earlier than the pin still wins over it.
+    eq.wake(7, 2);
     EXPECT_EQ(eq.nextForeignTick(0), 7u);
     eq.clearHorizonPin();
     EXPECT_EQ(eq.horizonPin(), EventQueue::no_tick);
     EXPECT_EQ(eq.nextForeignTick(0), 7u);
     // With nothing pending, the pin alone forms the horizon.
     eq.pinHorizon(9);
-    eq.run();
+    drain(eq, [](int) {});
     EXPECT_EQ(eq.nextForeignTick(0), 9u);
 }
 
 TEST(EventQueue, ResetClearsHorizonPin)
 {
-    EventQueue eq;
+    EventQueue eq(1);
     eq.pinHorizon(123);
-    eq.reset();
+    eq.reset(1);
     EXPECT_EQ(eq.horizonPin(), EventQueue::no_tick);
     EXPECT_EQ(eq.nextForeignTick(0), EventQueue::no_tick);
 }
 
-TEST(EventQueue, EarliestPendingResolvesCancelledRoot)
-{
-    EventQueue eq;
-    EXPECT_EQ(eq.earliestPending(), EventQueue::no_tick);
-    const EventId root = eq.schedule(10, [] {});
-    eq.schedule(30, [] {});
-    eq.schedule(20, [] {});
-    EXPECT_EQ(eq.earliestPending(), 10u);
-    // Cancelling the heap root leaves a tombstone in place; the
-    // query must scan past it to the earliest live event.
-    EXPECT_TRUE(eq.deschedule(root));
-    EXPECT_EQ(eq.earliestPending(), 20u);
-}
-
 TEST(EventQueue, EarliestPendingPerPriorityTracksEachActor)
 {
-    EventQueue eq;
+    EventQueue eq(4);
     std::vector<Tick> floors(3);
 
     eq.earliestPendingPerPriority(floors);
     for (Tick t : floors)
         EXPECT_EQ(t, EventQueue::no_tick);
 
-    eq.schedule(40, [] {}, 0);
-    eq.schedule(10, [] {}, 0);
-    const EventId doomed = eq.schedule(5, [] {}, 1);
-    eq.schedule(20, [] {}, 1);
-    // Priority 2 has nothing scheduled; priority 7 is outside the
-    // caller's window and must be ignored, not written out of range.
-    eq.schedule(1, [] {}, 7);
-    EXPECT_TRUE(eq.deschedule(doomed));
+    eq.wake(10, 0);
+    eq.wake(5, 1);
+    // Actor 2 has nothing pending; actor 3 is outside the caller's
+    // window and must be ignored, not written out of range.
+    eq.wake(1, 3);
+    EXPECT_EQ(eq.next(), 3);
+    eq.wake(2, 3);
+    EXPECT_EQ(eq.next(), 3);
+    eq.wake(20, 3);
+    EXPECT_EQ(eq.next(), 1);
+    eq.wake(20, 1);
 
     eq.earliestPendingPerPriority(floors);
     EXPECT_EQ(floors[0], 10u);
-    // The cancelled tick-5 tombstone must not count as pending.
     EXPECT_EQ(floors[1], 20u);
     EXPECT_EQ(floors[2], EventQueue::no_tick);
+
+    // A window wider than the bound actors reads no_tick past them.
+    std::vector<Tick> wide(6, 0);
+    eq.earliestPendingPerPriority(wide);
+    EXPECT_EQ(wide, (std::vector<Tick>{10, 20, EventQueue::no_tick, 20,
+                                       EventQueue::no_tick,
+                                       EventQueue::no_tick}));
 }
 
 TEST(EventQueue, ShiftPendingPreservesOrderAndRelativeGaps)
 {
-    EventQueue eq;
+    EventQueue eq(8);
     std::vector<std::pair<int, Tick>> seen;
-    eq.schedule(10, [&] { seen.emplace_back(1, eq.now()); });
-    eq.schedule(25, [&] { seen.emplace_back(3, eq.now()); });
-    // Same tick, distinct priorities: order within the tick must
-    // survive the shift (the packed key makes it a monotone
-    // transform).
-    eq.schedule(10, [&] { seen.emplace_back(2, eq.now()); }, 7);
-    const EventId doomed = eq.schedule(15, [&] { seen.emplace_back(9, 0); });
-    EXPECT_TRUE(eq.deschedule(doomed));
+    eq.wake(10, 1);
+    eq.wake(25, 3);
+    // Same tick, distinct actors: order within the tick must survive
+    // the shift (the packed key makes it a monotone transform).
+    eq.wake(10, 7);
 
     eq.shiftPending(1000);
-    eq.run();
-    ASSERT_EQ(seen.size(), 3u);
-    EXPECT_EQ(seen[0], (std::pair<int, Tick>{1, 1010u}));
-    EXPECT_EQ(seen[1], (std::pair<int, Tick>{2, 1010u}));
-    EXPECT_EQ(seen[2], (std::pair<int, Tick>{3, 1025u}));
+    drain(eq, [&](int a) { seen.emplace_back(a, eq.now()); });
+    const std::vector<std::pair<int, Tick>> want{
+        {1, 1010}, {7, 1010}, {3, 1025}};
+    EXPECT_EQ(seen, want);
 }
 
 TEST(EventQueue, EncodePendingIsCanonicalAcrossInsertionHistory)
 {
     // Two queues holding the same logical pending set -- built in
-    // different insertion orders, one with a cancelled extra -- must
+    // different wake orders, one after popping an extra -- must
     // encode identically relative to their bases.
-    EventQueue a;
-    EventQueue b;
-    a.schedule(10, [] {}, 1);
-    a.schedule(20, [] {}, 2);
-    a.schedule(30, [] {}, 1);
+    EventQueue a(10);
+    EventQueue b(10);
+    a.wake(10, 1);
+    a.wake(20, 2);
+    a.wake(30, 3);
 
-    b.schedule(30, [] {}, 1);
-    const EventId extra = b.schedule(15, [] {}, 9);
-    b.schedule(10, [] {}, 1);
-    b.schedule(20, [] {}, 2);
-    EXPECT_TRUE(b.deschedule(extra));
+    b.wake(30, 3);
+    b.wake(5, 9);
+    b.wake(10, 1);
+    b.wake(20, 2);
+    EXPECT_EQ(b.next(), 9);
 
     std::vector<std::uint64_t> enc_a;
     std::vector<std::uint64_t> enc_b;
     a.encodePending(0, enc_a);
     b.encodePending(0, enc_b);
     EXPECT_EQ(enc_a, enc_b);
+    EXPECT_EQ(enc_a, (std::vector<std::uint64_t>{3, 10, 1, 20, 2, 30, 3}));
 
     // A uniformly shifted set encodes identically against the
     // shifted base: this is what makes equal fingerprints imply a
@@ -389,43 +301,37 @@ TEST(EventQueue, EncodePendingIsCanonicalAcrossInsertionHistory)
 
 TEST(EventQueue, ManyEventsStressOrdering)
 {
-    EventQueue eq;
+    EventQueue eq(1000);
     Tick last = 0;
     bool monotonic = true;
-    for (int i = 1000; i >= 1; --i) {
-        eq.schedule(static_cast<Tick>(i), [&, i] {
-            if (static_cast<Tick>(i) < last)
-                monotonic = false;
-            last = static_cast<Tick>(i);
-        });
-    }
-    eq.run();
+    for (int i = 1000; i >= 1; --i)
+        eq.wake(static_cast<Tick>(i), i - 1);
+    drain(eq, [&](int a) {
+        if (eq.now() < last || eq.now() != static_cast<Tick>(a + 1))
+            monotonic = false;
+        last = eq.now();
+    });
     EXPECT_TRUE(monotonic);
     EXPECT_EQ(eq.executed(), 1000u);
 }
 
 // ------------------------------------------------------------------
-// The per-tick wheel: ticks in the 4,096-tick block of the last
-// refill are filed by their low 12 bits, farther ones in radix
-// buckets.
+// The per-tick wheel: ticks in the 4,096-tick block of now() are
+// filed by their low 12 bits, farther ones in radix buckets.
 // ------------------------------------------------------------------
 
 TEST(EventQueue, WheelRunsAcrossBlockBoundaries)
 {
-    EventQueue eq;
+    EventQueue eq(8);
     std::vector<std::pair<int, Tick>> seen;
-    const auto at = [&](Tick when, int tag, int prio = 0) {
-        eq.schedule(when, [&, tag] { seen.emplace_back(tag, eq.now()); },
-                    prio);
-    };
-    at(4097, 5);
-    at(4094, 1);
-    at(8192, 7);
-    at(4096, 4, 1);
-    at(4095, 2);
-    at(4096, 3, 0);
-    at(8191, 6);
-    eq.run();
+    eq.wake(4097, 5);
+    eq.wake(4094, 1);
+    eq.wake(8192, 7);
+    eq.wake(4096, 4);
+    eq.wake(4095, 2);
+    eq.wake(4096, 3);
+    eq.wake(8191, 6);
+    drain(eq, [&](int a) { seen.emplace_back(a, eq.now()); });
     const std::vector<std::pair<int, Tick>> want{
         {1, 4094}, {2, 4095}, {3, 4096}, {4, 4096},
         {5, 4097}, {6, 8191}, {7, 8192}};
@@ -436,14 +342,16 @@ TEST(EventQueue, WheelSlotKeepsTheBlockOfTheLastRefill)
 {
     // After running into a later block, a wheel slot's tick is that
     // block's base plus the slot index, not the index alone.
-    EventQueue eq;
+    EventQueue eq(3);
     std::vector<Tick> seen;
-    eq.schedule(3 * 4096 + 10, [&] {
+    eq.wake(3 * 4096 + 10, 0);
+    drain(eq, [&](int a) {
         seen.push_back(eq.now());
-        eq.scheduleIn(5, [&] { seen.push_back(eq.now()); });
-        eq.scheduleIn(2, [&] { seen.push_back(eq.now()); });
+        if (a == 0) {
+            eq.wake(eq.now() + 5, 1);
+            eq.wake(eq.now() + 2, 2);
+        }
     });
-    eq.run();
     EXPECT_EQ(seen, (std::vector<Tick>{3 * 4096 + 10, 3 * 4096 + 12,
                                        3 * 4096 + 15}));
     EXPECT_EQ(eq.now(), 3u * 4096 + 15);
@@ -453,111 +361,88 @@ TEST(EventQueue, WheelTicksRunBeforeRadixTicks)
 {
     // 5000 shares no 4,096-tick block with the base 0, 100 does: the
     // wheel's tick must run first even though it was queued later.
-    EventQueue eq;
+    EventQueue eq(2);
     std::vector<Tick> seen;
-    eq.schedule(5000, [&] { seen.push_back(eq.now()); });
-    eq.schedule(100, [&] {
-        seen.push_back(eq.now());
-        eq.schedule(4095, [&] { seen.push_back(eq.now()); });
-    });
+    eq.wake(5000, 0);
+    eq.wake(100, 1);
     EXPECT_EQ(eq.earliestPending(), 100u);
-    eq.run();
+    drain(eq, [&](int a) {
+        if (a == 1 && eq.now() == 100)
+            eq.wake(4095, 1);
+        seen.push_back(eq.now());
+    });
     EXPECT_EQ(seen, (std::vector<Tick>{100, 4095, 5000}));
-}
-
-TEST(EventQueue, WheelSlotOfTombstonesOnlyIsSkipped)
-{
-    EventQueue eq;
-    std::vector<Tick> seen;
-    const EventId a = eq.schedule(7, [&] { seen.push_back(7); });
-    const EventId b = eq.schedule(7, [&] { seen.push_back(7); }, 3);
-    eq.schedule(9, [&] { seen.push_back(eq.now()); });
-    eq.schedule(6000, [&] { seen.push_back(eq.now()); });
-    EXPECT_TRUE(eq.deschedule(a));
-    EXPECT_TRUE(eq.deschedule(b));
-    EXPECT_EQ(eq.earliestPending(), 9u);
-    EXPECT_EQ(eq.pending(), 2u);
-
-    // The tombstone slot pops inside the limit; the base must not
-    // pass the limit, so a later schedule at it still runs in order.
-    eq.runUntil(8);
-    EXPECT_EQ(eq.now(), 8u);
-    EXPECT_TRUE(seen.empty());
-    eq.schedule(8, [&] { seen.push_back(eq.now()); });
-    eq.run();
-    EXPECT_EQ(seen, (std::vector<Tick>{8, 9, 6000}));
-    EXPECT_EQ(eq.idWindow(), 0u);
 }
 
 TEST(EventQueue, WheelRunUntilInsideTheSpan)
 {
-    EventQueue eq;
+    // Popping stops inside the wheel span; wakes filed afterwards
+    // between now() and the next pending tick still run in order.
+    EventQueue eq(6);
     std::vector<Tick> seen;
-    const auto note = [&] { seen.push_back(eq.now()); };
-    eq.schedule(100, note);
-    eq.schedule(3000, note);
-    eq.schedule(4200, note);
-    eq.runUntil(2000);
-    EXPECT_EQ(eq.now(), 2000u);
+    const auto note = [&](int) { seen.push_back(eq.now()); };
+    eq.wake(100, 0);
+    eq.wake(3000, 1);
+    eq.wake(4200, 2);
+    runUntil(eq, 2000, note);
+    EXPECT_EQ(eq.now(), 100u);
     EXPECT_EQ(eq.executed(), 1u);
-    eq.schedule(2500, note);
-    eq.schedule(2000, note);
-    eq.runUntil(4096);
+    eq.wake(2500, 3);
+    eq.wake(2000, 4);
+    runUntil(eq, 4096, note);
     EXPECT_EQ(seen, (std::vector<Tick>{100, 2000, 2500, 3000}));
     EXPECT_EQ(eq.earliestPending(), 4200u);
-    eq.schedule(4100, note);
-    eq.run();
+    eq.wake(4100, 5);
+    drain(eq, note);
     EXPECT_EQ(seen,
               (std::vector<Tick>{100, 2000, 2500, 3000, 4100, 4200}));
 }
 
 TEST(EventQueue, WheelShiftMovesRecordsIntoRadixBuckets)
 {
-    EventQueue eq;
+    EventQueue eq(4);
     std::vector<std::pair<int, Tick>> seen;
-    const auto at = [&](Tick when, int tag) {
-        eq.schedule(when, [&, tag] { seen.emplace_back(tag, eq.now()); });
-    };
-    at(10, 1);
-    at(4000, 2);
-    at(4090, 3);
-    at(9000, 4);
-    const EventId doomed = eq.schedule(4095, [&] { seen.emplace_back(9, 0); });
-    EXPECT_TRUE(eq.deschedule(doomed));
+    eq.wake(10, 0);
+    eq.wake(4000, 1);
+    eq.wake(4090, 2);
+    eq.wake(9000, 3);
     const std::uint64_t before = eq.relinked();
     // 4000 and 4090 leave the base's block; 10 stays in it.
     eq.shiftPending(100);
-    EXPECT_EQ(eq.relinked() - before, 5u) << "every held record moves";
+    EXPECT_EQ(eq.relinked() - before, 4u) << "every pending record moves";
     EXPECT_EQ(eq.earliestPending(), 110u);
     std::vector<Tick> floors(1);
     eq.earliestPendingPerPriority(floors);
     EXPECT_EQ(floors[0], 110u);
-    eq.run();
+    drain(eq, [&](int a) { seen.emplace_back(a, eq.now()); });
     const std::vector<std::pair<int, Tick>> want{
-        {1, 110}, {2, 4100}, {3, 4190}, {4, 9100}};
+        {0, 110}, {1, 4100}, {2, 4190}, {3, 9100}};
     EXPECT_EQ(seen, want);
 }
 
 TEST(EventQueue, WheelEventsAreNeverRelinked)
 {
-    // An event filed within the wheel span of the base stays in its
-    // slot until its tick becomes current; only far events move.
-    EventQueue eq;
+    // A wake filed within the wheel span of the base stays in its
+    // slot until its tick becomes current; only far wakes move.
+    constexpr int chain = 0;
+    EventQueue eq(64);
     std::uint64_t chained = 0;
-    std::function<void()> step = [&] {
-        if (++chained < 1000)
-            eq.scheduleIn(1 + chained % 3, step, 0);
-    };
-    eq.schedule(4096 * 6 - 1000, [&] {
-        // One far event: a single refill walk files it.
-        EXPECT_EQ(eq.relinked(), 1u);
+    eq.wake(4096 * 6 - 1000, chain);
+    int background = 1;
+    for (Tick t = 1; t < 4096; t += 97)
+        eq.wake(t, background++);
+    drain(eq, [&](int a) {
+        if (a != chain)
+            return;
+        // One far wake: a single refill walk filed it.
+        if (chained == 0) {
+            EXPECT_EQ(eq.relinked(), 1u);
+        }
         // Gaps of 1..3 cross blocks only at boundaries, where the
         // successor lands in a radix bucket.
-        step();
+        if (++chained < 1000)
+            eq.wake(eq.now() + 1 + chained % 3, chain);
     });
-    for (Tick t = 1; t < 4096; t += 97)
-        eq.schedule(t, [] {}, 2);
-    eq.run();
     EXPECT_EQ(chained, 1000u);
     // 1,000 chained steps over about 2,000 ticks from 23,576 cross
     // the 24,576 boundary once: that one successor moves, nothing
@@ -566,13 +451,14 @@ TEST(EventQueue, WheelEventsAreNeverRelinked)
 }
 
 /**
- * Seeded hold model: 200 actors each reschedule themselves after a gap
+ * Seeded hold model: 200 actors each re-wake themselves after a gap
  * drawn from the simulators' mix (same tick, short, block-crossing
- * and far), until 20,000 events have run.
+ * and far), until 20,000 wakes have been re-filed.
  */
 std::uint64_t
 holdModelRelinks(EventQueue &eq)
 {
+    constexpr int actors = 200;
     Pcg32 rng(2024, 7);
     std::uint64_t budget = 20000;
     const auto gap = [&rng]() -> Tick {
@@ -585,15 +471,15 @@ holdModelRelinks(EventQueue &eq)
             return 512 + rng.below(7680);
         return 8192 + rng.below(1 << 21);
     };
-    std::function<void(int)> hold = [&](int actor) {
+    eq.reset(actors);
+    for (int a = 0; a < actors; ++a)
+        eq.wake(eq.now() + gap(), a);
+    drain(eq, [&](int a) {
         if (budget == 0)
             return;
         --budget;
-        eq.scheduleIn(gap(), [&hold, actor] { hold(actor); }, actor);
-    };
-    for (int a = 0; a < 200; ++a)
-        eq.scheduleIn(gap(), [&hold, a] { hold(a); }, a);
-    eq.run();
+        eq.wake(eq.now() + gap(), a);
+    });
     return eq.relinked();
 }
 
@@ -608,29 +494,33 @@ TEST(EventQueue, RelinkedPinsTheSeededHoldModel)
     EXPECT_EQ(relinks, 25058u);
 
     // reset() keeps the lifetime count and a reused queue repeats it.
-    eq.reset();
+    eq.reset(0);
     EXPECT_EQ(eq.relinked(), relinks);
     EXPECT_EQ(holdModelRelinks(eq), 2 * relinks);
 }
 
 // ------------------------------------------------------------------
 // Differential check: seeded random operation streams against a
-// reference ordered multiset keyed (tick, priority, schedule order).
+// reference ordered set keyed (tick, actor, wake order).
 // ------------------------------------------------------------------
 
 /**
  * Drives one EventQueue and a reference model through the same
- * random operations, and after every step -- each executed callback
- * and each operation between runs -- compares the execution order,
- * pending count and every pending-set query. Callbacks schedule at
- * the current tick above and below their own priority, cancel, and
- * shift the pending set, the way the machines and the loop batcher
- * do.
+ * random operations, and after every step -- each popped wake and
+ * each operation between pops -- compares the pop order, pending
+ * count and every pending-set query. A popped actor wakes actors at
+ * the current tick below and above itself and later, and shifts the
+ * pending set, the way the machines and the loop batcher do. Each
+ * actor has at most one wake pending: a wake drawn for a busy actor
+ * goes to the next idle one.
  */
 class QueueDifferential
 {
   public:
-    explicit QueueDifferential(std::uint64_t seed) : rng_(seed, seed) {}
+    explicit QueueDifferential(std::uint64_t seed)
+        : eq_(actors), rng_(seed, seed), wake_at_(actors, EventQueue::no_tick)
+    {
+    }
 
     void
     runStream(int ops)
@@ -639,45 +529,40 @@ class QueueDifferential
              ++op) {
             const std::uint32_t pick = rng_.below(100);
             if (pick < 40) {
-                scheduleAt(eq_.now() + delta(), priority());
-            } else if (pick < 50) {
-                cancelSome();
-            } else if (pick < 60) {
+                wakeAt(eq_.now() + delta(), actor());
+            } else if (pick < 55) {
                 shift();
-            } else if (pick < 75) {
+            } else if (pick < 70) {
                 runUntilThenFill();
             } else if (pick < 85) {
                 budget_ = rng_.below(200);
-                eq_.run();
+                drain(eq_, [this](int a) { fire(a); });
                 EXPECT_TRUE(ref_.empty());
-                // Handles of executed events are dead.
-                if (!issued_.empty()) {
-                    EXPECT_FALSE(eq_.deschedule(issued_.back()));
-                }
-            } else if (pick < 88) {
+            } else if (pick < 89) {
                 pin();
-            } else if (pick < 92) {
-                tombstoneTick();
-            } else if (pick < 95) {
+            } else if (pick < 93) {
                 reset();
             } else {
                 for (int i = 0; i < 32; ++i)
-                    scheduleAt(eq_.now() + delta(), priority());
+                    wakeAt(eq_.now() + delta(), actor());
             }
             check();
         }
         budget_ = 0;
-        eq_.run();
+        drain(eq_, [this](int a) { fire(a); });
         EXPECT_TRUE(ref_.empty());
         check();
     }
 
   private:
-    /** (tick, priority, schedule order); the order is also the
-     * event's id. */
+    /** (tick, actor, wake order). */
     using Key = std::tuple<Tick, int, std::uint64_t>;
 
-    static constexpr int prio_window = 8;
+    /** Bound actors; the per-actor floors are checked through a
+     * narrower and a wider window. */
+    static constexpr int actors = 48;
+    static constexpr int narrow_window = 32;
+    static constexpr int wide_window = 56;
     static constexpr Tick wheel_span = 4096;
     static constexpr Tick tick_limit = Tick{1} << 40;
 
@@ -726,11 +611,7 @@ class QueueDifferential
         return target > now ? target - now : 0;
     }
 
-    int
-    priority()
-    {
-        return static_cast<int>(rng_.below(prio_window + 4)) - 2;
-    }
+    int actor() { return static_cast<int>(rng_.below(actors)); }
 
     Tick
     maxTick() const
@@ -738,30 +619,35 @@ class QueueDifferential
         return ref_.empty() ? eq_.now() : std::get<0>(*ref_.rbegin());
     }
 
+    /** Wake @p want at @p when, or the next idle actor after it;
+     * nothing when every actor is busy or @p want is out of range. */
     void
-    scheduleAt(Tick when, int prio)
+    wakeAt(Tick when, int want)
     {
-        const std::uint64_t id = next_id_++;
-        const Key key{when, prio, id};
-        const EventId handle =
-            eq_.schedule(when, [this, id] { fire(id); }, prio);
-        ref_.insert(key);
-        by_id_[id] = {key, handle};
-        issued_.push_back(handle);
+        if (want < 0 || want >= actors)
+            return;
+        for (int i = 0; i < actors; ++i) {
+            const int a = (want + i) % actors;
+            if (wake_at_[a] != EventQueue::no_tick)
+                continue;
+            eq_.wake(when, a);
+            ref_.insert(Key{when, a, next_seq_++});
+            wake_at_[a] = when;
+            return;
+        }
     }
 
-    /** One executed callback: it must be the reference's first
-     * event, at the reference's tick; then it may act. */
+    /** One popped wake: it must be the reference's first, at the
+     * reference's tick; then the actor may act. */
     void
-    fire(std::uint64_t id)
+    fire(int a)
     {
         ASSERT_FALSE(ref_.empty());
         const Key first = *ref_.begin();
-        ASSERT_EQ(std::get<2>(first), id) << "out of order";
+        ASSERT_EQ(std::get<1>(first), a) << "out of order";
         EXPECT_EQ(eq_.now(), std::get<0>(first));
         ref_.erase(ref_.begin());
-        by_id_.erase(id);
-        const int own = std::get<1>(first);
+        wake_at_[a] = EventQueue::no_tick;
         check();
         if (budget_ == 0)
             return;
@@ -770,40 +656,17 @@ class QueueDifferential
         for (std::uint32_t i = 0; i < acts; ++i) {
             const std::uint32_t pick = rng_.below(100);
             if (pick < 25) {
-                // Same tick, below the running event's priority: it
-                // still runs next, ahead of already-queued peers.
-                scheduleAt(eq_.now(), own - 1 - static_cast<int>(
-                                                     rng_.below(2)));
+                // Same tick, below the running actor: it still runs
+                // next, ahead of already-queued peers.
+                wakeAt(eq_.now(), a - 1 - static_cast<int>(rng_.below(2)));
             } else if (pick < 40) {
-                scheduleAt(eq_.now(), own + static_cast<int>(
-                                                rng_.below(3)));
-            } else if (pick < 80) {
-                scheduleAt(eq_.now() + delta(), priority());
-            } else if (pick < 90) {
-                cancelSome();
+                wakeAt(eq_.now(), a + static_cast<int>(rng_.below(3)));
+            } else if (pick < 88) {
+                wakeAt(eq_.now() + delta(), actor());
             } else {
                 shift();
             }
             check();
-        }
-    }
-
-    /** Cancel a random issued handle; only pending ones succeed. */
-    void
-    cancelSome()
-    {
-        if (issued_.empty())
-            return;
-        const EventId handle = issued_[rng_.below(
-            static_cast<std::uint32_t>(issued_.size()))];
-        const auto live = std::find_if(
-            by_id_.begin(), by_id_.end(),
-            [handle](const auto &kv) { return kv.second.second == handle; });
-        const bool expect = live != by_id_.end();
-        EXPECT_EQ(eq_.deschedule(handle), expect);
-        if (expect) {
-            ref_.erase(live->second.first);
-            by_id_.erase(live);
         }
     }
 
@@ -820,15 +683,16 @@ class QueueDifferential
             d = 1;
         eq_.shiftPending(d);
         std::set<Key> shifted;
-        for (auto &[id, entry] : by_id_) {
-            std::get<0>(entry.first) += d;
-            shifted.insert(entry.first);
+        for (Key k : ref_) {
+            std::get<0>(k) += d;
+            wake_at_[std::get<1>(k)] = std::get<0>(k);
+            shifted.insert(k);
         }
         ref_ = std::move(shifted);
     }
 
-    /** runUntil(limit), then schedule into [limit, next pending):
-     * the queue must not have advanced its base past limit. */
+    /** Pop through a limit, then wake into [limit, next pending): the
+     * queue must not have advanced its base past the last pop. */
     void
     runUntilThenFill()
     {
@@ -842,8 +706,8 @@ class QueueDifferential
                          : rng_.below(static_cast<std::uint32_t>(
                                wheel_span - (eq_.now() & (wheel_span - 1)))));
         budget_ = rng_.below(100);
-        eq_.runUntil(limit);
-        EXPECT_EQ(eq_.now(), limit);
+        runUntil(eq_, limit, [this](int a) { fire(a); });
+        EXPECT_LE(eq_.now(), limit);
         if (!ref_.empty()) {
             EXPECT_GT(std::get<0>(*ref_.begin()), limit);
         }
@@ -852,25 +716,9 @@ class QueueDifferential
             ref_.empty() ? limit + 64 : std::get<0>(*ref_.begin());
         const std::uint32_t n = rng_.below(4);
         for (std::uint32_t i = 0; i < n; ++i) {
-            scheduleAt(limit + rng_.below(static_cast<std::uint32_t>(
-                                   std::min<Tick>(next - limit, 1 << 20))),
-                       priority());
-        }
-    }
-
-    /** Schedule one to three events at a single near tick and
-     * cancel them all: a wheel slot of tombstones only. */
-    void
-    tombstoneTick()
-    {
-        const Tick when = eq_.now() + 1 + wide(rng_.below(2) ? 4 : 11);
-        const std::uint32_t n = 1 + rng_.below(3);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            scheduleAt(when, priority());
-            EXPECT_TRUE(eq_.deschedule(issued_.back()));
-            const auto live = by_id_.find(next_id_ - 1);
-            ref_.erase(live->second.first);
-            by_id_.erase(live);
+            wakeAt(limit + rng_.below(static_cast<std::uint32_t>(
+                               std::min<Tick>(next - limit, 1 << 20))),
+                   actor());
         }
     }
 
@@ -889,14 +737,10 @@ class QueueDifferential
     void
     reset()
     {
-        eq_.reset();
+        eq_.reset(actors);
         ref_.clear();
-        by_id_.clear();
+        std::fill(wake_at_.begin(), wake_at_.end(), EventQueue::no_tick);
         pin_ = EventQueue::no_tick;
-        // Every pre-reset handle is dead.
-        for (std::size_t i = 0; i < issued_.size(); i += 7)
-            EXPECT_FALSE(eq_.deschedule(issued_[i]));
-        issued_.clear();
         EXPECT_EQ(eq_.now(), 0u);
     }
 
@@ -910,18 +754,17 @@ class QueueDifferential
                   ref_.empty() ? EventQueue::no_tick
                                : std::get<0>(*ref_.begin()));
 
-        std::vector<Tick> floors(prio_window);
-        eq_.earliestPendingPerPriority(floors);
-        std::vector<Tick> want(prio_window, EventQueue::no_tick);
-        for (const Key &k : ref_) {
-            const int p = std::get<1>(k);
-            if (p >= 0 && p < prio_window)
-                want[static_cast<std::size_t>(p)] = std::min(
-                    want[static_cast<std::size_t>(p)], std::get<0>(k));
+        for (const int window : {narrow_window, wide_window}) {
+            std::vector<Tick> floors(static_cast<std::size_t>(window));
+            eq_.earliestPendingPerPriority(floors);
+            std::vector<Tick> want(static_cast<std::size_t>(window),
+                                   EventQueue::no_tick);
+            for (int a = 0; a < std::min(window, actors); ++a)
+                want[static_cast<std::size_t>(a)] = wake_at_[a];
+            EXPECT_EQ(floors, want);
         }
-        EXPECT_EQ(floors, want);
 
-        const int own = priority();
+        const int own = actor();
         Tick foreign = pin_;
         for (const Key &k : ref_) {
             if (std::get<1>(k) != own)
@@ -935,8 +778,7 @@ class QueueDifferential
         std::vector<std::uint64_t> ref_enc{ref_.size()};
         for (const Key &k : ref_) {
             ref_enc.push_back(std::get<0>(k) - base);
-            ref_enc.push_back(static_cast<std::uint64_t>(
-                std::get<1>(k) + (1 << 23)));
+            ref_enc.push_back(static_cast<std::uint64_t>(std::get<1>(k)));
         }
         EXPECT_EQ(enc, ref_enc);
     }
@@ -944,10 +786,9 @@ class QueueDifferential
     EventQueue eq_;
     Pcg32 rng_;
     std::set<Key> ref_;
-    std::map<std::uint64_t, std::pair<Key, EventId>> by_id_;
-    std::vector<EventId> issued_;
-    std::uint64_t next_id_ = 0;
-    std::uint32_t budget_ = 0; ///< callbacks that may still act
+    std::vector<Tick> wake_at_; ///< each actor's pending tick
+    std::uint64_t next_seq_ = 0;
+    std::uint32_t budget_ = 0; ///< popped wakes that may still act
     Tick pin_ = EventQueue::no_tick;
 };
 

@@ -297,7 +297,7 @@ offset(sim::Tick t, sim::Tick base)
 
 TEST(StateEncoder, MaxRegAtOrBelowTheFloorEncodesDead)
 {
-    sim::EventQueue eq;
+    sim::EventQueue eq(2);
     ClassHost h;
     h.reg = 100;
     auto out = encodeAt(h, eq, 100); // no events: the floor is the base
@@ -309,7 +309,7 @@ TEST(StateEncoder, MaxRegAtOrBelowTheFloorEncodesDead)
 
     // A pending event before the boundary lowers the floor to it: a
     // register between the two can still win a max().
-    eq.schedule(60, [] {}, 0);
+    eq.wake(60, 0);
     h.reg = 80;
     EXPECT_EQ(encodeAt(h, eq, 100)[RegWord], offset(80, 100));
     h.reg = 60;
@@ -318,8 +318,8 @@ TEST(StateEncoder, MaxRegAtOrBelowTheFloorEncodesDead)
 
 TEST(StateEncoder, ActorFloorOverridesALowerGlobalFloor)
 {
-    sim::EventQueue eq;
-    eq.schedule(150, [] {}, 1); // actor 1's next event
+    sim::EventQueue eq(2);
+    eq.wake(150, 1); // actor 1's next wake
     ClassHost h;
     h.reg = 120;
     h.actor_reg = 120;
