@@ -13,13 +13,14 @@
  * cleanly. Exits nonzero (with a summary) when any experiment
  * failed. See docs/robustness.md.
  *
- * --jobs N measures experiments on N threads and commits them in
- * point order, so the result tree is byte-identical at every job
- * count. Every measuring run arms a crash flight recorder at
- * <out>/.flight.ring and removes it on a normal exit; the next run
- * over the same --out renders a leftover ring (a run that crashed or
- * was killed) into <out>/postmortem.json. docs/robustness.md,
- * "Parallel and interrupted campaigns", has the failure model.
+ * --jobs N measures every system's experiments on one set of N
+ * threads and commits them in point order, so the result tree is
+ * byte-identical at every job count. Every measuring run arms a
+ * crash flight recorder at <out>/.flight.ring and removes it on a
+ * normal exit; the next run over the same --out renders a leftover
+ * ring (a run that crashed or was killed) into <out>/postmortem.json.
+ * docs/robustness.md, "Parallel and interrupted campaigns", has the
+ * failure model.
  */
 
 #include <cctype>
@@ -29,10 +30,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/flight_recorder.hh"
@@ -60,43 +61,6 @@ void
 onSignal(int signo)
 {
     g_signal = signo;
-}
-
-/** Accumulated outcome across all systems. */
-struct Totals
-{
-    int run = 0;
-    int skipped = 0;
-    int interrupted = 0;
-    std::vector<ExperimentFailure> failures;
-    int files = 0;
-
-    /** Per-experiment loop-batching counters of every point this
-     * run measured, keyed "<system-slug>/<csv-file>" (feeds the
-     * --explain batch-ratio annotation; never an artifact). */
-    std::map<std::string, sim::LoopBatchCounters> loop_batch;
-
-    void
-    fold(const std::string &system, const CampaignResult &r)
-    {
-        run += r.experiments_run;
-        skipped += r.experiments_skipped;
-        interrupted += r.experiments_interrupted;
-        files += static_cast<int>(r.files_written.size());
-        for (const auto &f : r.failures)
-            failures.push_back({system + "/" + f.file, f.error});
-        for (const auto &lb : r.loop_batch)
-            loop_batch[system + "/" + lb.file].merge(lb.counters);
-    }
-};
-
-void
-printSystemLine(const CampaignResult &r)
-{
-    std::printf("  %d experiments -> %zu files (%d skipped, %zu "
-                "failed)\n",
-                r.experiments_run, r.files_written.size(),
-                r.experiments_skipped, r.failures.size());
 }
 
 /** Split a comma-separated --only value into lowercase fragments. */
@@ -431,40 +395,41 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // The systems this invocation covers, in canonical order.
-    std::vector<cpusim::CpuConfig> cpus;
-    std::vector<gpusim::GpuConfig> gpus;
+    // The CoV gate needs more than one run to see variance.
+    if (omp_protocol.cov_gate > 0.0) {
+        omp_protocol.runs = 3;
+        cuda_protocol.runs = 3;
+    }
+
+    // The systems this invocation covers, in canonical order: the
+    // CPUs, then the GPUs.
+    std::vector<CampaignSystem> systems;
     std::string slugs; // every system of the mode, for the error below
-    const auto consider = [&](const auto &system, auto &selected) {
+    const auto consider = [&](const auto &system,
+                              const MeasurementConfig &protocol) {
         const std::string slug = sanitizeName(system.name);
         slugs += (slugs.empty() ? "" : ", ") + slug;
         if (systemSelected(only, slug))
-            selected.push_back(system);
+            systems.push_back({system, protocol});
     };
     if (!cuda_only) {
         for (const auto &cpu : {cpusim::CpuConfig::system1(),
                                 cpusim::CpuConfig::system2(),
                                 cpusim::CpuConfig::system3()})
-            consider(cpu, cpus);
+            consider(cpu, omp_protocol);
     }
     if (!omp_only) {
         for (const auto &gpu : {gpusim::GpuConfig::rtx2070Super(),
                                 gpusim::GpuConfig::a100(),
                                 gpusim::GpuConfig::rtx4090()})
-            consider(gpu, gpus);
+            consider(gpu, cuda_protocol);
     }
-    if (!only.empty() && cpus.empty() && gpus.empty() && !explain_only) {
+    if (!only.empty() && systems.empty() && !explain_only) {
         std::fprintf(stderr,
                      "%s: --only '%s' matches no system; the systems "
                      "are %s\n",
                      argv[0], only_arg, slugs.c_str());
         return 2;
-    }
-
-    // The CoV gate needs more than one run to see variance.
-    if (omp_protocol.cov_gate > 0.0) {
-        omp_protocol.runs = 3;
-        cuda_protocol.runs = 3;
     }
 
     // Checkpoint-and-exit on SIGINT/SIGTERM: the cancellation hook
@@ -517,20 +482,12 @@ main(int argc, char **argv)
 
         // Enumerate the sweep up front (no measuring) so done/total
         // and the ETA mean something from the first tick.
-        CampaignOptions enum_options = options;
-        enum_options.enumerate_only = true;
-        for (const auto &cpu : cpus)
-            status_total += static_cast<long long>(
-                runOmpCampaign(cpu, omp_protocol, enum_options)
-                    .points.size());
-        for (const auto &gpu : gpus)
-            status_total += static_cast<long long>(
-                runCudaCampaign(gpu, cuda_protocol, enum_options)
-                    .points.size());
+        status_total = static_cast<long long>(
+            campaignPoints(systems, options).size());
     }
 
-    // The campaign beats before a system's first measurement and
-    // after every ordered commit: the first beat arms the flight
+    // The campaign beats before its first measurement and after
+    // every ordered commit: the first beat arms the flight
     // ring, and each beat feeds the debounced status write.
     options.heartbeat = [&flight_ring, &reporter,
                          status_total](const std::string &) {
@@ -548,27 +505,26 @@ main(int argc, char **argv)
         reporter->tick(st);
     };
 
-    Totals totals;
+    CampaignResult result;
     if (!explain_only) {
         // Scoped so the campaign-level span closes before the trace
         // session flushes below.
         trace::Span campaign_span("campaign", "campaign");
-        for (const auto &cpu : cpus) {
-            if (g_signal != 0)
-                break;
-            std::printf("OpenMP campaign on %s...\n", cpu.name.c_str());
-            const auto r = runOmpCampaign(cpu, omp_protocol, options);
-            printSystemLine(r);
-            totals.fold(sanitizeName(cpu.name), r);
-        }
-        for (const auto &gpu : gpus) {
-            if (g_signal != 0)
-                break;
-            std::printf("CUDA campaign on %s...\n", gpu.name.c_str());
-            const auto r = runCudaCampaign(gpu, cuda_protocol, options);
-            printSystemLine(r);
-            totals.fold(sanitizeName(gpu.name), r);
-        }
+        result = runCampaign(systems, options);
+    }
+    for (std::size_t i = 0; i < result.systems.size(); ++i) {
+        const auto &config = systems[i].config;
+        const SystemOutcome &r = result.systems[i];
+        std::printf(
+            "%s campaign on %s...\n",
+            std::holds_alternative<cpusim::CpuConfig>(config) ? "OpenMP"
+                                                              : "CUDA",
+            std::visit([](const auto &c) { return c.name; }, config)
+                .c_str());
+        std::printf("  %d experiments -> %d files (%d skipped, %d "
+                    "failed)\n",
+                    r.experiments_run, r.experiments_run,
+                    r.experiments_skipped, r.experiments_failed);
     }
 
     if (!trace_file.empty()) {
@@ -600,8 +556,8 @@ main(int argc, char **argv)
         std::printf("\n");
         if (auto s = explainCampaign(
                 options.output_dir, std::cout,
-                totals.loop_batch.empty() ? nullptr
-                                          : &totals.loop_batch);
+                result.loop_batch.empty() ? nullptr
+                                          : &result.loop_batch);
             !s.isOk()) {
             std::fprintf(stderr, "%s: %s\n", argv[0],
                          s.toString().c_str());
@@ -611,14 +567,14 @@ main(int argc, char **argv)
             return 0;
     }
 
-    const bool interrupted = g_signal != 0 || totals.interrupted > 0;
+    const bool interrupted = g_signal != 0 || result.interrupted;
 
     // Final status write: the terminal state.
     if (reporter) {
         using metrics::Counter;
         RunStatus st;
         st.state = interrupted               ? "interrupted"
-                   : !totals.failures.empty() ? "degraded"
+                   : !result.failures.empty() ? "degraded"
                                               : "finished";
         st.points_total = status_total;
         st.points_done = metrics::value(Counter::PointsCommitted) +
@@ -628,23 +584,24 @@ main(int argc, char **argv)
         reporter->force(st);
     }
 
-    std::printf("\ncampaign %s: %d CSV files under %s/ "
+    std::printf("\ncampaign %s: %zu CSV files under %s/ "
                 "(%d experiments run, %d resumed-skipped, %zu failed)\n",
                 interrupted ? "INTERRUPTED"
-                : totals.failures.empty() ? "complete"
+                : result.failures.empty() ? "complete"
                                           : "DEGRADED",
-                totals.files, options.output_dir.c_str(), totals.run,
-                totals.skipped, totals.failures.size());
+                result.files_written.size(), options.output_dir.c_str(),
+                result.experiments_run, result.experiments_skipped,
+                result.failures.size());
     if (interrupted) {
         std::printf("interrupted by signal %d after checkpointing; "
                     "rerun with --resume to continue\n",
                     static_cast<int>(g_signal));
         return 128 + (g_signal != 0 ? g_signal : SIGTERM);
     }
-    if (!totals.failures.empty()) {
+    if (!result.failures.empty()) {
         std::printf("failed experiments (journaled in each system's "
                     "manifest.json; rerun with --resume):\n");
-        for (const auto &f : totals.failures)
+        for (const auto &f : result.failures)
             std::printf("  %s: %s\n", f.file.c_str(), f.error.c_str());
         return 1;
     }

@@ -38,7 +38,6 @@ constexpr CounterInfo counter_info[counter_count] = {
     {"lane_singleton_points", true},
     {"sim_events", true},
     {"pool_tasks_run", false},
-    {"pool_tasks_stolen", false},
     {"pool_busy_nanos", false},
     {"pool_idle_nanos", false},
     {"executor_max_queue_depth", false},

@@ -6,7 +6,7 @@
  * (a relaxed atomic add), incremented from any thread: the
  * measurement protocol counts its retries, the fault injector its
  * injections, the campaign driver its commits and checkpoint
- * flushes, the thread pool its per-worker busy/steal/idle time.
+ * flushes, the ordered executor its per-worker busy/idle time.
  * core::CampaignMetrics aggregates the registry into the
  * metrics.json snapshot and the --metrics-summary table; see
  * docs/observability.md for what every counter means.
@@ -16,7 +16,7 @@
  *    configuration, never on scheduling, so they must be identical
  *    between --jobs 1 and --jobs N (tested);
  *  - timing: wall-clock or scheduling dependent (worker busy/idle
- *    time, steal counts, commit-queue depth).
+ *    time, commit-queue depth).
  */
 
 #ifndef SYNCPERF_COMMON_METRICS_HH
@@ -62,10 +62,9 @@ enum class Counter : int
 
     // Timing: scheduling/wall-clock dependent, never compared
     // across job counts.
-    PoolTasksRun,          ///< tasks executed across all pool workers
-    PoolTasksStolen,       ///< tasks obtained by stealing
-    PoolBusyNanos,         ///< summed worker time spent inside tasks
-    PoolIdleNanos,         ///< summed worker time spent waiting for work
+    PoolTasksRun,          ///< jobs executed across all executor workers
+    PoolBusyNanos,         ///< summed worker time spent inside jobs
+    PoolIdleNanos,         ///< summed worker lifetime outside jobs
     ExecutorMaxQueueDepth, ///< max finished-but-uncommitted jobs (max-gauge)
 
     kCount

@@ -2,9 +2,10 @@
  * @file
  * Campaign driver: the equivalent of the paper artifact's launch.py.
  *
- * Runs the full measurement campaign for a machine and writes one
- * CSV per experiment into results/<system>/..., mirroring the
- * artifact's results layout (Section F of the paper's appendix).
+ * Runs the full measurement campaign over a list of modeled systems
+ * and writes one CSV per experiment into results/<system>/...,
+ * mirroring the artifact's results layout (Section F of the paper's
+ * appendix).
  *
  * Resilience: every CSV is written through an atomic temp-file
  * rename, every experiment is journaled in a per-system
@@ -14,11 +15,11 @@
  * the requested configuration. docs/robustness.md has the details.
  *
  * Throughput: experiment points are independent, so the campaign
- * enumerates them up front and fans them out over a work-stealing
- * thread pool (CampaignOptions::jobs), committing results in
- * deterministic point order via core::OrderedExecutor -- output is
- * byte-identical at every job count. docs/performance.md has the
- * executor design and the determinism argument.
+ * enumerates every system's points up front and fans them all out
+ * over one set of workers (CampaignOptions::jobs), committing
+ * results in deterministic point order via core::OrderedExecutor --
+ * output is byte-identical at every job count. docs/performance.md
+ * has the executor design and the determinism argument.
  */
 
 #ifndef SYNCPERF_CORE_CAMPAIGN_HH
@@ -26,7 +27,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/cpusim_target.hh"
@@ -69,14 +72,16 @@ struct CampaignOptions
      * immediately and the final state is always saved, so a larger
      * batch only widens the window of *successful* work a kill can
      * force a resume to redo. 0 means auto: 1 (checkpoint every
-     * experiment) when serial, 8 when parallel.
+     * experiment) when the campaign runs serially, 8 when it runs
+     * on more than one worker.
      */
     int checkpoint_every = 0;
 
-    /** Called with a progress note on the calling thread: before a
-     * system's first measurement and after every ordered commit.
-     * The CLI arms its crash flight recorder on the first call and
-     * feeds the live status file from every call. May be null. */
+    /** Called with a progress note on the calling thread: before
+     * the campaign's first measurement and after every ordered
+     * commit. The CLI arms its crash flight recorder on the first
+     * call and feeds the live status file from every call. May be
+     * null. */
     std::function<void(const std::string &)> heartbeat;
 
     /**
@@ -86,37 +91,43 @@ struct CampaignOptions
      * is checkpointed on the way out. May be null.
      */
     std::function<bool()> cancelled;
+};
 
-    /** Enumerate the sweep into CampaignResult::points and return
-     * without measuring anything or touching the filesystem (the
-     * CLI sizes its status total this way). */
-    bool enumerate_only = false;
+/** One system of a campaign and the protocol it is measured with. */
+struct CampaignSystem
+{
+    /** A CPU runs the OpenMP sweep, a GPU the CUDA sweep. */
+    std::variant<cpusim::CpuConfig, gpusim::GpuConfig> config;
+    MeasurementConfig protocol;
 };
 
 /** One experiment the campaign could not complete. */
 struct ExperimentFailure
 {
-    std::string file;  ///< destination CSV (relative key)
+    std::string file;  ///< "<system>/<csv-file>"
     std::string error; ///< cause, as journaled
 };
 
 /** One enumerated sweep point (its journal key and config hash). */
 struct CampaignPoint
 {
-    std::string file;          ///< CSV name (the journal key)
+    std::string file;          ///< "<system>/<csv-file>"
     std::uint64_t hash = 0;    ///< ConfigHasher digest
 };
 
-/** Loop-batching activity of one completed experiment. */
-struct ExperimentLoopBatch
+/** One system's share of a campaign's outcome. */
+struct SystemOutcome
 {
-    std::string file;                ///< CSV name (the point key)
-    sim::LoopBatchCounters counters; ///< summed over the point's launches
+    int experiments_run = 0;     ///< each one wrote one CSV
+    int experiments_skipped = 0; ///< journaled-complete, skipped
+    int experiments_failed = 0;
 };
 
 /** What a campaign produced. */
 struct CampaignResult
 {
+    /** Every CSV written, in commit order (the campaign's point
+     * order at every job count). */
     std::vector<std::string> files_written;
     int experiments_run = 0;
 
@@ -132,39 +143,46 @@ struct CampaignResult
     /** Experiments recorded as failed and passed over. */
     std::vector<ExperimentFailure> failures;
 
-    /** The full enumeration in deterministic point order. */
-    std::vector<CampaignPoint> points;
+    /** Per system, in the order the systems were given. */
+    std::vector<SystemOutcome> systems;
 
     /**
-     * Loop-batching activity per experiment this process measured
-     * (commit order; resume-skips and failures contribute nothing).
-     * Purely an in-memory side channel for the --explain batch-ratio
-     * annotation: it is never written to any artifact (CSV,
-     * telemetry, manifest), so batching cannot leak into outputs.
+     * Loop-batching activity of every experiment this process
+     * measured, keyed "<system>/<csv-file>" (resume-skips and
+     * failures contribute nothing). Purely an in-memory side channel
+     * for the --explain batch-ratio annotation: it is never written
+     * to any artifact (CSV, telemetry, manifest), so batching cannot
+     * leak into outputs.
      */
-    std::vector<ExperimentLoopBatch> loop_batch;
+    std::map<std::string, sim::LoopBatchCounters> loop_batch;
 
     /** True when nothing failed (skips are fine). */
     bool ok() const { return failures.empty() && !interrupted; }
 };
 
 /**
- * Run every OpenMP experiment of the paper on @p cfg and write one
- * CSV per (primitive, data type, stride) combination under
- * output_dir/<system>/.
+ * Every point of @p systems in campaign order -- each system's
+ * points in turn, CPUs' and GPUs' alike in the order given --
+ * without measuring anything or touching the filesystem.
  */
-CampaignResult runOmpCampaign(const cpusim::CpuConfig &cfg,
-                              const MeasurementConfig &protocol,
-                              const CampaignOptions &options);
+std::vector<CampaignPoint>
+campaignPoints(const std::vector<CampaignSystem> &systems,
+               const CampaignOptions &options);
 
 /**
- * Run every CUDA experiment of the paper on @p cfg and write one CSV
- * per (primitive, data type, block count, stride) combination under
- * output_dir/<device>/.
+ * Run every experiment of the paper on each of @p systems and write
+ * one CSV per experiment under output_dir/<system>/: per (primitive,
+ * data type, stride) on a CPU, per (primitive, data type, block
+ * count, stride) on a GPU. All systems' points share one set of
+ * workers and commit in campaignPoints() order; each system keeps
+ * its own manifest.json and launch memo.
  */
-CampaignResult runCudaCampaign(const gpusim::GpuConfig &cfg,
-                               const MeasurementConfig &protocol,
-                               const CampaignOptions &options);
+CampaignResult runCampaign(const std::vector<CampaignSystem> &systems,
+                           const CampaignOptions &options);
+
+/** Worker count a CampaignOptions::jobs value resolves to: 0 means
+ * one per hardware thread, and the result is at least 1. */
+int resolveJobs(int jobs);
 
 /** Filesystem-safe slug for a system/device name. */
 std::string sanitizeName(const std::string &name);

@@ -34,9 +34,9 @@ CampaignMetrics::global()
 
 void
 CampaignMetrics::foldPool(
-    const std::vector<ThreadPool::WorkerStats> &stats)
+    const std::vector<OrderedExecutor::WorkerStats> &stats)
 {
-    long long run = 0, stolen = 0, busy = 0, idle = 0;
+    long long run = 0, busy = 0, idle = 0;
     {
         std::scoped_lock lock(mutex_);
         if (workers_.size() < stats.size())
@@ -44,17 +44,14 @@ CampaignMetrics::foldPool(
         for (std::size_t i = 0; i < stats.size(); ++i) {
             const auto &w = stats[i];
             workers_[i].tasks_run += w.tasks_run;
-            workers_[i].tasks_stolen += w.tasks_stolen;
             workers_[i].busy_nanos += w.busy_nanos;
             workers_[i].idle_nanos += w.idle_nanos;
             run += w.tasks_run;
-            stolen += w.tasks_stolen;
             busy += w.busy_nanos;
             idle += w.idle_nanos;
         }
     }
     metrics::add(metrics::Counter::PoolTasksRun, run);
-    metrics::add(metrics::Counter::PoolTasksStolen, stolen);
     metrics::add(metrics::Counter::PoolBusyNanos, busy);
     metrics::add(metrics::Counter::PoolIdleNanos, idle);
 }
@@ -127,8 +124,6 @@ CampaignMetrics::snapshotJson() const
             entry.set("worker", JsonValue(static_cast<int>(i)));
             entry.set("tasks_run",
                       JsonValue(static_cast<double>(w.tasks_run)));
-            entry.set("tasks_stolen",
-                      JsonValue(static_cast<double>(w.tasks_stolen)));
             entry.set("busy_s", JsonValue(seconds(w.busy_nanos)));
             entry.set("idle_s", JsonValue(seconds(w.idle_nanos)));
             workers.push(std::move(entry));

@@ -5,8 +5,8 @@
  *
  * The raw counters live in the process-wide metrics::Registry
  * (src/common/metrics.hh); this layer adds what only the campaign
- * knows -- per-worker busy/steal/idle breakdowns folded from every
- * ThreadPool a campaign ran -- and renders both into a deterministic
+ * knows -- the per-worker busy/idle breakdown of the campaign's
+ * ordered executor -- and renders both into a deterministic
  * JSON snapshot (written atomically, diffable across runs for the
  * deterministic counter section) and a human-readable table. Schema
  * documented in docs/observability.md; its deterministic counters are
@@ -24,19 +24,19 @@
 
 #include "common/metrics.hh"
 #include "common/status.hh"
-#include "common/thread_pool.hh"
+#include "core/executor.hh"
 
 namespace syncperf::core
 {
 
 /**
  * Process-wide aggregation of campaign observability data. The
- * campaign driver folds each pool's worker stats in as it finishes a
- * system; snapshot()/summaryTable() render the union of those and
- * the counter registry.
+ * campaign driver folds its executor's worker stats in once the
+ * run's workers are joined; snapshot()/summaryTable() render the
+ * union of those and the counter registry.
  *
  * Thread-safe: folds lock internally, and the render paths only run
- * after the campaign's pools have been drained.
+ * after the campaign's workers have been joined.
  */
 class CampaignMetrics
 {
@@ -44,11 +44,12 @@ class CampaignMetrics
     static CampaignMetrics &global();
 
     /**
-     * Fold one finished pool's per-worker stats into the aggregate
-     * (element-wise by worker index) and into the PoolTasksRun /
-     * PoolTasksStolen / PoolBusyNanos / PoolIdleNanos counters.
+     * Fold one finished executor run's per-worker stats into the
+     * aggregate (element-wise by worker index) and into the
+     * PoolTasksRun / PoolBusyNanos / PoolIdleNanos counters.
      */
-    void foldPool(const std::vector<ThreadPool::WorkerStats> &stats);
+    void
+    foldPool(const std::vector<OrderedExecutor::WorkerStats> &stats);
 
     /** Zero the counter registry and the per-worker aggregates. */
     void reset();
@@ -57,7 +58,7 @@ class CampaignMetrics
      * The snapshot as JSON text: a "counters" object (deterministic
      * counters only, fixed key order), a "timing" object (the rest,
      * plus derived retry_rate / idle_fraction), and a "workers"
-     * array (per-worker busy/steal/idle; empty for serial runs).
+     * array (per-worker busy/idle; empty for serial runs).
      */
     std::string snapshotJson() const;
 
@@ -80,7 +81,7 @@ class CampaignMetrics
     CampaignMetrics() = default;
 
     mutable std::mutex mutex_; ///< guards the aggregates below
-    std::vector<ThreadPool::WorkerStats> workers_;
+    std::vector<OrderedExecutor::WorkerStats> workers_;
 };
 
 } // namespace syncperf::core

@@ -57,7 +57,6 @@ RunStatus::fillCountersFromRegistry()
     loop_batch_fallbacks =
         metrics::value(Counter::LoopBatchFallbacks);
     pool_tasks_run = metrics::value(Counter::PoolTasksRun);
-    pool_tasks_stolen = metrics::value(Counter::PoolTasksStolen);
     pool_busy_s =
         static_cast<double>(metrics::value(Counter::PoolBusyNanos)) /
         1e9;
@@ -96,8 +95,6 @@ RunStatus::toJson() const
     JsonValue pool = JsonValue::object();
     pool.set("tasks_run",
              JsonValue(static_cast<double>(pool_tasks_run)));
-    pool.set("tasks_stolen",
-             JsonValue(static_cast<double>(pool_tasks_stolen)));
     pool.set("busy_s", JsonValue(pool_busy_s));
     pool.set("idle_s", JsonValue(pool_idle_s));
     pool.set("idle_fraction", JsonValue(poolIdleFraction()));

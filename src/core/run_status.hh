@@ -45,7 +45,6 @@ struct RunStatus
     long long loop_batch_fallbacks = 0;
 
     long long pool_tasks_run = 0;
-    long long pool_tasks_stolen = 0;
     double pool_busy_s = 0.0;
     double pool_idle_s = 0.0;
 

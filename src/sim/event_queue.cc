@@ -135,19 +135,6 @@ EventQueue::earliestPendingPerPriority(std::vector<Tick> &out) const
               no_tick);
 }
 
-Tick
-EventQueue::nextForeignTick(int actor) const
-{
-    Tick best = horizon_pin_;
-    for (std::size_t a = 0; a < nodes_.size(); ++a) {
-        if (nodes_[a].key != idle_key &&
-            a != static_cast<std::size_t>(actor)) {
-            best = std::min(best, nodes_[a].when());
-        }
-    }
-    return best;
-}
-
 void
 EventQueue::encodePending(Tick base, std::vector<std::uint64_t> &out) const
 {

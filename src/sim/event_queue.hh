@@ -144,14 +144,6 @@ class EventQueue
     void earliestPendingPerPriority(std::vector<Tick> &out) const;
 
     /**
-     * Earliest pending wake of an actor other than @p actor, or the
-     * horizon pin when that is earlier; no_tick when neither exists.
-     * Linear in the bound actors (a batching-boundary query, not a
-     * hot-path one).
-     */
-    Tick nextForeignTick(int actor) const;
-
-    /**
      * Append a canonical encoding of the pending set to @p out: the
      * pending count, then a (when - base, actor) pair per wake in
      * pop order. Two queues with equal encodings against their
@@ -170,10 +162,10 @@ class EventQueue
     void shiftPending(Tick delta);
 
     /**
-     * Pin the batching horizon at @p when: nextForeignTick() never
-     * reports a tick past the pin, so no batch window can jump
-     * across it. Hook for fault-injection points and tests; cleared
-     * by clearHorizonPin() and reset().
+     * Pin the batching horizon at @p when: the loop batcher treats
+     * the pin as an opaque foreign event and never jumps a window
+     * past it. Hook for fault-injection points and tests; cleared by
+     * clearHorizonPin() and reset().
      */
     void pinHorizon(Tick when) { horizon_pin_ = when; }
 

@@ -129,7 +129,6 @@ TEST_F(MetricsRegistryTest, DeterminismClassificationIsStable)
     // batched in parallel), so the counter lives in the timing class.
     EXPECT_FALSE(counterIsDeterministic(Counter::CheckpointFlushes));
     EXPECT_FALSE(counterIsDeterministic(Counter::PoolTasksRun));
-    EXPECT_FALSE(counterIsDeterministic(Counter::PoolTasksStolen));
     EXPECT_FALSE(counterIsDeterministic(Counter::PoolBusyNanos));
     EXPECT_FALSE(counterIsDeterministic(Counter::PoolIdleNanos));
     EXPECT_FALSE(

@@ -76,7 +76,7 @@ TEST_F(CampaignTest, OmpCampaignWritesExpectedFiles)
     cpusim::CpuConfig cpu = cpusim::CpuConfig::system3();
     cpu.cores_per_socket = 4;
 
-    const auto result = runOmpCampaign(cpu, tinyProtocol(), options());
+    const auto result = runCampaign({{cpu, tinyProtocol()}}, options());
     EXPECT_GT(result.experiments_run, 20);
     EXPECT_EQ(result.files_written.size(),
               static_cast<std::size_t>(result.experiments_run));
@@ -115,7 +115,7 @@ TEST_F(CampaignTest, CudaCampaignWritesExpectedFiles)
     protocol.n_iter = 5;
     protocol.n_unroll = 2;
 
-    const auto result = runCudaCampaign(gpu, protocol, options());
+    const auto result = runCampaign({{gpu, protocol}}, options());
     EXPECT_GT(result.experiments_run, 10);
     for (const auto &file : result.files_written)
         EXPECT_TRUE(fs::exists(file)) << file;
@@ -141,7 +141,7 @@ TEST_F(CampaignTest, CasFilesOnlyForIntegerTypes)
     protocol.n_iter = 5;
     protocol.n_unroll = 2;
 
-    const auto result = runCudaCampaign(gpu, protocol, options());
+    const auto result = runCampaign({{gpu, protocol}}, options());
     const fs::path base = dir_ / sanitizeName(gpu.name);
     EXPECT_TRUE(fs::exists(base / "cuda_atomiccas_int.csv"));
     EXPECT_TRUE(fs::exists(base / "cuda_atomiccas_ull.csv"));

@@ -114,13 +114,13 @@ TEST_F(CampaignMetricsTest,
        DeterministicCountersMatchAcrossJobCounts)
 {
     const auto serial =
-        runOmpCampaign(cpu_, tinyProtocol(), options("serial", 1));
+        runCampaign({{cpu_, tinyProtocol()}}, options("serial", 1));
     ASSERT_TRUE(serial.ok());
     const auto serial_counters = deterministicCounters();
 
     CampaignMetrics::global().reset();
     const auto parallel =
-        runOmpCampaign(cpu_, tinyProtocol(), options("parallel", 4));
+        runCampaign({{cpu_, tinyProtocol()}}, options("parallel", 4));
     ASSERT_TRUE(parallel.ok());
     const auto parallel_counters = deterministicCounters();
 
@@ -147,12 +147,12 @@ TEST_F(CampaignMetricsTest, GpuSimEventsMatchAcrossJobCounts)
     protocol.n_unroll = 2;
 
     ASSERT_TRUE(
-        runCudaCampaign(gpu, protocol, options("gpu_serial", 1)).ok());
+        runCampaign({{gpu, protocol}}, options("gpu_serial", 1)).ok());
     const auto serial_counters = deterministicCounters();
 
     CampaignMetrics::global().reset();
     ASSERT_TRUE(
-        runCudaCampaign(gpu, protocol, options("gpu_parallel", 4)).ok());
+        runCampaign({{gpu, protocol}}, options("gpu_parallel", 4)).ok());
     const auto parallel_counters = deterministicCounters();
 
     EXPECT_GT(serial_counters.at("sim_events"), 0);
@@ -164,14 +164,14 @@ TEST_F(CampaignMetricsTest, ResumeCountsSkippedPoints)
 {
     auto first_options = options("resume", 1);
     const auto first =
-        runOmpCampaign(cpu_, tinyProtocol(), first_options);
+        runCampaign({{cpu_, tinyProtocol()}}, first_options);
     ASSERT_TRUE(first.ok());
 
     CampaignMetrics::global().reset();
     auto second_options = options("resume", 4);
     second_options.resume = true;
     const auto second =
-        runOmpCampaign(cpu_, tinyProtocol(), second_options);
+        runCampaign({{cpu_, tinyProtocol()}}, second_options);
     ASSERT_TRUE(second.ok());
 
     EXPECT_EQ(metrics::value(metrics::Counter::PointsSkipped),
@@ -182,7 +182,7 @@ TEST_F(CampaignMetricsTest, ResumeCountsSkippedPoints)
 TEST_F(CampaignMetricsTest, SnapshotJsonParsesWithDocumentedSchema)
 {
     const auto result =
-        runOmpCampaign(cpu_, tinyProtocol(), options("snap", 2));
+        runCampaign({{cpu_, tinyProtocol()}}, options("snap", 2));
     ASSERT_TRUE(result.ok());
 
     const auto parsed =
@@ -251,7 +251,7 @@ TEST_F(CampaignMetricsTest, InjectedFaultsAreCounted)
     sim::FaultInjector::Scope scope(injector);
 
     const auto result =
-        runOmpCampaign(cpu_, tinyProtocol(), options("faults", 1));
+        runCampaign({{cpu_, tinyProtocol()}}, options("faults", 1));
     ASSERT_TRUE(result.ok());
 
     EXPECT_EQ(metrics::value(metrics::Counter::FaultsInjected),

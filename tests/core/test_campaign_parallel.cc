@@ -16,10 +16,13 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
+#include "common/metrics.hh"
 #include "core/campaign.hh"
+#include "core/metrics.hh"
 
 namespace syncperf::core
 {
@@ -57,6 +60,20 @@ expectIdenticalTrees(const std::map<std::string, std::string> &serial,
         ASSERT_NE(it, parallel.end()) << file << " missing";
         EXPECT_EQ(bytes, it->second) << file << " differs";
     }
+}
+
+/** Deterministic counters of the process registry, by name. */
+std::map<std::string, long long>
+deterministicCounters()
+{
+    std::map<std::string, long long> out;
+    for (std::size_t i = 0; i < metrics::counter_count; ++i) {
+        const auto c = static_cast<metrics::Counter>(i);
+        if (metrics::counterIsDeterministic(c))
+            out[std::string(metrics::counterName(c))] =
+                metrics::value(c);
+    }
+    return out;
 }
 
 class CampaignParallelTest : public ::testing::Test
@@ -103,6 +120,17 @@ class CampaignParallelTest : public ::testing::Test
         return cfg;
     }
 
+    static MeasurementConfig
+    tinyGpuProtocol()
+    {
+        auto cfg = MeasurementConfig::simGpuDefaults();
+        cfg.runs = 1;
+        cfg.attempts = 1;
+        cfg.n_iter = 5;
+        cfg.n_unroll = 2;
+        return cfg;
+    }
+
     fs::path base_;
     cpusim::CpuConfig cpu_;
     gpusim::GpuConfig gpu_;
@@ -111,9 +139,9 @@ class CampaignParallelTest : public ::testing::Test
 TEST_F(CampaignParallelTest, OmpOutputIsByteIdenticalAcrossJobCounts)
 {
     const auto serial =
-        runOmpCampaign(cpu_, tinyProtocol(), options("serial", 1));
+        runCampaign({{cpu_, tinyProtocol()}}, options("serial", 1));
     const auto parallel =
-        runOmpCampaign(cpu_, tinyProtocol(), options("parallel", 4));
+        runCampaign({{cpu_, tinyProtocol()}}, options("parallel", 4));
 
     EXPECT_TRUE(serial.ok());
     EXPECT_TRUE(parallel.ok());
@@ -127,16 +155,10 @@ TEST_F(CampaignParallelTest, OmpOutputIsByteIdenticalAcrossJobCounts)
 
 TEST_F(CampaignParallelTest, CudaOutputIsByteIdenticalAcrossJobCounts)
 {
-    auto protocol = MeasurementConfig::simGpuDefaults();
-    protocol.runs = 1;
-    protocol.attempts = 1;
-    protocol.n_iter = 5;
-    protocol.n_unroll = 2;
-
     const auto serial =
-        runCudaCampaign(gpu_, protocol, options("serial", 1));
+        runCampaign({{gpu_, tinyGpuProtocol()}}, options("serial", 1));
     const auto parallel =
-        runCudaCampaign(gpu_, protocol, options("parallel", 4));
+        runCampaign({{gpu_, tinyGpuProtocol()}}, options("parallel", 4));
 
     EXPECT_TRUE(serial.ok());
     EXPECT_TRUE(parallel.ok());
@@ -146,12 +168,61 @@ TEST_F(CampaignParallelTest, CudaOutputIsByteIdenticalAcrossJobCounts)
                          snapshotTree(base_ / "parallel"));
 }
 
+TEST_F(CampaignParallelTest, MultiSystemCampaignIsIdenticalAtAnyJobCount)
+{
+    // One campaign over a CPU and a GPU puts both systems' points on
+    // one set of workers. Every CSV, both journals, the commit order
+    // and the deterministic counters must match the serial run.
+    const std::vector<CampaignSystem> systems = {
+        {cpu_, tinyProtocol()}, {gpu_, tinyGpuProtocol()}};
+    const auto points = campaignPoints(systems, options("points", 1));
+
+    std::map<std::string, std::string> reference_tree;
+    std::vector<std::string> reference_order;
+    std::map<std::string, long long> reference_counters;
+    for (int jobs : {1, 2, 4}) {
+        SCOPED_TRACE(jobs);
+        const std::string tag = "multi_j" + std::to_string(jobs);
+        CampaignMetrics::global().reset();
+        const auto result = runCampaign(systems, options(tag.c_str(), jobs));
+        ASSERT_TRUE(result.ok());
+        ASSERT_EQ(result.systems.size(), 2u);
+        EXPECT_GT(result.systems[0].experiments_run, 0);
+        EXPECT_GT(result.systems[1].experiments_run, 0);
+
+        std::vector<std::string> order;
+        for (const auto &file : result.files_written)
+            order.push_back(
+                fs::relative(file, base_ / tag).generic_string());
+        const auto tree = snapshotTree(base_ / tag);
+        const auto counters = deterministicCounters();
+        EXPECT_EQ(tree.count(sanitizeName(cpu_.name) + "/manifest.json"),
+                  1u);
+        EXPECT_EQ(tree.count(sanitizeName(gpu_.name) + "/manifest.json"),
+                  1u);
+        if (jobs == 1) {
+            // The serial commit order is the enumeration order.
+            ASSERT_EQ(order.size(), points.size());
+            for (std::size_t i = 0; i < points.size(); ++i)
+                EXPECT_EQ(order[i], points[i].file);
+            reference_tree = tree;
+            reference_order = order;
+            reference_counters = counters;
+            continue;
+        }
+        expectIdenticalTrees(reference_tree, tree);
+        EXPECT_EQ(order, reference_order);
+        EXPECT_EQ(counters, reference_counters);
+    }
+    CampaignMetrics::global().reset();
+}
+
 TEST_F(CampaignParallelTest, FilesWrittenKeepPointOrderAtAnyJobCount)
 {
     const auto serial =
-        runOmpCampaign(cpu_, tinyProtocol(), options("serial", 1));
+        runCampaign({{cpu_, tinyProtocol()}}, options("serial", 1));
     const auto parallel =
-        runOmpCampaign(cpu_, tinyProtocol(), options("parallel", 4));
+        runCampaign({{cpu_, tinyProtocol()}}, options("parallel", 4));
     ASSERT_EQ(serial.files_written.size(),
               parallel.files_written.size());
     for (std::size_t i = 0; i < serial.files_written.size(); ++i) {
@@ -166,11 +237,11 @@ TEST_F(CampaignParallelTest, SerialRunResumesUnderParallelExecution)
     // A jobs=1 campaign's journal must be fully honored by a jobs=4
     // resume (the config hash does not depend on the job count).
     const auto first =
-        runOmpCampaign(cpu_, tinyProtocol(), options("resume", 1));
+        runCampaign({{cpu_, tinyProtocol()}}, options("resume", 1));
     ASSERT_TRUE(first.ok());
 
-    const auto second = runOmpCampaign(
-        cpu_, tinyProtocol(), options("resume", 4, /*resume=*/true));
+    const auto second = runCampaign({{cpu_, tinyProtocol()}},
+                                    options("resume", 4, /*resume=*/true));
     EXPECT_TRUE(second.ok());
     EXPECT_EQ(second.experiments_run, 0);
     EXPECT_EQ(second.experiments_skipped, first.experiments_run);
@@ -188,11 +259,11 @@ TEST_F(CampaignParallelTest, LoopBatchingIsByteIdenticalAcrossJobCounts)
     stepped.loop_batch = false;
 
     const auto on_serial =
-        runOmpCampaign(cpu_, batched, options("lb_on_serial", 1));
+        runCampaign({{cpu_, batched}}, options("lb_on_serial", 1));
     const auto off_serial =
-        runOmpCampaign(cpu_, stepped, options("lb_off_serial", 1));
+        runCampaign({{cpu_, stepped}}, options("lb_off_serial", 1));
     const auto on_parallel =
-        runOmpCampaign(cpu_, batched, options("lb_on_parallel", 4));
+        runCampaign({{cpu_, batched}}, options("lb_on_parallel", 4));
     EXPECT_TRUE(on_serial.ok());
     EXPECT_TRUE(off_serial.ok());
     EXPECT_TRUE(on_parallel.ok());
@@ -206,11 +277,11 @@ TEST_F(CampaignParallelTest, LoopBatchingIsByteIdenticalAcrossJobCounts)
     // The side channel reports engagement even though no artifact
     // may show it.
     std::uint64_t batched_iters = 0;
-    for (const auto &lb : on_serial.loop_batch)
-        batched_iters += lb.counters.batched_iters;
+    for (const auto &[point, lb] : on_serial.loop_batch)
+        batched_iters += lb.batched_iters;
     EXPECT_GT(batched_iters, 0u);
-    for (const auto &lb : off_serial.loop_batch)
-        EXPECT_EQ(lb.counters.batched_iters, 0u);
+    for (const auto &[point, lb] : off_serial.loop_batch)
+        EXPECT_EQ(lb.batched_iters, 0u) << point;
 }
 
 TEST_F(CampaignParallelTest, OversubscribedJobCountStaysDeterministic)
@@ -218,9 +289,9 @@ TEST_F(CampaignParallelTest, OversubscribedJobCountStaysDeterministic)
     // More workers than points: the executor must not deadlock or
     // reorder anything.
     const auto serial =
-        runOmpCampaign(cpu_, tinyProtocol(), options("serial", 1));
+        runCampaign({{cpu_, tinyProtocol()}}, options("serial", 1));
     const auto flooded =
-        runOmpCampaign(cpu_, tinyProtocol(), options("flooded", 64));
+        runCampaign({{cpu_, tinyProtocol()}}, options("flooded", 64));
     EXPECT_TRUE(flooded.ok());
     EXPECT_EQ(serial.experiments_run, flooded.experiments_run);
     expectIdenticalTrees(snapshotTree(base_ / "serial"),

@@ -90,7 +90,7 @@ class CampaignResilienceTest : public ::testing::Test
 
 TEST_F(CampaignResilienceTest, CleanRunJournalsEveryExperiment)
 {
-    const auto result = runOmpCampaign(cpu_, tinyProtocol(), options());
+    const auto result = runCampaign({{cpu_, tinyProtocol()}}, options());
     EXPECT_TRUE(result.ok());
     EXPECT_EQ(result.experiments_skipped, 0);
     EXPECT_GT(result.experiments_run, 20);
@@ -104,11 +104,11 @@ TEST_F(CampaignResilienceTest, CleanRunJournalsEveryExperiment)
 
 TEST_F(CampaignResilienceTest, ResumeSkipsEverythingAfterCleanRun)
 {
-    const auto first = runOmpCampaign(cpu_, tinyProtocol(), options());
+    const auto first = runCampaign({{cpu_, tinyProtocol()}}, options());
     ASSERT_TRUE(first.ok());
 
     const auto second =
-        runOmpCampaign(cpu_, tinyProtocol(), options(/*resume=*/true));
+        runCampaign({{cpu_, tinyProtocol()}}, options(/*resume=*/true));
     EXPECT_TRUE(second.ok());
     EXPECT_EQ(second.experiments_run, 0);
     EXPECT_EQ(second.experiments_skipped, first.experiments_run);
@@ -117,13 +117,13 @@ TEST_F(CampaignResilienceTest, ResumeSkipsEverythingAfterCleanRun)
 
 TEST_F(CampaignResilienceTest, ChangedProtocolInvalidatesTheJournal)
 {
-    const auto first = runOmpCampaign(cpu_, tinyProtocol(), options());
+    const auto first = runCampaign({{cpu_, tinyProtocol()}}, options());
     ASSERT_TRUE(first.ok());
 
     auto protocol = tinyProtocol();
     protocol.n_iter *= 2; // different config hash for every point
     const auto second =
-        runOmpCampaign(cpu_, protocol, options(/*resume=*/true));
+        runCampaign({{cpu_, protocol}}, options(/*resume=*/true));
     EXPECT_TRUE(second.ok());
     EXPECT_EQ(second.experiments_skipped, 0);
     EXPECT_EQ(second.experiments_run, first.experiments_run);
@@ -139,10 +139,11 @@ TEST_F(CampaignResilienceTest,
     faults.failWrites(5, 1);
     sim::FaultInjector::Scope scope(faults);
 
-    const auto result = runOmpCampaign(cpu_, tinyProtocol(), options());
+    const auto result = runCampaign({{cpu_, tinyProtocol()}}, options());
     EXPECT_FALSE(result.ok());
     ASSERT_EQ(result.failures.size(), 1u);
-    EXPECT_EQ(result.failures[0].file, "omp_critical.csv");
+    EXPECT_EQ(result.failures[0].file,
+              sanitizeName(cpu_.name) + "/omp_critical.csv");
     EXPECT_NE(result.failures[0].error.find("fault_injected"),
               std::string::npos);
     EXPECT_GT(result.experiments_run, 20);
@@ -176,12 +177,12 @@ TEST_F(CampaignResilienceTest, ResumeRetriesOnlyTheFailedExperiment)
         faults.failWrites(5, 1);
         sim::FaultInjector::Scope scope(faults);
         const auto degraded =
-            runOmpCampaign(cpu_, tinyProtocol(), options());
+            runCampaign({{cpu_, tinyProtocol()}}, options());
         ASSERT_EQ(degraded.failures.size(), 1u);
     }
 
     const auto resumed =
-        runOmpCampaign(cpu_, tinyProtocol(), options(/*resume=*/true));
+        runCampaign({{cpu_, tinyProtocol()}}, options(/*resume=*/true));
     EXPECT_TRUE(resumed.ok());
     EXPECT_EQ(resumed.experiments_run, 1);
     ASSERT_EQ(resumed.files_written.size(), 1u);
@@ -208,7 +209,7 @@ TEST_F(CampaignResilienceTest,
     faults.poisonMeasurements(5, 8);
     sim::FaultInjector::Scope scope(faults);
 
-    const auto result = runOmpCampaign(cpu_, protocol, options());
+    const auto result = runCampaign({{cpu_, protocol}}, options());
     EXPECT_FALSE(result.ok());
     ASSERT_GE(result.failures.size(), 1u);
     EXPECT_NE(result.failures[0].error.find("non-finite"),
@@ -242,7 +243,7 @@ TEST_F(CampaignResilienceTest, KillResumeRoundTrip)
                 }
                 return Status::ok();
             });
-        (void)runOmpCampaign(cpu_, tinyProtocol(), options());
+        (void)runCampaign({{cpu_, tinyProtocol()}}, options());
         ::_exit(42); // not reached: the campaign dies first
     }
 
@@ -260,7 +261,7 @@ TEST_F(CampaignResilienceTest, KillResumeRoundTrip)
     // Resume: journaled-complete experiments are skipped, the rest
     // (including the one killed mid-commit) run to completion.
     const auto resumed =
-        runOmpCampaign(cpu_, tinyProtocol(), options(/*resume=*/true));
+        runCampaign({{cpu_, tinyProtocol()}}, options(/*resume=*/true));
     EXPECT_TRUE(resumed.ok());
     EXPECT_EQ(resumed.experiments_skipped, kill_after_commits);
     EXPECT_GT(resumed.experiments_run, 0);
@@ -307,7 +308,7 @@ TEST_F(CampaignResilienceTest, KillResumeRoundTripUnderParallelExecution)
                 }
                 return Status::ok();
             });
-        (void)runOmpCampaign(cpu_, tinyProtocol(), parallel);
+        (void)runCampaign({{cpu_, tinyProtocol()}}, parallel);
         ::_exit(42); // not reached: the campaign dies first
     }
 
@@ -334,7 +335,7 @@ TEST_F(CampaignResilienceTest, KillResumeRoundTripUnderParallelExecution)
     resume_opts.jobs = 4;
     resume_opts.checkpoint_every = 3;
     const auto resumed =
-        runOmpCampaign(cpu_, tinyProtocol(), resume_opts);
+        runCampaign({{cpu_, tinyProtocol()}}, resume_opts);
     EXPECT_TRUE(resumed.ok());
     EXPECT_GT(resumed.experiments_run, 0);
 
@@ -367,14 +368,15 @@ TEST_F(CampaignResilienceTest, CudaCampaignSharesTheResilienceLayer)
     faults.failWrites(5, 1); // second experiment's CSV open
     sim::FaultInjector::Scope scope(faults);
 
-    const auto result = runCudaCampaign(gpu, protocol, options());
+    const auto result = runCampaign({{gpu, protocol}}, options());
     EXPECT_FALSE(result.ok());
     ASSERT_EQ(result.failures.size(), 1u);
-    EXPECT_EQ(result.failures[0].file, "cuda_syncwarp.csv");
+    EXPECT_EQ(result.failures[0].file,
+              sanitizeName(gpu.name) + "/cuda_syncwarp.csv");
     EXPECT_GT(result.experiments_run, 10);
 
     const auto resumed =
-        runCudaCampaign(gpu, protocol, options(/*resume=*/true));
+        runCampaign({{gpu, protocol}}, options(/*resume=*/true));
     EXPECT_TRUE(resumed.ok());
     EXPECT_EQ(resumed.experiments_run, 1);
     EXPECT_EQ(resumed.experiments_skipped, result.experiments_run);

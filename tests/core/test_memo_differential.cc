@@ -10,15 +10,22 @@
  * measure() and every takeTelemetry() must equal a direct run
  * (tests/core/direct_run.hh) that simulates each launch single-stepped
  * on a fresh machine with the seed the target reached.
+ *
+ * A --jobs leg runs every seed again as one job of a four-worker
+ * OrderedExecutor run, the targets of each system sharing one memo as
+ * a campaign's points do: a target may then be served launches another
+ * seed's target simulated, concurrently, and must still match.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
+#include "core/executor.hh"
 #include "direct_run.hh"
 
 namespace syncperf::core
@@ -85,11 +92,12 @@ drawCuda(Pcg32 &rng)
 }
 
 void
-cpuLeg(const cpusim::CpuConfig &cpu, Pcg32 &rng)
+cpuLeg(const cpusim::CpuConfig &cpu, Pcg32 &rng,
+       std::shared_ptr<LaunchMemo> memo)
 {
     const MeasurementConfig mcfg =
         protocol(MeasurementConfig::simDefaults());
-    CpuSimTarget target(cpu, mcfg);
+    CpuSimTarget target(cpu, mcfg, 1, std::move(memo));
     std::uint64_t seed = 1;
     const int max_team = std::min(cpu.totalHwThreads(), 24);
     for (int d = 0; d < draws_per_seed; ++d) {
@@ -110,11 +118,12 @@ cpuLeg(const cpusim::CpuConfig &cpu, Pcg32 &rng)
 }
 
 void
-gpuLeg(const gpusim::GpuConfig &gpu, Pcg32 &rng)
+gpuLeg(const gpusim::GpuConfig &gpu, Pcg32 &rng,
+       std::shared_ptr<LaunchMemo> memo)
 {
     const MeasurementConfig mcfg =
         protocol(MeasurementConfig::simGpuDefaults());
-    GpuSimTarget target(gpu, mcfg);
+    GpuSimTarget target(gpu, mcfg, 1, std::move(memo));
     std::uint64_t seed = 1;
     const int block_counts[] = {1, 2, gpu.sm_count / 2, gpu.sm_count};
     static constexpr int block_threads[] = {32, 64, 96, 256};
@@ -137,24 +146,56 @@ gpuLeg(const gpusim::GpuConfig &gpu, Pcg32 &rng)
     }
 }
 
+/** Systems a seed can draw: the three CPUs, then the three GPUs. */
+constexpr int system_count = 6;
+
+/**
+ * Draw @p seed's system and measure its points on one target, which
+ * consults @p memos[system] when @p memos is given and a memo of its
+ * own otherwise.
+ */
+void
+runSeed(int seed, const std::vector<std::shared_ptr<LaunchMemo>> &memos)
+{
+    Pcg32 rng(static_cast<std::uint64_t>(seed), 29);
+    const auto system = rng.below(system_count);
+    auto memo = memos.empty() ? nullptr : memos[system];
+    switch (system) {
+      case 0: cpuLeg(cpusim::CpuConfig::system1(), rng, memo); break;
+      case 1: cpuLeg(cpusim::CpuConfig::system2(), rng, memo); break;
+      case 2: cpuLeg(cpusim::CpuConfig::system3(), rng, memo); break;
+      case 3: gpuLeg(gpusim::GpuConfig::rtx2070Super(), rng, memo); break;
+      case 4: gpuLeg(gpusim::GpuConfig::a100(), rng, memo); break;
+      default: gpuLeg(gpusim::GpuConfig::rtx4090(), rng, memo); break;
+    }
+}
+
 class MemoDifferential : public ::testing::TestWithParam<int>
 {
 };
 
 TEST_P(MemoDifferential, TargetMatchesDirectRuns)
 {
-    Pcg32 rng(static_cast<std::uint64_t>(GetParam()), 29);
-    switch (rng.below(6)) {
-      case 0: cpuLeg(cpusim::CpuConfig::system1(), rng); break;
-      case 1: cpuLeg(cpusim::CpuConfig::system2(), rng); break;
-      case 2: cpuLeg(cpusim::CpuConfig::system3(), rng); break;
-      case 3: gpuLeg(gpusim::GpuConfig::rtx2070Super(), rng); break;
-      case 4: gpuLeg(gpusim::GpuConfig::a100(), rng); break;
-      default: gpuLeg(gpusim::GpuConfig::rtx4090(), rng); break;
-    }
+    runSeed(GetParam(), {});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemoDifferential, ::testing::Range(1, 21));
+
+TEST(MemoDifferentialJobs, TargetsSharingAMemoOnFourWorkersMatchDirectRuns)
+{
+    std::vector<std::shared_ptr<LaunchMemo>> memos;
+    for (int s = 0; s < system_count; ++s)
+        memos.push_back(std::make_shared<LaunchMemo>());
+    std::vector<OrderedExecutor::Job> jobs;
+    for (int seed = 1; seed <= 20; ++seed) {
+        jobs.push_back([seed, &memos]() -> OrderedExecutor::CommitFn {
+            SCOPED_TRACE(::testing::Message() << "seed " << seed);
+            runSeed(seed, memos);
+            return nullptr;
+        });
+    }
+    OrderedExecutor::run(4, std::move(jobs));
+}
 
 } // namespace
 } // namespace syncperf::core

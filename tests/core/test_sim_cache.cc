@@ -244,7 +244,7 @@ TEST_F(SimCacheTest, CampaignOutputIsByteIdenticalWithCacheOff)
     options.output_dir = base.string();
     options.quick = true;
     options.jobs = 2;
-    const auto result = runOmpCampaign(cpu, cpuProtocol(), options);
+    const auto result = runCampaign({{cpu, cpuProtocol()}}, options);
     ASSERT_TRUE(result.ok());
     EXPECT_GT(hits(), 0);
 

@@ -189,9 +189,9 @@ TEST(TelemetryCampaign, ArtifactsAreJobsInvariantAndOffByDefault)
     auto off = serial;
     off.output_dir = (base / "off").string();
 
-    ASSERT_TRUE(runOmpCampaign(cpu, telem_cfg, serial).ok());
-    ASSERT_TRUE(runOmpCampaign(cpu, telem_cfg, parallel).ok());
-    ASSERT_TRUE(runOmpCampaign(cpu, tinyProtocol(), off).ok());
+    ASSERT_TRUE(runCampaign({{cpu, telem_cfg}}, serial).ok());
+    ASSERT_TRUE(runCampaign({{cpu, telem_cfg}}, parallel).ok());
+    ASSERT_TRUE(runCampaign({{cpu, tinyProtocol()}}, off).ok());
 
     const auto serial_tree = snapshotTree(base / "serial");
     const auto parallel_tree = snapshotTree(base / "parallel");

@@ -159,51 +159,22 @@ TEST(EventQueue, ResetRestoresInitialStateButKillsOldHandles)
 // docs/performance.md, "Loop batching").
 // ------------------------------------------------------------------
 
-TEST(EventQueue, NextForeignTickSkipsOwnPriority)
-{
-    EventQueue eq(6);
-    eq.wake(10, 3);
-    eq.wake(20, 5);
-    EXPECT_EQ(eq.nextForeignTick(3), 20u);
-    EXPECT_EQ(eq.nextForeignTick(5), 10u);
-    EXPECT_EQ(eq.next(), 3);
-    eq.wake(30, 3);
-    EXPECT_EQ(eq.nextForeignTick(3), 20u);
-    EXPECT_EQ(eq.next(), 5);
-    // Every pending wake belongs to the queried actor: no horizon.
-    EXPECT_EQ(eq.nextForeignTick(3), EventQueue::no_tick);
-}
-
-TEST(EventQueue, NextForeignTickSeesBoundaryExactEvent)
-{
-    // A foreign wake at exactly the would-be window boundary must be
-    // reported, not jumped over: the batcher compares against the
-    // boundary tick with <=, so an off-by-one here would let a batch
-    // swallow a same-tick wakeup.
-    EventQueue eq(2);
-    eq.wake(100, 1);
-    EXPECT_EQ(eq.nextForeignTick(0), 100u);
-}
-
-TEST(EventQueue, HorizonPinCapsNextForeignTick)
+TEST(EventQueue, HorizonPinSetsAndClears)
 {
     EventQueue eq(3);
     eq.wake(100, 1);
     EXPECT_EQ(eq.horizonPin(), EventQueue::no_tick);
     eq.pinHorizon(25);
     EXPECT_EQ(eq.horizonPin(), 25u);
-    // The pin is earlier than any pending foreign wake and wins.
-    EXPECT_EQ(eq.nextForeignTick(0), 25u);
-    // A pending wake earlier than the pin still wins over it.
+    // A pending wake, earlier or later, leaves the pin as set.
     eq.wake(7, 2);
-    EXPECT_EQ(eq.nextForeignTick(0), 7u);
+    EXPECT_EQ(eq.horizonPin(), 25u);
     eq.clearHorizonPin();
     EXPECT_EQ(eq.horizonPin(), EventQueue::no_tick);
-    EXPECT_EQ(eq.nextForeignTick(0), 7u);
-    // With nothing pending, the pin alone forms the horizon.
+    // Draining the queue leaves a pin in place.
     eq.pinHorizon(9);
     drain(eq, [](int) {});
-    EXPECT_EQ(eq.nextForeignTick(0), 9u);
+    EXPECT_EQ(eq.horizonPin(), 9u);
 }
 
 TEST(EventQueue, ResetClearsHorizonPin)
@@ -212,7 +183,6 @@ TEST(EventQueue, ResetClearsHorizonPin)
     eq.pinHorizon(123);
     eq.reset(1);
     EXPECT_EQ(eq.horizonPin(), EventQueue::no_tick);
-    EXPECT_EQ(eq.nextForeignTick(0), EventQueue::no_tick);
 }
 
 TEST(EventQueue, EarliestPendingPerPriorityTracksEachActor)
@@ -764,13 +734,7 @@ class QueueDifferential
             EXPECT_EQ(floors, want);
         }
 
-        const int own = actor();
-        Tick foreign = pin_;
-        for (const Key &k : ref_) {
-            if (std::get<1>(k) != own)
-                foreign = std::min(foreign, std::get<0>(k));
-        }
-        EXPECT_EQ(eq_.nextForeignTick(own), foreign);
+        EXPECT_EQ(eq_.horizonPin(), pin_);
 
         const Tick base = eq_.now();
         std::vector<std::uint64_t> enc;
