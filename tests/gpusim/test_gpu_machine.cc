@@ -475,19 +475,24 @@ TEST(GpuMachineImage, DtypeMergedShflKernelsShareAFingerprint)
  * per-thread cycles and kernel runtime of eight runs: element size
  * {4, 8} x base {sector-aligned, unaligned} x launch {one block with
  * a partial last warp, a three-wave grid}. Every run is also checked
- * to be identical with loop batching off. A rewrite of the handler
- * must reproduce the goldens exactly; only a deliberate model change
- * re-records them.
+ * to be identical with loop batching off. At 4 and 8 units, a warp
+ * whose lanes sit a whole number of sectors apart folds onto one or
+ * two units. A rewrite of the handler must reproduce the goldens
+ * exactly; only a deliberate model change re-records them.
  */
-constexpr int golden_units[] = {1, 7, 16, 40, 48};
+constexpr int golden_units[] = {1, 4, 7, 8, 16, 40, 48};
 constexpr int golden_strides[] = {0, 1, 3, 8, 32, 33};
 
 // [op: add, cas][units][stride]
-constexpr std::uint64_t per_thread_golden[2][5][6] = {
+constexpr std::uint64_t per_thread_golden[2][7][6] = {
     {{0xf1e2a1643459035d, 0xf1e2a1643459035d, 0xf1e2a1643459035d,
       0xf1e2a1643459035d, 0xf1e2a1643459035d, 0xf1e2a1643459035d},
+     {0xf1e2a1643459035d, 0xa19f5cc812a346e9, 0xa19f5cc812a346e9,
+      0x4a6d5bd24dd7d589, 0xf1e2a1643459035d, 0xa19f5cc812a346e9},
      {0xf1e2a1643459035d, 0xfbeef91087fd69af, 0x77ca13e138fc1e63,
       0xf546a780d6049af1, 0xf546a780d6049af1, 0x3f0d7be91a4423f},
+     {0xf1e2a1643459035d, 0xd640f497ef205949, 0x41a9be2902b50321,
+      0x6a9d979016b644e9, 0x63885d0984084035, 0xa2307cc6e2724249},
      {0xf1e2a1643459035d, 0x308221ca4a2f482d, 0xa188acad44337515,
       0x4ecd3811fdb0eef9, 0x4a6d5bd24dd7d589, 0x950869d1662e1797},
      {0xf1e2a1643459035d, 0xe19f89304569cb8d, 0x4570a456c3b84bb5,
@@ -496,8 +501,12 @@ constexpr std::uint64_t per_thread_golden[2][5][6] = {
       0x4267df8165a3ca5, 0x3e0bbc1d5f186bd, 0xe420108a92815a7d}},
     {{0x9cef89aad9e9c939, 0x9cef89aad9e9c939, 0x9cef89aad9e9c939,
       0x9cef89aad9e9c939, 0x9cef89aad9e9c939, 0x9cef89aad9e9c939},
+     {0x9cef89aad9e9c939, 0x52e7628142419125, 0x2b26e0b396640541,
+      0x23278737b9c4d219, 0x9cef89aad9e9c939, 0x52e7628142419125},
      {0x9cef89aad9e9c939, 0xdf0980414bda3f5d, 0x915f06cc96c87f9,
       0x87f6ea8756c3b921, 0x87f6ea8756c3b921, 0x5269409d3c7c5e29},
+     {0x9cef89aad9e9c939, 0x7b3eb9a4b68e2c9b, 0x43d4c70eb45ee8d,
+      0x5cb3aff3827b5739, 0x276e4bd8b16408e5, 0xa7eb0cd4ddb58355},
      {0x9cef89aad9e9c939, 0xf55710883aec840e, 0x6e749c0312916c91,
       0x6af3ba4124269659, 0x23278737b9c4d219, 0xb3c8dc02576a08c5},
      {0x9cef89aad9e9c939, 0xc2d7ec261dc8f176, 0xa7b2cf28abaaba3,
@@ -532,7 +541,7 @@ TEST(GpuMachine, PerThreadAtomicTimingsArePinned)
     std::uint64_t windows = 0;
     for (int o = 0; o < 2; ++o) {
         const AtomicOp aop = o == 0 ? AtomicOp::Add : AtomicOp::Cas;
-        for (int u = 0; u < 5; ++u) {
+        for (int u = 0; u < 7; ++u) {
             GpuConfig cfg = testGpu();
             cfg.l2_atomic_units = golden_units[u];
             // Two SMs holding two 256-thread blocks each: ten blocks
