@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <numeric>
 
 #include "common/logging.hh"
 
@@ -27,6 +28,7 @@ smLineKey(int sm, std::uint64_t line)
 
 /** 32-byte sector granularity used by the L2 atomic path. */
 constexpr std::uint64_t sector_shift = 5;
+constexpr std::uint64_t sector_bytes = std::uint64_t{1} << sector_shift;
 
 } // namespace
 
@@ -375,10 +377,9 @@ GpuMachine::execAtomicPerThread(int warp_id, const DecodedGpuOp &op,
         post_start + static_cast<Tick>(active) * cfg_.lsu_ii;
     lsu = post_done;
 
-    // Lanes step by a fixed stride, so equal sectors form adjacent
-    // runs and the unit index follows the sector delta. Reserving
-    // runs in lane order is exact even if two share a unit: a unit's
-    // final time telescopes to max(post_done, start) + sum(counts).
+    // A unit's final time telescopes to max(post_done, start) +
+    // sum(counts) whatever order its lanes come in, so each unit may
+    // be reserved once per warp with its lane count.
     const auto units = static_cast<std::uint64_t>(cfg_.l2_atomic_units);
     const std::uint64_t step = op.stride * op.esize;
     std::uint64_t addr = resolveAddr(warp, op, 0);
@@ -390,24 +391,41 @@ GpuMachine::execAtomicPerThread(int warp_id, const DecodedGpuOp &op,
         u = std::max(post_done, u) + static_cast<Tick>(count) * op.unit_ii;
         last_svc = std::max(last_svc, u);
     };
-    int run = 1;
-    for (int lane = 1; lane < active; ++lane) {
-        addr += step;
-        const std::uint64_t next = addr >> sector_shift;
-        if (next != line) {
-            reserve(run);
-            run = 0;
-            // Divide only when the sector jumps a unit count or wraps.
-            unit_idx = next > line && next - line < units
-                           ? unit_idx + (next - line)
-                           : next % units;
+    if (op.stride >= 0 && step % sector_bytes == 0) {
+        // Lane i sits i * s sectors past lane 0, so the lanes' units
+        // cycle with period P = U / gcd(s mod U, U), and lane i < P
+        // stands for every P-th lane from it.
+        const std::uint64_t s = (step >> sector_shift) % units;
+        const int period = static_cast<int>(units / std::gcd(s, units));
+        for (int i = 0; i < std::min(period, active); ++i) {
+            reserve((active - i + period - 1) / period);
+            unit_idx += s;
             if (unit_idx >= units)
                 unit_idx -= units;
-            line = next;
         }
-        ++run;
+    } else {
+        // Sub-sector strides: equal sectors form adjacent runs of
+        // lanes, and the unit index follows the sector delta.
+        int run = 1;
+        for (int lane = 1; lane < active; ++lane) {
+            addr += step;
+            const std::uint64_t next = addr >> sector_shift;
+            if (next != line) {
+                reserve(run);
+                run = 0;
+                // Divide only when the sector jumps a unit count or
+                // wraps.
+                unit_idx = next > line && next - line < units
+                               ? unit_idx + (next - line)
+                               : next % units;
+                if (unit_idx >= units)
+                    unit_idx -= units;
+                line = next;
+            }
+            ++run;
+        }
+        reserve(run);
     }
-    reserve(run);
 
     if (op.value_returning) {
         finishOp(warp_id, last_svc + cfg_.atomic_rt);
