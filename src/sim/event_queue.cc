@@ -138,31 +138,16 @@ EventQueue::earliestPendingPerPriority(std::vector<Tick> &out) const
 void
 EventQueue::encodePending(Tick base, std::vector<std::uint64_t> &out) const
 {
-    // Pop order, not list order: list order depends on wake history,
-    // which two equivalent states need not share. The layout already
-    // orders the lists -- current_ (popped from the back), then the
-    // wheel slots, then the buckets, each in turn -- so only each
-    // list's own keys need sorting.
+    // Each actor has at most one wake pending, and (tick, actor) is
+    // the pop order, so each actor's offset alone fixes the pattern.
+    // The offset is signed-in-two's-complement: pending wakes may
+    // precede the caller's base tick.
     out.push_back(live_);
-    const auto emit = [&](std::uint64_t key) {
-        // The offset is signed-in-two's-complement: pending wakes may
-        // precede the caller's base tick.
-        out.push_back(static_cast<std::uint64_t>((key >> when_shift) - base));
-        out.push_back(key & actor_mask);
-    };
-    const auto emitList = [&](std::uint32_t a) {
-        order_scratch_.clear();
-        for (; a != no_actor; a = nodes_[a].next)
-            order_scratch_.push_back(nodes_[a].key);
-        std::sort(order_scratch_.begin(), order_scratch_.end());
-        for (std::uint64_t key : order_scratch_)
-            emit(key);
-    };
-    for (auto it = current_.rbegin(); it != current_.rend(); ++it)
-        emit(nodes_[*it].key);
-    forEachWheelSlot([&](std::size_t idx) { emitList(wheel_[idx]); });
-    for (std::uint64_t m = mask_; m != 0; m &= m - 1)
-        emitList(buckets_[std::countr_zero(m)].head);
+    for (const Node &node : nodes_) {
+        out.push_back(node.key == idle_key
+                          ? idle_word
+                          : static_cast<std::uint64_t>(node.when() - base));
+    }
 }
 
 void

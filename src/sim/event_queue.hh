@@ -64,6 +64,10 @@ class EventQueue
     /** Sentinel tick: no pending foreign event / no horizon pin. */
     static constexpr Tick no_tick = ~Tick{0};
 
+    /** encodePending()'s word for an actor with no wake pending: no
+     * offset of a 40-bit tick from another reaches it. */
+    static constexpr std::uint64_t idle_word = std::uint64_t{1} << 63;
+
     /** Actor indices fill the packed key's low 24 bits; the all-ones
      * index stays unused, so no pending key equals idle_key. */
     static constexpr std::size_t max_actors = (std::size_t{1} << 24) - 1;
@@ -145,10 +149,11 @@ class EventQueue
 
     /**
      * Append a canonical encoding of the pending set to @p out: the
-     * pending count, then a (when - base, actor) pair per wake in
-     * pop order. Two queues with equal encodings against their
-     * respective bases pop the same wake pattern at the same offsets,
-     * whatever their internal bucket layout or wake history.
+     * pending count, then one word per bound actor, in actor order:
+     * its wake's offset when - base, or idle_word when it has none.
+     * Two queues with equal encodings against their respective bases
+     * pop the same wake pattern at the same offsets, whatever their
+     * internal bucket layout or wake history.
      */
     void encodePending(Tick base, std::vector<std::uint64_t> &out) const;
 
@@ -316,8 +321,6 @@ class EventQueue
     std::uint64_t executed_ = 0;
     std::uint64_t relinked_ = 0;
     Tick horizon_pin_ = no_tick;
-    /** Reused sort buffer of encodePending(). */
-    mutable std::vector<std::uint64_t> order_scratch_;
 };
 
 } // namespace syncperf::sim

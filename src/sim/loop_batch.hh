@@ -88,7 +88,7 @@ struct LoopBatchCounters
  *   state): its size, then per key the key and fn(value).
  *
  * The encode starts with the rng word and ends with the pending
- * event set in execution order.
+ * event set, one word per actor (EventQueue::encodePending()).
  */
 class StateEncoder
 {
@@ -327,7 +327,6 @@ class LoopBatcher
      */
     struct Anchor
     {
-        std::uint64_t hash = 0;   ///< fast reject before comparing fp
         std::vector<std::uint64_t> fp;
         Tick boundary = 0;
         std::uint64_t rng = 0;
@@ -342,8 +341,7 @@ class LoopBatcher
      * (recycled), as the newest anchor, evicting the oldest. */
     template <class Host> void anchor(Host &host, Tick done);
 
-    /** Newest anchor equal to fp_ (hashing it into fp_hash_), or
-     * nullptr. */
+    /** Newest anchor equal to fp_, or nullptr. */
     const Anchor *findMatch();
 
     /** Count a fallback and back off exponentially. */
@@ -367,7 +365,6 @@ class LoopBatcher
     int ring_n_ = 0;      ///< valid anchors (0 = disarmed)
     StateEncoder encoder_;
     std::vector<std::uint64_t> fp_;  ///< the current boundary's fp
-    std::uint64_t fp_hash_ = 0;
     LoopBatchCounters counters_;
 };
 
@@ -458,7 +455,6 @@ LoopBatcher::anchor(Host &host, Tick done)
     ring_n_ = std::min(ring_n_ + 1, ring_size);
     Anchor &a = ring_[ring_head_];
     a.fp.swap(fp_); // recycle the evicted anchor's buffer
-    a.hash = fp_hash_;
     a.boundary = done;
     a.rng = host.rngState();
     a.iters.resize(static_cast<std::size_t>(host.actorCount()));

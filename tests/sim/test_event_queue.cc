@@ -258,7 +258,12 @@ TEST(EventQueue, EncodePendingIsCanonicalAcrossInsertionHistory)
     a.encodePending(0, enc_a);
     b.encodePending(0, enc_b);
     EXPECT_EQ(enc_a, enc_b);
-    EXPECT_EQ(enc_a, (std::vector<std::uint64_t>{3, 10, 1, 20, 2, 30, 3}));
+    // The pending count, then one word per bound actor: its offset,
+    // or idle_word while it has no wake pending.
+    constexpr std::uint64_t idle = EventQueue::idle_word;
+    EXPECT_EQ(enc_a, (std::vector<std::uint64_t>{3, idle, 10, 20, 30, idle,
+                                                 idle, idle, idle, idle,
+                                                 idle}));
 
     // A uniformly shifted set encodes identically against the
     // shifted base: this is what makes equal fingerprints imply a
@@ -740,9 +745,10 @@ class QueueDifferential
         std::vector<std::uint64_t> enc;
         eq_.encodePending(base, enc);
         std::vector<std::uint64_t> ref_enc{ref_.size()};
-        for (const Key &k : ref_) {
-            ref_enc.push_back(std::get<0>(k) - base);
-            ref_enc.push_back(static_cast<std::uint64_t>(std::get<1>(k)));
+        for (const Tick when : wake_at_) {
+            ref_enc.push_back(when == EventQueue::no_tick
+                                  ? EventQueue::idle_word
+                                  : when - base);
         }
         EXPECT_EQ(enc, ref_enc);
     }
