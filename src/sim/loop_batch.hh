@@ -344,12 +344,17 @@ class LoopBatcher
     /** Newest anchor equal to fp_, or nullptr. */
     const Anchor *findMatch();
 
-    /** Count a fallback and back off exponentially. */
+    /**
+     * Count a fallback and back off exponentially: skip 0, 1, 3, 7,
+     * ..., 255 boundaries. The first retry is the very next boundary,
+     * because the first timed iteration after a launch's alignment
+     * release is often a one-off transient.
+     */
     void
     fallBack()
     {
         ++counters_.fallbacks;
-        skip_ = penalty_;
+        skip_ = penalty_ - 1;
         penalty_ = std::min<long>(penalty_ * 2, 256);
     }
 
@@ -359,7 +364,7 @@ class LoopBatcher
     Tick pin_ = EventQueue::no_tick;
     int trigger_ = -1;
     long skip_ = 0;       ///< boundaries left before retrying
-    long penalty_ = 1;    ///< next backoff length (doubles)
+    long penalty_ = 1;    ///< next backoff length + 1 (doubles)
     std::array<Anchor, ring_size> ring_;
     int ring_head_ = 0;   ///< slot of the newest anchor
     int ring_n_ = 0;      ///< valid anchors (0 = disarmed)

@@ -84,36 +84,37 @@ TEST(LoopBatcher, PeriodThreeRotationMatchesTheAnchorThreeBoundariesBack)
 {
     // The trigger (actor 0) rotates through fingerprints A, B, C with
     // 10 ticks per boundary; actor 1 runs two iterations per trigger
-    // iteration. Round 2 is skipped by the backoff after B's
-    // fallback, so round 3 is the first to see A again, and it must
-    // close the cycle against round 0, not the newest anchor (B).
+    // iteration. B's fallback retries at the next boundary and C's
+    // skips round 3 (A), so round 4 is the first to see a repeat, B,
+    // and it must close the cycle against round 1, not the newest
+    // anchor (C).
     Rig r({1000, 5000});
     const std::uint64_t pattern[] = {0xA, 0xB, 0xC};
     sim::Tick shift = 0;
-    for (int round = 0; round < 4; ++round) {
+    for (int round = 0; round < 5; ++round) {
         r.host.fp = pattern[round % 3];
         r.stats.inc(sim::Probe::CpuL1Hit);
         shift = r.cross(0, 10 * (round + 1));
-        if (round < 3) {
+        if (round < 4) {
             EXPECT_EQ(shift, 0u);
             EXPECT_EQ(r.cross(1, 10 * (round + 1)), 0u);
             EXPECT_EQ(r.cross(1, 10 * (round + 1)), 0u);
         }
     }
-    EXPECT_EQ(r.host.encodes, (std::vector<sim::Tick>{10, 20, 40}));
+    EXPECT_EQ(r.host.encodes, (std::vector<sim::Tick>{10, 20, 30, 50}));
 
-    // Δ = 40 - 10 and d = (3, 6), both from round 0's anchor; actor 0
-    // limits k to (997 - 2) / 3 = 331.
+    // Δ = 50 - 20 and d = (3, 6), both from round 1's anchor; actor 0
+    // limits k to (996 - 2) / 3 = 331.
     EXPECT_EQ(shift, 30u * 331u);
     EXPECT_EQ(r.host.shifted, shift);
-    EXPECT_EQ(r.host.iters[0], 997 - 331 * 3 - 1);
-    EXPECT_EQ(r.host.iters[1], 4994 - 331 * 6);
+    EXPECT_EQ(r.host.iters[0], 996 - 331 * 3 - 1);
+    EXPECT_EQ(r.host.iters[1], 4992 - 331 * 6);
     const sim::LoopBatchCounters &c = r.lb.counters();
     EXPECT_EQ(c.windows, 1u);
-    EXPECT_EQ(c.fallbacks, 1u);
+    EXPECT_EQ(c.fallbacks, 2u);
     EXPECT_EQ(c.batched_iters, 331u * 9u);
     // The stats recorded since the anchor (3 increments) replay k times.
-    EXPECT_EQ(r.stats.get(sim::Probe::CpuL1Hit), 4u + 331u * 3u);
+    EXPECT_EQ(r.stats.get(sim::Probe::CpuL1Hit), 5u + 331u * 3u);
 }
 
 TEST(LoopBatcher, RngChangeDropsEveryAnchorWithoutEncoding)
@@ -122,17 +123,15 @@ TEST(LoopBatcher, RngChangeDropsEveryAnchorWithoutEncoding)
     r.host.fp = 0xA;
     r.cross(0, 10);    // encode, anchor A
     r.host.fp = 0xB;
-    r.cross(0, 20);    // encode, fall back (skip 1)
-    r.cross(0, 30);    // skipped
+    r.cross(0, 20);    // encode, fall back (skip 0)
     r.host.rng = 2;
-    r.cross(0, 40);    // randomness consumed: no encode
+    r.cross(0, 30);    // randomness consumed: no encode
     EXPECT_EQ(r.host.encodes.size(), 2u);
     EXPECT_EQ(r.lb.counters().fallbacks, 2u);
 
-    r.cross(0, 50);    // backoff (skip 2)
-    r.cross(0, 60);
+    r.cross(0, 40);    // backoff (skip 1)
     r.host.fp = 0xA;
-    r.cross(0, 70);    // A again, but round 0's anchor is gone
+    r.cross(0, 50);    // A again, but round 0's anchor is gone
     EXPECT_EQ(r.host.encodes.size(), 3u);
     EXPECT_EQ(r.lb.counters().windows, 0u);
     EXPECT_EQ(r.lb.counters().fallbacks, 2u); // an empty ring misses freely
@@ -146,10 +145,10 @@ TEST(LoopBatcher, BackoffDoublesToTheCapAndResetsAfterAJump)
     std::vector<int> gaps;
     // Every boundary reports a fresh fingerprint until @p n encodes
     // are seen (or a gap outgrows the cap); gaps collects the
-    // boundaries from one encode to the next.
+    // boundaries from one encode to the next, each a skip plus one.
     const auto runUntil = [&](std::size_t n) {
         int since = 0;
-        while (r.host.encodes.size() < n && since <= 257) {
+        while (r.host.encodes.size() < n && since <= 256) {
             const std::size_t seen = r.host.encodes.size();
             now += 10;
             r.host.fp = next_fp++;
@@ -165,25 +164,25 @@ TEST(LoopBatcher, BackoffDoublesToTheCapAndResetsAfterAJump)
     r.host.fp = next_fp++;
     r.cross(0, now);
     runUntil(13);
-    EXPECT_EQ(gaps, (std::vector<int>{1, 2, 3, 5, 9, 17, 33, 65, 129, 257,
-                                      257, 257}));
+    EXPECT_EQ(gaps, (std::vector<int>{1, 1, 2, 4, 8, 16, 32, 64, 128, 256,
+                                      256, 256}));
 
     // Repeat the newest anchor's fingerprint; the pin keeps the jump
-    // to one period (Δ = 257 boundaries).
+    // to one period (Δ = 256 boundaries).
     const std::size_t before = r.host.encodes.size();
     r.host.fp = next_fp - 1;
-    for (int i = 0; i < 257 && r.host.encodes.size() == before; ++i) {
+    for (int i = 0; i < 256 && r.host.encodes.size() == before; ++i) {
         now += 10;
-        r.eq.pinHorizon(now + 2571);
+        r.eq.pinHorizon(now + 2561);
         now += r.cross(0, now);
     }
     r.eq.clearHorizonPin();
     EXPECT_EQ(r.lb.counters().windows, 1u);
-    EXPECT_EQ(r.host.shifted, 2570u);
+    EXPECT_EQ(r.host.shifted, 2560u);
 
     gaps.clear();
     runUntil(before + 5);
-    EXPECT_EQ(gaps, (std::vector<int>{1, 2, 3, 5}));
+    EXPECT_EQ(gaps, (std::vector<int>{1, 1, 2, 4}));
 }
 
 TEST(LoopBatcher, PinCapsTheJumpAndAShortWindowReanchors)
@@ -201,19 +200,23 @@ TEST(LoopBatcher, PinCapsTheJumpAndAShortWindowReanchors)
     // Past the pin k < 1: fall back and anchor this boundary instead.
     EXPECT_EQ(r.cross(0, 80), 0u);
     EXPECT_EQ(r.lb.counters().fallbacks, 1u);
-    r.cross(0, 90); // backoff
+    // The retry at the next boundary is still pinned: fall back and
+    // anchor again, then back off.
+    EXPECT_EQ(r.cross(0, 90), 0u);
+    EXPECT_EQ(r.lb.counters().fallbacks, 2u);
+    r.cross(0, 100); // backoff
 
-    // Unpinned, the match is against the tick-80 anchor: Δ = 20 and
-    // d = 2 (the post-jump anchor at 70 would give 30 and 3).
+    // Unpinned, the match is against the tick-90 anchor: Δ = 20 and
+    // d = 2 (the tick-80 anchor would give 30 and 3).
     r.eq.clearHorizonPin();
-    EXPECT_EQ(r.host.iters[0], 991);
-    EXPECT_EQ(r.cross(0, 100), 20u * ((991 - 2) / 2));
+    EXPECT_EQ(r.host.iters[0], 990);
+    EXPECT_EQ(r.cross(0, 110), 20u * ((990 - 2) / 2));
     EXPECT_EQ(r.lb.counters().windows, 2u);
 }
 
 TEST(LoopBatcher, ActorNearItsLoopExitVacatesTheTrigger)
 {
-    Rig r({5, 100});
+    Rig r({6, 100});
     std::uint64_t next_fp = 1;
     for (int round = 0; round < 5; ++round) {
         r.host.fp = next_fp++;
@@ -221,11 +224,11 @@ TEST(LoopBatcher, ActorNearItsLoopExitVacatesTheTrigger)
         r.host.fp = next_fp++;
         r.cross(1, 10 * round + 2);
     }
-    // Actor 0 triggers with 5 and 4 iterations left, vacates at 3;
+    // Actor 0 triggers with 6, 5 and 4 iterations left, vacates at 3;
     // actor 1 takes over, honors the backoff that survived the
-    // hand-off (round 2), and starts with an empty ring (round 3
+    // hand-off (round 3), and starts with an empty ring (round 4
     // records no fallback).
-    EXPECT_EQ(r.host.encodes, (std::vector<sim::Tick>{1, 11, 32, 42}));
+    EXPECT_EQ(r.host.encodes, (std::vector<sim::Tick>{1, 11, 21, 42}));
     EXPECT_EQ(r.lb.counters().fallbacks, 2u);
 }
 
