@@ -195,10 +195,6 @@ class EventQueue
      * GPU clocks -- orders of magnitude beyond any run). */
     static constexpr unsigned when_shift = 24;
 
-    /** Low key bits: the actor. */
-    static constexpr std::uint64_t actor_mask =
-        (std::uint64_t{1} << when_shift) - 1;
-
     /** First tick past the packed 40-bit range. */
     static constexpr Tick tick_limit = Tick{1} << (64 - when_shift);
 
