@@ -40,9 +40,10 @@ TEST(Histogram, BucketBoundsPartitionTheDomain)
         EXPECT_LE(low, high) << "bucket " << i;
         EXPECT_EQ(Histogram::bucketIndex(low), i) << "bucket " << i;
         EXPECT_EQ(Histogram::bucketIndex(high), i) << "bucket " << i;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(Histogram::bucketHigh(i - 1) + 1, low)
                 << "gap below bucket " << i;
+        }
     }
     EXPECT_EQ(Histogram::bucketHigh(64), ~std::uint64_t{0});
 }

@@ -123,8 +123,9 @@ TEST(TicketLock, IsFifoFair)
     parallelRegion(3, [&](int tid) {
         if (tid == 0) {
             // Give the other two a moment to queue up behind us.
-            for (volatile int i = 0; i < 100000; ++i) {
-            }
+            // The fence keeps the compiler from deleting the loop.
+            for (int i = 0; i < 100000; ++i)
+                std::atomic_signal_fence(std::memory_order_seq_cst);
             lock.release();
         } else {
             lock.acquire();
