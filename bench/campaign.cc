@@ -15,12 +15,8 @@
  *
  * --jobs N measures every system's experiments on one set of N
  * threads and commits them in point order, so the result tree is
- * byte-identical at every job count. Every measuring run arms a
- * crash flight recorder at <out>/.flight.ring and removes it on a
- * normal exit; the next run over the same --out renders a leftover
- * ring (a run that crashed or was killed) into <out>/postmortem.json.
- * docs/robustness.md, "Parallel and interrupted campaigns", has the
- * failure model.
+ * byte-identical at every job count. docs/robustness.md, "Parallel
+ * and interrupted campaigns", has the failure model.
  */
 
 #include <cctype>
@@ -36,7 +32,6 @@
 #include <variant>
 #include <vector>
 
-#include "common/flight_recorder.hh"
 #include "common/metrics.hh"
 #include "common/trace.hh"
 #include "core/campaign.hh"
@@ -157,77 +152,6 @@ findFlag(std::string_view name)
     }
     return nullptr;
 }
-
-/**
- * The crash flight recorder of one campaign run: a ring file under
- * --out that the span sites feed and that survives SIGKILL (see
- * common/flight_recorder.hh). A ring left behind by an earlier run
- * means that run died; construction renders it to postmortem.json
- * and deletes it. arm() creates the fresh ring just before the first
- * measurement -- creating it costs ~0.4 ms on ext4, about 15% of a
- * --resume run that finds nothing to measure. Destruction -- any
- * return from main -- disarms the ring and deletes the file.
- */
-class FlightRing
-{
-  public:
-    FlightRing(const fs::path &out_dir, const char *argv0)
-        : ring_(out_dir / ".flight.ring"), argv0_(argv0)
-    {
-        std::error_code ec;
-        if (!fs::exists(ring_, ec))
-            return;
-        const fs::path postmortem = out_dir / "postmortem.json";
-        if (auto s = flight::renderPostmortem(ring_, postmortem);
-            s.isOk()) {
-            std::fprintf(stderr,
-                         "%s: the previous run over %s died; its last "
-                         "events are in %s\n",
-                         argv0, out_dir.c_str(), postmortem.c_str());
-        } else {
-            std::fprintf(stderr, "%s: %s\n", argv0,
-                         s.toString().c_str());
-        }
-        fs::remove(ring_, ec);
-    }
-
-    /** Create the ring and arm it; only the first call does work. */
-    void
-    arm()
-    {
-        if (tried_)
-            return;
-        tried_ = true;
-        flight::Options options;
-        options.file = ring_;
-        options.label = "campaign";
-        if (auto s = flight::open(options); !s.isOk()) {
-            std::fprintf(stderr, "%s: %s\n", argv0_,
-                         s.toString().c_str());
-            return;
-        }
-        flight::installCrashHandlers();
-        armed_ = true;
-    }
-
-    ~FlightRing()
-    {
-        if (!armed_)
-            return;
-        flight::close();
-        std::error_code ec;
-        fs::remove(ring_, ec);
-    }
-
-    FlightRing(const FlightRing &) = delete;
-    FlightRing &operator=(const FlightRing &) = delete;
-
-  private:
-    fs::path ring_;
-    const char *argv0_;
-    bool tried_ = false;
-    bool armed_ = false;
-};
 
 } // namespace
 
@@ -440,12 +364,6 @@ main(int argc, char **argv)
     std::signal(SIGTERM, onSignal);
     options.cancelled = [] { return g_signal != 0; };
 
-    // The crash flight recorder: report what a dead predecessor left
-    // behind now; the heartbeat below arms a fresh ring.
-    std::optional<FlightRing> flight_ring;
-    if (!explain_only)
-        flight_ring.emplace(options.output_dir, argv[0]);
-
     // Test-only process fault: SYNCPERF_FAULT_KILL_AFTER=<n> lets n
     // CSV commits land, then SIGKILLs this process (the kill-resume
     // tests in docs/robustness.md).
@@ -487,12 +405,9 @@ main(int argc, char **argv)
     }
 
     // The campaign beats before its first measurement and after
-    // every ordered commit: the first beat arms the flight
-    // ring, and each beat feeds the debounced status write.
-    options.heartbeat = [&flight_ring, &reporter,
-                         status_total](const std::string &) {
-        if (flight_ring)
-            flight_ring->arm();
+    // every ordered commit; each beat feeds the debounced status
+    // write, so the first one writes the 0/N file.
+    options.heartbeat = [&reporter, status_total](const std::string &) {
         if (!reporter || !reporter->due())
             return;
         using metrics::Counter;

@@ -135,10 +135,6 @@ void
 recordComplete(std::string_view name, const char *category,
                std::uint64_t start_ns, std::uint64_t dur_ns)
 {
-    if (flight::armed())
-        flight::record(name, category,
-                       static_cast<std::int64_t>(start_ns),
-                       static_cast<std::int64_t>(dur_ns));
     // A span whose session stopped while it ran lands here with the
     // flag already down: drop it, the flush has happened.
     if (!enabled())

@@ -32,7 +32,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/flight_recorder.hh"
 #include "common/status.hh"
 
 namespace syncperf::trace
@@ -66,19 +65,6 @@ enabled()
     return detail::g_enabled.load(std::memory_order_relaxed);
 }
 #endif
-
-/** A span is live when either sink wants events: an active trace
- * session or an armed flight recorder. Folds to false when tracing
- * is compiled out. */
-inline bool
-spanArmed()
-{
-#ifdef SYNCPERF_DISABLE_TRACING
-    return false;
-#else
-    return enabled() || flight::armed();
-#endif
-}
 
 /**
  * Begin recording; events will be exported to @p out_file by stop().
@@ -120,7 +106,7 @@ class Span
     explicit Span(std::string_view name,
                   const char *category = "campaign")
     {
-        if (spanArmed()) {
+        if (enabled()) {
             name_ = name;
             category_ = category;
             start_ns_ = detail::nowNanos();

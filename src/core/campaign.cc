@@ -490,7 +490,7 @@ class CampaignRunner
     void
     open(SystemRun &sys)
     {
-        if (trace::spanArmed())
+        if (trace::enabled())
             sys.span_start_ns = trace::detail::nowNanos();
         removeStrayTemps(sys.dir);
         if (options_.resume) {
@@ -514,7 +514,7 @@ class CampaignRunner
     runExperiment(SystemRun &sys, const Point &point, bool first)
     {
         // A system's span starts with its first job.
-        if (first && trace::spanArmed())
+        if (first && trace::enabled())
             sys.span_start_ns = trace::detail::nowNanos();
 
         // Cooperative stop: once cancellation fires, the remaining

@@ -79,9 +79,8 @@ struct CampaignOptions
 
     /** Called with a progress note on the calling thread: before
      * the campaign's first measurement and after every ordered
-     * commit. The CLI arms its crash flight recorder on the first
-     * call and feeds the live status file from every call. May be
-     * null. */
+     * commit. The CLI feeds the live status file from every call,
+     * so the first call writes its 0/N file. May be null. */
     std::function<void(const std::string &)> heartbeat;
 
     /**
