@@ -407,7 +407,7 @@ main(int argc, char **argv)
     // The campaign beats before its first measurement and after
     // every ordered commit; each beat feeds the debounced status
     // write, so the first one writes the 0/N file.
-    options.heartbeat = [&reporter, status_total](const std::string &) {
+    options.heartbeat = [&reporter, status_total] {
         if (!reporter || !reporter->due())
             return;
         using metrics::Counter;

@@ -480,7 +480,7 @@ class CampaignRunner
                 ? options_.checkpoint_every
                 : (workers > 1 ? parallel_checkpoint_batch : 1);
         if (!jobs.empty() && options_.heartbeat)
-            options_.heartbeat("measure");
+            options_.heartbeat();
         CampaignMetrics::global().foldPool(
             OrderedExecutor::run(workers, std::move(jobs)));
     }
@@ -570,7 +570,7 @@ class CampaignRunner
             }
             settle(sys);
             if (options_.heartbeat)
-                options_.heartbeat(point.file);
+                options_.heartbeat();
         };
     }
 

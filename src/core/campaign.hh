@@ -77,11 +77,11 @@ struct CampaignOptions
      */
     int checkpoint_every = 0;
 
-    /** Called with a progress note on the calling thread: before
-     * the campaign's first measurement and after every ordered
-     * commit. The CLI feeds the live status file from every call,
-     * so the first call writes its 0/N file. May be null. */
-    std::function<void(const std::string &)> heartbeat;
+    /** Called on the calling thread before the campaign's first
+     * measurement and after every ordered commit. The CLI feeds the
+     * live status file from every call, so the first call writes its
+     * 0/N file. May be null. */
+    std::function<void()> heartbeat;
 
     /**
      * Cooperative cancellation (SIGINT/SIGTERM): polled as each

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include <unistd.h>
 
@@ -148,6 +150,43 @@ TEST_F(CampaignTest, CasFilesOnlyForIntegerTypes)
     EXPECT_FALSE(fs::exists(base / "cuda_atomiccas_float.csv"));
     EXPECT_FALSE(fs::exists(base / "cuda_atomiccas_double.csv"));
     (void)result;
+}
+
+TEST_F(CampaignTest, HeartbeatBeatsOnTheCallerBeforeMeasuringAndPerCommit)
+{
+    cpusim::CpuConfig cpu = cpusim::CpuConfig::system3();
+    cpu.cores_per_socket = 2;
+
+    for (const int jobs : {1, 2}) {
+        SCOPED_TRACE(jobs);
+        fs::remove_all(dir_);
+        const std::thread::id caller = std::this_thread::get_id();
+        std::atomic<int> beats{0};
+        std::atomic<int> foreign_beats{0};
+        CampaignOptions o = options();
+        o.jobs = jobs;
+        o.heartbeat = [&] {
+            ++beats;
+            if (std::this_thread::get_id() != caller)
+                ++foreign_beats;
+        };
+
+        // One beat before the first measurement, one per commit.
+        const auto result = runCampaign({{cpu, tinyProtocol()}}, o);
+        ASSERT_GT(result.experiments_run, 0);
+        EXPECT_TRUE(result.failures.empty());
+        EXPECT_EQ(beats.load(), result.experiments_run + 1);
+        EXPECT_EQ(foreign_beats.load(), 0);
+
+        // A resume over the complete tree measures nothing and beats
+        // not at all.
+        beats = 0;
+        o.resume = true;
+        const auto resumed = runCampaign({{cpu, tinyProtocol()}}, o);
+        EXPECT_EQ(resumed.experiments_run, 0);
+        EXPECT_EQ(resumed.experiments_skipped, result.experiments_run);
+        EXPECT_EQ(beats.load(), 0);
+    }
 }
 
 } // namespace
