@@ -5,12 +5,7 @@
 
 #include "cpusim_target.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
-#include "common/metrics.hh"
-#include "core/manifest.hh"
-#include "sim/fault_injector.hh"
 
 namespace syncperf::core
 {
@@ -128,8 +123,7 @@ buildBody(const OmpExperiment &exp, int tid, int copies)
 CpuSimTarget::CpuSimTarget(cpusim::CpuConfig cfg, MeasurementConfig mcfg,
                            std::uint64_t seed,
                            std::shared_ptr<LaunchMemo> memo)
-    : cfg_(std::move(cfg)), mcfg_(mcfg), next_seed_(seed),
-      memo_(memo ? std::move(memo) : std::make_shared<LaunchMemo>())
+    : SimTarget(cfg, cfg.base_clock_ghz, mcfg, seed, std::move(memo))
 {
 }
 
@@ -153,7 +147,7 @@ CpuSimTarget::buildPrograms(const OmpExperiment &exp, int n_threads,
     return pair;
 }
 
-cpusim::CpuMachine &
+void
 CpuSimTarget::machineFor(Affinity affinity)
 {
     // A machine serves one placement.
@@ -161,14 +155,6 @@ CpuSimTarget::machineFor(Affinity affinity)
         machine_ = std::make_unique<cpusim::CpuMachine>(cfg_, affinity);
         machine_affinity_ = affinity;
     }
-    return *machine_;
-}
-
-std::uint64_t
-CpuSimTarget::fingerprint(const std::vector<cpusim::CpuProgram> &programs)
-{
-    metrics::add(metrics::Counter::PoolColdBuilds);
-    return machine_->decode(programs).fingerprint;
 }
 
 std::uint64_t
@@ -179,8 +165,8 @@ CpuSimTarget::laneKey(const OmpExperiment &exp, int n_threads)
     machineFor(exp.affinity);
     ConfigHasher h;
     h.add(static_cast<int>(exp.affinity))
-        .add(fingerprint(pair.baseline))
-        .add(fingerprint(pair.test));
+        .add(decode(pair.baseline).fingerprint)
+        .add(decode(pair.test).fingerprint);
     return h.digest();
 }
 
@@ -188,64 +174,17 @@ CpuSimTarget::Launch
 CpuSimTarget::prepare(const std::vector<cpusim::CpuProgram> &programs,
                       Affinity affinity)
 {
-    // simulate() runs the launch on the machine for its placement.
-    machineFor(affinity);
     // The fingerprint already folds the team size.
-    ConfigHasher h;
-    h.add(static_cast<int>(affinity)).add(mcfg_.n_warmup);
+    ConfigHasher fields;
+    fields.add(static_cast<int>(affinity));
     for (const auto &prog : programs)
-        h.add(static_cast<std::uint64_t>(prog.iterations));
-    h.add(fingerprint(programs));
-    return {&programs, h.digest()};
-}
-
-double
-CpuSimTarget::runOnce(const Launch &launch)
-{
-    // Every launch consumes a seed, served or not, so two targets
-    // measuring points with equal images walk equal seed sequences.
-    const std::uint64_t seed = next_seed_++;
-    // Only a jittered model draws from the seed's stream; without
-    // jitter the outcome does not depend on it.
-    std::uint64_t key = launch.key;
-    if (cfg_.jitter_frac != 0.0)
-        key = ConfigHasher().add(key).add(seed).digest();
-    const LaunchOutcome &outcome =
-        memo_->serve(key, [&] { return simulate(launch, seed); });
-    if (mcfg_.telemetry)
-        telemetry_.merge(outcome.telemetry);
-    lb_.merge(outcome.loop_batch);
-    return sim::FaultInjector::reportLaunch(outcome.seconds);
-}
-
-LaunchOutcome
-CpuSimTarget::simulate(const Launch &launch, std::uint64_t seed)
-{
-    cpusim::CpuMachine &machine = *machine_;
-    metrics::add(metrics::Counter::PoolClones);
-    machine.setLoopBatch(mcfg_.loop_batch);
-    const std::uint64_t events = machine.eventQueue().executed();
-    const auto result = machine.run(*launch.programs, mcfg_.n_warmup, seed);
-    LaunchOutcome outcome;
-    // Max in ticks, then one conversion: the cast and the division by
-    // a positive clock are monotone, so this is bit-identical to
-    // converting every entry and taking the max.
-    const sim::Tick slowest = std::ranges::max(result.thread_cycles);
-    outcome.seconds =
-        static_cast<double>(slowest) / (cfg_.base_clock_ghz * 1e9);
-    outcome.loop_batch = machine.loopBatch();
-    outcome.events = machine.eventQueue().executed() - events;
-    if (mcfg_.telemetry)
-        outcome.telemetry.addStats(machine.stats());
-    return outcome;
-}
-
-TelemetrySample
-CpuSimTarget::takeTelemetry()
-{
-    TelemetrySample taken = std::move(telemetry_);
-    telemetry_ = TelemetrySample{};
-    return taken;
+        fields.add(static_cast<std::uint64_t>(prog.iterations));
+    return keyLaunch(fields, programs,
+                     [&programs](cpusim::CpuMachine &machine, int warmup,
+                                 std::uint64_t seed) {
+                         return machine.run(programs, warmup, seed)
+                             .thread_cycles;
+                     });
 }
 
 Measurement
@@ -257,10 +196,10 @@ CpuSimTarget::measure(const OmpExperiment &exp, int n_threads)
     }
     const auto pair =
         buildPrograms(exp, n_threads, mcfg_.opsPerMeasurement());
+    machineFor(exp.affinity);
     const Launch baseline = prepare(pair.baseline, exp.affinity);
     const Launch test = prepare(pair.test, exp.affinity);
-    return measurePrimitive([&] { return runOnce(baseline); },
-                            [&] { return runOnce(test); }, mcfg_);
+    return measureLaunches(baseline, test);
 }
 
 } // namespace syncperf::core

@@ -5,12 +5,7 @@
 
 #include "gpusim_target.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
-#include "common/metrics.hh"
-#include "core/manifest.hh"
-#include "sim/fault_injector.hh"
 
 namespace syncperf::core
 {
@@ -115,29 +110,14 @@ buildBody(const CudaExperiment &exp, int copies)
     return body;
 }
 
-/** True when any op of @p ops is a system-scope fence (the one GPU
- * op that draws seeded jitter, on every fence it executes). */
-bool
-hasSystemFence(const std::vector<GpuOp> &ops)
-{
-    for (const auto &o : ops) {
-        if (o.kind == gpusim::GpuOpKind::Fence &&
-            o.scope == FenceScope::System) {
-            return true;
-        }
-    }
-    return false;
-}
-
 } // namespace
 
 GpuSimTarget::GpuSimTarget(gpusim::GpuConfig cfg, MeasurementConfig mcfg,
                            std::uint64_t seed,
                            std::shared_ptr<LaunchMemo> memo)
-    : cfg_(std::move(cfg)), mcfg_(mcfg), next_seed_(seed),
-      machine_(std::make_unique<gpusim::GpuMachine>(cfg_)),
-      memo_(memo ? std::move(memo) : std::make_shared<LaunchMemo>())
+    : SimTarget(cfg, cfg.clock_ghz, mcfg, seed, std::move(memo))
 {
+    machine_ = std::make_unique<gpusim::GpuMachine>(cfg_);
 }
 
 CudaKernelPair
@@ -158,18 +138,12 @@ GpuSimTarget::paperBlockCounts() const
 }
 
 std::uint64_t
-GpuSimTarget::fingerprint(const gpusim::GpuKernel &kernel)
-{
-    metrics::add(metrics::Counter::PoolColdBuilds);
-    return machine_->decode(kernel).fingerprint;
-}
-
-std::uint64_t
 GpuSimTarget::laneKey(const CudaExperiment &exp)
 {
     const auto pair = buildKernels(exp, mcfg_.opsPerMeasurement());
     ConfigHasher h;
-    h.add(fingerprint(pair.baseline)).add(fingerprint(pair.test));
+    h.add(decode(pair.baseline).fingerprint)
+        .add(decode(pair.test).fingerprint);
     return h.digest();
 }
 
@@ -177,65 +151,16 @@ GpuSimTarget::Launch
 GpuSimTarget::prepare(const gpusim::GpuKernel &kernel,
                       gpusim::LaunchConfig geometry)
 {
-    ConfigHasher h;
-    h.add(geometry.blocks)
+    ConfigHasher fields;
+    fields.add(geometry.blocks)
         .add(geometry.threads_per_block)
-        .add(mcfg_.n_warmup)
-        .add(static_cast<std::uint64_t>(kernel.body_iters))
-        .add(fingerprint(kernel));
-    return {&kernel, geometry, h.digest(),
-            hasSystemFence(kernel.prologue) ||
-                hasSystemFence(kernel.body) ||
-                hasSystemFence(kernel.epilogue)};
-}
-
-double
-GpuSimTarget::runOnce(const Launch &launch)
-{
-    // Every launch consumes a seed, served or not, so two targets
-    // measuring points with equal images walk equal seed sequences.
-    const std::uint64_t seed = next_seed_++;
-    // Only a system-scope fence draws from the seed's stream; any
-    // other kernel's outcome does not depend on it.
-    std::uint64_t key = launch.key;
-    if (launch.jittered)
-        key = ConfigHasher().add(key).add(seed).digest();
-    const LaunchOutcome &outcome =
-        memo_->serve(key, [&] { return simulate(launch, seed); });
-    if (mcfg_.telemetry)
-        telemetry_.merge(outcome.telemetry);
-    lb_.merge(outcome.loop_batch);
-    return sim::FaultInjector::reportLaunch(outcome.seconds);
-}
-
-LaunchOutcome
-GpuSimTarget::simulate(const Launch &launch, std::uint64_t seed)
-{
-    gpusim::GpuMachine &machine = *machine_;
-    metrics::add(metrics::Counter::PoolClones);
-    machine.setLoopBatch(mcfg_.loop_batch);
-    const std::uint64_t events = machine.eventQueue().executed();
-    const auto result = machine.run(*launch.kernel, launch.geometry,
-                                    mcfg_.n_warmup, seed);
-    LaunchOutcome outcome;
-    // Max in ticks, then one conversion: the cast and the division by
-    // a positive clock are monotone, so this is bit-identical to
-    // converting every entry and taking the max.
-    const sim::Tick slowest = std::ranges::max(result.warp_cycles);
-    outcome.seconds = static_cast<double>(slowest) / (cfg_.clock_ghz * 1e9);
-    outcome.loop_batch = machine.loopBatch();
-    outcome.events = machine.eventQueue().executed() - events;
-    if (mcfg_.telemetry)
-        outcome.telemetry.addStats(machine.stats());
-    return outcome;
-}
-
-TelemetrySample
-GpuSimTarget::takeTelemetry()
-{
-    TelemetrySample taken = std::move(telemetry_);
-    telemetry_ = TelemetrySample{};
-    return taken;
+        .add(static_cast<std::uint64_t>(kernel.body_iters));
+    return keyLaunch(fields, kernel,
+                     [&kernel, geometry](gpusim::GpuMachine &machine,
+                                         int warmup, std::uint64_t seed) {
+                         return machine.run(kernel, geometry, warmup, seed)
+                             .warp_cycles;
+                     });
 }
 
 Measurement
@@ -247,8 +172,7 @@ GpuSimTarget::measure(const CudaExperiment &exp,
     const auto pair = buildKernels(exp, mcfg_.opsPerMeasurement());
     const Launch baseline = prepare(pair.baseline, launch);
     const Launch test = prepare(pair.test, launch);
-    return measurePrimitive([&] { return runOnce(baseline); },
-                            [&] { return runOnce(test); }, mcfg_);
+    return measureLaunches(baseline, test);
 }
 
 } // namespace syncperf::core

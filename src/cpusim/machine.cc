@@ -603,6 +603,8 @@ CpuMachine::decode(const std::vector<CpuProgram> &programs) const
     img.n_lines = static_cast<int>(in.lines.size());
     img.n_locks = static_cast<int>(in.locks.size());
     img.fingerprint = fingerprintOf(img);
+    // The condition transferLatency() draws under.
+    img.draws_jitter = cfg_.jitter_frac > 0.0;
     return img;
 }
 

@@ -66,6 +66,8 @@ struct CpuRunResult
 class CpuMachine
 {
   public:
+    using Config = CpuConfig;
+
     /**
      * @param cfg Topology and timing parameters.
      * @param affinity Software-to-hardware thread placement policy.
@@ -107,6 +109,13 @@ class CpuMachine
          * it.
          */
         std::uint64_t fingerprint = 0;
+
+        /**
+         * True iff the config has transfer jitter (jitter_frac > 0,
+         * the paper's Threadripper): only then does a launch's
+         * outcome depend on its seed.
+         */
+        bool draws_jitter = false;
     };
 
     /** Decode one program per software thread into an image. */

@@ -932,6 +932,12 @@ GpuMachine::decode(const GpuKernel &kernel) const
     img.epilogue = decodeSequence(kernel.epilogue);
     img.body_iters = kernel.body_iters;
     img.fingerprint = fingerprintOf(img);
+    const auto fences_system = [](const DecodedGpuOp &op) {
+        return op.handler == &GpuMachine::execFenceSystem;
+    };
+    img.draws_jitter = std::ranges::any_of(img.prologue, fences_system) ||
+                       std::ranges::any_of(img.body, fences_system) ||
+                       std::ranges::any_of(img.epilogue, fences_system);
     return img;
 }
 

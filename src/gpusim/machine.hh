@@ -72,6 +72,8 @@ struct GpuRunResult
 class GpuMachine
 {
   public:
+    using Config = GpuConfig;
+
     /**
      * @param cfg Device parameters (see the Table I presets).
      * @param seed Seed for the deterministic jitter stream.
@@ -121,6 +123,13 @@ class GpuMachine
          * geometry, body_iters, warmup): the launch memo keys on it.
          */
         std::uint64_t fingerprint = 0;
+
+        /**
+         * True iff an op decodes to a system-scope fence, the one op
+         * that draws seeded PCIe jitter (on every fence it executes):
+         * only then does a launch's outcome depend on its seed.
+         */
+        bool draws_jitter = false;
     };
 
     /** Decode @p kernel into an image. */

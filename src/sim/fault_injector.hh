@@ -11,10 +11,11 @@
  * are seeded, so a failing test reproduces bit-for-bit.
  *
  * Hook points:
- *  - CpuSimTarget/GpuSimTarget::runOnce() pass the one runtime each
- *    launch reports (its slowest thread's) through reportLaunch(),
- *    which skews, jitters or poisons it, so jitter draws once per
- *    launch, after the launch memo;
+ *  - core::SimTarget::runOnce(), the engine of both sim targets,
+ *    passes the one runtime each launch reports (its slowest thread's
+ *    or warp's) through reportLaunch(), which skews, jitters or
+ *    poisons it, so jitter draws once per launch, after the launch
+ *    memo;
  *  - AtomicFile::open()/commit() consult the installed fault hook,
  *    which Scope wires to failWrites().
  */

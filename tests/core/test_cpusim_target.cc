@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "core/cpusim_target.hh"
@@ -187,6 +188,36 @@ TEST(CpuSimTarget, MeasuresTheSlowestThread)
     const double t = slowest(pair.test, 8);
     EXPECT_EQ(m.per_op_seconds,
               (t - b) / static_cast<double>(mcfg.opsPerMeasurement()));
+}
+
+TEST(CpuSimTargetJitter, DecodeMarksOnlySystem3Images)
+{
+    // decode() marks every image of a config with transfer jitter (the
+    // Threadripper, System 3) as drawing jitter, and no other, so the
+    // target keys exactly those launches on their seed.
+    constexpr OmpPrimitive primitives[] = {
+        OmpPrimitive::Barrier,      OmpPrimitive::AtomicUpdate,
+        OmpPrimitive::AtomicCapture, OmpPrimitive::AtomicRead,
+        OmpPrimitive::AtomicWrite,  OmpPrimitive::Critical,
+        OmpPrimitive::Flush,
+    };
+    const std::pair<cpusim::CpuConfig, bool> systems[] = {
+        {cpusim::CpuConfig::system1(), false},
+        {cpusim::CpuConfig::system2(), false},
+        {cpusim::CpuConfig::system3(), true},
+    };
+    for (const auto &[cfg, jittered] : systems) {
+        for (const OmpPrimitive p : primitives) {
+            SCOPED_TRACE(::testing::Message()
+                         << cfg.name << ' ' << ompPrimitiveName(p));
+            OmpExperiment exp;
+            exp.primitive = p;
+            const cpusim::CpuMachine machine(cfg, exp.affinity);
+            const auto pair = CpuSimTarget::buildPrograms(exp, 4, 4);
+            EXPECT_EQ(machine.decode(pair.baseline).draws_jitter, jittered);
+            EXPECT_EQ(machine.decode(pair.test).draws_jitter, jittered);
+        }
+    }
 }
 
 } // namespace

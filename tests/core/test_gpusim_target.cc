@@ -178,5 +178,34 @@ TEST(GpuSimTarget, MeasuresTheSlowestWarp)
               (t - b) / static_cast<double>(mcfg.opsPerMeasurement()));
 }
 
+TEST(GpuSimTargetJitter, DecodeMarksOnlyTheSystemFenceTestKernel)
+{
+    // decode() marks an image as drawing jitter iff an op decodes to a
+    // system-scope fence, so the target keys only those launches on
+    // their seed. A baseline kernel has no fence.
+    constexpr CudaPrimitive primitives[] = {
+        CudaPrimitive::SyncThreads,      CudaPrimitive::SyncWarp,
+        CudaPrimitive::AtomicAdd,        CudaPrimitive::AtomicCas,
+        CudaPrimitive::AtomicExch,       CudaPrimitive::ThreadFence,
+        CudaPrimitive::ThreadFenceBlock, CudaPrimitive::ThreadFenceSystem,
+        CudaPrimitive::ShflSync,         CudaPrimitive::VoteSync,
+    };
+    for (const auto &cfg :
+         {gpusim::GpuConfig::rtx2070Super(), gpusim::GpuConfig::a100(),
+          gpusim::GpuConfig::rtx4090()}) {
+        const gpusim::GpuMachine machine(cfg);
+        for (const CudaPrimitive p : primitives) {
+            SCOPED_TRACE(::testing::Message()
+                         << cfg.name << ' ' << cudaPrimitiveName(p));
+            CudaExperiment exp;
+            exp.primitive = p;
+            const auto pair = GpuSimTarget::buildKernels(exp, 4);
+            EXPECT_FALSE(machine.decode(pair.baseline).draws_jitter);
+            EXPECT_EQ(machine.decode(pair.test).draws_jitter,
+                      p == CudaPrimitive::ThreadFenceSystem);
+        }
+    }
+}
+
 } // namespace
 } // namespace syncperf::core
