@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -426,14 +427,14 @@ TEST(EventQueue, WheelEventsAreNeverRelinked)
 }
 
 /**
- * Seeded hold model: 200 actors each re-wake themselves after a gap
- * drawn from the simulators' mix (same tick, short, block-crossing
- * and far), until 20,000 wakes have been re-filed.
+ * Seeded hold model: @p actors actors each re-wake themselves after a
+ * gap drawn from the simulators' mix (same tick, short, block-crossing
+ * and far), until 20,000 wakes have been re-filed. Returns the FNV-1a
+ * digest of every popped (tick, actor), in pop order.
  */
 std::uint64_t
-holdModelRelinks(EventQueue &eq)
+holdModelPopOrder(EventQueue &eq, int actors)
 {
-    constexpr int actors = 200;
     Pcg32 rng(2024, 7);
     std::uint64_t budget = 20000;
     const auto gap = [&rng]() -> Tick {
@@ -446,32 +447,51 @@ holdModelRelinks(EventQueue &eq)
             return 512 + rng.below(7680);
         return 8192 + rng.below(1 << 21);
     };
-    eq.reset(actors);
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    const auto fold = [&digest](std::uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte, word >>= 8) {
+            digest ^= word & 0xff;
+            digest *= 0x100000001b3ULL;
+        }
+    };
+    eq.reset(static_cast<std::size_t>(actors));
     for (int a = 0; a < actors; ++a)
         eq.wake(eq.now() + gap(), a);
     drain(eq, [&](int a) {
+        fold(eq.now());
+        fold(static_cast<std::uint64_t>(a));
         if (budget == 0)
             return;
         --budget;
         eq.wake(eq.now() + gap(), a);
     });
-    return eq.relinked();
+    return digest;
 }
 
-TEST(EventQueue, RelinkedPinsTheSeededHoldModel)
+TEST(EventQueue, SeededHoldModelPopOrder)
 {
-    // An exact work gate: the number of records refills moved is a
-    // deterministic function of the traffic, so any change to the
-    // queue's filing shows here without a wall-clock threshold.
+    // An exact order gate: the digest of the popped (tick, actor)
+    // sequence is a deterministic function of the traffic, so any
+    // change to the pop order fails here without a reference model.
+    // 2,560 actors is the widest launch of the RTX 2070 Super sweep
+    // (80 blocks of 1,024 threads).
+    struct Case
+    {
+        int actors;
+        std::uint64_t digest;
+    };
     EventQueue eq;
-    const std::uint64_t relinks = holdModelRelinks(eq);
-    EXPECT_EQ(eq.executed(), 20200u);
-    EXPECT_EQ(relinks, 25058u);
-
-    // reset() keeps the lifetime count and a reused queue repeats it.
-    eq.reset(0);
-    EXPECT_EQ(eq.relinked(), relinks);
-    EXPECT_EQ(holdModelRelinks(eq), 2 * relinks);
+    std::uint64_t executed = 0;
+    for (const Case c : {Case{200, 0xa5ad0d9d5643fb54ULL},
+                         Case{3, 0x6436593ed935ee8bULL},
+                         Case{2560, 0x81cf89a907680e8eULL}}) {
+        SCOPED_TRACE(c.actors);
+        EXPECT_EQ(holdModelPopOrder(eq, c.actors), c.digest);
+        executed += 20000 + static_cast<std::uint64_t>(c.actors);
+        EXPECT_EQ(eq.executed(), executed);
+    }
+    // A reused queue repeats the order.
+    EXPECT_EQ(holdModelPopOrder(eq, 200), 0xa5ad0d9d5643fb54ULL);
 }
 
 // ------------------------------------------------------------------
@@ -487,13 +507,21 @@ TEST(EventQueue, RelinkedPinsTheSeededHoldModel)
  * the current tick below and above itself and later, and shifts the
  * pending set, the way the machines and the loop batcher do. Each
  * actor has at most one wake pending: a wake drawn for a busy actor
- * goes to the next idle one.
+ * goes to the next idle one. The queue starts bound to @p actors, and
+ * each reset() rebinds it to a count drawn from actor_counts.
  */
 class QueueDifferential
 {
   public:
-    explicit QueueDifferential(std::uint64_t seed)
-        : eq_(actors), rng_(seed, seed), wake_at_(actors, EventQueue::no_tick)
+    /** Bound actor counts: one actor, a few, counts either side of a
+     * power of two, and the RTX 2070 Super sweep's widest launch. */
+    static constexpr std::array<int, 8> actor_counts{1,  2,  3,  47,
+                                                     48, 64, 65, 2560};
+
+    QueueDifferential(std::uint64_t seed, int actors)
+        : eq_(static_cast<std::size_t>(actors)), rng_(seed, seed),
+          actors_(actors), wake_at_(static_cast<std::size_t>(actors),
+                                    EventQueue::no_tick)
     {
     }
 
@@ -526,18 +554,13 @@ class QueueDifferential
         budget_ = 0;
         drain(eq_, [this](int a) { fire(a); });
         EXPECT_TRUE(ref_.empty());
-        check();
+        check(true);
     }
 
   private:
     /** (tick, actor, wake order). */
     using Key = std::tuple<Tick, int, std::uint64_t>;
 
-    /** Bound actors; the per-actor floors are checked through a
-     * narrower and a wider window. */
-    static constexpr int actors = 48;
-    static constexpr int narrow_window = 32;
-    static constexpr int wide_window = 56;
     static constexpr Tick wheel_span = 4096;
     static constexpr Tick tick_limit = Tick{1} << 40;
 
@@ -586,7 +609,11 @@ class QueueDifferential
         return target > now ? target - now : 0;
     }
 
-    int actor() { return static_cast<int>(rng_.below(actors)); }
+    int
+    actor()
+    {
+        return static_cast<int>(rng_.below(static_cast<std::uint32_t>(actors_)));
+    }
 
     Tick
     maxTick() const
@@ -599,10 +626,10 @@ class QueueDifferential
     void
     wakeAt(Tick when, int want)
     {
-        if (want < 0 || want >= actors)
+        if (want < 0 || want >= actors_)
             return;
-        for (int i = 0; i < actors; ++i) {
-            const int a = (want + i) % actors;
+        for (int i = 0; i < actors_; ++i) {
+            const int a = (want + i) % actors_;
             if (wake_at_[a] != EventQueue::no_tick)
                 continue;
             eq_.wake(when, a);
@@ -712,61 +739,82 @@ class QueueDifferential
     void
     reset()
     {
-        eq_.reset(actors);
+        actors_ = actor_counts[rng_.below(actor_counts.size())];
+        eq_.reset(static_cast<std::size_t>(actors_));
         ref_.clear();
-        std::fill(wake_at_.begin(), wake_at_.end(), EventQueue::no_tick);
+        wake_at_.assign(static_cast<std::size_t>(actors_), EventQueue::no_tick);
         pin_ = EventQueue::no_tick;
         EXPECT_EQ(eq_.now(), 0u);
     }
 
-    /** Compare every pending-set query with the reference. */
+    /** Compare every pending-set query with the reference; @p scan
+     * forces the per-actor ones. */
     void
-    check()
+    check(bool scan = false)
     {
         ASSERT_EQ(eq_.pending(), ref_.size());
         EXPECT_EQ(eq_.empty(), ref_.empty());
         EXPECT_EQ(eq_.earliestPending(),
                   ref_.empty() ? EventQueue::no_tick
                                : std::get<0>(*ref_.begin()));
-
-        for (const int window : {narrow_window, wide_window}) {
-            std::vector<Tick> floors(static_cast<std::size_t>(window));
-            eq_.earliestPendingPerPriority(floors);
-            std::vector<Tick> want(static_cast<std::size_t>(window),
-                                   EventQueue::no_tick);
-            for (int a = 0; a < std::min(window, actors); ++a)
-                want[static_cast<std::size_t>(a)] = wake_at_[a];
-            EXPECT_EQ(floors, want);
-        }
-
         EXPECT_EQ(eq_.horizonPin(), pin_);
 
-        const Tick base = eq_.now();
-        std::vector<std::uint64_t> enc;
-        eq_.encodePending(base, enc);
-        std::vector<std::uint64_t> ref_enc{ref_.size()};
-        for (const Tick when : wake_at_) {
-            ref_enc.push_back(when == EventQueue::no_tick
-                                  ? EventQueue::idle_word
-                                  : when - base);
+        // The per-actor queries cost O(actors): a wide count scans on
+        // every (actors / 64)-th step only, so each step costs about
+        // what a 64-actor scan does.
+        if (++steps_ % std::max(1, actors_ / 64) != 0 && !scan)
+            return;
+
+        // Per-actor floors through a narrower and a wider window than
+        // the bound actors.
+        for (const int window : {actors_ * 2 / 3, actors_ + 8}) {
+            const auto bound = std::min(wake_at_.size(),
+                                        static_cast<std::size_t>(window));
+            floors_.resize(static_cast<std::size_t>(window));
+            eq_.earliestPendingPerPriority(floors_);
+            want_.assign(wake_at_.begin(),
+                         wake_at_.begin() + static_cast<std::ptrdiff_t>(bound));
+            want_.resize(static_cast<std::size_t>(window), EventQueue::no_tick);
+            EXPECT_EQ(floors_, want_);
         }
-        EXPECT_EQ(enc, ref_enc);
+
+        const Tick base = eq_.now();
+        enc_.clear();
+        eq_.encodePending(base, enc_);
+        ref_enc_.assign(1, ref_.size());
+        for (const Tick when : wake_at_) {
+            ref_enc_.push_back(when == EventQueue::no_tick
+                                   ? EventQueue::idle_word
+                                   : when - base);
+        }
+        EXPECT_EQ(enc_, ref_enc_);
     }
 
     EventQueue eq_;
     Pcg32 rng_;
+    int actors_; ///< bound actor count
     std::set<Key> ref_;
     std::vector<Tick> wake_at_; ///< each actor's pending tick
+    /** check()'s buffers, reused so a wide count costs no allocation
+     * per step. */
+    std::vector<Tick> floors_, want_;
+    std::vector<std::uint64_t> enc_, ref_enc_;
     std::uint64_t next_seq_ = 0;
     std::uint32_t budget_ = 0; ///< popped wakes that may still act
+    int steps_ = 0;            ///< check() calls
     Tick pin_ = EventQueue::no_tick;
 };
 
 TEST(EventQueueDifferential, MatchesOrderedMultisetReference)
 {
-    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-        SCOPED_TRACE(seed);
-        QueueDifferential(seed).runStream(400);
+    // Each seed starts at one of the counts in turn, so every count
+    // runs eight streams whatever the resets draw.
+    constexpr auto &counts = QueueDifferential::actor_counts;
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+        const int actors = counts[seed % counts.size()];
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << ", "
+                                          << actors << " actors");
+        QueueDifferential(seed, actors).runStream(400);
         if (::testing::Test::HasFailure())
             break;
     }
