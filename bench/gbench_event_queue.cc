@@ -111,9 +111,8 @@ finish(benchmark::State &state, std::uint64_t events,
 
 /**
  * Batch wake-then-drain, the machines' launch pattern: every actor
- * is woken once and the queue drains. After one warm-up cycle has
- * grown the current-tick buffer to its peak, every later cycle must
- * reuse it.
+ * is woken once and the queue drains. The queue allocates its tree
+ * at construction, so no cycle may allocate.
  */
 void
 BM_WakeDrainSteadyState(benchmark::State &state)
@@ -217,24 +216,24 @@ holdDeltas(std::size_t n)
 }
 
 /**
- * Hold model on the simulators' traffic: 1,000 actors, one wake
+ * Hold model on the simulators' traffic: @p actors actors, one wake
  * pending each, every popped actor waking itself again (like a warp)
- * after the next gap of holdDeltas(). The pending set stays at 1,000
- * until the shared budget runs out and the queue drains, so a cycle
- * times the pop/wake pair at the machines' queue depth. Every cycle
- * replays the same gaps.
+ * after the next gap of holdDeltas(). The pending set stays at the
+ * actor count until the shared budget runs out and the queue drains,
+ * so a cycle times the pop/wake pair at the machines' queue depth.
+ * Every cycle replays the same gaps.
  */
 class HoldModel
 {
   public:
-    static constexpr int actors = 1000;
+    explicit HoldModel(int actors) : actors_(actors) {}
 
     void
     cycle(EventQueue &eq)
     {
         cursor_ = 0;
-        std::uint64_t remaining = 64 * actors;
-        for (int a = 0; a < actors; ++a)
+        std::uint64_t remaining = 64 * static_cast<std::uint64_t>(actors_);
+        for (int a = 0; a < actors_; ++a)
             eq.wake(eq.now() + gap(), a);
         for (int a; (a = eq.next()) != EventQueue::none;) {
             if (remaining > 0) {
@@ -254,36 +253,46 @@ class HoldModel
         return deltas[cursor_++ & gap_mask];
     }
 
+    int actors_;
     std::size_t cursor_ = 0;
 };
 
-/** The hold model on one reused queue: the warm-up cycle reaches
- * every buffer's high-water mark, so later cycles must not
- * allocate. relinked_per_event is EventQueue::relinked() per popped
- * wake: a work count, not a time. Each cycle starts at the tick the
- * last one ended on, so its last digits move with the iteration
- * count. */
+/** The hold model at @p actors on one reused queue: the warm-up cycle
+ * reaches every buffer's high-water mark, so later cycles must not
+ * allocate. */
 void
-BM_HoldModel(benchmark::State &state)
+holdModel(benchmark::State &state, int actors)
 {
-    HoldModel model;
-    EventQueue eq(HoldModel::actors);
+    HoldModel model(actors);
+    EventQueue eq(static_cast<std::size_t>(actors));
     model.cycle(eq); // warm-up
 
     const std::uint64_t before = allocCount();
     const std::uint64_t executed_before = eq.executed();
-    const std::uint64_t relinked_before = eq.relinked();
     for (auto _ : state)
         model.cycle(eq);
     const std::uint64_t events = eq.executed() - executed_before;
     const std::uint64_t allocs = allocCount() - before;
 
     finish(state, events, allocs);
-    state.counters["relinked_per_event"] = benchmark::Counter(
-        static_cast<double>(eq.relinked() - relinked_before) /
-        static_cast<double>(events));
+}
+
+/** The hold model at 1,000 actors. */
+void
+BM_HoldModel(benchmark::State &state)
+{
+    holdModel(state, 1000);
 }
 BENCHMARK(BM_HoldModel);
+
+/** 2,560 actors: the 2070 sweep's widest launch (80 blocks of 1,024
+ * threads), so the zero-allocation gate covers a GPU-sized tree. */
+void
+BM_HoldModelWide(benchmark::State &state)
+{
+    holdModel(state, 2560);
+}
+BENCHMARK(BM_HoldModelWide);
 
 } // namespace
 

@@ -5,8 +5,7 @@
 
 #include "event_queue.hh"
 
-#include <algorithm>
-#include <functional>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -15,7 +14,6 @@ namespace syncperf::sim
 
 EventQueue::EventQueue(std::size_t actors)
 {
-    wheel_.fill(no_actor);
     reset(actors);
 }
 
@@ -25,111 +23,31 @@ EventQueue::wake(Tick when, int actor)
     SYNCPERF_ASSERT(when >= now_, "cannot wake into the past");
     SYNCPERF_ASSERT(when < tick_limit,
                     "tick out of the packed 40-bit range");
-    SYNCPERF_ASSERT(static_cast<std::size_t>(actor) < nodes_.size(),
+    SYNCPERF_ASSERT(static_cast<std::size_t>(actor) < actors_,
                     "actor outside the bound range");
-    Node &node = nodes_[static_cast<std::size_t>(actor)];
-    SYNCPERF_ASSERT(node.key == idle_key,
+    std::uint64_t *const tree = tree_.data();
+    std::size_t i = leaves_ + static_cast<std::size_t>(actor);
+    SYNCPERF_ASSERT(tree[i] == idle_key,
                     "second pending wake of one actor");
-    node.key = when << when_shift | static_cast<std::uint64_t>(actor);
-    place(static_cast<std::uint32_t>(actor));
+    const std::uint64_t key =
+        when << when_shift | static_cast<std::uint64_t>(actor);
+    tree[i] = key;
+    // The leaf only got smaller: an ancestor changes iff the key
+    // beats it, and once one does not, none above it does either.
+    for (; i > 1 && key < tree[i >> 1]; i >>= 1)
+        tree[i >> 1] = key;
     ++live_;
     if (live_ > max_pending_)
         max_pending_ = live_;
 }
 
-inline void
-EventQueue::place(std::uint32_t actor)
-{
-    Node &node = nodes_[actor];
-    const auto b =
-        static_cast<unsigned>(std::bit_width(node.when() ^ now_));
-    if (b == 0) {
-        // Due now: keep current_ sorted. A lower actor than the
-        // running one's still runs next.
-        current_.insert(std::upper_bound(current_.begin(), current_.end(),
-                                         actor, std::greater<>()),
-                        actor);
-        return;
-    }
-    if (b <= wheel_bits) {
-        // Same block as now_: the exact slot of its tick, where it
-        // stays until that tick becomes current.
-        const auto idx = static_cast<std::size_t>(node.when() & wheel_mask);
-        node.next = wheel_[idx];
-        wheel_[idx] = actor;
-        wheel_occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-        wheel_summary_ |= std::uint64_t{1} << (idx >> 6);
-        return;
-    }
-    // Branch-free push: an empty bucket holds the no_actor head and
-    // the all-ones key, which chain and min() absorb.
-    Bucket &bucket = buckets_[b];
-    node.next = bucket.head;
-    bucket.head = actor;
-    bucket.min_key = std::min(bucket.min_key, node.key);
-    mask_ |= std::uint64_t{1} << b;
-}
-
-void
-EventQueue::advance()
-{
-    if (wheel_summary_ != 0) {
-        // Every wheel tick precedes every bucketed one. The new now_
-        // keeps the block, so the rest of the wheel and every bucket
-        // stay filed correctly.
-        const std::size_t idx = lowestWheelSlot();
-        std::uint64_t &word = wheel_occupied_[idx >> 6];
-        word &= word - 1;
-        if (word == 0)
-            wheel_summary_ &= wheel_summary_ - 1;
-        now_ = wheelTick(idx);
-        for (std::uint32_t a = wheel_[idx]; a != no_actor;
-             a = nodes_[a].next) {
-            current_.push_back(a);
-        }
-        wheel_[idx] = no_actor;
-    } else {
-        Bucket &bucket = buckets_[std::countr_zero(mask_)];
-        mask_ &= mask_ - 1;
-        // Every record of the bucket agrees with the new base above
-        // the bucket's bit, so each one lands in current_, the empty
-        // wheel or a lower bucket, and this one is empty again before
-        // the walk refills anything.
-        now_ = bucket.min_key >> when_shift;
-        std::uint32_t a = bucket.head;
-        bucket = Bucket{};
-        while (a != no_actor) {
-            const std::uint32_t next = nodes_[a].next;
-            ++relinked_;
-            if (nodes_[a].when() == now_)
-                current_.push_back(a); // sorted once, below
-            else
-                place(a);
-            a = next;
-        }
-    }
-    if (current_.size() > 1)
-        std::sort(current_.begin(), current_.end(), std::greater<>());
-}
-
-Tick
-EventQueue::earliestPending() const
-{
-    if (live_ == 0)
-        return no_tick;
-    if (!current_.empty())
-        return now_;
-    if (wheel_summary_ != 0)
-        return wheelTick(lowestWheelSlot());
-    return buckets_[std::countr_zero(mask_)].min_key >> when_shift;
-}
-
 void
 EventQueue::earliestPendingPerPriority(std::vector<Tick> &out) const
 {
-    const std::size_t bound = std::min(out.size(), nodes_.size());
+    const std::size_t bound = std::min(out.size(), actors_);
     for (std::size_t a = 0; a < bound; ++a) {
-        out[a] = nodes_[a].key == idle_key ? no_tick : nodes_[a].when();
+        const std::uint64_t key = tree_[leaves_ + a];
+        out[a] = key == idle_key ? no_tick : key >> when_shift;
     }
     std::fill(out.begin() + static_cast<std::ptrdiff_t>(bound), out.end(),
               no_tick);
@@ -143,10 +61,10 @@ EventQueue::encodePending(Tick base, std::vector<std::uint64_t> &out) const
     // The offset is signed-in-two's-complement: pending wakes may
     // precede the caller's base tick.
     out.push_back(live_);
-    for (const Node &node : nodes_) {
-        out.push_back(node.key == idle_key
-                          ? idle_word
-                          : static_cast<std::uint64_t>(node.when() - base));
+    for (std::size_t a = 0; a < actors_; ++a) {
+        const std::uint64_t key = tree_[leaves_ + a];
+        out.push_back(key == idle_key ? idle_word
+                                      : (key >> when_shift) - base);
     }
 }
 
@@ -157,40 +75,15 @@ EventQueue::shiftPending(Tick delta)
         return;
     SYNCPERF_ASSERT(delta < tick_limit,
                     "shift out of the packed 40-bit range");
-    // Detach every pending record into one chain, then re-file each
-    // against the unchanged now_: wheel slots and bucket indices
-    // depend on absolute ticks. Every shifted tick is past now_, so
-    // nothing re-enters current_.
-    std::uint32_t chain = no_actor;
-    const auto detach = [&](std::uint32_t a) {
-        while (a != no_actor) {
-            const std::uint32_t next = nodes_[a].next;
-            nodes_[a].next = chain;
-            chain = a;
-            a = next;
-        }
-    };
-    for (std::uint32_t a : current_) {
-        nodes_[a].next = chain;
-        chain = a;
-    }
-    current_.clear();
-    takeWheel(detach);
-    for (std::uint64_t m = mask_; m != 0; m &= m - 1) {
-        Bucket &bucket = buckets_[std::countr_zero(m)];
-        detach(bucket.head);
-        bucket = Bucket{};
-    }
-    mask_ = 0;
-    while (chain != no_actor) {
-        const std::uint32_t next = nodes_[chain].next;
-        Node &n = nodes_[chain];
-        SYNCPERF_ASSERT(n.when() < tick_limit - delta,
+    // Internal nodes hold copies of leaf keys and move with them.
+    const std::uint64_t add = delta << when_shift;
+    for (std::size_t i = 1; i < tree_.size(); ++i) {
+        std::uint64_t &key = tree_[i];
+        if (key == idle_key)
+            continue;
+        SYNCPERF_ASSERT((key >> when_shift) < tick_limit - delta,
                         "shifted tick out of the packed 40-bit range");
-        n.key += delta << when_shift;
-        place(chain);
-        ++relinked_;
-        chain = next;
+        key += add;
     }
 }
 
@@ -199,11 +92,9 @@ EventQueue::reset(std::size_t actors)
 {
     SYNCPERF_ASSERT(actors <= max_actors,
                     "actor count out of the packed 24-bit range");
-    current_.clear();
-    takeWheel([](std::uint32_t) {});
-    buckets_.fill(Bucket{});
-    mask_ = 0;
-    nodes_.assign(actors, Node{});
+    actors_ = actors;
+    leaves_ = std::bit_ceil(std::max<std::size_t>(actors, 1));
+    tree_.assign(2 * leaves_, idle_key);
     now_ = 0;
     live_ = 0;
     max_pending_ = 0;

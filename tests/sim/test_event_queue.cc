@@ -292,8 +292,9 @@ TEST(EventQueue, ManyEventsStressOrdering)
 }
 
 // ------------------------------------------------------------------
-// The per-tick wheel: ticks in the 4,096-tick block of now() are
-// filed by their low 12 bits, farther ones in radix buckets.
+// Tick edges of the retired per-tick wheel, which filed ticks in the
+// 4,096-tick block of now() by their low 12 bits and farther ones in
+// radix buckets: block boundaries stay ordering regressions.
 // ------------------------------------------------------------------
 
 TEST(EventQueue, WheelRunsAcrossBlockBoundaries)
@@ -382,10 +383,8 @@ TEST(EventQueue, WheelShiftMovesRecordsIntoRadixBuckets)
     eq.wake(4000, 1);
     eq.wake(4090, 2);
     eq.wake(9000, 3);
-    const std::uint64_t before = eq.relinked();
     // 4000 and 4090 leave the base's block; 10 stays in it.
     eq.shiftPending(100);
-    EXPECT_EQ(eq.relinked() - before, 4u) << "every pending record moves";
     EXPECT_EQ(eq.earliestPending(), 110u);
     std::vector<Tick> floors(1);
     eq.earliestPendingPerPriority(floors);
@@ -394,36 +393,6 @@ TEST(EventQueue, WheelShiftMovesRecordsIntoRadixBuckets)
     const std::vector<std::pair<int, Tick>> want{
         {0, 110}, {1, 4100}, {2, 4190}, {3, 9100}};
     EXPECT_EQ(seen, want);
-}
-
-TEST(EventQueue, WheelEventsAreNeverRelinked)
-{
-    // A wake filed within the wheel span of the base stays in its
-    // slot until its tick becomes current; only far wakes move.
-    constexpr int chain = 0;
-    EventQueue eq(64);
-    std::uint64_t chained = 0;
-    eq.wake(4096 * 6 - 1000, chain);
-    int background = 1;
-    for (Tick t = 1; t < 4096; t += 97)
-        eq.wake(t, background++);
-    drain(eq, [&](int a) {
-        if (a != chain)
-            return;
-        // One far wake: a single refill walk filed it.
-        if (chained == 0) {
-            EXPECT_EQ(eq.relinked(), 1u);
-        }
-        // Gaps of 1..3 cross blocks only at boundaries, where the
-        // successor lands in a radix bucket.
-        if (++chained < 1000)
-            eq.wake(eq.now() + 1 + chained % 3, chain);
-    });
-    EXPECT_EQ(chained, 1000u);
-    // 1,000 chained steps over about 2,000 ticks from 23,576 cross
-    // the 24,576 boundary once: that one successor moves, nothing
-    // else does.
-    EXPECT_EQ(eq.relinked(), 2u);
 }
 
 /**
@@ -612,7 +581,8 @@ class QueueDifferential
     int
     actor()
     {
-        return static_cast<int>(rng_.below(static_cast<std::uint32_t>(actors_)));
+        return static_cast<int>(
+            rng_.below(static_cast<std::uint32_t>(actors_)));
     }
 
     Tick
@@ -742,7 +712,8 @@ class QueueDifferential
         actors_ = actor_counts[rng_.below(actor_counts.size())];
         eq_.reset(static_cast<std::size_t>(actors_));
         ref_.clear();
-        wake_at_.assign(static_cast<std::size_t>(actors_), EventQueue::no_tick);
+        wake_at_.assign(static_cast<std::size_t>(actors_),
+                        EventQueue::no_tick);
         pin_ = EventQueue::no_tick;
         EXPECT_EQ(eq_.now(), 0u);
     }
@@ -773,8 +744,10 @@ class QueueDifferential
             floors_.resize(static_cast<std::size_t>(window));
             eq_.earliestPendingPerPriority(floors_);
             want_.assign(wake_at_.begin(),
-                         wake_at_.begin() + static_cast<std::ptrdiff_t>(bound));
-            want_.resize(static_cast<std::size_t>(window), EventQueue::no_tick);
+                         wake_at_.begin() +
+                             static_cast<std::ptrdiff_t>(bound));
+            want_.resize(static_cast<std::size_t>(window),
+                         EventQueue::no_tick);
             EXPECT_EQ(floors_, want_);
         }
 
