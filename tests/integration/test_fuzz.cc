@@ -210,6 +210,49 @@ TEST(FuzzCorpus, CpuSeedsBatchAndTheSweepMatchesSingleStep)
     EXPECT_GT(lb.batched_iters, 0u);
 }
 
+/** The seeds each long-loop fuzz suite runs. */
+constexpr int end_long_seed = 9;
+
+/** Draw a loop length of the paper's order (its protocol times 1,000
+ * x 100 iterations): long enough that a period closes only after
+ * thousands of boundaries, or not at all. */
+long
+longIterations(Pcg32 &rng)
+{
+    return 3000 + static_cast<long>(rng.below(3001));
+}
+
+/** randomCpuCase(@p seed), with every loop drawn long. */
+CpuCase
+longCpuCase(int seed)
+{
+    CpuCase c = randomCpuCase(seed);
+    Pcg32 rng(static_cast<std::uint64_t>(seed), 29);
+    // Equal lengths keep a barrier team balanced; the rest draw their
+    // own, so the trigger hands off near the end.
+    const bool has_barrier = std::any_of(
+        c.programs.front().body.begin(), c.programs.front().body.end(),
+        [](const cpusim::CpuOp &op) {
+            return op.kind == cpusim::CpuOpKind::Barrier;
+        });
+    const long shared = longIterations(rng);
+    for (auto &p : c.programs)
+        p.iterations = has_barrier ? shared : longIterations(rng);
+    return c;
+}
+
+class CpuFuzzLong : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(CpuFuzzLong, LongLoopsMatchSingleStep)
+{
+    expectCpuBatchingExact(longCpuCase(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CpuFuzzLong,
+                         ::testing::Range(first_seed, end_long_seed));
+
 TEST(CpuDeadlock, BarrierInsideCriticalSectionIsDetected)
 {
     // Thread 0 reaches the barrier holding the lock; thread 1 cannot
@@ -388,6 +431,30 @@ TEST(FuzzCorpus, GpuSeedsBatchAndTheSweepMatchesSingleStep)
     EXPECT_GT(lb.windows, 0u);
     EXPECT_GT(lb.batched_iters, 0u);
 }
+
+/** randomGpuCase(@p seed) on a grid of one or two blocks, with a
+ * long loop. */
+GpuCase
+longGpuCase(int seed)
+{
+    GpuCase c = randomGpuCase(seed);
+    Pcg32 rng(static_cast<std::uint64_t>(seed), 31);
+    c.launch.blocks = 1 + static_cast<int>(rng.below(2));
+    c.kernel.body_iters = longIterations(rng);
+    return c;
+}
+
+class GpuFuzzLong : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(GpuFuzzLong, LongLoopsMatchSingleStep)
+{
+    expectGpuBatchingExact(longGpuCase(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GpuFuzzLong,
+                         ::testing::Range(first_seed, end_long_seed));
 
 // --------------------------------------------- GPU monotonicity
 
