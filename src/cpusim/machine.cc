@@ -143,28 +143,14 @@ CpuMachine::barrierLatency(int team_size)
 void
 CpuMachine::arriveBarrier(int tid, Tick when)
 {
-    if (barrier_arrivals_ == 0)
-        barrier_first_arrival_ = when;
-    else
-        barrier_first_arrival_ = std::min(barrier_first_arrival_, when);
-    ++barrier_arrivals_;
-    barrier_last_arrival_ = std::max(barrier_last_arrival_, when);
-    barrier_waiters_.push_back(tid);
-    if (barrier_arrivals_ < static_cast<int>(threads_.size()))
+    const int team = static_cast<int>(threads_.size());
+    if (!barrier_.arrive(tid, when, team))
         return;
 
     stats_.record(sim::HistProbe::CpuBarrierSpreadTicks,
-                  barrier_last_arrival_ - barrier_first_arrival_);
-    const Tick release =
-        barrier_last_arrival_ +
-        barrierLatency(static_cast<int>(threads_.size()));
-    std::vector<int> waiters = std::move(barrier_waiters_);
-    barrier_waiters_.clear();
-    barrier_arrivals_ = 0;
-    barrier_first_arrival_ = 0;
-    barrier_last_arrival_ = 0;
-
-    for (int w : waiters) {
+                  barrier_.last - barrier_.first);
+    const Tick release = barrier_.last + barrierLatency(team);
+    for (int w : barrier_.release()) {
         // The resumed step reads its tick from the queue (it runs
         // exactly at `release`), so a loop-batch shift of the pending
         // wake shifts the continuation with it.
@@ -191,17 +177,13 @@ CpuMachine::finishOp(int tid, Tick done)
             return;
         }
         // Alignment join before the timed region (Listing 2 line 15).
-        ++align_arrivals_;
-        align_last_ = std::max(align_last_, done);
-        align_waiters_.push_back(tid);
-        if (align_arrivals_ == static_cast<int>(threads_.size())) {
-            const Tick go = align_last_ +
-                barrierLatency(static_cast<int>(threads_.size()));
-            for (int w : align_waiters_) {
+        const int team = static_cast<int>(threads_.size());
+        if (align_.arrive(tid, done, team)) {
+            const Tick go = align_.last + barrierLatency(team);
+            for (int w : align_.release()) {
                 threads_[w].aligning = true;
                 eq_.wake(go, w);
             }
-            align_waiters_.clear();
         }
         return;
     }
@@ -250,19 +232,11 @@ CpuMachine::visitState(Self &self, V &v)
             v.stamp(w.since); // feeds lock_wait_ticks later
         }
     }
-    v.word(static_cast<std::uint64_t>(self.barrier_arrivals_));
-    // Both rendezvous stamps are live while a barrier is partially
-    // arrived: first_arrival feeds future min()s, and last_arrival
-    // can still win its max() -- a later arrival may carry a smaller
-    // tick when issue contention delayed an earlier one.
-    v.stampIf(self.barrier_arrivals_ > 0, self.barrier_first_arrival_);
-    v.stampIf(self.barrier_arrivals_ > 0, self.barrier_last_arrival_);
-    v.words(self.barrier_waiters_);
-    v.word(static_cast<std::uint64_t>(self.align_arrivals_));
-    v.words(self.align_waiters_);
-    // align_last_ is final once the team is timed (and a trigger
-    // exists only then); start/end ticks are frozen outputs shared
-    // with the unbatched run; the rng did not advance.
+    sim::Rendezvous::visit(self.barrier_, v);
+    // The alignment join is empty once the team is timed (and a
+    // trigger exists only then); start/end ticks are frozen outputs
+    // shared with the unbatched run; the rng did not advance.
+    sim::Rendezvous::visit(self.align_, v);
 }
 
 void
@@ -640,13 +614,8 @@ CpuMachine::run(const DecodedImage &image, int warmup_iterations)
     stats_.clear();
     threads_.assign(n, ThreadCtx{});
     warm_left_.assign(n, warmup_iterations);
-    align_arrivals_ = 0;
-    align_last_ = 0;
-    align_waiters_.clear();
-    barrier_arrivals_ = 0;
-    barrier_first_arrival_ = 0;
-    barrier_last_arrival_ = 0;
-    barrier_waiters_.clear();
+    align_ = sim::Rendezvous{};
+    barrier_ = sim::Rendezvous{};
     std::uint64_t total_iters = 0;
     for (const long iters : image.iterations)
         total_iters += static_cast<std::uint64_t>(iters);

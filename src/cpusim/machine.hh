@@ -42,6 +42,7 @@
 #include "cpusim/program.hh"
 #include "sim/event_queue.hh"
 #include "sim/loop_batch.hh"
+#include "sim/rendezvous.hh"
 #include "sim/stat.hh"
 
 namespace syncperf::cpusim
@@ -306,16 +307,11 @@ class CpuMachine
 
     std::vector<int> warm_left_;
 
-    // Team-wide barrier (CpuOpKind::Barrier) rendezvous state.
-    int barrier_arrivals_ = 0;
-    Tick barrier_first_arrival_ = 0;
-    Tick barrier_last_arrival_ = 0;
-    std::vector<int> barrier_waiters_;
+    /** Team-wide barrier (CpuOpKind::Barrier). */
+    sim::Rendezvous barrier_;
 
-    // Alignment join between warmup and the timed region.
-    int align_arrivals_ = 0;
-    Tick align_last_ = 0;
-    std::vector<int> align_waiters_;
+    /** Alignment join between warmup and the timed region. */
+    sim::Rendezvous align_;
 
     /** Steady-state loop batching; the first thread to complete a
      * timed body iteration becomes its trigger. */

@@ -481,33 +481,18 @@ GpuMachine::execGridSync(int warp_id, const DecodedGpuOp &, Tick now)
 void
 GpuMachine::arriveSyncThreads(int warp_id, Tick when)
 {
-    WarpCtx &warp = warps_[warp_id];
-    BlockState &block = blocks_[warp.block];
-    if (block.arrived == 0)
-        block.first_arrival = when;
-    else
-        block.first_arrival = std::min(block.first_arrival, when);
-    ++block.arrived;
-    block.last_arrival = std::max(block.last_arrival, when);
-    block.waiters.push_back(warp_id);
-    if (block.arrived < block.warps)
+    BlockState &block = blocks_[warps_[warp_id].block];
+    if (!block.barrier.arrive(warp_id, when, block.warps))
         return;
 
     // Hardware barrier: arrival/release processing is per warp.
     const Tick release =
-        block.last_arrival + cfg_.syncthreads_base +
+        block.barrier.last + cfg_.syncthreads_base +
         static_cast<Tick>(block.warps) * cfg_.syncthreads_per_warp;
     stats_.inc(sim::Probe::GpuSyncthreads);
     stats_.record(sim::HistProbe::GpuBarrierSpreadTicks,
-                  block.last_arrival - block.first_arrival);
-
-    std::vector<int> waiters = std::move(block.waiters);
-    block.waiters.clear();
-    block.arrived = 0;
-    block.first_arrival = 0;
-    block.last_arrival = 0;
-
-    for (int w : waiters) {
+                  block.barrier.last - block.barrier.first);
+    for (int w : block.barrier.release()) {
         warps_[w].resume = true;
         eq_.wake(release, w);
     }
@@ -522,35 +507,21 @@ GpuMachine::arriveGridSync(int warp_id, Tick when)
               "not resident (use a cooperative launch that fits the "
               "device)", warp.block, pending_blocks_.size());
     }
-    if (grid_arrivals_ == 0)
-        grid_first_arrival_ = when;
-    else
-        grid_first_arrival_ = std::min(grid_first_arrival_, when);
-    ++grid_arrivals_;
-    grid_last_arrival_ = std::max(grid_last_arrival_, when);
-    grid_waiters_.push_back(warp_id);
-
     int total_warps = 0;
     for (const auto &block : blocks_)
         total_warps += block.warps;
-    if (grid_arrivals_ < total_warps)
+    if (!grid_.arrive(warp_id, when, total_warps))
         return;
 
     // Arrival counting happens through L2 atomics, serialized per
     // block; release is a device-wide broadcast.
     const Tick release =
-        grid_last_arrival_ + cfg_.grid_sync_base +
+        grid_.last + cfg_.grid_sync_base +
         static_cast<Tick>(blocks_.size()) * cfg_.grid_sync_per_block;
     stats_.inc(sim::Probe::GpuGridSync);
     stats_.record(sim::HistProbe::GpuBarrierSpreadTicks,
-                  grid_last_arrival_ - grid_first_arrival_);
-
-    std::vector<int> waiters = std::move(grid_waiters_);
-    grid_waiters_.clear();
-    grid_arrivals_ = 0;
-    grid_first_arrival_ = 0;
-    grid_last_arrival_ = 0;
-    for (int w : waiters) {
+                  grid_.last - grid_.first);
+    for (int w : grid_.release()) {
         warps_[w].resume = true;
         eq_.wake(release, w);
     }
@@ -580,15 +551,8 @@ GpuMachine::visitState(Self &self, V &v)
     }
     for (auto &b : self.blocks_) {
         v.word(static_cast<std::uint64_t>(b.sm + 1) << 32 |
-               static_cast<std::uint64_t>(b.done_warps) << 16 |
-               static_cast<std::uint64_t>(b.arrived));
-        // Rendezvous stamps of a partially arrived barrier are live in
-        // both directions: first feeds a min, and last can still win
-        // its max when issue contention reorders arrival ticks.
-        v.stampIf(b.arrived > 0, b.first_arrival);
-        v.stampIf(b.arrived > 0, b.last_arrival);
-        v.word(b.waiters.size());
-        v.words(b.waiters);
+               static_cast<std::uint64_t>(b.done_warps));
+        sim::Rendezvous::visit(b.barrier, v);
     }
     v.word(self.pending_blocks_.size());
     v.words(self.pending_blocks_);
@@ -613,10 +577,7 @@ GpuMachine::visitState(Self &self, V &v)
         v.maxReg(gate.newest);
         v.maxReg(gate.oldest);
     });
-    v.word(static_cast<std::uint64_t>(self.grid_arrivals_));
-    v.stampIf(self.grid_arrivals_ > 0, self.grid_first_arrival_);
-    v.stampIf(self.grid_arrivals_ > 0, self.grid_last_arrival_);
-    v.words(self.grid_waiters_);
+    sim::Rendezvous::visit(self.grid_, v);
     // warp.start/warp.end are frozen clock64() outputs shared with
     // the unbatched run; the rng did not advance. warp.aligning is
     // left out with them: it only makes a wake stamp warp.start, and
@@ -717,23 +678,16 @@ GpuMachine::advancePhase(int warp_id, Tick done)
         // The alignment __syncthreads() reuses the block barrier; the
         // start stamp is taken at its release.
         BlockState &block = blocks_[warp.block];
-        ++block.arrived;
-        block.last_arrival = std::max(block.last_arrival, done);
-        block.waiters.push_back(warp_id);
-        if (block.arrived < block.warps)
+        if (!block.barrier.arrive(warp_id, done, block.warps))
             return;
         const Tick release =
-            block.last_arrival + cfg_.syncthreads_base +
+            block.barrier.last + cfg_.syncthreads_base +
             static_cast<Tick>(block.warps) * cfg_.syncthreads_per_warp;
-        std::vector<int> waiters = std::move(block.waiters);
-        block.waiters.clear();
-        block.arrived = 0;
-        block.last_arrival = 0;
         // The start stamp is the wake's tick, which is `release`:
         // this one-shot wake's boundary-relative offset shrinks
         // between any two trigger boundaries, so it can never be
         // part of equal fingerprints and is never shifted.
-        for (int w : waiters) {
+        for (int w : block.barrier.release()) {
             warps_[w].aligning = true;
             eq_.wake(release, w);
         }
@@ -992,10 +946,7 @@ GpuMachine::run(const DecodedImage &image, LaunchConfig launch,
     line_free_.clear();
     sm_line_gate_.clear();
     mem_bw_free_ = 0;
-    grid_arrivals_ = 0;
-    grid_first_arrival_ = 0;
-    grid_last_arrival_ = 0;
-    grid_waiters_.clear();
+    grid_ = sim::Rendezvous{};
 
     const int warps_per_block = cfg_.warpsPerBlock(launch.threads_per_block);
     for (int b = 0; b < launch.blocks; ++b) {

@@ -43,6 +43,7 @@
 #include "gpusim/kernel.hh"
 #include "sim/event_queue.hh"
 #include "sim/loop_batch.hh"
+#include "sim/rendezvous.hh"
 #include "sim/stat.hh"
 
 namespace syncperf::gpusim
@@ -262,11 +263,8 @@ class GpuMachine
         int threads = 0;
         int first_warp = 0;     ///< index into warps_
         int done_warps = 0;
-        // __syncthreads rendezvous
-        int arrived = 0;
-        Tick first_arrival = 0;
-        Tick last_arrival = 0;
-        std::vector<int> waiters;
+        /** __syncthreads, and the warmup join that shares it. */
+        sim::Rendezvous barrier;
     };
 
     /** Issue an instruction through the warp's scheduler. */
@@ -359,11 +357,8 @@ class GpuMachine
     std::unordered_map<std::uint64_t, GateSlots> sm_line_gate_;
     Tick mem_bw_free_ = 0;
 
-    // Grid-wide barrier rendezvous (cooperative launch).
-    int grid_arrivals_ = 0;
-    Tick grid_first_arrival_ = 0;
-    Tick grid_last_arrival_ = 0;
-    std::vector<int> grid_waiters_;
+    /** Grid-wide barrier (cooperative launch). */
+    sim::Rendezvous grid_;
 
     /** Steady-state loop batching; the first warp to complete a
      * timed body iteration becomes its trigger. */
