@@ -11,8 +11,6 @@
  * Cost model:
  *  - no session active: a span is one relaxed atomic load and a
  *    branch -- no allocation, no clock read, no locking;
- *  - compiled out (-DSYNCPERF_DISABLE_TRACING): enabled() is a
- *    constant false, so span bodies fold away entirely;
  *  - session active: two steady_clock reads plus one append to the
  *    calling thread's own buffer. Buffers are never shared between
  *    recording threads, so the only lock a span can touch is its own
@@ -52,19 +50,11 @@ void recordComplete(std::string_view name, const char *category,
 } // namespace detail
 
 /** True while a session is recording. */
-#ifdef SYNCPERF_DISABLE_TRACING
-inline constexpr bool
-enabled()
-{
-    return false;
-}
-#else
 inline bool
 enabled()
 {
     return detail::g_enabled.load(std::memory_order_relaxed);
 }
-#endif
 
 /**
  * Begin recording; events will be exported to @p out_file by stop().

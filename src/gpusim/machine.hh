@@ -190,16 +190,8 @@ class GpuMachine
     const sim::LoopBatchCounters &
     loopBatch() const { return batcher_.counters(); }
 
-    /**
-     * Pin the loop-batching horizon at @p when for every subsequent
-     * run(): no batch window jumps across the pin, and boundaries at
-     * or past it single-step (the fault-injection / test hook;
-     * sim::EventQueue::no_tick, the default, unpins). Results stay
-     * bit-identical -- the pin only shrinks what may be batched.
-     */
-    void setBatchHorizonPin(Tick when) { batcher_.setPin(when); }
-
-    /** The machine's event queue (test hook for horizon pinning). */
+    /** The machine's event queue; the sim target reads its event
+     * count. */
     sim::EventQueue &eventQueue() { return eq_; }
 
   private:

@@ -98,7 +98,6 @@ EventQueue::reset(std::size_t actors)
     now_ = 0;
     live_ = 0;
     max_pending_ = 0;
-    horizon_pin_ = no_tick;
 }
 
 } // namespace syncperf::sim

@@ -55,7 +55,7 @@ class EventQueue
     /** next()'s answer when nothing is pending. */
     static constexpr int none = -1;
 
-    /** Sentinel tick: no pending foreign event / no horizon pin. */
+    /** Sentinel tick: no pending event. */
     static constexpr Tick no_tick = ~Tick{0};
 
     /** encodePending()'s word for an actor with no wake pending: no
@@ -153,22 +153,8 @@ class EventQueue
     void shiftPending(Tick delta);
 
     /**
-     * Pin the batching horizon at @p when: the loop batcher treats
-     * the pin as an opaque foreign event and never jumps a window
-     * past it. Hook for fault-injection points and tests; cleared by
-     * clearHorizonPin() and reset().
-     */
-    void pinHorizon(Tick when) { horizon_pin_ = when; }
-
-    /** Remove the horizon pin. */
-    void clearHorizonPin() { horizon_pin_ = no_tick; }
-
-    /** Current horizon pin, or no_tick when unpinned. */
-    Tick horizonPin() const { return horizon_pin_; }
-
-    /**
      * Return the queue to its initial state (time 0, nothing
-     * pending, no pin) bound to actors [0, @p actors), keeping
+     * pending) bound to actors [0, @p actors), keeping
      * allocated capacity so a reused machine wakes into warm
      * buffers. executed() is a lifetime count and survives.
      */
@@ -204,7 +190,6 @@ class EventQueue
     std::size_t live_ = 0;
     std::size_t max_pending_ = 0;
     std::uint64_t executed_ = 0;
-    Tick horizon_pin_ = no_tick;
 };
 
 } // namespace syncperf::sim

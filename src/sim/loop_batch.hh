@@ -17,7 +17,6 @@
 #define SYNCPERF_SIM_LOOP_BATCH_HH
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -40,12 +39,14 @@ struct LoopBatchCounters
     std::uint64_t windows = 0;
 
     /**
-     * Trigger-boundary checks that did not batch: fingerprint
-     * mismatch (contention pattern shifted, randomness consumed, a
-     * phase boundary inside the horizon) or a window too short to be
-     * worth jumping. Any run with at least two timed iterations
-     * records at least one -- the boundaries nearest the loop end
-     * can never batch past it.
+     * Checked trigger boundaries that did not jump: the rng word
+     * advanced since the previous boundary (skipped without an
+     * encode), the fingerprint differed from the anchor's
+     * (contention pattern shifted, a phase boundary between them),
+     * or a match left some actor no whole period before its loop
+     * exit. A boundary that only arms the anchor is not counted. The
+     * rng word starts each run at zero, so a run whose trigger
+     * reaches a check records at least one.
      */
     std::uint64_t fallbacks = 0;
 
@@ -214,11 +215,20 @@ class StateShifter
  * The machine calls boundary() at every timed body-iteration
  * boundary of an actor (a CPU thread or a GPU warp) and retire()
  * when an actor leaves its timed loop. The first actor with room to
- * batch becomes the trigger; only its boundaries are checked. A
- * check fingerprints the whole machine and looks the fingerprint up
- * in a ring of recent anchors; a match proves the dynamics periodic
- * with the anchor's tick distance as the period, and the batcher
- * jumps whole periods at once.
+ * batch becomes the trigger; only its boundaries are checked. Every
+ * check fingerprints the whole machine and compares the fingerprint
+ * with one anchor's, a boundary fingerprinted earlier; equal
+ * fingerprints prove the dynamics periodic with the anchor's tick
+ * distance as the period, and the batcher jumps whole periods at
+ * once.
+ *
+ * The anchor moves by Brent's cycle detection (R. P. Brent, "An
+ * improved Monte Carlo factorization algorithm", BIT 20:176-184,
+ * 1980): after a window of 1, 2, 4, ... failed checks it moves to
+ * the boundary at hand and the window doubles. A state sequence that
+ * repeats with period P from some boundary on therefore matches
+ * within about 2 * max(P, lead-in) boundaries, whatever P is, with a
+ * single anchor.
  *
  * The host is a template parameter, found by name (the machines
  * befriend this class), and supplies:
@@ -236,22 +246,8 @@ class StateShifter
 class LoopBatcher
 {
   public:
-    /**
-     * Anchors kept per run. One degenerates to adjacent-boundary
-     * matching; several let contended regimes that rotate through P
-     * contenders -- and so only recur every P boundaries -- still
-     * close their cycle.
-     */
-    static constexpr int ring_size = 8;
-
     /** Enable/disable batching for later runs (default on). */
     void setEnabled(bool on) { enabled_ = on; }
-
-    /**
-     * Pin the horizon at @p when for every later run (no_tick
-     * unpins): beginRun() re-applies it to the freshly reset queue.
-     */
-    void setPin(Tick when) { pin_ = when; }
 
     /** Activity of the current (or most recent) run. */
     const LoopBatchCounters &counters() const { return counters_; }
@@ -290,84 +286,55 @@ class LoopBatcher
             trigger_ = actor;
         if (actor != trigger_)
             return 0;
-        // Backoff: a boundary whose last attempt fell back rarely
-        // matches the very next one, and every attempt costs a whole-
-        // machine encode. Exponentially spaced retries keep hopeless
-        // (contended) regimes near single-step speed; a skipped
-        // boundary only forgoes a jump, so results are unchanged.
-        if (skip_ > 0) {
-            --skip_;
-            return 0;
-        }
-        return attempt(host, done);
+        return check(host, done);
     }
 
     /**
      * @p actor left its timed loop. If it was the trigger, a
-     * remaining actor drives any tail batching; the anchors go with
-     * it, but the backoff state deliberately survives the handoff:
-     * the machine's regime did not change with the trigger.
+     * remaining actor drives any tail batching from an anchor of its
+     * own; the window deliberately survives the hand-off: the
+     * machine's regime did not change with the trigger.
      */
     void
     retire(int actor)
     {
         if (actor == trigger_) {
             trigger_ = -1;
-            ring_n_ = 0;
+            armed_ = false;
         }
     }
 
   private:
     /**
-     * One fully-encoded trigger boundary the matcher can prove a
-     * period against: a later boundary whose fingerprint equals an
-     * anchor's closed a cycle, however many boundaries apart they are
-     * (distances are measured in ticks and per-actor iterations, not
-     * anchor slots, so backoff gaps between anchors cost nothing).
+     * The trigger boundary the matcher proves a period against: a
+     * later boundary whose fingerprint equals the anchor's closed a
+     * cycle, however many boundaries apart they are (distances are
+     * measured in ticks and per-actor iterations).
      */
     struct Anchor
     {
         std::vector<std::uint64_t> fp;
         Tick boundary = 0;
-        std::uint64_t rng = 0;
         std::vector<long> iters;  ///< per-actor iters_left
         StatSnapshot stats;
     };
 
-    /** Encode, match and, on a match, jump. */
-    template <class Host> Tick attempt(Host &host, Tick done);
+    /** Encode, compare with the anchor and, on a match, jump. */
+    template <class Host> Tick check(Host &host, Tick done);
 
-    /** Record the boundary at @p done, whose fingerprint is in fp_
-     * (recycled), as the newest anchor, evicting the oldest. */
+    /** Move the anchor to the boundary at @p done, whose fingerprint
+     * is in fp_ (recycled). */
     template <class Host> void anchor(Host &host, Tick done);
-
-    /** Newest anchor equal to fp_, or nullptr. */
-    const Anchor *findMatch();
-
-    /**
-     * Count a fallback and back off exponentially: skip 0, 1, 3, 7,
-     * ..., 255 boundaries. The first retry is the very next boundary,
-     * because the first timed iteration after a launch's alignment
-     * release is often a one-off transient.
-     */
-    void
-    fallBack()
-    {
-        ++counters_.fallbacks;
-        skip_ = penalty_ - 1;
-        penalty_ = std::min<long>(penalty_ * 2, 256);
-    }
 
     EventQueue *eq_ = nullptr;
     StatSet *stats_ = nullptr;
     bool enabled_ = true;
-    Tick pin_ = EventQueue::no_tick;
     int trigger_ = -1;
-    long skip_ = 0;       ///< boundaries left before retrying
-    long penalty_ = 1;    ///< next backoff length + 1 (doubles)
-    std::array<Anchor, ring_size> ring_;
-    int ring_head_ = 0;   ///< slot of the newest anchor
-    int ring_n_ = 0;      ///< valid anchors (0 = disarmed)
+    Anchor anchor_;
+    bool armed_ = false;  ///< anchor_ holds a boundary of this trigger
+    long checks_ = 0;     ///< failed checks against anchor_
+    long window_ = 1;     ///< checks before the anchor moves (doubles)
+    std::uint64_t last_rng_ = 0; ///< rng word at the previous boundary
     StateEncoder encoder_;
     std::vector<std::uint64_t> fp_;  ///< the current boundary's fp
     LoopBatchCounters counters_;
@@ -375,26 +342,33 @@ class LoopBatcher
 
 template <class Host>
 Tick
-LoopBatcher::attempt(Host &host, Tick done)
+LoopBatcher::check(Host &host, Tick done)
 {
-    // Randomness consumed since the newest anchor makes every stored
-    // anchor unmatchable: the rng word is part of the fingerprint and
-    // the stream only ever advances. Drop them and back off without
-    // paying for an encode.
-    if (ring_n_ > 0 && host.rngState() != ring_[ring_head_].rng) {
-        ring_n_ = 0;
-        fallBack();
+    // Randomness consumed since the previous boundary unmatches the
+    // anchor: the rng word is part of the fingerprint and the stream
+    // only ever advances. Disarm without paying for an encode, so a
+    // launch that draws every iteration never encodes at all.
+    const std::uint64_t rng = host.rngState();
+    if (rng != last_rng_) {
+        last_rng_ = rng;
+        armed_ = false;
+        ++counters_.fallbacks;
         return 0;
     }
 
-    encoder_.begin(*eq_, done, host.rngState(), host.actorCount(), fp_);
+    encoder_.begin(*eq_, done, rng, host.actorCount(), fp_);
     Host::visitState(std::as_const(host), encoder_);
     encoder_.finish();
-    const Anchor *match = findMatch();
-    if (match == nullptr) {
-        if (ring_n_ > 0)
-            fallBack();
+    if (!armed_) {
         anchor(host, done);
+        return 0;
+    }
+    if (fp_ != anchor_.fp) {
+        ++counters_.fallbacks;
+        if (++checks_ == window_) {
+            window_ *= 2;
+            anchor(host, done);
+        }
         return 0;
     }
 
@@ -404,12 +378,12 @@ LoopBatcher::attempt(Host &host, Tick done)
     // counts the just-finished iteration, so a margin of 2 leaves
     // phase transitions -- and the run's final event times -- to
     // ordinary single-stepping.
-    const Tick delta = done - match->boundary;
+    const Tick delta = done - anchor_.boundary;
     const int n = host.actorCount();
     long k = std::numeric_limits<long>::max();
     std::uint64_t per_period = 0;
     for (int i = 0; i < n; ++i) {
-        const long d = match->iters[i] - host.itersLeft(i);
+        const long d = anchor_.iters[i] - host.itersLeft(i);
         if (d <= 0)
             continue;
         per_period += static_cast<std::uint64_t>(d);
@@ -418,12 +392,8 @@ LoopBatcher::attempt(Host &host, Tick done)
     SYNCPERF_ASSERT(delta > 0, "duplicate trigger boundary tick");
     if (k == std::numeric_limits<long>::max())
         k = 0;
-    // A horizon pin is an opaque foreign event: never jump past it.
-    if (const Tick pin = eq_->horizonPin(); pin != EventQueue::no_tick)
-        k = pin > done ? std::min(k, static_cast<long>((pin - done) / delta))
-                       : 0;
     if (k < 1) {
-        fallBack();
+        ++counters_.fallbacks;
         // Anchor afresh so a later boundary measures a short period.
         anchor(host, done);
         return 0;
@@ -434,20 +404,18 @@ LoopBatcher::attempt(Host &host, Tick done)
     StateShifter shifter(shift);
     Host::visitState(host, shifter);
     for (int i = 0; i < n; ++i) {
-        const long d = match->iters[i] - host.itersLeft(i);
+        const long d = anchor_.iters[i] - host.itersLeft(i);
         host.itersLeft(i) -= k * d;
     }
-    stats_->applyPeriods(match->stats, static_cast<std::uint64_t>(k));
+    stats_->applyPeriods(anchor_.stats, static_cast<std::uint64_t>(k));
     counters_.batched_iters += static_cast<std::uint64_t>(k) * per_period;
     ++counters_.windows;
-    penalty_ = 1; // a jump proves the steady state: retry eagerly
 
     // The post-jump boundary has the matched fingerprint by
     // construction (fp_ still holds it); anchor it so the next
-    // boundary can batch again without re-proving periodicity from
-    // scratch. Older anchors stay valid -- they are other phases of
-    // the same cycle, described by their own historical tick and
-    // iteration counts.
+    // boundary can batch again, and search for a new period from the
+    // shortest window.
+    window_ = 1;
     anchor(host, done + shift);
     return shift;
 }
@@ -456,16 +424,14 @@ template <class Host>
 void
 LoopBatcher::anchor(Host &host, Tick done)
 {
-    ring_head_ = (ring_head_ + 1) % ring_size;
-    ring_n_ = std::min(ring_n_ + 1, ring_size);
-    Anchor &a = ring_[ring_head_];
-    a.fp.swap(fp_); // recycle the evicted anchor's buffer
-    a.boundary = done;
-    a.rng = host.rngState();
-    a.iters.resize(static_cast<std::size_t>(host.actorCount()));
+    armed_ = true;
+    checks_ = 0;
+    anchor_.fp.swap(fp_); // recycle the old anchor's buffer
+    anchor_.boundary = done;
+    anchor_.iters.resize(static_cast<std::size_t>(host.actorCount()));
     for (int i = 0; i < host.actorCount(); ++i)
-        a.iters[i] = host.itersLeft(i);
-    stats_->snapshot(a.stats);
+        anchor_.iters[i] = host.itersLeft(i);
+    stats_->snapshot(anchor_.stats);
 }
 
 } // namespace syncperf::sim

@@ -5,9 +5,9 @@
  * (9 runs x 7 attempts of 1,000 x 100 timed iterations), pinning the
  * target's loop-batching counters and the events the measurement
  * simulated. The campaign's counter pins (the `.counters` files in
- * tests/digests) run 30 x 5 iterations, where the batcher's backoff
- * never saturates; these points catch a schedule change that only
- * shows at the paper's length. A change to the batcher that moves them
+ * tests/digests) run 30 x 5 iterations, where the batcher's window
+ * never grows past a few boundaries; these points catch a schedule
+ * change that only shows at the paper's length. A change to the batcher that moves them
  * re-blesses the constants here, with old and new values in
  * CHANGES.md.
  */
@@ -75,13 +75,14 @@ expectWork(const Work &w, std::uint64_t batched_iters,
 
 TEST(PaperProtocolWork, FlushAt22Threads)
 {
-    expectWork(measureFlush(22), 209'035'008, 277'200'000, 378, 8'316,
-               7'522'890);
+    expectWork(measureFlush(22), 276'727'248, 277'200'000, 315, 13'293,
+               52'042);
 }
 
 TEST(PaperProtocolWork, FlushAt34Threads)
 {
-    expectWork(measureFlush(34), 427'841'568, 428'400'000, 252, 1'701, 62'830);
+    expectWork(measureFlush(34), 428'162'112, 428'400'000, 252, 59'472,
+               27'406);
 }
 
 // Fig. 10's per-thread atomicAdd on the RTX 2070 Super: a launch
@@ -96,7 +97,7 @@ TEST(PaperProtocolWork, RtxAtomicAddBatchesAndFallsBack)
     expectWork(measure(GpuSimTarget(gpusim::GpuConfig::rtx2070Super(),
                                     MeasurementConfig::paperDefaults()),
                        exp, gpusim::LaunchConfig{40, 256}),
-               4'031'798'400, 4'032'000'000, 126, 189, 8'000);
+               4'031'818'560, 4'032'000'000, 126, 189, 7'680);
 }
 
 } // namespace

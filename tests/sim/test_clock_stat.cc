@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for clock domains and stat counters.
+ * Unit tests for stat counters.
  */
 
 #include <gtest/gtest.h>
@@ -8,42 +8,12 @@
 #include <map>
 #include <string>
 
-#include "sim/clock.hh"
 #include "sim/stat.hh"
 
 namespace syncperf::sim
 {
 namespace
 {
-
-TEST(ClockDomain, CyclesToSeconds)
-{
-    const ClockDomain clk(2.0e9);  // 2 GHz
-    EXPECT_DOUBLE_EQ(clk.toSeconds(2000000000ULL), 1.0);
-    EXPECT_DOUBLE_EQ(clk.toSeconds(1), 0.5e-9);
-}
-
-TEST(ClockDomain, SecondsToCycles)
-{
-    const ClockDomain clk(3.5e9);
-    EXPECT_EQ(clk.toCycles(1.0), 3500000000ULL);
-    EXPECT_EQ(clk.toCycles(0.0), 0ULL);
-}
-
-TEST(ClockDomain, PeriodIsReciprocal)
-{
-    const ClockDomain clk(1.0e9);
-    EXPECT_DOUBLE_EQ(clk.period(), 1.0e-9);
-    EXPECT_DOUBLE_EQ(clk.frequencyHz(), 1.0e9);
-}
-
-TEST(ClockDomain, RoundTripIsConsistent)
-{
-    const ClockDomain clk(2.625e9);  // the RTX 4090 preset clock
-    const Tick cycles = 123456789;
-    EXPECT_NEAR(static_cast<double>(clk.toCycles(clk.toSeconds(cycles))),
-                static_cast<double>(cycles), 1.0);
-}
 
 TEST(StatSet, DefaultsToZero)
 {

@@ -155,37 +155,6 @@ TEST(EventQueue, ResetRestoresInitialStateButKillsOldHandles)
     EXPECT_EQ(eq.executed(), 3u); // a lifetime count
 }
 
-// ------------------------------------------------------------------
-// Batching-horizon queries (the loop batcher's safety boundary; see
-// docs/performance.md, "Loop batching").
-// ------------------------------------------------------------------
-
-TEST(EventQueue, HorizonPinSetsAndClears)
-{
-    EventQueue eq(3);
-    eq.wake(100, 1);
-    EXPECT_EQ(eq.horizonPin(), EventQueue::no_tick);
-    eq.pinHorizon(25);
-    EXPECT_EQ(eq.horizonPin(), 25u);
-    // A pending wake, earlier or later, leaves the pin as set.
-    eq.wake(7, 2);
-    EXPECT_EQ(eq.horizonPin(), 25u);
-    eq.clearHorizonPin();
-    EXPECT_EQ(eq.horizonPin(), EventQueue::no_tick);
-    // Draining the queue leaves a pin in place.
-    eq.pinHorizon(9);
-    drain(eq, [](int) {});
-    EXPECT_EQ(eq.horizonPin(), 9u);
-}
-
-TEST(EventQueue, ResetClearsHorizonPin)
-{
-    EventQueue eq(1);
-    eq.pinHorizon(123);
-    eq.reset(1);
-    EXPECT_EQ(eq.horizonPin(), EventQueue::no_tick);
-}
-
 TEST(EventQueue, EarliestPendingPerPriorityTracksEachActor)
 {
     EventQueue eq(4);
@@ -511,8 +480,6 @@ class QueueDifferential
                 drain(eq_, [this](int a) { fire(a); });
                 EXPECT_TRUE(ref_.empty());
             } else if (pick < 89) {
-                pin();
-            } else if (pick < 93) {
                 reset();
             } else {
                 for (int i = 0; i < 32; ++i)
@@ -695,18 +662,6 @@ class QueueDifferential
     }
 
     void
-    pin()
-    {
-        if (rng_.below(2) == 0) {
-            pin_ = eq_.now() + wide(12);
-            eq_.pinHorizon(pin_);
-        } else {
-            pin_ = EventQueue::no_tick;
-            eq_.clearHorizonPin();
-        }
-    }
-
-    void
     reset()
     {
         actors_ = actor_counts[rng_.below(actor_counts.size())];
@@ -714,7 +669,6 @@ class QueueDifferential
         ref_.clear();
         wake_at_.assign(static_cast<std::size_t>(actors_),
                         EventQueue::no_tick);
-        pin_ = EventQueue::no_tick;
         EXPECT_EQ(eq_.now(), 0u);
     }
 
@@ -728,7 +682,6 @@ class QueueDifferential
         EXPECT_EQ(eq_.earliestPending(),
                   ref_.empty() ? EventQueue::no_tick
                                : std::get<0>(*ref_.begin()));
-        EXPECT_EQ(eq_.horizonPin(), pin_);
 
         // The per-actor queries cost O(actors): a wide count scans on
         // every (actors / 64)-th step only, so each step costs about
@@ -775,7 +728,6 @@ class QueueDifferential
     std::uint64_t next_seq_ = 0;
     std::uint32_t budget_ = 0; ///< popped wakes that may still act
     int steps_ = 0;            ///< check() calls
-    Tick pin_ = EventQueue::no_tick;
 };
 
 TEST(EventQueueDifferential, MatchesOrderedMultisetReference)
